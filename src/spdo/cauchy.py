@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.interpolate import CubicSpline
 from scipy.optimize import linear_sum_assignment
 
-from .grid import Grid, SpectralField, TimeGrid
+from .grid import FREQUENCY, Grid, SpectralField, TimeGrid, fft_inverse
 from .quantize import SampledField, apply_symbol_op
 from .stochastic import BrownianEnsemble
 from .symbols import Symbol, symbol_from_expr
@@ -619,41 +619,16 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
 # Carleman machinery
 
 
-def _apply_multiplier(sym: Symbol, field2d: np.ndarray, grid: Grid,
-                      t: float, w: float) -> np.ndarray:
-    """Apply an x-independent symbol to one spatial slice (any grid shape)."""
-    x0 = np.zeros(grid.shape + (grid.dim,))
-    mult = sym(t, w, x0, grid.freqs())
-    return np.fft.ifftn(np.fft.fftn(field2d) * mult)
-
-
-def _apply_sym(sym: Symbol | None, vals: np.ndarray, grid: Grid, t, w):
+def _apply_nodes(sym: Symbol | None, vals: np.ndarray, grid: Grid,
+                 ensemble: BrownianEnsemble) -> np.ndarray:
+    """sym applied at every (path, time) node of vals, (M, k) + grid.shape,
+    over the first k nodes of the ensemble; zero when sym is None."""
     if sym is None:
         return np.zeros_like(vals)
-    if sym.x_independent:
-        return _apply_multiplier(sym, vals, grid, t, w)
-    f = apply_symbol_op(sym, SpectralField(grid, vals), t, w)
-    return f.values
-
-
-def _static_multiplier(sym: Symbol | None, grid: Grid):
-    """Frequency multiplier for an x-independent, (t, w)-independent symbol;
-    None when the fast path does not apply."""
-    if sym is None or not sym.x_independent:
-        return None
-    x0 = np.zeros(grid.shape + (grid.dim,))
-    m0 = sym(0.0, 0.0, x0, grid.freqs())
-    m1 = sym(0.1, 1.0, x0, grid.freqs())
-    if not np.allclose(m0, m1, rtol=0,
-                       atol=1e-12 * max(1.0, float(np.abs(m0).max()))):
-        return None
-    return m0
-
-
-def _apply_mult_batch(mult: np.ndarray, vals: np.ndarray, dim: int):
-    """Multiplier applied over the trailing dim lattice axes of vals."""
-    axes = tuple(range(vals.ndim - dim, vals.ndim))
-    return np.fft.ifftn(np.fft.fftn(vals, axes=axes) * mult, axes=axes)
+    k = vals.shape[1]
+    return apply_symbol_op(sym, SpectralField(grid, vals),
+                           ensemble.timegrid.nodes()[:k],
+                           ensemble.paths[:, :k]).values
 
 
 def smooth_time_cutoff(tg: TimeGrid) -> np.ndarray:
@@ -675,21 +650,15 @@ def pinned_semimartingale(grid: Grid, ensemble: BrownianEnsemble,
     tg = ensemble.timegrid
     nodes = tg.nodes()
     s = np.sin(np.pi * nodes / tg.T) ** 2
-    ints = np.fft.fftfreq(grid.N) * grid.N
-    mask = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        ka = ints.reshape((-1,) + (1,) * (grid.dim - 1 - a))
-        mask &= np.abs(np.broadcast_to(ka, grid.shape)) <= max_mode
+    mask = grid.band_mask(max_mode)
     a_amp = (rng.standard_normal(grid.shape)
              + 1j * rng.standard_normal(grid.shape)) * mask
     b_amp = (rng.standard_normal(grid.shape)
              + 1j * rng.standard_normal(grid.shape)) * mask * 0.5
-    vals = np.empty((ensemble.M, tg.K + 1) + grid.shape, np.complex128)
-    inv = (grid.N / grid.L) ** grid.dim
-    for m in range(ensemble.M):
-        for j in range(tg.K + 1):
-            spec = (a_amp + b_amp * ensemble.paths[m, j]) * s[j]
-            vals[m, j] = np.fft.ifftn(spec) * inv
+    lattice = (1,) * grid.dim
+    Wt = ensemble.paths.reshape(ensemble.paths.shape + lattice)
+    spec = (a_amp + b_amp * Wt) * s.reshape((1, -1) + lattice)
+    vals = fft_inverse(SpectralField(grid, spec, FREQUENCY)).values
     return SampledField(grid, tg, vals, adapted=True)
 
 
@@ -741,29 +710,10 @@ def _carleman_terms(z: SampledField, A1, B1, mu: float,
     nodes = tg.nodes()
     T = tg.T
     th2 = np.exp(mu * (nodes - T) ** 2)
-    M, Kp1 = z.values.shape[:2]
+    Kp1 = z.values.shape[1]
     K = Kp1 - 1
-    bmult = _static_multiplier(B1, grid)
-
-    if bmult is not None:
-        Bz_all = _apply_mult_batch(bmult, z.values, grid.dim)
-    else:
-        Bz_all = np.empty_like(z.values)
-        for m in range(M):
-            for j in range(Kp1):
-                Bz_all[m, j] = _apply_sym(B1, z.values[m, j], grid, nodes[j],
-                                          ensemble.paths[m, j])
-    amult = _static_multiplier(A1, grid) if A1 is not None else None
-    if A1 is None:
-        A1z_all = np.zeros_like(z.values)
-    elif amult is not None:
-        A1z_all = _apply_mult_batch(amult, z.values, grid.dim)
-    else:
-        A1z_all = np.empty_like(z.values)
-        for m in range(M):
-            for j in range(Kp1):
-                A1z_all[m, j] = _apply_sym(A1, z.values[m, j], grid, nodes[j],
-                                           ensemble.paths[m, j])
+    Bz_all = _apply_nodes(B1, z.values, grid, ensemble)
+    A1z_all = _apply_nodes(A1, z.values, grid, ensemble)
 
     sp_axes = tuple(range(2, 2 + grid.dim))
     tshape = (1, Kp1) + (1,) * grid.dim
@@ -800,25 +750,14 @@ def _carleman_terms(z: SampledField, A1, B1, mu: float,
         from .calculus import adjoint_symbol
 
         B1s = adjoint_symbol(B1, 2).symbol_sum()
-        skew = np.empty_like(zL)
-        for m in range(M):
-            for j in range(K):
-                skew[m, j] = BzL[m, j] - _apply_sym(
-                    B1s, z.values[m, j], grid, nodes[j], ensemble.paths[m, j])
+        skew = BzL - _apply_nodes(B1s, zL, grid, ensemble)
         rhs[1] = (-2.0 / mu) * float(np.mean(
             np.sum(w_th2 * _ipt(drift, skew).imag, axis=1)))
     rhs[2] = -2.0 * float(np.mean(np.sum(
         w_th2 * (nodes[None, :K] - T)
         * np.sum(np.abs(dz) ** 2, axis=sp_axes).real * grid.cell_volume,
         axis=1)))
-    if bmult is not None:
-        Bdz = _apply_mult_batch(bmult, dz, grid.dim)
-    else:
-        Bdz = np.empty_like(dz)
-        for m in range(M):
-            for j in range(K):
-                Bdz[m, j] = _apply_sym(B1, dz[m, j], grid, nodes[j],
-                                       ensemble.paths[m, j])
+    Bdz = _apply_nodes(B1, dz, grid, ensemble)
     rhs[3] = (-2.0 / mu) * float(np.mean(
         np.sum(w_th2 * _ipt(dz, Bdz).real, axis=1)))
 
@@ -896,7 +835,6 @@ def carleman_report_jordan(z1: SampledField, z2: SampledField,
     _check_pinned(z2)
     _check_b1(B1, z1.grid, ensemble)
     grid, tg = z1.grid, z1.timegrid
-    nodes = tg.nodes()
     # Lambda coupling: first-order Bessel multiplier
     import sympy as sp
     from .symbols import _XI
@@ -904,12 +842,7 @@ def carleman_report_jordan(z1: SampledField, z2: SampledField,
     lam = symbol_from_expr(
         sp.sqrt(1 + sum(_XI[k] ** 2 for k in range(grid.dim))), grid.dim,
         order=1)
-    M = z1.values.shape[0]
-    lam_z2 = np.empty_like(z2.values)
-    for m in range(M):
-        for j in range(len(nodes)):
-            lam_z2[m, j] = _apply_sym(lam, z2.values[m, j], grid, nodes[j],
-                                      ensemble.paths[m, j])
+    lam_z2 = _apply_nodes(lam, z2.values, grid, ensemble)
     l1a, l2a, rhs_a, gap_a = _carleman_terms(z1, A1, B1, mu, ensemble,
                                              extra_drift=lam_z2)
     l1b, l2b, rhs_b, gap_b = _carleman_terms(z2, A1, B1, mu, ensemble)
@@ -1044,11 +977,7 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
     rng = np.random.default_rng(seed)
     # spatial profile: fixed band-limited bump
     prof_spec = np.zeros(grid.shape, np.complex128)
-    ints = np.fft.fftfreq(grid.N) * grid.N
-    mask = np.ones(grid.shape, bool)
-    for a in range(grid.dim):
-        ka = ints.reshape((-1,) + (1,) * (grid.dim - 1 - a))
-        mask &= np.abs(np.broadcast_to(ka, grid.shape)) <= grid.N // 8
+    mask = grid.band_mask(grid.N // 8)
     prof_spec[mask] = (rng.standard_normal(int(mask.sum()))
                        + 1j * rng.standard_normal(int(mask.sum())))
     profile = np.fft.ifftn(prof_spec) * (grid.N / grid.L) ** grid.dim

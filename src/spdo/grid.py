@@ -33,6 +33,9 @@ class Grid:
     dim: int = 1
     points_per_axis: int = 64
     period: float = 2.0 * np.pi
+    # lattice arrays, built once per grid and handed out read-only
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         n, N = self.dim, self.points_per_axis
@@ -79,18 +82,44 @@ class Grid:
         """Frequency lattice values per axis, in FFT (wrapped) order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
 
-    def points(self) -> np.ndarray:
-        """Lattice points, shape grid.shape + (n,)."""
-        axes = np.meshgrid(*([self.axis_points()] * self.dim), indexing="ij")
+    def _cached(self, key: str, build) -> np.ndarray:
+        arr = self._cache.get(key)
+        if arr is None:
+            arr = build()
+            arr.flags.writeable = False
+            self._cache[key] = arr
+        return arr
+
+    def _lattice(self, axis_values) -> np.ndarray:
+        axes = np.meshgrid(*([axis_values] * self.dim), indexing="ij")
         return np.stack(axes, axis=-1)
+
+    def points(self) -> np.ndarray:
+        """Lattice points, shape grid.shape + (n,); read-only."""
+        return self._cached("points", lambda: self._lattice(self.axis_points()))
 
     def freqs(self) -> np.ndarray:
-        """Frequency lattice, FFT order, shape grid.shape + (n,)."""
-        axes = np.meshgrid(*([self.axis_freqs()] * self.dim), indexing="ij")
-        return np.stack(axes, axis=-1)
+        """Frequency lattice, FFT order, shape grid.shape + (n,); read-only."""
+        return self._cached("freqs", lambda: self._lattice(self.axis_freqs()))
 
     def freq_norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.freqs() ** 2, axis=-1))
+        return self._cached(
+            "freq_norms", lambda: np.sqrt(np.sum(self.freqs() ** 2, axis=-1)))
+
+    def band_mask(self, max_mode: int) -> np.ndarray:
+        """True on the lattice modes k with every |k_a| <= max_mode."""
+        ints = np.abs(np.fft.fftfreq(self.N) * self.N)
+        return self._lattice(ints <= max_mode).all(axis=-1)
+
+    def phase_matrix(self) -> np.ndarray:
+        """exp(i x.xi) over flattened (points, freqs), shape (N^n, N^n);
+        read-only."""
+        def build():
+            xs = self.points().reshape(-1, self.dim)
+            xis = self.freqs().reshape(-1, self.dim)
+            return np.exp(1j * (xs @ xis.T))
+
+        return self._cached("phase", build)
 
     @property
     def max_resolved_freq(self) -> float:
@@ -138,7 +167,12 @@ FREQUENCY = "frequency"
 
 @dataclass
 class SpectralField:
-    """Complex field on a Grid, in physical or frequency representation."""
+    """Complex field on a Grid, in physical or frequency representation.
+
+    values has shape grid.shape, or batch axes followed by grid.shape (one
+    field per batch entry); transforms and norms act on the trailing grid
+    axes.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -146,10 +180,9 @@ class SpectralField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} != grid shape {self.grid.shape}"
-            )
+        if self.values.shape[self.values.ndim - self.grid.dim:] != self.grid.shape:
+            raise ValueError(f"values shape {self.values.shape} does not end "
+                             f"in grid shape {self.grid.shape}")
         if self.representation not in (PHYSICAL, FREQUENCY):
             raise RepresentationError(f"unknown representation {self.representation!r}")
 
@@ -157,11 +190,15 @@ class SpectralField:
         return SpectralField(self.grid, self.values.copy(), self.representation)
 
 
+def _grid_axes(grid: Grid) -> tuple[int, ...]:
+    return tuple(range(-grid.dim, 0))
+
+
 def fft_forward(f: SpectralField) -> SpectralField:
     """Physical -> frequency, carrying the (L/N)^n cell weight."""
     if f.representation != PHYSICAL:
         raise RepresentationError("fft_forward expects a physical-representation field")
-    vals = np.fft.fftn(f.values) * f.grid.cell_volume
+    vals = np.fft.fftn(f.values, axes=_grid_axes(f.grid)) * f.grid.cell_volume
     return SpectralField(f.grid, vals, FREQUENCY)
 
 
@@ -169,7 +206,8 @@ def fft_inverse(f: SpectralField) -> SpectralField:
     """Frequency -> physical, carrying the (N/L)^n weight."""
     if f.representation != FREQUENCY:
         raise RepresentationError("fft_inverse expects a frequency-representation field")
-    vals = np.fft.ifftn(f.values) * (f.grid.N / f.grid.L) ** f.grid.dim
+    vals = (np.fft.ifftn(f.values, axes=_grid_axes(f.grid))
+            * (f.grid.N / f.grid.L) ** f.grid.dim)
     return SpectralField(f.grid, vals, PHYSICAL)
 
 
@@ -181,17 +219,26 @@ def to_physical(f: SpectralField) -> SpectralField:
     return f if f.representation == PHYSICAL else fft_inverse(f)
 
 
-def l2_norm(f: SpectralField) -> float:
-    if f.representation == PHYSICAL:
-        return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.cell_volume))
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.freq_cell_volume))
+def _lattice_norm(grid: Grid, density: np.ndarray,
+                  cell: float) -> float | np.ndarray:
+    """sqrt of the cell-weighted sum over the trailing grid axes: a float for
+    one field, an array over the batch axes otherwise."""
+    norm = np.sqrt(np.sum(density, axis=_grid_axes(grid)) * cell)
+    return float(norm) if norm.ndim == 0 else norm
 
 
-def sobolev_norm(f: SpectralField, delta: float) -> float:
+def l2_norm(f: SpectralField) -> float | np.ndarray:
+    cell = (f.grid.cell_volume if f.representation == PHYSICAL
+            else f.grid.freq_cell_volume)
+    return _lattice_norm(f.grid, np.abs(f.values) ** 2, cell)
+
+
+def sobolev_norm(f: SpectralField, delta: float) -> float | np.ndarray:
     """H^delta norm via the Bessel weight (1+|xi|^2)^{delta/2} on the spectrum."""
     fh = to_frequency(f)
     w = (1.0 + f.grid.freq_norms() ** 2) ** delta
-    return float(np.sqrt(np.sum(w * np.abs(fh.values) ** 2) * f.grid.freq_cell_volume))
+    return _lattice_norm(f.grid, w * np.abs(fh.values) ** 2,
+                         f.grid.freq_cell_volume)
 
 
 def field_from_function(grid: Grid, fn) -> SpectralField:
@@ -214,11 +261,7 @@ def random_band_limited(grid: Grid, rng: np.random.Generator,
     if max_mode is None:
         max_mode = grid.N // 4
     spec = np.zeros(grid.shape, dtype=np.complex128)
-    ints = np.fft.fftfreq(grid.N) * grid.N
-    mask = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        ka = ints.reshape((-1,) + (1,) * (grid.dim - 1 - a))
-        mask &= np.abs(np.broadcast_to(ka, grid.shape)) <= max_mode
+    mask = grid.band_mask(max_mode)
     amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     spec[mask] = amp[mask]
     return to_physical(SpectralField(grid, spec, FREQUENCY))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import (FREQUENCY, Grid, SpectralField, TimeGrid, fft_forward,
                    l2_norm, to_frequency, to_physical)
-from .symbols import Amplitude, Symbol
+from .symbols import Amplitude, Symbol, _current_w
 
 __all__ = [
     "SampledField",
@@ -40,6 +40,9 @@ __all__ = [
 
 # exact-sum size caps per dimension; correctness first at desk scale
 _N_CAP = {1: 128, 2: 64, 3: 32}
+# work-array budget of one chunk of (path, time) nodes: as fast as larger
+# chunks, and it keeps peak memory flat in the ensemble size
+_CHUNK_BYTES = 1 << 20
 
 
 class SingularKernelError(ValueError):
@@ -69,9 +72,6 @@ class SampledField:
     def M(self) -> int:
         return self.values.shape[0]
 
-    def at(self, path: int, j: int) -> SpectralField:
-        return SpectralField(self.grid, self.values[path, j].copy())
-
     def copy(self) -> "SampledField":
         return SampledField(self.grid, self.timegrid, self.values.copy(),
                             self.adapted)
@@ -92,35 +92,68 @@ def _check_cap(grid: Grid) -> None:
             f"for dim {grid.dim}")
 
 
-def apply_symbol_op(a: Symbol, u: SpectralField, t: float = 0.0,
-                    w=0.0) -> SpectralField:
-    """Kohn-Nirenberg quantization of a applied to one field."""
-    if a.dim != u.grid.dim:
-        raise ValueError("symbol/grid dimension mismatch")
+def apply_symbol_op(a: Symbol, u: SpectralField, t=0.0, w=0.0) -> SpectralField:
+    """Kohn-Nirenberg quantization of a applied to u at (t, w).
+
+    u may carry batch axes before the grid axes, one field per (t, w) node;
+    t and w broadcast against those axes.  The nodes are processed in chunks
+    whose work arrays hold about _CHUNK_BYTES (at least one node, and at
+    least one lattice row of the dense sum, per chunk).
+    """
     grid = u.grid
-    uhat = to_frequency(u).values
+    if a.dim != grid.dim:
+        raise ValueError("symbol/grid dimension mismatch")
+    if not a.x_independent:
+        _check_cap(grid)
+    batch = u.values.shape[:u.values.ndim - grid.dim]
+    t = np.broadcast_to(t, batch).reshape(-1)
+    w = np.broadcast_to(_current_w(w), batch).reshape(-1)
+    fields = u.values.reshape((-1,) + grid.shape)
+    npts = grid.N**grid.dim
     if a.x_independent:
-        x0 = np.zeros(grid.shape + (grid.dim,))
-        mult = a(t, w, x0, grid.freqs())
-        return to_physical(SpectralField(grid, mult * uhat, FREQUENCY))
-    _check_cap(grid)
+        apply_chunk, node_bytes = _apply_multiplier, 16 * npts
+    else:
+        apply_chunk, node_bytes = _apply_dense, 16 * npts * npts
+    step = max(1, _CHUNK_BYTES // node_bytes)
+    out = np.empty_like(fields)
+    for s in range(0, len(fields), step):
+        c = slice(s, s + step)
+        uhat = to_frequency(
+            SpectralField(grid, fields[c], u.representation)).values
+        out[c] = apply_chunk(a, grid, uhat, t[c], w[c])
+    return SpectralField(grid, out.reshape(u.values.shape))
+
+
+def _apply_multiplier(a, grid, uhat, t, w):
+    """x-independent symbol: a diagonal multiplier on the spectra."""
+    lead = (-1,) + (1,) * grid.dim
+    x0 = np.zeros(grid.shape + (grid.dim,))
+    mult = a(t.reshape(lead), w.reshape(lead), x0, grid.freqs())
+    return to_physical(SpectralField(grid, mult * uhat, FREQUENCY)).values
+
+
+def _apply_dense(a, grid, uhat, t, w):
+    """x-dependent symbol: the exact sum over the frequency lattice, a block
+    of lattice rows at a time."""
     xs = _flat_points(grid)
     xis = _flat_freqs(grid)
-    vals = a(t, w, xs[:, None, :], xis[None, :, :])  # (Nx, Nxi)
-    phases = np.exp(1j * (xs @ xis.T))
-    out = (vals * phases) @ uhat.reshape(-1) * grid.freq_cell_volume
-    return SpectralField(grid, out.reshape(grid.shape))
+    phase = grid.phase_matrix()
+    uhat = uhat.reshape(len(t), -1, 1)
+    out = np.empty((len(t), len(xs)), dtype=np.complex128)
+    rows = max(1, _CHUNK_BYTES // (16 * uhat.size))
+    for r in range(0, len(xs), rows):
+        x = slice(r, r + rows)
+        vals = a(t[:, None, None], w[:, None, None], xs[x, None, :],
+                 xis[None, :, :])  # (nodes, rows, Nxi)
+        out[:, x] = ((vals * phase[x]) @ uhat)[..., 0]
+    return (out * grid.freq_cell_volume).reshape((len(t),) + grid.shape)
 
 
 def apply_symbol_ensemble(a: Symbol, u: SampledField, ensemble) -> SampledField:
     """Apply the operator of a at every (path, time) node of u."""
-    nodes = u.timegrid.nodes()
-    out = np.empty_like(u.values)
-    for m in range(u.M):
-        for j, tj in enumerate(nodes):
-            f = apply_symbol_op(a, u.at(m, j), tj, ensemble.paths[m, j])
-            out[m, j] = f.values
-    return SampledField(u.grid, u.timegrid, out, u.adapted)
+    f = apply_symbol_op(a, SpectralField(u.grid, u.values),
+                        u.timegrid.nodes(), ensemble.paths)
+    return SampledField(u.grid, u.timegrid, f.values, u.adapted)
 
 
 def smooth_chi(s: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ detection on the resolved frequency band.
 
 A symbol evaluator has signature ``fn(t, w, x, xi)`` where ``w`` is the
 driving Brownian value at time t (adaptedness is then automatic), and ``x``
-and ``xi`` are arrays whose last axis is the spatial dimension.  Symbols
+and ``xi`` are arrays whose last axis is the spatial dimension.  ``t`` and
+``w`` may be arrays too (one entry per (path, time) node); the evaluator
+must broadcast them against the components of ``x`` and ``xi``.  Symbols
 built from sympy expressions carry exact derivatives of every order; plain
 callables fall back to nested central differences.
 """
@@ -64,12 +66,10 @@ def qstar(p: float, q: float) -> float:
 
 
 def _current_w(w):
+    """W(t) from a path value, an array of them, or a path prefix."""
     if w is None:
         return 0.0
-    cur = getattr(w, "current", None)
-    if cur is not None:
-        return float(cur)
-    return float(w)
+    return getattr(w, "current", w)
 
 
 def _split_components(arr, dim):
@@ -282,7 +282,7 @@ def symbol_from_expr(expr, dim=1, order=None, integrability=math.inf,
         xis = _split_components(xi, dim)
         wv = _current_w(w)
         out = f(t, wv, *xs, *xis)
-        target = np.broadcast(xs[0], xis[0]).shape
+        target = np.broadcast(t, wv, xs[0], xis[0]).shape
         return np.broadcast_to(out, target) if out.shape != target else out
 
     x_indep = not any(expr.has(s) for s in _X[:dim])
@@ -315,7 +315,7 @@ def amplitude_from_expr(expr, dim=1, order=None, integrability=math.inf) -> Ampl
         xis = _split_components(xi, dim)
         wv = _current_w(w)
         out = f(t, wv, *xs, *ys, *xis)
-        target = np.broadcast(xs[0], ys[0], xis[0]).shape
+        target = np.broadcast(t, wv, xs[0], ys[0], xis[0]).shape
         return np.broadcast_to(out, target) if out.shape != target else out
 
     if order is None:

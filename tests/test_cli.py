@@ -1,7 +1,10 @@
 """CLI: config parsing, subcommand verdicts, artifacts, determinism."""
 
 import json
+import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,82 @@ def test_garding_exact_check(tmp_path):
     assert rep["report"]["exact_passed"] is True
     assert all(c <= 1.0 + 1e-9
                for c in rep["report"]["exact_constants"].values())
+
+
+def test_garding_control_passes_with_zero_constant(tmp_path):
+    # this seed measures the exact |xi|^2 control at C = 0 on N = 64: below
+    # 1, so it passes, although its stability ratio divides by the floor
+    code, out = _run(tmp_path, "garding",
+                     "trials = 5\nensemble.M = 16\nexact_check = 1\n"
+                     "exact_trials = 2\n", seed=39008036)
+    rep = json.loads((out / "report.json").read_text())["report"]
+    assert code == 0
+    assert rep["exact_constants"]["64"] == 0.0
+    assert rep["exact_passed"] is True
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_garding_control_fails_above_one_or_nan(tmp_path, monkeypatch, bad):
+    import spdo.bounds
+
+    real = spdo.bounds.garding_check
+
+    def control_off(a, *args, **kwargs):
+        rep = real(a, *args, **kwargs)
+        if not a.name:  # the exact |xi|^2 control
+            rep.constants = {32: 0.5, 64: bad}
+        return rep
+
+    monkeypatch.setattr(spdo.bounds, "garding_check", control_off)
+    code, out = _run(tmp_path, "garding",
+                     "trials = 2\nensemble.M = 4\ntime.K = 8\n"
+                     "exact_check = 1\nexact_trials = 2\n")
+    rep = json.loads((out / "report.json").read_text())["report"]
+    assert code == 2
+    assert rep["exact_passed"] is False
+
+
+def test_bounds_non_finite_constant_fails(tmp_path):
+    # the pole of 1/(1 + cos x) at x = pi lies on the lattice
+    code, out = _run(tmp_path, "bounds",
+                     "symbol = 1/(1+cos(x))\ngrid.N_list = 32,64\n"
+                     "ensemble.M = 2\ntime.K = 8\ntrials = 1\n")
+    assert code == 2
+    rep = json.loads((out / "report.json").read_text())["report"]
+    sym = rep["symbols"]["1/(1+cos(x))"]
+    assert sym["passed"] is False
+    assert "non-finite" in sym["extra"]["reason"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the thread count from /proc")
+def test_threads_flag_sizes_blas_pool(tmp_path):
+    # the flag must act before numpy loads: importing the CLI may not load
+    # it, and the process runs one thread after --threads 1
+    child = (
+        "import sys\n"
+        "import spdo.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "code = spdo.cli.main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(code, [l for l in status if l.startswith('Threads:')][0])\n")
+    cfg = tmp_path / "cz.cfg"
+    cfg.write_text("grid.N = 16\nensemble.M = 2\ntime.K = 4\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run(
+        [sys.executable, "-c", child, "cz", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--threads", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    code, threads = res.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert threads.split() == ["Threads:", "1"]
 
 
 def test_integrator_subcommand(tmp_path):

@@ -96,6 +96,35 @@ def test_grid_properties_2d():
     assert g.freqs().shape == (16, 16, 2)
 
 
+def test_lattice_arrays_cached_read_only():
+    g = Grid(2, 8)
+    for build in (g.points, g.freqs, g.freq_norms, g.phase_matrix):
+        arr = build()
+        assert arr is build()
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    assert g.phase_matrix().shape == (64, 64)
+    assert g == Grid(2, 8) and hash(g) == hash(Grid(2, 8))
+
+
+def test_norms_reduce_over_trailing_grid_axes():
+    g = Grid(2, 8)
+    rng = np.random.default_rng(2)
+    fields = [random_band_limited(g, rng) for _ in range(6)]
+    batch = SpectralField(g, np.stack([f.values for f in fields]).reshape(
+        (2, 3) + g.shape))
+    l2 = l2_norm(batch)
+    sob = sobolev_norm(batch, 0.75)
+    assert l2.shape == sob.shape == (2, 3)
+    for i, f in enumerate(fields):
+        assert abs(l2.flat[i] - l2_norm(f)) <= 1e-14 * l2_norm(f)
+        assert abs(sob.flat[i] - sobolev_norm(f, 0.75)) \
+            <= 1e-14 * sobolev_norm(f, 0.75)
+    with pytest.raises(ValueError):
+        SpectralField(g, np.zeros((3, 8)))
+
+
 def test_timegrid():
     tg = TimeGrid(0.5, 64)
     assert tg.K == 64

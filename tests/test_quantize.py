@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spdo.grid import Grid, field_from_function, l2_norm, plane_wave, random_band_limited
+from spdo import quantize
+from spdo.grid import (Grid, SpectralField, TimeGrid, field_from_function, l2_norm,
+                       plane_wave, random_band_limited)
 from spdo.quantize import (
     RegularizationWarning,
     SingularKernelError,
+    SampledField,
     apply_adjoint,
     apply_amplitude_op,
+    apply_symbol_ensemble,
     apply_symbol_op,
     apply_transpose,
     compute_kernel,
@@ -20,7 +24,9 @@ from spdo.quantize import (
     kernel_decay_check,
     smooth_chi,
 )
-from spdo.symbols import amplitude_from_expr, constant_symbol, symbol_from_expr, _X, _XI, _Y
+from spdo.stochastic import sample_brownian
+from spdo.symbols import (amplitude_from_expr, constant_symbol, symbol_from_expr, _T, _W,
+                          _X, _XI, _Y)
 
 G = Grid(1, 64)
 
@@ -128,6 +134,67 @@ def test_transpose_bilinear_identity():
         lhs = np.sum(Au.values * v.values) * G.cell_volume
         rhs = np.sum(u.values * Atv.values) * G.cell_volume
         assert abs(lhs - rhs) <= 1e-8 * l2_norm(u) * l2_norm(v)
+
+
+# -- batched core ------------------------------------------------------------
+
+BATCH_SYMBOLS = {
+    "multiplier-w": ((1 + sp.sin(_W) / 2) * _XI[0] / sp.sqrt(1 + _XI[0] ** 2), 0),
+    "multiplier-t": ((1 + _T) * _XI[0] ** 2, 2),
+    "dense-w": ((2 + sp.sin(_X[0]) + sp.sin(_W) / 10) * _XI[0] ** 2, 2),
+    "dense-t": (sp.cos(_X[0]) * _T * _XI[0] + 1, 1),
+}
+
+
+def _per_node_reference(a, grid, values, nodes, paths):
+    """The Kohn-Nirenberg sum evaluated node by node, straight from its
+    definition."""
+    xs = grid.points().reshape(-1, grid.dim)
+    xis = grid.freqs().reshape(-1, grid.dim)
+    phase = np.exp(1j * (xs @ xis.T))
+    out = np.empty_like(values)
+    for m in range(values.shape[0]):
+        for j in range(values.shape[1]):
+            uhat = np.fft.fftn(values[m, j]).reshape(-1) * grid.cell_volume
+            sym = a(nodes[j], paths[m, j], xs[:, None, :], xis[None, :, :])
+            out[m, j] = ((sym * phase) @ uhat).reshape(grid.shape) \
+                * grid.freq_cell_volume
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SYMBOLS))
+@pytest.mark.parametrize("dim,N", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("nodes_per_chunk", [None, 3, 0.2])
+def test_batched_core_matches_per_node_loop(monkeypatch, name, dim, N,
+                                            nodes_per_chunk):
+    # 2 paths x 5 nodes = 10 nodes: chunks of 3 leave a remainder of 1, and
+    # a fifth of a node splits the dense sum into row blocks
+    expr, order = BATCH_SYMBOLS[name]
+    a = symbol_from_expr(expr, dim, order=order)
+    assert a.x_independent == name.startswith("multiplier")
+    grid = Grid(dim, N)
+    if nodes_per_chunk is not None:
+        npts = N**dim
+        per_node = 16 * (npts if a.x_independent else npts * npts)
+        monkeypatch.setattr(quantize, "_CHUNK_BYTES",
+                            int(nodes_per_chunk * per_node))
+    ens = sample_brownian(2, TimeGrid(0.5, 4), seed=4)
+    rng = np.random.default_rng(5)
+    values = np.stack([[random_band_limited(grid, rng).values
+                        for _ in range(5)] for _ in range(2)])
+    u = SampledField(grid, ens.timegrid, values)
+    got = apply_symbol_ensemble(a, u, ens).values
+    ref = _per_node_reference(a, grid, values, ens.timegrid.nodes(), ens.paths)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_single_field_is_a_batch_of_one():
+    a = symbol_from_expr(BATCH_SYMBOLS["dense-w"][0], 1, order=2)
+    u = random_band_limited(G, np.random.default_rng(8))
+    one = apply_symbol_op(a, u, 0.25, 0.7)
+    batch = apply_symbol_op(a, SpectralField(G, u.values[None]), [0.25], [0.7])
+    assert one.values.shape == G.shape
+    assert np.array_equal(batch.values[0], one.values)
 
 
 # -- kernels -----------------------------------------------------------------

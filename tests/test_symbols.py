@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdo.grid import Grid
+from spdo.stochastic import PathPrefix
 from spdo.symbols import (
     UndefinedExponentError,
+    amplitude_from_expr,
     check_symbol_estimate,
     constant_symbol,
     ellipticity_check,
@@ -19,9 +21,33 @@ from spdo.symbols import (
     _X,
     _XI,
     _W,
+    _T,
+    _Y,
 )
 
 G = Grid(1, 64)
+
+
+# -- evaluation over (t, w) arrays --------------------------------------------
+
+def test_evaluators_broadcast_over_t_and_w():
+    a = symbol_from_expr((2 + sp.sin(_X[0]) + sp.sin(_W) / 10) * _XI[0] ** 2
+                         + _T, 1, order=2)
+    amp = amplitude_from_expr(sp.cos(_W) * _Y[0] * _XI[0] + _T, 1, order=1)
+    t = np.array([0.0, 0.1, 0.3])[:, None, None]
+    w = np.array([0.5, -1.0, 2.0])[:, None, None]
+    x = np.linspace(0.0, 6.0, 4)[:, None, None]  # (4, 1, 1)
+    xi = np.arange(-2.0, 3.0)[None, :, None]  # (1, 5, 1)
+    got_a = a(t, w, x, xi)
+    got_amp = amp(t, w, x, x, xi)
+    assert got_a.shape == got_amp.shape == (3, 4, 5)
+    for i in range(3):
+        assert np.array_equal(got_a[i], a(t.flat[i], w.flat[i], x, xi))
+        assert np.array_equal(got_amp[i],
+                              amp(t.flat[i], w.flat[i], x, x, xi))
+    # a path prefix stands for its current value
+    prefix = PathPrefix(np.array([0.0, 0.1]), np.array([0.3, -1.0]))
+    assert np.array_equal(a(0.1, prefix, x, xi), a(0.1, -1.0, x, xi))
 
 
 # -- q* composition exponent -------------------------------------------------
