@@ -18,7 +18,7 @@ import numpy as np
 from .grid import (FREQUENCY, Grid, SpectralField, fft_inverse, l2_norm,
                    sobolev_norm, to_frequency)
 from .quantize import SampledField, apply_symbol_ensemble
-from .stochastic import BrownianEnsemble, lpf_norm_values, lpf_integral_values
+from .stochastic import BrownianEnsemble, lpf_norm_values
 from .symbols import Symbol
 
 __all__ = [
@@ -156,11 +156,7 @@ def sobolev_boundedness_check(a: Symbol, delta: float, q: float, grids,
 def _mixed_norm(u: SampledField, outer_p: float, inner_p: float,
                 nodes) -> float:
     """L^p_x(torus; L^{inner}_F(0,T)) norm."""
-    M, Kp1 = u.values.shape[:2]
-    flat = u.values.reshape(M, Kp1, -1)
-    site = np.empty(flat.shape[2])
-    for s in range(flat.shape[2]):
-        site[s] = lpf_norm_values(flat[:, :, s], nodes, inner_p)
+    site = lpf_norm_values(u.values, nodes, inner_p)
     cell = u.grid.cell_volume
     return float((np.sum(site**outer_p) * cell) ** (1.0 / outer_p))
 
@@ -214,11 +210,7 @@ def weak_type_check(a: Symbol, u: SampledField, ensemble: BrownianEnsemble,
     cell = grid.cell_volume
     Au = apply_symbol_ensemble(a, u, ensemble)
     M, Kp1 = u.values.shape[:2]
-    flat = u.values.reshape(M, Kp1, -1)
-    site = np.empty(flat.shape[2])
-    for s in range(flat.shape[2]):
-        site[s] = lpf_norm_values(flat[:, :, s], nodes, p)
-    u_l1_lpf = float(site.sum() * cell)
+    u_l1_lpf = float(lpf_norm_values(u.values, nodes, p).sum() * cell)
 
     constants = {}
     for r in r_values:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .symbols import (Amplitude, Symbol, _XI, _X, _multiindices, qstar,
-                      symbol_from_expr)
+from .symbols import (Amplitude, Symbol, _XI, _X, _derive, _multiindices,
+                      qstar, symbol_from_expr)
 
 __all__ = [
     "AsymptoticSeries",
@@ -79,25 +79,31 @@ class AsymptoticSeries:
         return "  +  ".join(parts)
 
 
-def _factorial_weight(alpha) -> complex:
-    fact = 1
-    for k in alpha:
-        fact *= math.factorial(k)
-    return 1.0 / (fact * (1j ** sum(alpha)))
+def _weighted_alphas(j: int, dim: int):
+    """(1 / (alpha! i^{|alpha|}), alpha) for each multi-index |alpha| = j."""
+    for alpha in _multiindices(j, dim):
+        if sum(alpha) == j:
+            fact = math.prod(math.factorial(k) for k in alpha)
+            yield 1.0 / (fact * (1j ** j)), alpha
 
 
-def _collect(term_symbols, orders, lead_order, integrability):
-    """Assemble a series from per-|alpha| term symbols, dropping zeros."""
+def _expansion(term, only_lead, lead, n_terms, integrability, dim):
+    """The template of every expansion here: the series whose term j <=
+    n_terms is sum_{|alpha| = j} (1 / (alpha! i^{|alpha|})) term(alpha), of
+    order lead - j, with zero terms dropped.  only_lead stops at j = 0, for
+    inputs whose paired derivatives vanish."""
     out = []
-    for o, s in zip(orders, term_symbols):
-        if s is None:
-            continue
+    for j in range(1 if only_lead else n_terms + 1):
+        s = None
+        for wgt, alpha in _weighted_alphas(j, dim):
+            piece = wgt * term(alpha)
+            s = piece if s is None else s + piece
         if s.expr is not None and not s.expr.has(sp.Piecewise) \
                 and sp.expand(s.expr) == 0:
             continue
-        s.order = o
+        s.order = lead - j
         s.integrability = integrability
-        out.append((o, s))
+        out.append((lead - j, s))
     return AsymptoticSeries(out)
 
 
@@ -112,57 +118,27 @@ def compose_symbols(b: Symbol, a: Symbol, n_terms: int) -> AsymptoticSeries:
     """
     if b.dim != a.dim:
         raise ValueError("dimension mismatch")
-    dim = b.dim
-    lead = b.order + a.order
-    integ = qstar(b.integrability, a.integrability)
-    terms, orders = [], []
-    for j in range(n_terms + 1):
-        acc = None
-        for alpha in _multiindices(j, dim):
-            if sum(alpha) != j:
-                continue
-            if a.x_independent and j > 0:
-                continue
-            db = b.derivative(alpha, (0,) * dim)
-            da = a.derivative((0,) * dim, alpha)
-            piece = _factorial_weight(alpha) * (db * da)
-            acc = piece if acc is None else acc + piece
-        terms.append(acc)
-        orders.append(lead - j)
-    return _collect(terms, orders, lead, integ)
+    zero = (0,) * b.dim
+    return _expansion(
+        lambda alpha: b.derivative(alpha, zero) * a.derivative(zero, alpha),
+        a.x_independent, b.order + a.order, n_terms,
+        qstar(b.integrability, a.integrability), b.dim)
 
 
 def _reflect_xi(a: Symbol) -> Symbol:
-    if a.expr is not None:
-        e = a.expr.subs({_XI[k]: -_XI[k] for k in range(a.dim)},
-                        simultaneous=True)
-        out = symbol_from_expr(e, a.dim, order=a.order,
-                               integrability=a.integrability)
-    else:
-        fn = a.fn
-        out = Symbol(a.order, lambda t, w, x, xi: fn(t, w, x, -np.asarray(xi)),
-                     dim=a.dim, integrability=a.integrability)
-    out.x_independent = a.x_independent
-    out.xi_polynomial_degree = a.xi_polynomial_degree
-    return out
+    return _derive(
+        Symbol, (a,), a.order, a.integrability,
+        lambda e: e.subs({_XI[k]: -_XI[k] for k in range(a.dim)},
+                         simultaneous=True),
+        lambda f: lambda t, w, x, xi: f(t, w, x, -np.asarray(xi)),
+        x_independent=a.x_independent)
 
 
 def _mixed_expansion(a: Symbol, n_terms: int) -> AsymptoticSeries:
     """sum_alpha (1/alpha! i^{|alpha|}) d^alpha_xi d^alpha_x a."""
-    dim = a.dim
-    terms, orders = [], []
-    for j in range(n_terms + 1):
-        acc = None
-        for alpha in _multiindices(j, dim):
-            if sum(alpha) != j:
-                continue
-            if a.x_independent and j > 0:
-                continue
-            piece = _factorial_weight(alpha) * a.derivative(alpha, alpha)
-            acc = piece if acc is None else acc + piece
-        terms.append(acc)
-        orders.append(a.order - j)
-    return _collect(terms, orders, a.order, a.integrability)
+    return _expansion(lambda alpha: a.derivative(alpha, alpha),
+                      a.x_independent, a.order, n_terms, a.integrability,
+                      a.dim)
 
 
 def transpose_symbol(a: Symbol, n_terms: int) -> AsymptoticSeries:
@@ -180,20 +156,9 @@ def reduce_amplitude(a: Amplitude, n_terms: int) -> AsymptoticSeries:
 
         sigma_A ~ sum (1/alpha! i^{|alpha|}) d^alpha_xi d^alpha_y a |_{y=x}.
     """
-    dim = a.dim
-    terms, orders = [], []
-    for j in range(n_terms + 1):
-        acc = None
-        for alpha in _multiindices(j, dim):
-            if sum(alpha) != j:
-                continue
-            if a.y_independent and j > 0:
-                continue
-            piece = _factorial_weight(alpha) * a.derivative(alpha, alpha).diagonal_symbol()
-            acc = piece if acc is None else acc + piece
-        terms.append(acc)
-        orders.append(a.order - j)
-    return _collect(terms, orders, a.order, a.integrability)
+    return _expansion(
+        lambda alpha: a.derivative(alpha, alpha).diagonal_symbol(),
+        a.y_independent, a.order, n_terms, a.integrability, a.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +183,33 @@ def asymptotic_sum(series: AsymptoticSeries) -> Symbol:
     """
     if not series.terms:
         return symbol_from_expr(0, 1, order=0)
-    dim = series.terms[0][1].dim
-    integ = min(s.integrability for _, s in series.terms)
-    if all(s.expr is not None for _, s in series.terms):
+    terms = [s for _, s in series.terms]
+    dim = terms[0].dim
+
+    def expr_sum(*exprs):
         e = sp.S.Zero
-        for j, (_, s) in enumerate(series.terms):
-            e = e + psi5_expr(dim, scale=float(2**j)) * s.expr
-        return symbol_from_expr(e, dim, order=series.leading_order,
-                                integrability=integ)
-    from .quantize import smooth_chi
+        for j, ej in enumerate(exprs):
+            e = e + psi5_expr(dim, scale=float(2**j)) * ej
+        return e
 
-    pieces = [(2.0 ** (-j), s) for j, (_, s) in enumerate(series.terms)]
+    def fn_sum(*fns):
+        from .quantize import smooth_chi
 
-    def fn(t, w, x, xi):
-        xi = np.asarray(xi, dtype=float)
-        r = np.sqrt(np.sum(xi**2, axis=-1))
-        out = None
-        for eps, s in pieces:
-            cut = 1.0 - smooth_chi(2.0 * eps * r)  # 0 for |xi|<=1/(2 eps), 1 above
-            v = cut * s(t, w, x, xi)
-            out = v if out is None else out + v
-        return out
+        def fn(t, w, x, xi):
+            xi = np.asarray(xi, dtype=float)
+            r = np.sqrt(np.sum(xi**2, axis=-1))
+            out = None
+            for j, f in enumerate(fns):
+                # the numeric twin of psi5 at scale 2^j
+                v = (1.0 - smooth_chi(2.0 ** (1 - j) * r)) * np.asarray(
+                    f(t, w, x, xi), dtype=np.complex128)
+                out = v if out is None else out + v
+            return out
 
-    return Symbol(series.leading_order, fn, dim=dim, integrability=integ)
+        return fn
+
+    return _derive(Symbol, terms, series.leading_order,
+                   min(s.integrability for s in terms), expr_sum, fn_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +242,17 @@ def parametrix(a: Symbol, n_terms: int, grid=None, ensemble=None,
     # cancellation above |xi| = 2 R0 is untouched)
     raw = [sp.cancel(1 / a.expr) if not a.expr.has(sp.sin, sp.cos, sp.exp)
            else 1 / a.expr]
+    # left: d_xi q d_x a; right: d_x q d_xi a
+    vq, va = (_XI, _X) if side == "left" else (_X, _XI)
     for step in range(1, n_terms + 1):
         acc = sp.S.Zero
         for i, qi in enumerate(raw):
             j = step - i  # |alpha| so that i + |alpha| == step
-            for alpha in _multiindices(j, dim):
-                if sum(alpha) != j:
-                    continue
-                wgt = _factorial_weight(alpha)
-                if side == "left":
-                    dq, da = qi, a.expr
-                    for ax, k in enumerate(alpha):
-                        dq = sp.diff(dq, _XI[ax], k)
-                        da = sp.diff(da, _X[ax], k)
-                else:
-                    dq, da = qi, a.expr
-                    for ax, k in enumerate(alpha):
-                        dq = sp.diff(dq, _X[ax], k)
-                        da = sp.diff(da, _XI[ax], k)
+            for wgt, alpha in _weighted_alphas(j, dim):
+                dq, da = qi, a.expr
+                for ax, k in enumerate(alpha):
+                    dq = sp.diff(dq, vq[ax], k)
+                    da = sp.diff(da, va[ax], k)
                 acc = acc + wgt * dq * da
         nxt = sp.together(-(1 / a.expr) * acc)
         raw.append(nxt)

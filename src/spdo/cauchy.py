@@ -865,41 +865,6 @@ def carleman_report_jordan(z1: SampledField, z2: SampledField,
                     "-2C E (t-T) th2 |dz2|^2", "-(2C/mu) Re (dz2, B1 dz2)"])
 
 
-def carleman_calibration(A1: Symbol | None, B1: Symbol | None, grid: Grid,
-                         T_values=(1.0, 0.5, 0.25), mu_values=(50.0, 100.0,
-                                                               200.0, 400.0),
-                         trials: int = 5, M: int = 8, K: int = 64,
-                         seed: int = 0) -> dict:
-    """Operationalize "sufficiently small mu^{-1} and T": sweep T down and
-    mu up, recording the first (T, mu) at which every trial passes and all
-    larger mu on that T preserve the verdict."""
-    rng = np.random.default_rng(seed)
-    table = {}
-    first = None
-    for T in T_values:
-        from .stochastic import sample_brownian
-
-        tg = TimeGrid(T, K)
-        ens = sample_brownian(M, tg, seed=seed + 1)
-        ok_from = None
-        for i, mu in enumerate(mu_values):
-            all_pass = True
-            for tr in range(trials):
-                z = pinned_semimartingale(grid, ens, rng)
-                rep = carleman_report(z, A1, B1, mu, T, ens)
-                all_pass &= rep.passed
-            table[(T, mu)] = all_pass
-            if all_pass and ok_from is None:
-                ok_from = i
-            if not all_pass:
-                ok_from = None
-        if ok_from is not None and first is None:
-            first = (T, mu_values[ok_from])
-    return {"first_admissible": first,
-            "table": {f"T={k[0]:g},mu={k[1]:g}": bool(v)
-                      for k, v in table.items()}}
-
-
 # ---------------------------------------------------------------------------
 # uniqueness decay experiment
 

@@ -111,19 +111,44 @@ def _write_csv(path, header, rows):
                         for v in row])
 
 
+def _checked(keys, build, *args, **kwargs):
+    """build(*args, **kwargs) on the values of config keys; a value it
+    rejects with ValueError is a ConfigError naming the keys."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{keys}: {e}") from None
+
+
 def _grid(cfg, default_N=64):
     from .grid import Grid
 
-    return Grid(cfg_int(cfg, "grid.dim", 1), cfg_int(cfg, "grid.N", default_N))
+    return _checked("grid.dim, grid.N", Grid, cfg_int(cfg, "grid.dim", 1),
+                    cfg_int(cfg, "grid.N", default_N))
+
+
+def _grids(cfg, dim):
+    """The grids of grid.N_list."""
+    from .grid import Grid
+
+    return [_checked("grid.dim, grid.N_list", Grid, dim, N)
+            for N in cfg_ints(cfg, "grid.N_list", (32, 64))]
+
+
+def _timegrid(cfg, default_T, default_K):
+    from .grid import TimeGrid
+
+    return _checked("time.T, time.K", TimeGrid,
+                    cfg_float(cfg, "time.T", default_T),
+                    cfg_int(cfg, "time.K", default_K))
 
 
 def _ensemble(cfg, seed, default_M=8, default_T=0.5, default_K=64):
-    from .grid import TimeGrid
     from .stochastic import sample_brownian
 
-    tg = TimeGrid(cfg_float(cfg, "time.T", default_T),
-                  cfg_int(cfg, "time.K", default_K))
-    return sample_brownian(cfg_int(cfg, "ensemble.M", default_M), tg, seed=seed)
+    tg = _timegrid(cfg, default_T, default_K)
+    return _checked("ensemble.M", sample_brownian,
+                    cfg_int(cfg, "ensemble.M", default_M), tg, seed=seed)
 
 
 def _symbol(cfg, key, default=None, dim=1):
@@ -132,8 +157,8 @@ def _symbol(cfg, key, default=None, dim=1):
     name = cfg.get(key, default)
     if name is None:
         raise ConfigError(f"missing required config key {key!r}")
-    order = cfg.get(key + ".order")
-    return make_symbol(name, dim, None if order is None else float(order))
+    okey = key + ".order"
+    return make_symbol(name, dim, cfg_float(cfg, okey) if okey in cfg else None)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +357,9 @@ def run_parametrix(cfg, seed):
 
 def run_bounds(cfg, seed):
     from .bounds import l2_boundedness_check
-    from .grid import Grid
 
     dims = cfg_int(cfg, "grid.dim", 1)
-    grids = [Grid(dims, N) for N in cfg_ints(cfg, "grid.N_list", (32, 64))]
+    grids = _grids(cfg, dims)
     ens = _ensemble(cfg, seed)
     names = cfg_str(cfg, "symbol", "identity,sgn-smoothed,mod-x").split(",")
     all_pass = True
@@ -390,7 +414,7 @@ def _run_cz_sweep(cfg, seed):
     are skipped and reported, with a 90% coverage floor on the rest.
     """
     import numpy as np
-    from .grid import Grid, TimeGrid
+    from .grid import Grid
     from .harmonic import cz_decompose, LevelTooLowError, _site_density
     from .stochastic import sample_brownian
     from .bounds import random_adapted_field
@@ -409,17 +433,18 @@ def _run_cz_sweep(cfg, seed):
         cases = [(cfg_int(cfg, "grid.dim", 1), cfg_int(cfg, "grid.N", 32))]
     draws = cfg_int(cfg, "draws", 25)
     p = cfg_float(cfg, "p", 2.0)
-    tg = TimeGrid(cfg_float(cfg, "time.T", 0.5), cfg_int(cfg, "time.K", 8))
+    tg = _timegrid(cfg, 0.5, 8)
     M = cfg_int(cfg, "ensemble.M", 3)
     checked = 0
     total = 0
     agg = None
     rows = []
     for dim, N in cases:
-        grid = Grid(dim, N)
+        grid = _checked(f"grid {dim}x{N}", Grid, dim, N)
         for i in range(draws):
             total += 1
-            ens = sample_brownian(M, tg, seed=seed + total)
+            ens = _checked("ensemble.M", sample_brownian, M, tg,
+                           seed=seed + total)
             rng = np.random.default_rng(seed + total)
             u = random_adapted_field(grid, ens, rng)
             avg = float(np.mean(_site_density(u, p)))
@@ -489,10 +514,9 @@ def _cz_property_checks(u, dec):
 
 def run_garding(cfg, seed):
     from .bounds import garding_check
-    from .grid import Grid
 
     dims = cfg_int(cfg, "grid.dim", 1)
-    grids = [Grid(dims, N) for N in cfg_ints(cfg, "grid.N_list", (32, 64))]
+    grids = _grids(cfg, dims)
     ens = _ensemble(cfg, seed)
     a = _symbol(cfg, "symbol", "garding-stochastic", dim=dims)
     rep = garding_check(a, cfg_float(cfg, "delta_star", 1.0),
@@ -571,14 +595,13 @@ def run_integrator(cfg, seed):
     import numpy as np
     from .cauchy import (EquationSpec, build_companion_symbol,
                          integrate_spde_system)
-    from .grid import Grid, TimeGrid
+    from .grid import TimeGrid
     from .stochastic import sample_brownian
 
-    g = Grid(cfg_int(cfg, "grid.dim", 1), cfg_int(cfg, "grid.N", 8))
+    g = _grid(cfg, default_N=8)
     sigma = cfg_float(cfg, "sigma", 2.0)
-    tg = TimeGrid(cfg_float(cfg, "time.T", 0.5), cfg_int(cfg, "time.K", 200))
-    M = cfg_int(cfg, "ensemble.M", 10_000)
-    ens = sample_brownian(M, tg, seed=seed)
+    ens = _ensemble(cfg, seed, default_M=10_000, default_K=200)
+    tg, M = ens.timegrid, ens.M
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = sigma
     Y = integrate_spde_system(None, None, F, g, tg, ens, m=1)
@@ -587,7 +610,7 @@ def run_integrator(cfg, seed):
     iso_err = abs(got - target) / target
 
     K2 = cfg_int(cfg, "unitary.K", 1000)
-    tg2 = TimeGrid(tg.T, K2)
+    tg2 = _checked("unitary.K", TimeGrid, tg.T, K2)
     ens2 = sample_brownian(1, tg2, seed=seed)
     cs = build_companion_symbol(
         EquationSpec(m=1, dim=g.dim, principal={(0, (1,) + (0,) * (g.dim - 1)):
@@ -676,10 +699,14 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except Exception as e:
+        from .bounds import HypothesisError
         from .registry import RegistryError
 
         if isinstance(e, RegistryError):
             print(f"config error: {e}", file=sys.stderr)
+            return 1
+        if isinstance(e, HypothesisError):
+            print(f"hypothesis error: {e}", file=sys.stderr)
             return 1
         raise
 

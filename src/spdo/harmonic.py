@@ -164,13 +164,7 @@ class CZDecomposition:
 
 def _site_density(u: SampledField, p: float) -> np.ndarray:
     """|u(., ., x)|_{L^p_F} per lattice site, shape grid.shape."""
-    nodes = u.timegrid.nodes()
-    M = u.M
-    flat = u.values.reshape(M, u.timegrid.K + 1, -1)
-    out = np.empty(flat.shape[2])
-    for s in range(flat.shape[2]):
-        out[s] = lpf_norm_values(flat[:, :, s], nodes, p)
-    return out.reshape(u.grid.shape)
+    return lpf_norm_values(u.values, u.timegrid.nodes(), p)
 
 
 def cz_decompose(u: SampledField, r: float, p: float = 2.0) -> CZDecomposition:

@@ -158,16 +158,9 @@ def apply_symbol_ensemble(a: Symbol, u: SampledField, ensemble) -> SampledField:
 
 def smooth_chi(s: np.ndarray) -> np.ndarray:
     """C-infinity cutoff: 1 on |s| <= 1/2, 0 on |s| >= 1, exp-bump glue."""
-    s = np.abs(np.asarray(s, dtype=float))
-    out = np.zeros_like(s)
-    out[s <= 0.5] = 1.0
-    mid = (s > 0.5) & (s < 1.0)
-    u = (1.0 - s[mid]) / 0.5  # in (0, 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        f = np.exp(-1.0 / u)
-        g = np.exp(-1.0 / (1.0 - u))
-    out[mid] = f / (f + g)
-    return out
+    from .harmonic import _smoothstep
+
+    return _smoothstep(2.0 - 2.0 * np.abs(np.asarray(s, dtype=float)))
 
 
 @dataclass

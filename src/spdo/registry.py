@@ -13,7 +13,7 @@ import re
 import sympy as sp
 
 from .cauchy import EquationSpec
-from .symbols import Symbol, symbol_from_expr, _T, _W, _X, _XI
+from .symbols import Symbol, symbol_from_expr, _T, _W, _X, _XI, _xi_degree
 
 __all__ = [
     "RegistryError",
@@ -72,11 +72,8 @@ def parse_symbol_expr(text: str, dim: int, order: float | None = None,
 
 
 def _default_order(expr, dim: int) -> float:
-    deg = 0
-    p = sp.Poly(expr, *_XI[:dim]) if expr.is_polynomial(*_XI[:dim]) else None
-    if p is not None:
-        deg = p.total_degree()
-    return float(deg)
+    """The degree of a xi-polynomial, else 0."""
+    return float(_xi_degree(expr, dim) or 0)
 
 
 def _abs_xi2(dim: int):

@@ -107,13 +107,27 @@ def lpf_integral_values(values: np.ndarray, nodes: np.ndarray, p: float) -> floa
     return float(np.mean(integ.real))
 
 
-def lpf_norm_values(values: np.ndarray, nodes: np.ndarray, p: float) -> float:
-    """L^p_F(0,T) norm of a (path, time) array of scalar samples."""
-    values = np.abs(np.asarray(values, dtype=np.complex128)).real
+def lpf_norm_values(values: np.ndarray, nodes: np.ndarray, p: float):
+    """L^p_F(0,T) norm of (path, time) samples, over the first two axes.
+
+    A float for an (M, K+1) array; for (M, K+1) + site axes, the array of
+    per-site norms over the site axes.
+    """
+    values = np.abs(np.asarray(values, dtype=np.complex128))
+    sites = values.shape[2:]
+    # one contiguous (M, K+1) table per site: its time sum and path mean
+    # then add in the same order as for a single table
+    tables = np.ascontiguousarray(
+        np.moveaxis(values.reshape(values.shape[:2] + (-1,)), -1, 0))
     if math.isinf(p):
-        return float(values.max())
-    integ = np.trapezoid(values**p, nodes, axis=1)
-    return float(np.mean(integ) ** (1.0 / p))
+        norms = tables.max(axis=(1, 2))
+    else:
+        means = np.mean(np.trapezoid(tables**p, nodes, axis=-1), axis=-1)
+        if not sites:
+            # the scalar root; numpy's vectorized one may differ in the last bit
+            return float(means[0] ** (1.0 / p))
+        norms = means ** (1.0 / p)
+    return norms.reshape(sites) if sites else float(norms[0])
 
 
 def lpf_norm(process, ensemble: BrownianEnsemble, p: float,

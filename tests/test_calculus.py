@@ -37,6 +37,29 @@ def _eval(s, x, xi, t=0.0, w=0.0):
 
 # -- composition -------------------------------------------------------------
 
+def test_compose_compiles_only_the_evaluated_symbol(monkeypatch):
+    from spdo.registry import make_symbol
+
+    b = make_symbol("drift-wave")
+    a = make_symbol("garding-stochastic")
+    compiled = []
+    real = sp.lambdify
+
+    def counted(*args, **kwargs):
+        compiled.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counted)
+    s = compose_symbols(b, a, 3).symbol_sum()
+    assert compiled == []
+    # sin(x) xi (2 + sin x + sin(w)/10) xi^2 - i sin(x) cos(x) xi^2
+    x, xi = 0.5, 3.0
+    want = (math.sin(x) * xi * (2 + math.sin(x)) * xi**2
+            - 1j * math.sin(x) * math.cos(x) * xi**2)
+    assert abs(_eval(s, x, xi) - want) < 1e-12 * abs(want)
+    assert len(compiled) == 1
+
+
 def test_compose_xi_with_x():
     # D (x u) = x D u + u / i: left symbol x xi - i
     b = symbol_from_expr(_XI[0], 1, order=1)

@@ -252,3 +252,39 @@ def test_config_seed_respected_unless_flag(tmp_path):
 
 def test_unknown_command_exit_one():
     assert main(["definitely-not-a-command"]) == 1
+
+
+def test_verify_symbol_pole_fails(tmp_path):
+    # the pole of 1/(1 + cos x) at x = pi lies on the lattice: the ratio is
+    # inf and the growth slope NaN, which must read as a violation
+    code, out = _run(tmp_path, "verify-symbol",
+                     "symbol = 1/(1+cos(x))\nsymbol.order = 0\ngrid.N = 32\n")
+    assert code == 2
+    rep = json.loads((out / "report.json").read_text())["report"]
+    assert rep["passed"] is False
+    e0 = rep["estimate"]["entries"][0]
+    assert not math.isfinite(e0["max_ratio"]) and e0["violation"] is True
+
+
+@pytest.mark.parametrize("command, cfg_text", [
+    ("garding", "symbol = (1+sin(x))*xi**2/4\nensemble.M = 2\ntime.K = 8\n"),
+    ("verify-symbol", "symbol = xi\nsymbol.order = abc\n"),
+    ("verify-symbol", "grid.N = 0\n"),
+    ("garding", "ensemble.M = 0\n"),
+], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
+        "ensemble-M-0"])
+def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cfg_text)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run(
+        [sys.executable, "-m", "spdo.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr

@@ -113,3 +113,17 @@ def test_lpf_monotone_in_p_when_sup_le_one(seed, scale):
     n4 = lpf_norm_values(vals, tg.nodes(), 4.0)
     assert n2 <= n4 + 1e-12
     assert n4 <= lpf_norm_values(vals, tg.nodes(), math.inf) + 1e-12
+
+
+def test_lpf_norm_values_per_site_matches_tables():
+    rng = np.random.default_rng(4)
+    vals = (rng.standard_normal((6, TG.K + 1, 4, 3))
+            + 1j * rng.standard_normal((6, TG.K + 1, 4, 3)))
+    for p in (2.0, math.inf):
+        got = lpf_norm_values(vals, TG.nodes(), p)
+        assert got.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                ref = lpf_norm_values(vals[:, :, i, j], TG.nodes(), p)
+                assert isinstance(ref, float)
+                assert abs(got[i, j] - ref) <= 1e-15 * ref

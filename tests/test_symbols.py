@@ -97,6 +97,47 @@ def test_fd_derivative_matches_closed_form():
     assert np.abs(exact - fd).max() < 1e-5 * max(1.0, np.abs(exact).max())
 
 
+def test_fd_amplitude_derivative_matches_closed_form():
+    amp = amplitude_from_expr(sp.sin(_Y[0]) * _XI[0] ** 2 + _X[0] * _XI[0], 1,
+                              order=2)
+    bare = type(amp)(2.0, amp.fn, dim=1)  # no expr: finite differences
+    assert bare.expr is None
+    x = np.array([0.3, 1.1])[:, None, None, None]
+    y = np.array([0.7, 2.0, 4.5])[None, :, None, None]
+    xi = np.array([2.0, 5.0])[None, None, :, None]
+    exact = amp.derivative((1,), (1,))(0.0, 0.0, x, y, xi)
+    fd = bare.derivative((1,), (1,))(0.0, 0.0, x, y, xi)
+    assert np.abs(exact - fd).max() < 1e-5 * max(1.0, np.abs(exact).max())
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(sp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, name, counted)
+    return calls
+
+
+def test_symbol_from_expr_compiles_on_first_call(monkeypatch):
+    compiled = _count_calls(monkeypatch, "lambdify")
+    polys = _count_calls(monkeypatch, "Poly")
+    a = symbol_from_expr(sp.sin(_X[0]) * _XI[0] ** 2, 1, order=2)
+    b = (3 * a + a * a).derivative((1,), (1,)).conjugate()
+    assert compiled == [] and polys == []
+    x, xi = np.zeros((1, 1)), np.full((1, 1), 2.0)
+    assert abs(a(0.0, 0.0, x, xi)) == 0.0
+    assert len(compiled) == 1
+    a(0.0, 0.0, x, xi + 1.0)  # the evaluator is cached
+    assert len(compiled) == 1
+    # d_xi d_x (3 sin(x) xi^2 + sin(x)^2 xi^4) at x = 0, xi = 2
+    assert abs(b(0.0, 0.0, x, xi) - 12.0) < 1e-12
+    assert len(compiled) == 2
+
+
 def test_symbol_algebra_orders():
     a = symbol_from_expr(_XI[0] ** 2, 1, order=2)
     b = symbol_from_expr(_XI[0], 1, order=1)
