@@ -209,8 +209,10 @@ def weak_type_check(a: Symbol, u: SampledField, ensemble: BrownianEnsemble,
     nodes = ensemble.timegrid.nodes()
     cell = grid.cell_volume
     Au = apply_symbol_ensemble(a, u, ensemble)
-    M, Kp1 = u.values.shape[:2]
     u_l1_lpf = float(lpf_norm_values(u.values, nodes, p).sum() * cell)
+    spatial = tuple(range(2, 2 + grid.dim))
+    abs_Au = np.abs(Au.values)
+    u_l1 = np.abs(u.values).sum(axis=spatial) * cell
 
     constants = {}
     for r in r_values:
@@ -218,20 +220,12 @@ def weak_type_check(a: Symbol, u: SampledField, ensemble: BrownianEnsemble,
             dec = cz_decompose(u, r, p)
         except LevelTooLowError:
             continue
-        v = dec.good
-        C = 0.0
-        hit = False
-        for m in range(M):
-            for j in range(Kp1):
-                lhs = r * float((np.abs(Au.values[m, j]) > r).sum() * cell)
-                if lhs == 0.0:
-                    continue
-                hit = True
-                u_l1 = float(np.abs(u.values[m, j]).sum() * cell)
-                v_l2sq = float((np.abs(v.values[m, j]) ** 2).sum() * cell)
-                rhs = u_l1_lpf + u_l1 + v_l2sq / r
-                C = float(np.maximum(C, lhs / rhs))
-        constants[float(r)] = C if hit else 0.0
+        lhs = r * ((abs_Au > r).sum(axis=spatial) * cell)
+        v_l2sq = (np.abs(dec.good.values) ** 2).sum(axis=spatial) * cell
+        rhs = u_l1_lpf + u_l1 + v_l2sq / r
+        # the max over the nodes the level set hits; NaN propagates
+        hit = lhs > 0.0
+        constants[float(r)] = float(np.max(lhs[hit] / rhs[hit], initial=0.0))
     return _report(a.name or "symbol", "weak-type LHS", "weak-type RHS",
                    constants, 3.0, extra={"u_l1_lpf": u_l1_lpf})
 

@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from .grid import FREQUENCY, Grid, SpectralField, TimeGrid, fft_inverse
 from .quantize import SampledField, apply_symbol_op
 from .stochastic import BrownianEnsemble
-from .symbols import Symbol, symbol_from_expr
+from .symbols import _T, _W, Symbol, symbol_from_expr
 
 __all__ = [
     "EquationSpec",
@@ -96,10 +96,12 @@ class EquationSpec:
                                  "violates |alpha| = m - k")
 
     def a_k(self, k: int, t, w, x, xi) -> np.ndarray:
-        """a_k(t,w,x,xi) = sum_{|alpha|=m-k} a_alpha(t,w,x) xi^alpha."""
+        """a_k(t,w,x,xi) = sum_{|alpha|=m-k} a_alpha(t,w,x) xi^alpha, of the
+        broadcast shape of t, w and the components of x and xi."""
         x = np.asarray(x, float)
         xi = np.asarray(xi, float)
-        out = np.zeros(np.broadcast(x[..., 0], xi[..., 0]).shape,
+        out = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(w),
+                                           x.shape[:-1], xi.shape[:-1]),
                        dtype=np.complex128)
         for (kk, alpha), coeff in self.principal.items():
             if kk != k:
@@ -133,13 +135,23 @@ class CompanionSymbol:
         return not any(isinstance(c, Symbol) and not c.x_independent
                        for c in self.spec.principal.values())
 
+    @property
+    def tw_independent(self) -> bool:
+        """Constants and expressions free of t and w; a bare callable
+        counts as (t, w)-dependent."""
+        return not any(isinstance(c, Symbol)
+                       and (c.expr is None or c.expr.has(_T, _W))
+                       for c in self.spec.principal.values())
+
     def __call__(self, t, w, x, xi) -> np.ndarray:
-        """Values, shape broadcast(x, xi) + (m, m); entries at xi = 0 are 0
-        (the origin patch of the homogeneous extension)."""
+        """Values, shape broadcast(t, w, x, xi) + (m, m), with x and xi
+        counted without their last axis; entries at xi = 0 are 0 (the origin
+        patch of the homogeneous extension)."""
         x = np.asarray(x, float)
         xi = np.asarray(xi, float)
         mag = np.sqrt(np.sum(xi**2, axis=-1))
-        base = np.broadcast(x[..., 0], mag).shape
+        base = np.broadcast_shapes(np.shape(t), np.shape(w), x.shape[:-1],
+                                   mag.shape)
         m = self.m
         out = np.zeros(base + (m, m), dtype=np.complex128)
         for i in range(m - 1):
@@ -472,16 +484,14 @@ def holmgren_transform(u: SampledField, delta_prime: float) -> SampledField:
             f"|delta'| max|x|^2 = {np.abs(shift).max():.6g} >= T = {tg.T:.6g}")
     nodes = tg.nodes()
     out = np.zeros_like(u.values)
-    flat_shift = shift.reshape(-1)
-    M = u.M
-    vals = u.values.reshape(M, tg.K + 1, -1)
-    res = out.reshape(M, tg.K + 1, -1)
-    for m in range(M):
-        for s in range(vals.shape[2]):
-            spline = CubicSpline(nodes, vals[m, :, s])
-            tq = nodes - flat_shift[s]
-            keep = (tq >= 0.0) & (tq <= tg.T)
-            res[m, keep, s] = spline(tq[keep])
+    vals = u.values.reshape(u.M, tg.K + 1, -1)
+    res = out.reshape(vals.shape)
+    for s, sh in enumerate(shift.reshape(-1)):
+        # one spline per site over all paths
+        spline = CubicSpline(nodes, vals[:, :, s], axis=1)
+        tq = nodes - sh
+        keep = (tq >= 0.0) & (tq <= tg.T)
+        res[:, keep, s] = spline(tq[keep])
     return SampledField(grid, tg, out, u.adapted)
 
 
@@ -523,7 +533,9 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
 
     f and F are either None or arrays (K+1, m) + grid.shape (deterministic
     sources) or (M, K+1, m) + grid.shape.  Only x-independent A is
-    supported on the implicit path (the symbol acts per frequency).
+    supported on the implicit path (the symbol acts per frequency).  The
+    Cayley pair (I + i dt/2 A, (I - i dt/2 A)^{-1}) is built once when A is
+    free of (t, w), else once per step at (t_j + dt/2, W(t_j)) for all paths.
     """
     if ensemble.timegrid != tg:
         raise ValueError("ensemble and integration time grids differ")
@@ -564,51 +576,29 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
 
     def _source_hat(src, j):
         """-> (nfreq, m) broadcastable or (M, nfreq, m)."""
-        if src is None:
-            return None
         return _hat(src[:, j] if src.ndim == 3 + grid.dim else src[j])
 
-    # (t, w)-constant system matrices let the whole path axis vectorize
-    frozen = None
-    if A is not None:
-        m0 = A(0.0, 0.0, x0, xis)
-        m1 = A(dt, 1.0, x0, xis)
-        if np.allclose(m0, m1, rtol=0, atol=1e-12 * max(1.0, np.abs(m0).max())):
-            half = 0.5j * dt * m0  # (nfreq, m, m)
-            frozen = (eye[None] + half,
-                      np.linalg.inv(eye[None] - half))
+    def _cayley(t, w):
+        # (..., nfreq, m, m) pair; w of shape (M, 1) gives one per path
+        half = 0.5j * dt * A(t, w, x0, xis)
+        return eye + half, np.linalg.inv(eye - half)
 
+    def _act(mats, v):
+        return np.einsum("...kab,...kb->...ka", mats, v)
+
+    moving = A is not None and not A.tw_independent
+    pair = None if A is None or moving else _cayley(0.0, 0.0)
     yhat = _hat(Y[:, 0])  # (M, nfreq, m)
     dW_all = np.diff(ensemble.paths, axis=1)  # (M, K)
     for j in range(tg.K):
-        tj = nodes[j]
-        if A is None:
-            rhs = yhat.copy()
-        elif frozen is not None:
-            rhs = np.einsum("kab,...kb->...ka", frozen[0], yhat)
-        else:
-            rhs = np.empty_like(yhat)
-            for mm in range(M):
-                mats = A(tj + dt / 2.0, ensemble.paths[mm, j], x0, xis)
-                halfm = 0.5j * dt * mats
-                rhs[mm] = np.einsum("kab,kb->ka", eye[None] + halfm, yhat[mm])
-        fh = _source_hat(f, j)
-        if fh is not None:
-            rhs = rhs + 1j * dt * fh
-        Fh = _source_hat(F, j)
-        if Fh is not None:
-            dW = dW_all[:, j].reshape(-1, 1, 1)
-            rhs = rhs + 1j * dW * Fh
-        if A is None:
-            yhat = rhs
-        elif frozen is not None:
-            yhat = np.einsum("kab,...kb->...ka", frozen[1], rhs)
-        else:
-            for mm in range(M):
-                mats = A(tj + dt / 2.0, ensemble.paths[mm, j], x0, xis)
-                halfm = 0.5j * dt * mats
-                yhat[mm] = np.linalg.solve(eye[None] - halfm,
-                                           rhs[mm][..., None])[..., 0]
+        if moving:
+            pair = _cayley(nodes[j] + dt / 2.0, ensemble.paths[:, j, None])
+        rhs = yhat if pair is None else _act(pair[0], yhat)
+        if f is not None:
+            rhs = rhs + 1j * dt * _source_hat(f, j)
+        if F is not None:
+            rhs = rhs + 1j * dW_all[:, j, None, None] * _source_hat(F, j)
+        yhat = rhs if pair is None else _act(pair[1], rhs)
         back = np.swapaxes(yhat, -1, -2).reshape((M, m) + grid.shape)
         Y[:, j + 1] = np.fft.ifftn(back,
                                    axes=tuple(range(2, 2 + grid.dim))) * inv_f
@@ -688,14 +678,6 @@ class CarlemanReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def _l2sq(v: np.ndarray, grid: Grid) -> float:
-    return float(np.sum(np.abs(v) ** 2).real * grid.cell_volume)
-
-
-def _ip(u: np.ndarray, v: np.ndarray, grid: Grid) -> complex:
-    return complex(np.sum(u * np.conj(v)) * grid.cell_volume)
 
 
 def _carleman_terms(z: SampledField, A1, B1, mu: float,
@@ -927,7 +909,8 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
 
     whose logarithm decreases linearly in mu with slope close to
     -(T^2/4 - T^2/9), the weight gap between [0, T/2] and the forcing
-    window.  The fitted slope must lie within 25% of the target.
+    window.  The fitted slope must lie within 25% of the target, and the
+    measured energy must not exceed the bound with C = 1 at any mu.
     """
     tg = ensemble.timegrid
     if abs(T - tg.T) > 1e-12 * max(T, 1.0):
@@ -968,13 +951,14 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
     ball_w = smooth_chi(dist / (2.0 * max(r, grid.dx)))
     if not (ball_w > 0).any():
         raise ValueError(f"ball radius r = {r} contains no lattice sites")
-    en = np.array([[float(np.sum(ball_w * np.abs(u.values[mm, j]) ** 2)
-                          * grid.cell_volume) for j in range(tg.K + 1)]
-                   for mm in range(u.M)])
+    sp_axes = tuple(range(2, 2 + grid.dim))
+    en = np.sum(ball_w * np.abs(u.values) ** 2, axis=sp_axes) \
+        * grid.cell_volume  # (M, K+1)
     direct = float(np.mean(np.trapezoid(en[:, half], nodes[half], axis=1)))
 
     zeta = smooth_time_cutoff(tg)
-    src_l2 = np.array([_l2sq(f[j], grid) for j in range(tg.K + 1)])
+    src_l2 = np.sum(np.abs(f) ** 2, axis=tuple(range(1, f.ndim))) \
+        * grid.cell_volume
 
     log_bound = []
     eq7_constants = []
@@ -983,16 +967,17 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
         rhs = (T + 1.0 / mu) * float(np.trapezoid(th2 * src_l2, nodes))
         log_bound.append(math.log(max(rhs, 1e-300)) - mu * T**2 / 4.0)
         # weighted energy of the cutoff solution vs the source (Eq (7) shape)
-        lhs_w = 0.0
-        for mm in range(u.M):
-            vals = (zeta[:, None] ** 2) * en[mm][:, None]
-            lhs_w += float(np.trapezoid(th2 * vals[:, 0], nodes))
-        lhs_w /= u.M
+        lhs_w = float(np.mean(np.trapezoid(th2 * (zeta**2 * en), nodes,
+                                           axis=1)))
         eq7_constants.append(lhs_w / max(rhs, 1e-300))
     slope = float(np.polyfit(np.asarray(mu_list, float), log_bound, 1)[0])
     target = -(T**2 / 4.0 - T**2 / 9.0)
     decreasing = all(b2 < b1 for b1, b2 in zip(log_bound, log_bound[1:]))
-    passed = decreasing and abs(slope - target) <= 0.25 * abs(target)
+    # the measured energy must respect the certified bound (C = 1) at every mu
+    certified = all(direct == 0.0 or math.log(direct) <= lb
+                    for lb in log_bound)
+    passed = decreasing and certified \
+        and abs(slope - target) <= 0.25 * abs(target)
     # decay quotient against the mu^{-1} e^{mu T^2/9} reference envelope
     log_q = [lb + mu * T**2 / 4.0 + math.log(mu) - mu * T**2 / 9.0
              for mu, lb in zip(mu_list, log_bound)]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import (FREQUENCY, Grid, SpectralField, TimeGrid, fft_forward,
                    l2_norm, to_frequency, to_physical)
-from .symbols import Amplitude, Symbol, _current_w
+from .symbols import Amplitude, Symbol
 
 __all__ = [
     "SampledField",
@@ -107,7 +107,7 @@ def apply_symbol_op(a: Symbol, u: SpectralField, t=0.0, w=0.0) -> SpectralField:
         _check_cap(grid)
     batch = u.values.shape[:u.values.ndim - grid.dim]
     t = np.broadcast_to(t, batch).reshape(-1)
-    w = np.broadcast_to(_current_w(w), batch).reshape(-1)
+    w = np.broadcast_to(w, batch).reshape(-1)
     fields = u.values.reshape((-1,) + grid.shape)
     npts = grid.N**grid.dim
     if a.x_independent:

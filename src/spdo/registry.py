@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class RegistryError(KeyError):
+class RegistryError(ValueError):
     """Unknown registry name or malformed expression."""
 
 

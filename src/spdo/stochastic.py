@@ -19,33 +19,12 @@ from .grid import TimeGrid
 
 __all__ = [
     "BrownianEnsemble",
-    "PathPrefix",
     "sample_brownian",
     "lpf_norm",
     "lpf_norm_values",
     "lpf_integral_values",
     "adaptedness_audit",
 ]
-
-
-@dataclass(frozen=True)
-class PathPrefix:
-    """The Brownian path observed up to and including one time node.
-
-    Adapted evaluators may read `times`/`values` (the history) or just
-    `current`, the value W(t) at the node.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    @property
-    def current(self) -> float:
-        return float(self.values[-1])
-
-    @property
-    def t(self) -> float:
-        return float(self.times[-1])
 
 
 @dataclass(frozen=True)
@@ -66,13 +45,6 @@ class BrownianEnsemble:
     @property
     def M(self) -> int:
         return self.paths.shape[0]
-
-    def prefix(self, path: int, j: int) -> PathPrefix:
-        nodes = self.timegrid.nodes()
-        return PathPrefix(nodes[: j + 1].copy(), self.paths[path, : j + 1].copy())
-
-    def value(self, path: int, j: int) -> float:
-        return float(self.paths[path, j])
 
     def truncated(self, j: int, poison: float = np.nan) -> "BrownianEnsemble":
         """Copy with all values after node j replaced by a poison marker."""
@@ -135,14 +107,13 @@ def lpf_norm(process, ensemble: BrownianEnsemble, p: float,
     """Monte Carlo L^p_F(0,T) norm of an adapted scalar process.
 
     `process` is either a (M, K+1) array of samples X_m(t_j), or a callable
-    (t, w) -> scalar evaluated on each (node, path value).
+    (t, w) -> X evaluated once on the nodes (K+1,) and the path values
+    (M, K+1); like a symbol evaluator, it must broadcast them.
     """
     nodes = ensemble.timegrid.nodes()
     if callable(process):
-        vals = np.empty((ensemble.M, len(nodes)), dtype=np.complex128)
-        for m in range(ensemble.M):
-            for j, t in enumerate(nodes):
-                vals[m, j] = process(t, ensemble.paths[m, j])
+        vals = np.broadcast_to(process(nodes, ensemble.paths),
+                               ensemble.paths.shape)
     else:
         vals = np.asarray(process)
         if vals.shape != (ensemble.M, len(nodes)):
@@ -154,11 +125,11 @@ def lpf_norm(process, ensemble: BrownianEnsemble, p: float,
     return lpf_norm_values(vals, nodes, p)
 
 
-def adaptedness_audit(evaluate, ensemble: BrownianEnsemble, j: int,
-                      path: int = 0) -> bool:
-    """True iff `evaluate(prefix)` at node j is bitwise unchanged when the
-    path is truncated after j (future values poisoned with NaN)."""
-    full = evaluate(ensemble.prefix(path, j))
-    poisoned = ensemble.truncated(j)
-    trial = evaluate(poisoned.prefix(path, j))
-    return np.array_equal(np.asarray(full), np.asarray(trial))
+def adaptedness_audit(generate, ensemble: BrownianEnsemble, j: int) -> bool:
+    """True iff the field `generate(ensemble)`, an array with leading
+    (path, time) axes, is bitwise unchanged at the nodes <= j when it is
+    regenerated from the paths truncated after j (future values poisoned
+    with NaN)."""
+    full = np.asarray(generate(ensemble))
+    trial = np.asarray(generate(ensemble.truncated(j)))
+    return np.array_equal(full[:, : j + 1], trial[:, : j + 1])

@@ -69,13 +69,6 @@ def qstar(p: float, q: float) -> float:
     return p * q / (p + q)
 
 
-def _current_w(w):
-    """W(t) from a path value, an array of them, or a path prefix."""
-    if w is None:
-        return 0.0
-    return getattr(w, "current", w)
-
-
 def _split_components(arr, dim):
     arr = np.asarray(arr, dtype=float)
     if arr.shape == () or arr.shape[-1] != dim:
@@ -270,11 +263,10 @@ def _compile(expr, dim, groups):
 
     def fn(t, w, *arrays):
         comps = [_split_components(a, dim) for a in arrays]
-        wv = _current_w(w)
         with np.errstate(all="ignore"):
-            out = np.asarray(f(t, wv, *(c for cs in comps for c in cs)),
+            out = np.asarray(f(t, w, *(c for cs in comps for c in cs)),
                              dtype=np.complex128)
-        target = np.broadcast(t, wv, *(cs[0] for cs in comps)).shape
+        target = np.broadcast(t, w, *(cs[0] for cs in comps)).shape
         return np.broadcast_to(out, target) if out.shape != target else out
 
     return fn
@@ -522,9 +514,11 @@ def check_symbol_estimate(a: Symbol, alpha_max: int, beta_max: int, grid,
                     ratio = vals / weight[None, :]
                     growth_by_xi = np.maximum(growth_by_xi,
                                               (vals / weight2[None, :]).max(axis=0))
-                    maj[i, j] = np.quantile(ratio, quantile)
+                    with np.errstate(invalid="ignore"):  # inf on a pole
+                        maj[i, j] = np.quantile(ratio, quantile)
                     max_ratio = float(np.maximum(max_ratio, ratio.max()))  # NaN propagates
-            slope = _slope_loglog(mags, growth_by_xi)
+            with np.errstate(invalid="ignore"):
+                slope = _slope_loglog(mags, growth_by_xi)
             # a non-finite ratio or slope (a pole on the grid) is a violation
             violation = not (math.isfinite(max_ratio) and math.isfinite(slope)
                              and slope <= 0.1)

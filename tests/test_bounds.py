@@ -101,6 +101,37 @@ def test_weak_type_sgn_stable():
     assert rep.passed
 
 
+def test_weak_type_constants_match_node_loop():
+    from spdo.harmonic import cz_decompose
+    from spdo.quantize import apply_symbol_ensemble
+    from spdo.stochastic import lpf_norm_values
+
+    a = symbol_from_expr(_XI[0] / sp.sqrt(1 + _XI[0] ** 2), 1, order=0)
+    g = GRIDS[0]
+    u = random_adapted_field(g, ENS, np.random.default_rng(2))
+    peak = float(np.abs(u.values).max())
+    levels = [peak / 2.0, peak / 1.5, 100.0 * peak]
+    rep = weak_type_check(a, u, ENS, levels)
+    assert sorted(rep.constants) == sorted(levels)
+    Au = apply_symbol_ensemble(a, u, ENS).values
+    cell = g.cell_volume
+    u_l1_lpf = float(lpf_norm_values(u.values, ENS.timegrid.nodes(),
+                                     2.0).sum() * cell)
+    for r in levels:
+        v = cz_decompose(u, r, 2.0).good.values
+        C = 0.0
+        for m in range(ENS.M):
+            for j in range(ENS.timegrid.K + 1):
+                lhs = r * float((np.abs(Au[m, j]) > r).sum() * cell)
+                if lhs > 0.0:
+                    rhs = (u_l1_lpf + float(np.abs(u.values[m, j]).sum() * cell)
+                           + float((np.abs(v[m, j]) ** 2).sum() * cell) / r)
+                    C = max(C, lhs / rhs)
+        assert math.isclose(rep.constants[float(r)], C, rel_tol=1e-14)
+    assert rep.constants[levels[0]] > 0.0
+    assert rep.constants[levels[-1]] == 0.0
+
+
 # -- Garding -----------------------------------------------------------------
 
 def test_garding_exact_laplacian():

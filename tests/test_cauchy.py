@@ -12,6 +12,7 @@ from spdo.cauchy import (
     DiagonalizationError,
     EquationSpec,
     StabilityError,
+    VectorField,
     WindowError,
     build_companion_symbol,
     carleman_report,
@@ -30,7 +31,7 @@ from spdo.grid import Grid, TimeGrid
 from spdo.quantize import SampledField
 from spdo.registry import make_equation
 from spdo.stochastic import sample_brownian
-from spdo.symbols import symbol_from_expr, _X, _XI
+from spdo.symbols import Symbol, symbol_from_expr, _T, _W, _X, _XI
 
 G = Grid(1, 32)
 
@@ -273,6 +274,25 @@ def test_holmgren_round_trip_second_order():
     assert errs[1] < errs[0] / 2.0  # at least O(dt^2) refinement
 
 
+def test_holmgren_matches_per_path_splines():
+    from scipy.interpolate import CubicSpline
+
+    tg = TimeGrid(0.5, 32)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((3, tg.K + 1) + G.shape) \
+        + 1j * rng.standard_normal((3, tg.K + 1) + G.shape)
+    dp = 2e-3
+    v = holmgren_transform(SampledField(G, tg, vals), dp)
+    nodes = tg.nodes()
+    ref = np.zeros_like(vals)
+    for m in range(3):
+        for s, x in enumerate(G.points()[..., 0]):
+            tq = nodes - dp * x**2
+            keep = (tq >= 0.0) & (tq <= tg.T)
+            ref[m, keep, s] = CubicSpline(nodes, vals[m, :, s])(tq[keep])
+    assert np.abs(v.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_holmgren_window_error():
     tg = TimeGrid(0.1, 16)
     u = _smooth_field(G, tg)
@@ -321,6 +341,75 @@ def test_integrator_stability_error():
     cs = build_companion_symbol(make_equation("wave", 1))
     with pytest.raises(StabilityError):
         integrate_spde_system(cs, None, None, Grid(1, 64), tg, ens)
+
+
+def _path_loop_reference(cs, f, F, tg, ens, y0):
+    """The midpoint scheme on the 1-D grid G, written out per path and step:
+    (I - i dt/2 A) y' = (I + i dt/2 A) y + i f dt + i F dW, per frequency,
+    with A at (t_j + dt/2, W_p(t_j))."""
+    dt, m = tg.dt, cs.m
+    xis = G.freqs().reshape(-1, 1)
+    eye = np.eye(m)
+    dW = np.diff(ens.paths, axis=1)
+    out = np.zeros((ens.M, tg.K + 1, m, G.N), np.complex128)
+    for p in range(ens.M):
+        out[p, 0] = y0
+        yhat = np.fft.fft(y0, axis=-1).T  # (N, m)
+        for j in range(tg.K):
+            half = 0.5j * dt * cs(tg.nodes()[j] + dt / 2.0, ens.paths[p, j],
+                                  np.zeros((1, 1)), xis)
+            rhs = np.einsum("kab,kb->ka", eye + half, yhat) \
+                + 1j * dt * np.fft.fft(f[j], axis=-1).T \
+                + 1j * dW[p, j] * np.fft.fft(F[j], axis=-1).T
+            yhat = np.linalg.solve(eye - half, rhs[..., None])[..., 0]
+            out[p, j + 1] = np.fft.ifft(yhat.T, axis=-1)
+    return out
+
+
+def test_integrator_tw_dependent_matches_path_loop():
+    # wave speed^2 1 + sin(W)/2 + t: the Cayley pair differs per path and step
+    coeff = symbol_from_expr(1 + sp.sin(_W) / 2 + _T, 1, order=0)
+    cs = build_companion_symbol(
+        EquationSpec(m=2, dim=1, principal={(0, (2,)): coeff}))
+    assert not cs.tw_independent
+    tg = TimeGrid(0.5, 64)
+    ens = sample_brownian(3, tg, seed=6)
+    x = G.points()[..., 0]
+    f = np.zeros((tg.K + 1, 2, G.N), np.complex128)
+    f[:, 1] = np.sin(5.0 * tg.nodes())[:, None] * np.cos(x)
+    F = np.zeros_like(f)
+    F[:, 1] = 0.3 * np.sin(2.0 * x)
+    y0 = np.stack([np.cos(x), np.sin(3.0 * x)]).astype(np.complex128)
+    got = integrate_spde_system(cs, f, F, G, tg, ens, initial=y0).values
+    ref = _path_loop_reference(cs, f, F, tg, ens, y0)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_integrator_w_coefficient_is_not_frozen():
+    # 1 + w(w - 1) equals 1 at w = 0 and w = 1; it is not a constant
+    tg = TimeGrid(0.5, 64)
+    ens = sample_brownian(2, tg, seed=1)
+    y0 = np.cos(G.points()[..., 0])[None].astype(np.complex128)
+    runs = []
+    for coeff in (1.0, symbol_from_expr(1 + _W * (_W - 1), 1, order=0)):
+        cs = build_companion_symbol(
+            EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
+        runs.append(integrate_spde_system(cs, None, None, G, tg, ens,
+                                          initial=y0).values)
+    assert np.abs(runs[1] - runs[0]).max() > 1e-3
+
+
+def test_companion_tw_independent_read_off_coefficients():
+    def spec(coeff):
+        return build_companion_symbol(
+            EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
+
+    assert spec(2.0).tw_independent
+    assert spec(symbol_from_expr(2 + sp.sin(_X[0]), 1, order=0)).tw_independent
+    assert not spec(symbol_from_expr(1 + _W, 1, order=0)).tw_independent
+    assert not spec(symbol_from_expr(1 + _T, 1, order=0)).tw_independent
+    assert not spec(Symbol(0, lambda t, w, x, xi: 1.0 + 0 * xi[..., 0],
+                           x_independent=True)).tw_independent
 
 
 def test_integrator_weak_order_in_dt():
@@ -498,6 +587,27 @@ def test_uniqueness_wave_branch():
     rep = uniqueness_experiment(make_equation("wave", 1),
                                 [50.0, 100.0, 200.0, 400.0], 0.5, 1.5, G, ens)
     assert rep.passed
+
+
+def test_uniqueness_fails_on_garbage_solver(monkeypatch):
+    import spdo.cauchy as cauchy
+
+    tg = TimeGrid(0.5, 64)
+    ens = sample_brownian(4, tg, seed=2)
+    args = (make_equation("schrodinger", 1), [50.0, 100.0, 200.0, 400.0],
+            0.5, 1.5, G, ens)
+    assert uniqueness_experiment(*args).passed
+
+    def garbage(A, f, F, grid, tg, ensemble, *rest, **kw):
+        rng = np.random.default_rng(0)
+        shape = (ensemble.M, tg.K + 1, A.m) + grid.shape
+        return VectorField(grid, tg, 1e6 * (rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape)))
+
+    monkeypatch.setattr(cauchy, "integrate_spde_system", garbage)
+    rep = uniqueness_experiment(*args)
+    assert rep.direct_energy > 1e6
+    assert not rep.passed
 
 
 def test_uniqueness_report_serialization(tmp_path):

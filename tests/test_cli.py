@@ -274,17 +274,35 @@ def test_verify_symbol_pole_fails(tmp_path):
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
         "ensemble-M-0"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
-    cfg = tmp_path / "bad.cfg"
+    res = _spawn(tmp_path, command, cfg_text)
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+def test_unknown_symbol_message_unquoted(tmp_path):
+    res = _spawn(tmp_path, "verify-symbol", "symbol = zzz\n")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("config error: unknown symbol 'zzz';")
+
+
+def test_verify_symbol_pole_prints_no_warning(tmp_path):
+    res = _spawn(tmp_path, "verify-symbol",
+                 "symbol = 1/(1+cos(x))\nsymbol.order = 0\ngrid.N = 32\n")
+    assert res.returncode == 2
+    assert res.stderr == ""
+
+
+def _spawn(tmp_path, command, cfg_text):
+    """`python -m spdo.cli command` on cfg_text in a fresh process."""
+    cfg = tmp_path / "spawn.cfg"
     cfg.write_text(cfg_text)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    res = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "spdo.cli", command, "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
-    assert res.returncode == 1, res.stderr
-    assert "Traceback" not in res.stderr
-    assert len(res.stderr.strip().splitlines()) == 1, res.stderr

@@ -44,11 +44,8 @@ def test_seed_determinism():
     assert not np.array_equal(a.paths, c.paths)
 
 
-def test_prefix_and_truncation():
+def test_truncation():
     ens = sample_brownian(4, TG, seed=0)
-    pre = ens.prefix(2, 10)
-    assert pre.current == ens.paths[2, 10]
-    assert len(pre.times) == 11
     trunc = ens.truncated(10)
     assert np.array_equal(trunc.paths[:, : 11], ens.paths[:, : 11])
     assert np.all(np.isnan(trunc.paths[:, 11:]))
@@ -81,9 +78,44 @@ def test_lpf_norm_callable_form():
     assert abs(got - ref) < 1e-12
 
 
+def test_lpf_norm_callable_matches_node_loop():
+    ens = sample_brownian(5, TG, seed=10)
+    nodes = TG.nodes()
+
+    def proc(t, w):
+        return np.exp(1j * w) * (1.0 + t) + np.cos(3.0 * w)
+
+    ref = np.array([[proc(t, ens.paths[m, j]) for j, t in enumerate(nodes)]
+                    for m in range(ens.M)])
+    for p in (1.5, 2.0, math.inf):
+        assert math.isclose(lpf_norm(proc, ens, p),
+                            lpf_norm_values(ref, nodes, p), rel_tol=1e-14)
+    assert math.isclose(lpf_norm(proc, ens, 2.0, raw=True),
+                        lpf_integral_values(ref, nodes, 2.0), rel_tol=1e-14)
+    # a callable that ignores (t, w) still gives an (M, K+1) table
+    assert abs(lpf_norm(lambda t, w: 3.0, ens, 2.0)
+               - 3.0 * math.sqrt(TG.T)) < 1e-12
+
+
 def test_adaptedness_audit_passes_for_adapted():
+    from spdo.bounds import random_adapted_field
+    from spdo.cauchy import pinned_semimartingale
+    from spdo.grid import Grid
+
+    g = Grid(1, 16)
     ens = sample_brownian(4, TG, seed=11)
-    assert adaptedness_audit(lambda prefix: math.sin(prefix.current), ens, 20)
+    for make in (random_adapted_field, pinned_semimartingale):
+        for j in (0, 20, TG.K - 1):
+            assert adaptedness_audit(
+                lambda e: make(g, e, np.random.default_rng(5)).values, ens, j)
+
+
+def test_adaptedness_audit_fails_on_future_peeking():
+    ens = sample_brownian(4, TG, seed=11)
+    # reads node j + 1: at node j it sees the poisoned future
+    assert not adaptedness_audit(
+        lambda e: np.sin(np.roll(e.paths, -1, axis=1)), ens, 20)
+    assert adaptedness_audit(lambda e: np.sin(e.paths), ens, 20)
 
 
 def test_adapted_field_ignores_future_path_values():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdo.grid import Grid
-from spdo.stochastic import PathPrefix
 from spdo.symbols import (
     UndefinedExponentError,
     amplitude_from_expr,
@@ -45,9 +44,6 @@ def test_evaluators_broadcast_over_t_and_w():
         assert np.array_equal(got_a[i], a(t.flat[i], w.flat[i], x, xi))
         assert np.array_equal(got_amp[i],
                               amp(t.flat[i], w.flat[i], x, x, xi))
-    # a path prefix stands for its current value
-    prefix = PathPrefix(np.array([0.0, 0.1]), np.array([0.3, -1.0]))
-    assert np.array_equal(a(0.1, prefix, x, xi), a(0.1, -1.0, x, xi))
 
 
 # -- q* composition exponent -------------------------------------------------
