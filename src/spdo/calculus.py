@@ -11,7 +11,7 @@ are used, which bounds the practical truncation depth at 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -216,21 +216,17 @@ def asymptotic_sum(series: AsymptoticSeries) -> Symbol:
 # parametrix
 
 
-def parametrix(a: Symbol, n_terms: int, grid=None, ensemble=None,
-               side: str = "left", ellipticity=None) -> AsymptoticSeries:
-    """Truncated parametrix series for an elliptic symbol.
+def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries:
+    """Truncated left parametrix series for an elliptic symbol.
 
-    q0 = highpass / a above the low-frequency cutoff at radius max(R_K, 1);
-    each q_{j+1} cancels the next order of the composition expansion, so the
-    residual of the n-term construction has order -(n+1) on the high band.
+    q0 = highpass / a above the low-frequency cutoff at radius max(R_K, 1),
+    with R_K from the ellipticity check on grid; each q_{j+1} cancels the
+    next order of the composition expansion q # a, so the residual of the
+    n-term construction has order -(n+1) on the high band.
     """
     from .symbols import ellipticity_check
 
-    if ellipticity is None:
-        if grid is None:
-            raise ValueError("parametrix needs a grid (or a precomputed "
-                             "ellipticity result)")
-        ellipticity = ellipticity_check(a, grid, ensemble)
+    ellipticity = ellipticity_check(a, grid, ensemble)
     if not ellipticity.elliptic:
         raise EllipticityError("symbol failed the ellipticity check")
     R0 = max(ellipticity.R_K, 1.0)
@@ -242,8 +238,6 @@ def parametrix(a: Symbol, n_terms: int, grid=None, ensemble=None,
     # cancellation above |xi| = 2 R0 is untouched)
     raw = [sp.cancel(1 / a.expr) if not a.expr.has(sp.sin, sp.cos, sp.exp)
            else 1 / a.expr]
-    # left: d_xi q d_x a; right: d_x q d_xi a
-    vq, va = (_XI, _X) if side == "left" else (_X, _XI)
     for step in range(1, n_terms + 1):
         acc = sp.S.Zero
         for i, qi in enumerate(raw):
@@ -251,8 +245,8 @@ def parametrix(a: Symbol, n_terms: int, grid=None, ensemble=None,
             for wgt, alpha in _weighted_alphas(j, dim):
                 dq, da = qi, a.expr
                 for ax, k in enumerate(alpha):
-                    dq = sp.diff(dq, vq[ax], k)
-                    da = sp.diff(da, va[ax], k)
+                    dq = sp.diff(dq, _XI[ax], k)
+                    da = sp.diff(da, _X[ax], k)
                 acc = acc + wgt * dq * da
         nxt = sp.together(-(1 / a.expr) * acc)
         raw.append(nxt)

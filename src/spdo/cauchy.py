@@ -120,7 +120,6 @@ class CompanionSymbol:
     """m x m order-1 homogeneous matrix symbol of the companion system."""
 
     spec: EquationSpec
-    order: float = 1.0
 
     @property
     def m(self) -> int:
@@ -162,17 +161,6 @@ class CompanionSymbol:
             val = ak * safe ** (k + 1 - m)
             out[..., m - 1, k] = np.where(mag > 0, val, 0.0)
         return out
-
-    def max_eigenvalue(self, grid: Grid, t=0.0, w=0.0) -> float:
-        xis = grid.freqs().reshape(-1, grid.dim)
-        x0 = np.zeros((1, grid.dim))
-        if self.x_independent:
-            mats = self(t, w, x0, xis)
-        else:
-            xs = grid.points().reshape(-1, grid.dim)[:: max(1, grid.N // 8)]
-            mats = self(t, w, xs[:, None, :], xis[None, :, :])
-        eig = np.linalg.eigvals(mats.reshape(-1, self.m, self.m))
-        return float(np.abs(eig).max())
 
 
 def build_companion_symbol(spec: EquationSpec) -> CompanionSymbol:
@@ -231,24 +219,21 @@ def _poly_coeffs(spec: EquationSpec, t, w, x, xi):
 
 
 def characteristic_roots(spec: EquationSpec, grid: Grid,
-                         ensemble: BrownianEnsemble | None = None,
-                         directions: np.ndarray | None = None,
-                         n_x: int = 4, n_t: int = 3,
-                         n_paths: int = 2) -> RootField:
+                         ensemble: BrownianEnsemble | None = None) -> RootField:
     """Roots of p_m via companion-matrix eigenvalues on the sphere grid,
-    matched across samples by nearest-neighbor continuation."""
-    if directions is None:
-        directions = sphere_directions(spec.dim)
+    matched across samples by nearest-neighbor continuation.  The samples
+    are 4 lattice points, the sphere_directions of the dimension and, with
+    an ensemble, 3 times (start, middle, end) on each of the first 2 paths."""
+    directions = sphere_directions(spec.dim)
     xs = grid.points().reshape(-1, grid.dim)
-    xs = xs[:: max(1, len(xs) // n_x)][:n_x]
+    xs = xs[:: max(1, len(xs) // 4)][:4]
     if ensemble is None:
         tws = [(0.0, 0.0)]
     else:
         nodes = ensemble.timegrid.nodes()
-        tidx = np.unique(np.linspace(0, ensemble.timegrid.K,
-                                     n_t).astype(int))
+        tidx = np.unique(np.linspace(0, ensemble.timegrid.K, 3).astype(int))
         tws = [(nodes[j], ensemble.paths[p, j])
-               for p in range(min(n_paths, ensemble.M)) for j in tidx]
+               for p in range(min(2, ensemble.M)) for j in tidx]
 
     samples, roots, residuals = [], [], []
     prev = None
@@ -277,7 +262,7 @@ def characteristic_roots(spec: EquationSpec, grid: Grid,
 class HypothesisReport:
     h1: bool  # real roots simple; complex multiplicity <= 2
     h1p: bool  # all roots simple
-    h2: bool  # |Im| of complex roots bounded below by eps_tol (vacuous if none)
+    h2: bool  # |Im| of complex roots bounded below by 1e-8 (vacuous if none)
     h2_eps: float
     h3: bool  # real/complex classification constant along continuation
     h4: bool  # complex-root multiplicity pattern constant
@@ -303,7 +288,7 @@ def _multiplicities(lams: np.ndarray, radius: float) -> list:
     return out
 
 
-def check_hypotheses(rf: RootField, eps_tol: float = 1e-8) -> HypothesisReport:
+def check_hypotheses(rf: RootField) -> HypothesisReport:
     radius = rf.cluster_radius()
     h1 = h1p = h3 = h4 = True
     wit = {}
@@ -341,7 +326,7 @@ def check_hypotheses(rf: RootField, eps_tol: float = 1e-8) -> HypothesisReport:
     if math.isinf(complex_eps):
         h2, h2_eps = True, math.inf  # vacuous: no complex roots
     else:
-        h2, h2_eps = complex_eps >= eps_tol, complex_eps
+        h2, h2_eps = complex_eps >= 1e-8, complex_eps
     return HypothesisReport(h1, h1p, h2, h2_eps, h3, h4, wit)
 
 
@@ -398,13 +383,12 @@ def _fix_column_phases(V: np.ndarray, ref: np.ndarray | None) -> np.ndarray:
 
 
 def diagonalize_symbol(cs: CompanionSymbol, t=0.0, w=0.0, x=None,
-                       directions: np.ndarray | None = None,
-                       jordan_allowed: bool = False,
-                       tol: float = 1e-9) -> Diagonalization:
+                       jordan_allowed: bool = False) -> Diagonalization:
     """Per-direction eigen-decomposition (simple roots) or Schur-based 2x2
-    Jordan reduction (double complex roots) of sigma(A0) on |xi| = 1."""
-    if directions is None:
-        directions = sphere_directions(cs.dim)
+    Jordan reduction (double complex roots) of sigma(A0) on the
+    sphere_directions of |xi| = 1; the relative residual must stay <= 1e-9."""
+    tol = 1e-9
+    directions = sphere_directions(cs.dim)
     if x is None:
         x = np.zeros(cs.dim)
     m = cs.m
@@ -492,7 +476,7 @@ def holmgren_transform(u: SampledField, delta_prime: float) -> SampledField:
         tq = nodes - sh
         keep = (tq >= 0.0) & (tq <= tg.T)
         res[:, keep, s] = spline(tq[keep])
-    return SampledField(grid, tg, out, u.adapted)
+    return SampledField(grid, tg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +509,21 @@ class VectorField:
 
 def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
                           tg: TimeGrid, ensemble: BrownianEnsemble,
-                          initial=None, m: int | None = None) -> VectorField:
+                          initial=None) -> VectorField:
     """Midpoint semi-implicit Euler-Maruyama for (1/i) dY = A Y dt + f dt
     + F dw, spectral in space:
 
         (I - i dt/2 A) Y_{j+1} = (I + i dt/2 A) Y_j + i f dt + i F dW_j .
 
     f and F are either None or arrays (K+1, m) + grid.shape (deterministic
-    sources) or (M, K+1, m) + grid.shape.  Only x-independent A is
+    sources) or (M, K+1, m) + grid.shape; initial broadcasts to
+    (M, m) + grid.shape.  The component count m is A.m, or with A = None
+    the component axis of f, F or initial.  Only x-independent A is
     supported on the implicit path (the symbol acts per frequency).  The
     Cayley pair (I + i dt/2 A, (I - i dt/2 A)^{-1}) is built once when A is
-    free of (t, w), else once per step at (t_j + dt/2, W(t_j)) for all paths.
+    free of (t, w), else once per step at (t_j + dt/2, W(t_j)) for all paths;
+    the CFL bound dt max|sigma(A)| <= 0.5 is checked on the matrices of
+    every pair, before it is applied.
     """
     if ensemble.timegrid != tg:
         raise ValueError("ensemble and integration time grids differ")
@@ -544,13 +532,12 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
         if not A.x_independent:
             raise NotImplementedError(
                 "implicit integration requires an x-independent system symbol")
-        cap = A.max_eigenvalue(grid)
-        if tg.dt * cap > 0.5 + 1e-12:
-            raise StabilityError(
-                f"dt max|sigma(A)| = {tg.dt * cap:.3g} > 0.5; refine the "
-                "time grid")
-    elif m is None:
-        raise ValueError("m required when A is None")
+    else:
+        given = [np.shape(v) for v in (f, F, initial) if v is not None]
+        if not given:
+            raise ValueError("with A = None, f, F or initial must give the "
+                             "component count m")
+        m = given[0][-1 - grid.dim]
 
     M = ensemble.M
     shape = (M, tg.K + 1, m) + grid.shape
@@ -580,7 +567,13 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
 
     def _cayley(t, w):
         # (..., nfreq, m, m) pair; w of shape (M, 1) gives one per path
-        half = 0.5j * dt * A(t, w, x0, xis)
+        mats = A(t, w, x0, xis)
+        cfl = dt * float(np.abs(np.linalg.eigvals(mats)).max())
+        if cfl > 0.5 + 1e-12:
+            raise StabilityError(
+                f"dt max|sigma(A)| = {cfl:.3g} > 0.5 at t = {t:.6g}; refine "
+                "the time grid")
+        half = 0.5j * dt * mats
         return eye + half, np.linalg.inv(eye - half)
 
     def _act(mats, v):
@@ -631,16 +624,13 @@ def smooth_time_cutoff(tg: TimeGrid) -> np.ndarray:
 
 
 def pinned_semimartingale(grid: Grid, ensemble: BrownianEnsemble,
-                          rng: np.random.Generator,
-                          max_mode: int | None = None) -> SampledField:
+                          rng: np.random.Generator) -> SampledField:
     """Adapted band-limited semimartingale pinned to zero at t = 0 and T:
-    z(t) = sin^2(pi t / T) sum_k (a_k + b_k W(t)) e^{i k.x}."""
-    if max_mode is None:
-        max_mode = grid.N // 4
+    z(t) = sin^2(pi t / T) sum_{|k_a| <= N/4} (a_k + b_k W(t)) e^{i k.x}."""
     tg = ensemble.timegrid
     nodes = tg.nodes()
     s = np.sin(np.pi * nodes / tg.T) ** 2
-    mask = grid.band_mask(max_mode)
+    mask = grid.band_mask(grid.N // 4)
     a_amp = (rng.standard_normal(grid.shape)
              + 1j * rng.standard_normal(grid.shape)) * mask
     b_amp = (rng.standard_normal(grid.shape)
@@ -649,7 +639,7 @@ def pinned_semimartingale(grid: Grid, ensemble: BrownianEnsemble,
     Wt = ensemble.paths.reshape(ensemble.paths.shape + lattice)
     spec = (a_amp + b_amp * Wt) * s.reshape((1, -1) + lattice)
     vals = fft_inverse(SpectralField(grid, spec, FREQUENCY)).values
-    return SampledField(grid, tg, vals, adapted=True)
+    return SampledField(grid, tg, vals)
 
 
 @dataclass
@@ -753,13 +743,13 @@ def _carleman_terms(z: SampledField, A1, B1, mu: float,
     return lhs1, lhs2, rhs, gap
 
 
-def _check_pinned(z: SampledField, tol: float = 1e-10):
+def _check_pinned(z: SampledField):
     from .bounds import HypothesisError
 
     peak = float(np.abs(z.values).max())
     ends = max(float(np.abs(z.values[:, 0]).max()),
                float(np.abs(z.values[:, -1]).max()))
-    if peak > 0 and ends > tol * peak:
+    if peak > 0 and ends > 1e-10 * peak:
         raise HypothesisError(f"z(0) = z(T) = 0 violated: endpoint magnitude "
                               f"{ends:.3e} vs peak {peak:.3e}")
 
@@ -805,10 +795,10 @@ def carleman_report(z: SampledField, A1: Symbol | None, B1: Symbol | None,
 
 def carleman_report_jordan(z1: SampledField, z2: SampledField,
                            A1: Symbol | None, B1: Symbol | None, mu: float,
-                           T: float, ensemble: BrownianEnsemble,
-                           C: float | None = None) -> CarlemanReport:
+                           T: float, ensemble: BrownianEnsemble) -> CarlemanReport:
     """Two-component variant with the Lambda z2 coupling in the z1 drift:
-    both LHS blocks are summed; the z2 block carries the weight C(B1, n).
+    both LHS blocks are summed; the z2 block carries the weight C(B1, n) = 2,
+    calibrated on the decay experiments.
     With z2 = 0 the coupling vanishes and the report reduces to
     carleman_report on z1."""
     if abs(T - z1.timegrid.T) > 1e-12 * max(T, 1.0):
@@ -828,8 +818,7 @@ def carleman_report_jordan(z1: SampledField, z2: SampledField,
     l1a, l2a, rhs_a, gap_a = _carleman_terms(z1, A1, B1, mu, ensemble,
                                              extra_drift=lam_z2)
     l1b, l2b, rhs_b, gap_b = _carleman_terms(z2, A1, B1, mu, ensemble)
-    if C is None:
-        C = 2.0  # calibrated weight C(B1, n); see the decay experiments
+    C = 2.0
     lhs_terms = [l1a, l2a, l1b, l2b]
     rhs_terms = list(rhs_a) + list(C * rhs_b)
     lhs = sum(lhs_terms)

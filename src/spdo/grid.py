@@ -47,10 +47,6 @@ class Grid:
             raise ValueError("period must be positive")
 
     @property
-    def n(self) -> int:
-        return self.dim
-
-    @property
     def N(self) -> int:
         return self.points_per_axis
 
@@ -255,13 +251,11 @@ def plane_wave(grid: Grid, k: tuple[int, ...] | int) -> SpectralField:
     return SpectralField(grid, np.exp(1j * phase))
 
 
-def random_band_limited(grid: Grid, rng: np.random.Generator,
-                        max_mode: int | None = None) -> SpectralField:
-    """Random field with iid complex Gaussian amplitudes on modes |k| <= max_mode."""
-    if max_mode is None:
-        max_mode = grid.N // 4
+def random_band_limited(grid: Grid, rng: np.random.Generator) -> SpectralField:
+    """Random field with iid complex Gaussian amplitudes on the modes
+    |k_a| <= N/4."""
     spec = np.zeros(grid.shape, dtype=np.complex128)
-    mask = grid.band_mask(max_mode)
+    mask = grid.band_mask(grid.N // 4)
     amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     spec[mask] = amp[mask]
     return to_physical(SpectralField(grid, spec, FREQUENCY))

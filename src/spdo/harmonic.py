@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,6 +213,6 @@ def cz_decompose(u: SampledField, r: float, p: float = 2.0) -> CZDecomposition:
         w = np.zeros_like(u.values)
         w[sl] = u.values[sl] - mean
         v[sl] = np.broadcast_to(mean, u.values[sl].shape)
-        bad.append((cube, SampledField(grid, u.timegrid, w, u.adapted)))
-    good = SampledField(grid, u.timegrid, v, u.adapted)
+        bad.append((cube, SampledField(grid, u.timegrid, w)))
+    good = SampledField(grid, u.timegrid, v)
     return CZDecomposition(good, bad, float(r), p, total)

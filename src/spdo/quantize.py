@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (FREQUENCY, Grid, SpectralField, TimeGrid, fft_forward,
-                   l2_norm, to_frequency, to_physical)
+from .grid import (FREQUENCY, Grid, SpectralField, TimeGrid, to_frequency,
+                   to_physical)
 from .symbols import Amplitude, Symbol
 
 __all__ = [
@@ -60,7 +60,6 @@ class SampledField:
     grid: Grid
     timegrid: TimeGrid
     values: np.ndarray  # (M, K+1) + grid.shape
-    adapted: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -73,8 +72,7 @@ class SampledField:
         return self.values.shape[0]
 
     def copy(self) -> "SampledField":
-        return SampledField(self.grid, self.timegrid, self.values.copy(),
-                            self.adapted)
+        return SampledField(self.grid, self.timegrid, self.values.copy())
 
 
 def _flat_points(grid: Grid) -> np.ndarray:
@@ -153,7 +151,7 @@ def apply_symbol_ensemble(a: Symbol, u: SampledField, ensemble) -> SampledField:
     """Apply the operator of a at every (path, time) node of u."""
     f = apply_symbol_op(a, SpectralField(u.grid, u.values),
                         u.timegrid.nodes(), ensemble.paths)
-    return SampledField(u.grid, u.timegrid, f.values, u.adapted)
+    return SampledField(u.grid, u.timegrid, f.values)
 
 
 def smooth_chi(s: np.ndarray) -> np.ndarray:
@@ -181,35 +179,35 @@ def _amplitude_sum(a: Amplitude, u: SpectralField, t, w, eps) -> np.ndarray:
     Y = xs[None, :, None, :]
     XI = xis[None, None, :, :]
     vals = a(t, w, X, Y, XI)  # (Nx, Ny, Nxi)
-    phase_y = np.exp(-1j * (xs @ xis.T))  # (Ny, Nxi)
-    inner = np.einsum("xyk,yk,y->xk", vals, phase_y, uvals) * grid.cell_volume
-    phase_x = np.exp(1j * (xs @ xis.T))
-    out = np.einsum("xk,xk,k->x", inner, phase_x, cut) * grid.freq_cell_volume
+    phase = grid.phase_matrix()  # e^{i x.xi}, (Nx, Nxi)
+    inner = np.einsum("xyk,yk,y->xk", vals, phase.conj(), uvals) \
+        * grid.cell_volume
+    out = np.einsum("xk,xk,k->x", inner, phase, cut) * grid.freq_cell_volume
     return out.reshape(grid.shape)
 
 
 def apply_amplitude_op(a: Amplitude, u: SpectralField, t: float = 0.0,
-                       w=0.0, eps_cutoff: float | None = None) -> AmplitudeApplication:
+                       w=0.0) -> AmplitudeApplication:
     """Regularized double-sum quantization of an amplitude.
 
-    Evaluates with the smooth cutoff chi(eps xi) at eps and eps/2 and
-    reports the refinement gap; warns when the gap exceeds 1e-3.
+    Evaluates with the smooth cutoff chi(eps xi) at eps and eps/2, where
+    eps = 1/2 over the largest resolved |xi| leaves chi = 1 up to the
+    Nyquist ring, and reports the refinement gap; warns when the gap
+    exceeds 1e-3.
     """
     grid = u.grid
     if grid.N > 64 or (grid.dim >= 2 and grid.N > 16):
         raise ValueError("amplitude double sum capped at N=64 (n=1) / 16 (n>=2)")
-    if eps_cutoff is None:
-        # cutoff open on the whole resolved band: chi = 1 up to the Nyquist ring
-        eps_cutoff = 0.5 / max(grid.max_resolved_freq, 1.0)
-    v1 = _amplitude_sum(a, u, t, w, eps_cutoff)
-    v2 = _amplitude_sum(a, u, t, w, eps_cutoff / 2.0)
+    eps = 0.5 / max(grid.max_resolved_freq, 1.0)
+    v1 = _amplitude_sum(a, u, t, w, eps)
+    v2 = _amplitude_sum(a, u, t, w, eps / 2.0)
     denom = max(np.max(np.abs(v2)), 1e-300)
     rel = float(np.max(np.abs(v1 - v2)) / denom)
     ok = rel <= 1e-3
     if not ok:
         warnings.warn(f"amplitude cutoff refinement gap {rel:.3e} > 1e-3",
                       RegularizationWarning)
-    return AmplitudeApplication(SpectralField(grid, v2), eps_cutoff, rel, ok)
+    return AmplitudeApplication(SpectralField(grid, v2), eps, rel, ok)
 
 
 def _as_amplitude(a) -> Amplitude:
@@ -305,39 +303,30 @@ def compute_kernel(a, grid: Grid, t: float = 0.0, w=0.0,
             "request off-diagonal entries only")
     xs = _flat_points(grid)
     xis = _flat_freqs(grid)
-    diff = xs[:, None, :] - xs[None, :, :]  # (Nx, Ny, n)
-    phase = np.exp(1j * np.einsum("xyn,kn->xyk", diff, xis))
+    # e^{i(x-y).xi} = e^{i x.xi} e^{-i y.xi}
+    phase = grid.phase_matrix()
     if integrable:
         if amp:
             vals = a(t, w, xs[:, None, None, :], xs[None, :, None, :],
                      xis[None, None, :, :])
-            K = np.einsum("xyk,xyk->xy", vals, phase) * grid.freq_cell_volume
+            K = np.einsum("xyk,xk,yk->xy", vals, phase, phase.conj()) \
+                * grid.freq_cell_volume
         else:
             vals = a(t, w, xs[:, None, :], xis[None, :, :])  # (Nx, Nxi)
-            K = np.einsum("xk,xyk->xy", vals, phase) * grid.freq_cell_volume
+            K = ((vals * phase) @ phase.conj().T) * grid.freq_cell_volume
         return KernelMatrix(grid, K, diagonal_valid=True)
     # integration-by-parts form off the diagonal
     if amp:
         raise SingularKernelError("off-diagonal IBP assembly needs a Symbol")
-    k_ibp = int(np.ceil((a.order + grid.dim + 1) / 2.0))
-    k_ibp = max(k_ibp, 1)
-    lap = None
-    for axis in range(grid.dim):
-        alpha = [0] * grid.dim
-        alpha[axis] = 2
-        term = a.derivative(tuple(alpha), (0,) * grid.dim)
-        lap = term if lap is None else lap + term
-    b = lap
-    for _ in range(k_ibp - 1):
-        lap2 = None
-        for axis in range(grid.dim):
-            alpha = [0] * grid.dim
-            alpha[axis] = 2
-            term = b.derivative(tuple(alpha), (0,) * grid.dim)
-            lap2 = term if lap2 is None else lap2 + term
-        b = lap2
+    k_ibp = max(int(np.ceil((a.order + grid.dim + 1) / 2.0)), 1)
+    zero = (0,) * grid.dim
+    b = a
+    for _ in range(k_ibp):  # b = Laplacian_xi^k_ibp a
+        terms = [b.derivative(tuple(2 * (i == axis) for i in range(grid.dim)),
+                              zero) for axis in range(grid.dim)]
+        b = sum(terms[1:], terms[0])
     vals = b(t, w, xs[:, None, :], xis[None, :, :])
-    raw = np.einsum("xk,xyk->xy", vals, phase) * grid.freq_cell_volume
+    raw = ((vals * phase) @ phase.conj().T) * grid.freq_cell_volume
     # |x - y| on the torus; diagonal left as nan
     dist = grid.torus_distance(xs[:, None, :], xs[None, :, :])
     with np.errstate(divide="ignore", invalid="ignore"):

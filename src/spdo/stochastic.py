@@ -46,10 +46,10 @@ class BrownianEnsemble:
     def M(self) -> int:
         return self.paths.shape[0]
 
-    def truncated(self, j: int, poison: float = np.nan) -> "BrownianEnsemble":
-        """Copy with all values after node j replaced by a poison marker."""
+    def truncated(self, j: int) -> "BrownianEnsemble":
+        """Copy with all values after node j replaced by NaN."""
         p = self.paths.copy()
-        p[:, j + 1:] = poison
+        p[:, j + 1:] = np.nan
         return BrownianEnsemble(p, self.seed, self.timegrid)
 
     def to_csv(self, path: str) -> None:
@@ -102,8 +102,7 @@ def lpf_norm_values(values: np.ndarray, nodes: np.ndarray, p: float):
     return norms.reshape(sites) if sites else float(norms[0])
 
 
-def lpf_norm(process, ensemble: BrownianEnsemble, p: float,
-             raw: bool = False) -> float:
+def lpf_norm(process, ensemble: BrownianEnsemble, p: float) -> float:
     """Monte Carlo L^p_F(0,T) norm of an adapted scalar process.
 
     `process` is either a (M, K+1) array of samples X_m(t_j), or a callable
@@ -118,10 +117,6 @@ def lpf_norm(process, ensemble: BrownianEnsemble, p: float,
         vals = np.asarray(process)
         if vals.shape != (ensemble.M, len(nodes)):
             raise ValueError("process samples must have shape (M, K+1)")
-    if raw:
-        if math.isinf(p):
-            raise ValueError("raw integral undefined for p = inf")
-        return lpf_integral_values(vals, nodes, p)
     return lpf_norm_values(vals, nodes, p)
 
 

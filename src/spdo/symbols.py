@@ -419,9 +419,9 @@ class EstimateReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _sample_points(grid, max_per_axis=16):
+def _sample_points(grid):
     pts = grid.points()
-    step = max(1, grid.N // max_per_axis)
+    step = max(1, grid.N // 16)
     sl = (slice(None, None, step),) * grid.dim
     return pts[sl].reshape(-1, grid.dim)
 
@@ -433,11 +433,10 @@ def _sample_freqs(grid, max_per_axis=64):
     return fr[sl].reshape(-1, grid.dim)
 
 
-def _time_path_samples(ensemble, max_times=9, max_paths=4):
-    nodes = ensemble.timegrid.nodes()
+def _time_path_samples(ensemble):
     K = ensemble.timegrid.K
-    tidx = np.unique(np.linspace(0, K, min(max_times, K + 1)).astype(int))
-    pidx = np.arange(min(max_paths, ensemble.paths.shape[0]))
+    tidx = np.unique(np.linspace(0, K, min(9, K + 1)).astype(int))
+    pidx = np.arange(min(4, ensemble.M))
     return tidx, pidx
 
 
@@ -465,11 +464,11 @@ def _slope_loglog(mags, vals):
 
 
 def check_symbol_estimate(a: Symbol, alpha_max: int, beta_max: int, grid,
-                          ensemble=None, quantile: float = 1.0) -> EstimateReport:
+                          ensemble=None) -> EstimateReport:
     """Empirically verify |d^a_xi d^b_x a| <= M(t,w) (1+|xi|)^{l-|a|}.
 
     For each multi-index pair up to the caps, reports the per-(t, path)
-    majorant (the quantile over sampled (x, xi) of the normalized derivative)
+    majorant (the max over sampled (x, xi) of the normalized derivative)
     and its Monte Carlo L^p_F(0,T) norm, and flags a violation whenever the
     normalized ratio still grows along the frequency band (log-log slope
     above 0.1) or is not finite.
@@ -506,17 +505,14 @@ def check_symbol_estimate(a: Symbol, alpha_max: int, beta_max: int, grid,
             # mimic residual growth on a finite band
             weight2 = (1.0 + mags**2) ** ((a.order - sum(alpha)) / 2.0)
             maj = np.zeros((len(pidx), len(tidx)))
-            max_ratio = 0.0
             growth_by_xi = np.zeros(len(xis))
             for i, _ in enumerate(pidx):
                 for j, tj in enumerate(nodes):
                     vals = np.abs(d(tj, wvals[i, j], X, XI))  # (nx, nxi)
-                    ratio = vals / weight[None, :]
+                    maj[i, j] = (vals / weight[None, :]).max()
                     growth_by_xi = np.maximum(growth_by_xi,
                                               (vals / weight2[None, :]).max(axis=0))
-                    with np.errstate(invalid="ignore"):  # inf on a pole
-                        maj[i, j] = np.quantile(ratio, quantile)
-                    max_ratio = float(np.maximum(max_ratio, ratio.max()))  # NaN propagates
+            max_ratio = float(maj.max())  # NaN propagates
             with np.errstate(invalid="ignore"):
                 slope = _slope_loglog(mags, growth_by_xi)
             # a non-finite ratio or slope (a pole on the grid) is a violation
@@ -541,10 +537,6 @@ class EllipticityResult:
     C_K: float = 0.0
     R_K: float = 0.0
     detail: str = ""
-
-    def __iter__(self):
-        yield self.C_K
-        yield self.R_K
 
 
 def ellipticity_check(a: Symbol, grid, ensemble=None) -> EllipticityResult:

@@ -227,7 +227,7 @@ def test_criterion_9_integrator_sanity():
     sigma = 2.0
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = sigma
-    Y = integrate_spde_system(None, None, F, g, tg, ens, m=1)
+    Y = integrate_spde_system(None, None, F, g, tg, ens)
     got = float((np.abs(Y.values[:, -1, 0, 0]) ** 2).mean())
     iso_err = abs(got - sigma**2 * tg.T) / (sigma**2 * tg.T)
 

@@ -233,7 +233,7 @@ def _smooth_field(grid, tg, M=2):
     vals = np.empty((M, tg.K + 1) + grid.shape, np.complex128)
     for j, t in enumerate(nodes):
         vals[:, j] = np.sin(2 * x) * math.sin(math.pi * t / tg.T) ** 2
-    return SampledField(grid, tg, vals, adapted=True)
+    return SampledField(grid, tg, vals)
 
 
 def test_holmgren_identity():
@@ -248,7 +248,7 @@ def test_holmgren_impulse_relocation():
     vals = np.zeros((1, tg.K + 1) + G.shape, np.complex128)
     j0 = 8
     vals[0, j0] = 1.0
-    u = SampledField(G, tg, vals, adapted=True)
+    u = SampledField(G, tg, vals)
     dp = 1e-3
     v = holmgren_transform(u, dp)
     x0 = 5  # some site index
@@ -328,7 +328,7 @@ def test_integrator_ito_isometry():
     sigma = 2.0
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = sigma
-    Y = integrate_spde_system(None, None, F, g, tg, ens, m=1)
+    Y = integrate_spde_system(None, None, F, g, tg, ens)
     # E|Y(T)|^2 = sigma^2 T per site
     site = np.abs(Y.values[:, -1, 0, 0]) ** 2
     got = float(site.mean())
@@ -341,6 +341,29 @@ def test_integrator_stability_error():
     cs = build_companion_symbol(make_equation("wave", 1))
     with pytest.raises(StabilityError):
         integrate_spde_system(cs, None, None, Grid(1, 64), tg, ens)
+
+
+def test_integrator_cfl_checked_along_the_paths():
+    # dt max|sigma(A)| = 0.125 at w = 0, but 1 + 100 w^2 grows along the paths
+    coeff = symbol_from_expr(1 + 100 * _W**2, 1, order=0)
+    cs = build_companion_symbol(
+        EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
+    tg = TimeGrid(0.5, 64)
+    ens = sample_brownian(4, tg, seed=0)
+    with pytest.raises(StabilityError):
+        integrate_spde_system(cs, None, None, Grid(1, 32), tg, ens)
+
+
+def test_integrator_reads_m_off_its_inputs():
+    tg = TimeGrid(0.5, 8)
+    ens = sample_brownian(2, tg, seed=0)
+    x = G.points()[..., 0]
+    y0 = np.stack([np.cos(x), np.sin(x)]).astype(np.complex128)
+    Y = integrate_spde_system(None, None, None, G, tg, ens, initial=y0)
+    assert Y.m == 2
+    assert np.abs(Y.values - y0).max() <= 1e-14
+    with pytest.raises(ValueError):
+        integrate_spde_system(None, None, None, G, tg, ens)
 
 
 def _path_loop_reference(cs, f, F, tg, ens, y0):
@@ -422,7 +445,7 @@ def test_integrator_weak_order_in_dt():
         ens = sample_brownian(1, tg, seed=0)
         f = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
         f[:, 0] = np.cos(3.0 * tg.nodes()).reshape(-1, 1)
-        Y = integrate_spde_system(None, f, None, g, tg, ens, m=1)
+        Y = integrate_spde_system(None, f, None, g, tg, ens)
         exact = 1j * math.sin(3.0 * tg.T) / 3.0
         errs.append(abs(Y.values[0, -1, 0, 0] - exact))
     slope = np.polyfit(np.log(Ks), np.log(errs), 1)[0]
@@ -438,7 +461,7 @@ B1 = symbol_from_expr(sp.sqrt(1 + _XI[0] ** 2), 1, order=1)
 
 def _zero_field():
     vals = np.zeros((ENS_C.M, TG_C.K + 1) + G.shape, np.complex128)
-    return SampledField(G, TG_C, vals, adapted=True)
+    return SampledField(G, TG_C, vals)
 
 
 def test_carleman_zero_field_trivial_pass():
@@ -454,7 +477,7 @@ def test_carleman_deterministic_bump():
     prof = np.exp(1j * x) + 0.3 * np.exp(-2j * x)
     for j, t in enumerate(nodes):
         vals[:, j] = math.sin(math.pi * t / 0.5) ** 2 * prof
-    z = SampledField(G, TG_C, vals, adapted=True)
+    z = SampledField(G, TG_C, vals)
     rep = carleman_report(z, None, B1, 100.0, 0.5, ENS_C)
     assert rep.passed
     assert rep.margin >= 0.0
@@ -462,7 +485,7 @@ def test_carleman_deterministic_bump():
 
 def test_carleman_endpoint_violation():
     vals = np.ones((ENS_C.M, TG_C.K + 1) + G.shape, np.complex128)
-    z = SampledField(G, TG_C, vals, adapted=True)
+    z = SampledField(G, TG_C, vals)
     from spdo.bounds import HypothesisError
     with pytest.raises(HypothesisError):
         carleman_report(z, None, B1, 100.0, 0.5, ENS_C)
@@ -557,7 +580,6 @@ def test_pinned_semimartingale_contract():
     z = pinned_semimartingale(G, ENS_C, rng)
     assert np.abs(z.values[:, 0]).max() < 1e-12
     assert np.abs(z.values[:, -1]).max() < 1e-12
-    assert z.adapted
 
 
 def test_uniqueness_zero_forcing():

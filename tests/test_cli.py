@@ -293,6 +293,16 @@ def test_verify_symbol_pole_prints_no_warning(tmp_path):
     assert res.stderr == ""
 
 
+def test_compose_nan_error_fails(tmp_path):
+    # the pole of b = 1/(1 + cos x) on the lattice makes the relative error
+    # NaN, which must fail the check instead of reading as 0
+    res = _spawn(tmp_path, "compose", "b = 1/(1+cos(x))\nb.order = 0\n"
+                 "a = xi\ncheck = 1\ngrid.N = 32\n")
+    assert res.returncode == 2, res.stderr
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert math.isnan(rep["relative_error"])
+
+
 def _spawn(tmp_path, command, cfg_text):
     """`python -m spdo.cli command` on cfg_text in a fresh process."""
     cfg = tmp_path / "spawn.cfg"

@@ -154,7 +154,7 @@ def test_cz_deterministic_tall_bump():
     x = g.points()[..., 0]
     bump = 10.0 * np.exp(-((x - np.pi) ** 2) * 8.0) + 0.05
     vals = np.broadcast_to(bump, (2, 9) + g.shape).astype(np.complex128).copy()
-    u = SampledField(g, tg, vals, adapted=True)
+    u = SampledField(g, tg, vals)
     from spdo.harmonic import _site_density
     avg = float(_site_density(u, 2.0).mean())
     dec = cz_decompose(u, 4.0 * avg)

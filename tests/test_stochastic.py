@@ -90,8 +90,6 @@ def test_lpf_norm_callable_matches_node_loop():
     for p in (1.5, 2.0, math.inf):
         assert math.isclose(lpf_norm(proc, ens, p),
                             lpf_norm_values(ref, nodes, p), rel_tol=1e-14)
-    assert math.isclose(lpf_norm(proc, ens, 2.0, raw=True),
-                        lpf_integral_values(ref, nodes, 2.0), rel_tol=1e-14)
     # a callable that ignores (t, w) still gives an (M, K+1) table
     assert abs(lpf_norm(lambda t, w: 3.0, ens, 2.0)
                - 3.0 * math.sqrt(TG.T)) < 1e-12
