@@ -8,7 +8,6 @@ a supremum over an infinite-dimensional ball, and the reports say so.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -62,13 +61,6 @@ class BoundReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "constant"])
-            for k in sorted(self.constants):
-                w.writerow([k, f"{self.constants[k]:.12g}"])
 
 
 def _report(op_id, source, target, constants, factor, extra=None,

@@ -1,7 +1,7 @@
 """Uniqueness pipeline for stochastic PDE Cauchy problems: companion-system
-reduction, characteristic roots and hypothesis checks, diagonalization,
-Holmgren transform, stochastic system integration, Carleman-inequality
-evaluation, and the uniqueness-decay experiment.
+reduction, characteristic roots and hypothesis checks, stochastic system
+integration, Carleman-inequality evaluation, and the uniqueness-decay
+experiment.
 
 The order-m scalar equation with principal coefficients a_alpha is encoded
 as the m x m order-1 companion system (1/i) dY = A Y dt + f dt + F dw with
@@ -10,15 +10,12 @@ superdiagonal |xi| and bottom row a_k(t,w,x,xi) |xi|^{k+1-m}.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.interpolate import CubicSpline
-from scipy.optimize import linear_sum_assignment
 
 from .grid import FREQUENCY, Grid, SpectralField, TimeGrid, fft_inverse
 from .quantize import SampledField, apply_symbol_op
@@ -30,19 +27,14 @@ __all__ = [
     "CompanionSymbol",
     "RootField",
     "HypothesisReport",
-    "Diagonalization",
     "CarlemanReport",
     "DecayReport",
     "VectorField",
     "StabilityError",
-    "WindowError",
-    "DiagonalizationError",
     "build_companion_symbol",
     "sphere_directions",
     "characteristic_roots",
     "check_hypotheses",
-    "diagonalize_symbol",
-    "holmgren_transform",
     "integrate_spde_system",
     "pinned_semimartingale",
     "smooth_time_cutoff",
@@ -54,14 +46,6 @@ __all__ = [
 
 class StabilityError(RuntimeError):
     """Resolved-band CFL condition dt max|sigma(A)| <= 0.5 violated."""
-
-
-class WindowError(ValueError):
-    """Holmgren shift pushes the field outside the time window."""
-
-
-class DiagonalizationError(RuntimeError):
-    """Near-defective eigenstructure with Jordan blocks disallowed."""
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +188,6 @@ class RootField:
         scale = max(1.0, float(np.abs(self.roots).max()))
         return 10.0 * math.sqrt(np.finfo(float).eps) * scale
 
-    def is_real(self) -> np.ndarray:
-        return np.abs(self.roots.imag) <= self.cluster_radius()
-
 
 def _poly_coeffs(spec: EquationSpec, t, w, x, xi):
     """Monic coefficients of p_m(lambda) = lambda^m - sum a_k lambda^k."""
@@ -218,12 +199,27 @@ def _poly_coeffs(spec: EquationSpec, t, w, x, xi):
     return c
 
 
+def _match_roots(prev: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """lam reordered so that lam[i] continues prev[i]: the permutation of
+    least total distance over all m! of them, the first in
+    itertools.permutations order among equal totals."""
+    cost = np.abs(lam[None, :] - prev[:, None])
+    rows = np.arange(len(lam))
+    best = min(itertools.permutations(rows),
+               key=lambda p: cost[rows, list(p)].sum())
+    return lam[list(best)]
+
+
 def characteristic_roots(spec: EquationSpec, grid: Grid,
                          ensemble: BrownianEnsemble | None = None) -> RootField:
     """Roots of p_m via companion-matrix eigenvalues on the sphere grid,
-    matched across samples by nearest-neighbor continuation.  The samples
+    matched across samples by minimal-distance continuation.  The samples
     are 4 lattice points, the sphere_directions of the dimension and, with
-    an ensemble, 3 times (start, middle, end) on each of the first 2 paths."""
+    an ensemble, 3 times (start, middle, end) on each of the first 2 paths.
+    The matching enumerates m! permutations, so m is capped at 6."""
+    if spec.m > 6:
+        raise ValueError(f"root continuation enumerates m! permutations; "
+                         f"order m = {spec.m} exceeds 6")
     directions = sphere_directions(spec.dim)
     xs = grid.points().reshape(-1, grid.dim)
     xs = xs[:: max(1, len(xs) // 4)][:4]
@@ -247,9 +243,7 @@ def characteristic_roots(spec: EquationSpec, grid: Grid,
                 if len(lam) < spec.m:
                     lam = np.concatenate([lam, np.zeros(spec.m - len(lam))])
                 if prev is not None:
-                    cost = np.abs(lam[None, :] - prev[:, None])
-                    _, col = linear_sum_assignment(cost)
-                    lam = lam[col]
+                    lam = _match_roots(prev, lam)
                 prev = lam
                 res = np.abs(np.polyval(c, lam))
                 samples.append((float(t), float(w), tuple(x), tuple(d)))
@@ -328,155 +322,6 @@ def check_hypotheses(rf: RootField) -> HypothesisReport:
     else:
         h2, h2_eps = complex_eps >= 1e-8, complex_eps
     return HypothesisReport(h1, h1p, h2, h2_eps, h3, h4, wit)
-
-
-# ---------------------------------------------------------------------------
-# diagonalization
-
-
-@dataclass
-class Diagonalization:
-    """Pointwise r* sigma(A0) r*^{-1} = j* over the sphere sample set,
-    extended degree-0 homogeneously in xi."""
-
-    directions: np.ndarray  # (S, dim)
-    r: np.ndarray  # (S, m, m)
-    j: np.ndarray  # (S, m, m)
-    rinv: np.ndarray  # (S, m, m)
-    max_residual: float
-    jordan_blocks: bool
-
-    def _nearest(self, xi) -> int:
-        d = np.asarray(xi, float)
-        mag = np.sqrt(np.sum(d**2))
-        if mag == 0:
-            return 0
-        d = d / mag
-        return int(np.argmax(self.directions @ d))
-
-    def r_at(self, xi) -> np.ndarray:
-        return self.r[self._nearest(xi)]
-
-    def rinv_at(self, xi) -> np.ndarray:
-        return self.rinv[self._nearest(xi)]
-
-    def j_at(self, xi) -> np.ndarray:
-        """j* scaled back to homogeneity degree 1 at this xi."""
-        mag = math.sqrt(float(np.sum(np.asarray(xi, float) ** 2)))
-        return self.j[self._nearest(xi)] * mag
-
-
-def _fix_column_phases(V: np.ndarray, ref: np.ndarray | None) -> np.ndarray:
-    V = V.copy()
-    for c in range(V.shape[1]):
-        col = V[:, c]
-        if ref is not None:
-            ip = np.vdot(ref[:, c], col)
-            if abs(ip) > 1e-12:
-                col *= np.conj(ip) / abs(ip)
-        else:
-            k = int(np.argmax(np.abs(col)))
-            if abs(col[k]) > 0:
-                col *= np.conj(col[k]) / abs(col[k])
-        V[:, c] = col
-    return V
-
-
-def diagonalize_symbol(cs: CompanionSymbol, t=0.0, w=0.0, x=None,
-                       jordan_allowed: bool = False) -> Diagonalization:
-    """Per-direction eigen-decomposition (simple roots) or Schur-based 2x2
-    Jordan reduction (double complex roots) of sigma(A0) on the
-    sphere_directions of |xi| = 1; the relative residual must stay <= 1e-9."""
-    tol = 1e-9
-    directions = sphere_directions(cs.dim)
-    if x is None:
-        x = np.zeros(cs.dim)
-    m = cs.m
-    S = len(directions)
-    R = np.empty((S, m, m), np.complex128)
-    J = np.zeros((S, m, m), np.complex128)
-    Rinv = np.empty((S, m, m), np.complex128)
-    worst = 0.0
-    has_jordan = False
-    ref = None
-    for s, d in enumerate(directions):
-        sig = cs(t, w, np.asarray(x, float)[None, :], d[None, :])[0]
-        lam, V = np.linalg.eig(sig)
-        order = np.argsort(lam.real * 1e6 + lam.imag)
-        lam, V = lam[order], V[:, order]
-        gap = np.min([abs(lam[i] - lam[k]) for i in range(m)
-                      for k in range(i + 1, m)]) if m > 1 else math.inf
-        scale = max(1.0, float(np.abs(lam).max()))
-        if gap > 1e-6 * scale:
-            V = _fix_column_phases(V / np.linalg.norm(V, axis=0), ref)
-            ref = V
-            rinv = V
-            r = np.linalg.inv(V)
-            jmat = np.diag(lam)
-        else:
-            if not jordan_allowed:
-                raise DiagonalizationError(
-                    f"near-defective eigenstructure at direction {d}")
-            has_jordan = True
-            # complex Schur with clustered double roots adjacent
-            Tm, Q = scipy.linalg.schur(sig, output="complex")
-            jmat = np.zeros((m, m), np.complex128)
-            D = np.eye(m, dtype=np.complex128)
-            i = 0
-            diag = np.diag(Tm)
-            while i < m:
-                if i + 1 < m and abs(diag[i] - diag[i + 1]) <= 1e-6 * scale \
-                        and abs(Tm[i, i + 1]) > tol:
-                    b = Tm[i, i + 1]
-                    # keep the computed diagonal: a defective pair splits by
-                    # O(sqrt(eps)) numerically, and averaging would push that
-                    # split into the residual
-                    jmat[i, i] = diag[i]
-                    jmat[i + 1, i + 1] = diag[i + 1]
-                    jmat[i, i + 1] = 1.0  # |xi| = 1 on the sphere
-                    D[i + 1, i + 1] = 1.0 / b  # rescales superdiag b -> 1
-                    i += 2
-                else:
-                    jmat[i, i] = diag[i]
-                    i += 1
-            rinv = Q @ D
-            r = np.linalg.inv(rinv)
-        res = np.linalg.norm(r @ sig @ rinv - jmat) / max(np.linalg.norm(sig),
-                                                          1e-30)
-        worst = max(worst, float(res))
-        R[s], J[s], Rinv[s] = r, jmat, rinv
-    if worst > tol:
-        raise DiagonalizationError(f"diagonalization residual {worst:.3e} > {tol}")
-    return Diagonalization(np.asarray(directions, float), R, J, Rinv, worst,
-                           has_jordan)
-
-
-# ---------------------------------------------------------------------------
-# Holmgren transform
-
-
-def holmgren_transform(u: SampledField, delta_prime: float) -> SampledField:
-    """Resample the time axis at t - delta' |x|^2 by cubic interpolation;
-    values needing t outside [0, T] are zero (zero initial data; negative
-    delta' inverts a previous transform on interior nodes)."""
-    if delta_prime == 0.0:
-        return u.copy()
-    grid, tg = u.grid, u.timegrid
-    shift = delta_prime * np.sum(grid.points() ** 2, axis=-1)
-    if float(np.abs(shift).max()) >= tg.T:
-        raise WindowError(
-            f"|delta'| max|x|^2 = {np.abs(shift).max():.6g} >= T = {tg.T:.6g}")
-    nodes = tg.nodes()
-    out = np.zeros_like(u.values)
-    vals = u.values.reshape(u.M, tg.K + 1, -1)
-    res = out.reshape(vals.shape)
-    for s, sh in enumerate(shift.reshape(-1)):
-        # one spline per site over all paths
-        spline = CubicSpline(nodes, vals[:, :, s], axis=1)
-        tq = nodes - sh
-        keep = (tq >= 0.0) & (tq <= tg.T)
-        res[:, keep, s] = spline(tq[keep])
-    return SampledField(grid, tg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +712,6 @@ class DecayReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["mu", "log_bound"])
-            for mu, lb in zip(self.mu_list, self.log_bound):
-                w.writerow([f"{mu:.12g}", f"{lb:.12g}"])
 
 
 def _time_plateau(tg: TimeGrid, lo: float, hi: float, ramp: float) -> np.ndarray:

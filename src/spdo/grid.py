@@ -237,11 +237,6 @@ def sobolev_norm(f: SpectralField, delta: float) -> float | np.ndarray:
                          f.grid.freq_cell_volume)
 
 
-def field_from_function(grid: Grid, fn) -> SpectralField:
-    """Sample fn(x) on the lattice; fn receives points of shape (..., n)."""
-    return SpectralField(grid, np.asarray(fn(grid.points()), dtype=np.complex128))
-
-
 def plane_wave(grid: Grid, k: tuple[int, ...] | int) -> SpectralField:
     """exp(i k.x 2 pi / L) for integer lattice mode k."""
     if np.isscalar(k):

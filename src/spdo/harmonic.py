@@ -1,9 +1,5 @@
-"""Littlewood-Paley dyadic partition of unity and the stochastic
-Calderon-Zygmund decomposition.
-
-The LP partition is built by telescoping a smooth radial step theta:
-psi*(xi) = theta(xi), phi*(xi) = theta(xi/2) - theta(xi), so that
-psi* + sum_j phi*(2^{-j} xi) = theta(2^{-J} xi) -> 1 on any bounded band.
+"""The stochastic Calderon-Zygmund decomposition, and the smooth step that
+the cutoffs of the other modules are built from.
 
 The CZ decomposition runs the dyadic stopping-time walk on the per-site
 L^p_F(0,T) density: cubes split in half per axis (lexicographic order,
@@ -24,13 +20,9 @@ from .quantize import SampledField
 from .stochastic import lpf_norm_values
 
 __all__ = [
-    "LPPartition",
     "DyadicCube",
     "CZDecomposition",
     "LevelTooLowError",
-    "littlewood_paley_partition",
-    "lp_project",
-    "lp_reconstruct",
     "cz_decompose",
 ]
 
@@ -46,68 +38,6 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
         f = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
         g = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
     return f / (f + g)
-
-
-@dataclass(frozen=True)
-class LPPartition:
-    """psi* (low) and phi* (annulus) with annulus parameter k* > 1."""
-
-    kstar: float
-
-    def _theta(self, r: np.ndarray) -> np.ndarray:
-        # 1 for r <= 1/k*, 0 for r >= 1
-        lo = 1.0 / self.kstar
-        return 1.0 - _smoothstep((np.asarray(r, float) - lo) / (1.0 - lo))
-
-    def psi(self, xi: np.ndarray) -> np.ndarray:
-        """Low-frequency bump, supported in the closed unit ball."""
-        return self._theta(np.sqrt(np.sum(np.asarray(xi, float) ** 2, axis=-1)))
-
-    def phi(self, xi: np.ndarray) -> np.ndarray:
-        """Annulus bump, supported in {1/k* < |xi| < 2}."""
-        r = np.sqrt(np.sum(np.asarray(xi, float) ** 2, axis=-1))
-        return self._theta(r / 2.0) - self._theta(r)
-
-    def partition_sum(self, xi: np.ndarray, J: int) -> np.ndarray:
-        out = self.psi(xi)
-        for j in range(J + 1):
-            out = out + self.phi(np.asarray(xi) / 2.0**j)
-        return out
-
-    def levels_to_cover(self, max_freq: float) -> int:
-        """Smallest J with psi* + sum_{j<=J} phi*(2^-j .) = 1 for |xi| <= max_freq."""
-        J = 0
-        while 2.0**J / self.kstar < max_freq:
-            J += 1
-        return J
-
-
-def littlewood_paley_partition(kstar: float) -> LPPartition:
-    if not kstar > 1.0:
-        raise ValueError(f"annulus parameter k* must exceed 1, got {kstar}")
-    return LPPartition(float(kstar))
-
-
-def lp_project(f, part: LPPartition, j: int):
-    """Frequency block of a SpectralField: j = -1 gives the psi* block,
-    j >= 0 the phi*(2^{-j} .) block."""
-    from .grid import FREQUENCY, SpectralField, to_frequency, to_physical
-
-    fh = to_frequency(f)
-    xi = f.grid.freqs()
-    w = part.psi(xi) if j < 0 else part.phi(xi / 2.0**j)
-    return to_physical(SpectralField(f.grid, w * fh.values, FREQUENCY))
-
-
-def lp_reconstruct(f, part: LPPartition):
-    """Sum of all blocks covering the resolved band; equals f to 1e-10."""
-    from .grid import SpectralField
-
-    J = part.levels_to_cover(f.grid.max_resolved_freq * math.sqrt(f.grid.dim))
-    out = lp_project(f, part, -1).values
-    for j in range(J + 1):
-        out = out + lp_project(f, part, j).values
-    return SpectralField(f.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ grammar, so every experiment is reproducible from plain text.
 
 Expressions may use t, w (Brownian value), x or x1..x3, xi or xi1..xi3,
 numbers, + - * / ** parentheses, and the functions sin, cos, exp, abs,
-sqrt.  Anything else is rejected before sympy ever sees the string.
+sqrt.  Anything else is rejected before sympy ever sees the string, and
+the size of what sympy is asked to evaluate is bounded: numeric literals
+of at most 30 digits, numeric exponents whose product along nested powers
+is at most 64, and trees at most 50 levels deep.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import re
 
 import sympy as sp
+from sympy.parsing.sympy_parser import parse_expr
 
 from .cauchy import EquationSpec
 from .symbols import Symbol, symbol_from_expr, _T, _W, _X, _XI, _xi_degree
@@ -30,8 +34,11 @@ class RegistryError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:\d+\.?\d*(?:[eE][+-]?\d+)?|sin|cos|exp|abs|sqrt|pi"
+    r"\s*(?:(\d+\.?\d*)(?:[eE][+-]?\d+)?|sin|cos|exp|abs|sqrt|pi"
     r"|xi[123]?|x[123]?|t|w|\*\*|[-+*/()])\s*")
+_MAX_DIGITS = 30
+_MAX_POWER = 64.0
+_MAX_DEPTH = 50
 
 
 def _validate(text: str) -> None:
@@ -43,7 +50,31 @@ def _validate(text: str) -> None:
                 f"expression rejected at position {pos}: {text[pos:pos+12]!r}"
                 " (allowed: numbers, t, w, x1..x3, xi1..xi3, + - * / **, "
                 "sin, cos, exp, abs, sqrt, pi)")
+        digits = sum(c.isdigit() for c in m.group(1) or "")
+        if digits > _MAX_DIGITS:
+            raise RegistryError(f"number at position {pos} has {digits} "
+                                f"digits; at most {_MAX_DIGITS} are allowed")
         pos = m.end()
+
+
+def _check_size(e, budget: float, depth: int) -> None:
+    """Reject an unevaluated tree deeper than _MAX_DEPTH, or whose numeric
+    exponents multiply, along a chain of nested powers, to more than
+    _MAX_POWER (an exponent below 1 counts as 1); budget is what the powers
+    enclosing e leave of _MAX_POWER, depth the level of e."""
+    if depth > _MAX_DEPTH:
+        raise RegistryError(f"expression nests deeper than {_MAX_DEPTH} "
+                            "levels")
+    if isinstance(e, sp.Pow) and not e.exp.free_symbols:
+        _check_size(e.exp, _MAX_POWER, depth + 1)
+        p = abs(complex(e.exp))  # bounded by the check just made
+        if not p <= budget:
+            raise RegistryError(f"power {e} exceeds the bound "
+                                f"{_MAX_POWER:g} on nested exponents")
+        _check_size(e.base, budget / max(p, 1.0), depth + 1)
+        return
+    for arg in e.args:
+        _check_size(arg, budget, depth + 1)
 
 
 def parse_symbol_expr(text: str, dim: int, order: float | None = None,
@@ -58,8 +89,10 @@ def parse_symbol_expr(text: str, dim: int, order: float | None = None,
         loc[f"x{k+1}"] = _X[k]
         loc[f"xi{k+1}"] = _XI[k]
     try:
+        _check_size(parse_expr(text, local_dict=loc, evaluate=False),
+                    _MAX_POWER, 0)
         expr = sp.sympify(text, locals=loc)
-    except (sp.SympifyError, SyntaxError, TypeError) as e:
+    except (sp.SympifyError, SyntaxError, TypeError, RecursionError) as e:
         raise RegistryError(f"expression does not parse: {text!r} ({e})")
     used = expr.free_symbols - {_T, _W} - set(_X[:dim]) - set(_XI[:dim])
     if used:
@@ -119,10 +152,10 @@ def make_symbol(name: str, dim: int = 1, order: float | None = None) -> Symbol:
                                 order=o if order is None else order, name=name)
     try:
         return parse_symbol_expr(name, dim, order=order, name=name)
-    except RegistryError:
+    except RegistryError as e:
         raise RegistryError(
-            f"unknown symbol {name!r}; known: {sorted(_SYMBOL_TABLE)} or an "
-            "expression over (t, w, x, xi)")
+            f"unknown symbol {name!r}; known: {sorted(SYMBOLS)} or an "
+            f"expression over (t, w, x, xi): {e}") from None
 
 
 def _wave(dim: int) -> EquationSpec:
@@ -164,5 +197,5 @@ _EQUATION_TABLE = {"wave": _wave, "schrodinger": _schrodinger,
 def make_equation(name: str, dim: int = 1) -> EquationSpec:
     if name not in _EQUATION_TABLE:
         raise RegistryError(
-            f"unknown equation {name!r}; known: {sorted(_EQUATION_TABLE)}")
+            f"unknown equation {name!r}; known: {sorted(EQUATIONS)}")
     return _EQUATION_TABLE[name](dim)

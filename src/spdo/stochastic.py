@@ -3,13 +3,11 @@
 The driving noise is a single scalar Brownian motion.  An ensemble stores M
 sampled paths on a uniform time grid; expectation is the equal-weight path
 average.  The L^p_F(0,T) norm of an adapted scalar process is the path mean
-of the trapezoidal time integral of |X|^p, raised to 1/p (the raw E-integral
-is also available).
+of the trapezoidal time integral of |X|^p, raised to 1/p.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -20,9 +18,7 @@ from .grid import TimeGrid
 __all__ = [
     "BrownianEnsemble",
     "sample_brownian",
-    "lpf_norm",
     "lpf_norm_values",
-    "lpf_integral_values",
     "adaptedness_audit",
 ]
 
@@ -52,14 +48,6 @@ class BrownianEnsemble:
         p[:, j + 1:] = np.nan
         return BrownianEnsemble(p, self.seed, self.timegrid)
 
-    def to_csv(self, path: str) -> None:
-        nodes = self.timegrid.nodes()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["path"] + [f"t={t:.12g}" for t in nodes])
-            for m in range(self.M):
-                w.writerow([m] + [f"{v:.17g}" for v in self.paths[m]])
-
 
 def sample_brownian(M: int, tg: TimeGrid, seed: int = 0) -> BrownianEnsemble:
     """M paths with W(0) = 0 and independent N(0, dt) increments."""
@@ -70,13 +58,6 @@ def sample_brownian(M: int, tg: TimeGrid, seed: int = 0) -> BrownianEnsemble:
     paths = np.zeros((M, tg.K + 1))
     np.cumsum(inc, axis=1, out=paths[:, 1:])
     return BrownianEnsemble(paths, int(seed), tg)
-
-
-def lpf_integral_values(values: np.ndarray, nodes: np.ndarray, p: float) -> float:
-    """Raw E integral_0^T |X|^p dt by trapezoid in t, mean over paths."""
-    values = np.abs(np.asarray(values, dtype=np.complex128))
-    integ = np.trapezoid(values**p, nodes, axis=1)
-    return float(np.mean(integ.real))
 
 
 def lpf_norm_values(values: np.ndarray, nodes: np.ndarray, p: float):
@@ -100,24 +81,6 @@ def lpf_norm_values(values: np.ndarray, nodes: np.ndarray, p: float):
             return float(means[0] ** (1.0 / p))
         norms = means ** (1.0 / p)
     return norms.reshape(sites) if sites else float(norms[0])
-
-
-def lpf_norm(process, ensemble: BrownianEnsemble, p: float) -> float:
-    """Monte Carlo L^p_F(0,T) norm of an adapted scalar process.
-
-    `process` is either a (M, K+1) array of samples X_m(t_j), or a callable
-    (t, w) -> X evaluated once on the nodes (K+1,) and the path values
-    (M, K+1); like a symbol evaluator, it must broadcast them.
-    """
-    nodes = ensemble.timegrid.nodes()
-    if callable(process):
-        vals = np.broadcast_to(process(nodes, ensemble.paths),
-                               ensemble.paths.shape)
-    else:
-        vals = np.asarray(process)
-        if vals.shape != (ensemble.M, len(nodes)):
-            raise ValueError("process samples must have shape (M, K+1)")
-    return lpf_norm_values(vals, nodes, p)
 
 
 def adaptedness_audit(generate, ensemble: BrownianEnsemble, j: int) -> bool:

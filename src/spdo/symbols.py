@@ -125,10 +125,8 @@ class Symbol(_Evaluable):
     _vars = (_X, _XI)
 
     def __init__(self, order, fn=None, dim=1, integrability=math.inf,
-                 x_independent=None, xi_compact_support=False, expr=None,
-                 name=""):
+                 x_independent=None, expr=None, name=""):
         super().__init__(order, fn, dim, integrability, expr)
-        self.xi_compact_support = xi_compact_support
         self.name = name
         if x_independent is not None:
             self.x_independent = x_independent
@@ -138,12 +136,6 @@ class Symbol(_Evaluable):
         """Read off the expression; a bare callable counts as x-dependent."""
         return self.expr is not None and not any(
             self.expr.has(v) for v in _X[:self.dim])
-
-    @cached_property
-    def xi_polynomial_degree(self) -> int | None:
-        """Degree in xi when a is a xi-polynomial of its declared order."""
-        deg = None if self.expr is None else _xi_degree(self.expr, self.dim)
-        return deg if deg == self.order else None
 
     def derivative(self, alpha=(), beta=()) -> "Symbol":
         """d^alpha_xi d^beta_x a, as a new Symbol of order l - |alpha|."""

@@ -188,9 +188,7 @@ def test_adjoint_norm_symmetry():
             <= 0.10 * max(ra.constants[N], rs.constants[N])
 
 
-def test_report_serialization(tmp_path):
+def test_report_serialization():
     rep = l2_boundedness_check(constant_symbol(1.0), 2.0, GRIDS[:1], ENS, trials=2)
     assert rep.to_json().startswith("{")
-    p = tmp_path / "bounds.csv"
-    rep.to_csv(str(p))
-    assert p.read_text().startswith("N,constant")
+    assert rep.to_dict()["constants"].keys() == {"32"}

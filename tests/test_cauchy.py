@@ -1,26 +1,24 @@
-"""Companion reduction, root hypotheses, diagonalization, integration, and
-the Carleman machinery."""
+"""Companion reduction, root hypotheses, integration, and the Carleman
+machinery."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from spdo import cauchy
 from spdo.cauchy import (
     CompanionSymbol,
-    DiagonalizationError,
     EquationSpec,
     StabilityError,
     VectorField,
-    WindowError,
     build_companion_symbol,
     carleman_report,
     carleman_report_jordan,
     characteristic_roots,
     check_hypotheses,
-    diagonalize_symbol,
-    holmgren_transform,
     integrate_spde_system,
     pinned_semimartingale,
     smooth_time_cutoff,
@@ -127,6 +125,27 @@ def test_random_cubic_against_independent_solver():
             assert np.abs(ref - ll).min() < 1e-9
 
 
+def test_root_matching_takes_the_least_total_distance():
+    # greedy nearest-neighbour matching in row order gives 0 -> 0.45 and
+    # then 1 -> -1 (total 2.55); pairing 0 -> -1, 1 -> 0.45 costs 1.65
+    prev = np.array([0.0, 1.0, 5j])
+    lam = np.array([0.45, -1.0, 0.1 + 5j])
+    greedy, free = [], list(lam)
+    for p in prev:
+        greedy.append(min(free, key=lambda v: abs(v - p)))
+        free.remove(greedy[-1])
+    got = cauchy._match_roots(prev, lam)
+    assert np.array_equal(got, [-1.0, 0.45, 0.1 + 5j])
+    assert not np.array_equal(got, greedy)
+    assert np.abs(got - prev).sum() < np.abs(np.array(greedy) - prev).sum()
+
+
+def test_root_continuation_caps_the_order():
+    spec = EquationSpec(m=7, dim=1, principal={(0, (7,)): 1.0})
+    with pytest.raises(ValueError, match="exceeds 6"):
+        characteristic_roots(spec, G)
+
+
 def test_companion_consistency_eigenvalues_equal_roots():
     spec = EquationSpec(m=3, dim=1, principal={
         (2, (1,)): 0.4, (1, (2,)): 1.2, (0, (3,)): -0.6})
@@ -171,133 +190,11 @@ def test_hypothesis_report_serializes():
     assert d["H1"] is True and "H2_eps" in d
 
 
-# -- diagonalization ---------------------------------------------------------
-
-def test_diagonalize_wave():
-    cs = build_companion_symbol(make_equation("wave", 1))
-    diag = diagonalize_symbol(cs)
-    assert diag.max_residual <= 1e-10
-    for s in range(len(diag.directions)):
-        lams = np.sort(np.diag(diag.j[s]).real)
-        assert np.abs(lams - np.array([-1.0, 1.0])).max() < 1e-10
-
-
-def test_diagonalize_m1_identity():
-    cs = build_companion_symbol(
-        EquationSpec(m=1, dim=1, principal={(0, (1,)): 1.0}))
-    diag = diagonalize_symbol(cs)
-    for s in range(len(diag.directions)):
-        assert np.abs(diag.r[s] - np.eye(1)).max() < 1e-12
-
-
-def test_diagonalize_degree_zero_extension():
-    cs = build_companion_symbol(make_equation("wave", 1))
-    diag = diagonalize_symbol(cs)
-    d = diag.directions[0]
-    r1 = diag.r_at(d)
-    r2 = diag.r_at(7.5 * d)  # r* extends degree-0 homogeneously
-    assert np.abs(r1 - r2).max() < 1e-12
-    j1 = diag.j_at(d)
-    j2 = diag.j_at(4.0 * d)
-    assert np.abs(j2 - 4.0 * j1).max() < 1e-10  # j* is order 1
-
-
-def test_jordan_block_detection():
-    # p(lambda) = (lambda - i xi)^2: double complex root, one eigenvector
-    spec = EquationSpec(m=2, dim=1, principal={
-        (1, (1,)): 2.0j, (0, (2,)): 1.0})
-    cs = build_companion_symbol(spec)
-    with pytest.raises(DiagonalizationError):
-        diagonalize_symbol(cs)
-    diag = diagonalize_symbol(cs, jordan_allowed=True)
-    assert diag.jordan_blocks
-    for s in range(len(diag.directions)):
-        J = diag.j[s]
-        assert abs(abs(J[0, 1]) - 1.0) < 1e-9  # |xi| = 1 on the sphere
-        # defective pairs split by O(sqrt(eps)) numerically
-        assert abs(J[0, 0] - J[1, 1]) < 1e-6
-
-
 def test_sphere_directions():
     d1 = sphere_directions(1)
     assert set(map(tuple, d1)) == {(1.0,), (-1.0,)}
     d2 = sphere_directions(2, 12)
     assert np.abs(np.linalg.norm(d2, axis=1) - 1.0).max() < 1e-12
-
-
-# -- Holmgren transform ------------------------------------------------------
-
-def _smooth_field(grid, tg, M=2):
-    x = grid.points()[..., 0]
-    nodes = tg.nodes()
-    vals = np.empty((M, tg.K + 1) + grid.shape, np.complex128)
-    for j, t in enumerate(nodes):
-        vals[:, j] = np.sin(2 * x) * math.sin(math.pi * t / tg.T) ** 2
-    return SampledField(grid, tg, vals)
-
-
-def test_holmgren_identity():
-    tg = TimeGrid(0.5, 32)
-    u = _smooth_field(G, tg)
-    v = holmgren_transform(u, 0.0)
-    assert np.array_equal(u.values, v.values)
-
-
-def test_holmgren_impulse_relocation():
-    tg = TimeGrid(0.5, 64)
-    vals = np.zeros((1, tg.K + 1) + G.shape, np.complex128)
-    j0 = 8
-    vals[0, j0] = 1.0
-    u = SampledField(G, tg, vals)
-    dp = 1e-3
-    v = holmgren_transform(u, dp)
-    x0 = 5  # some site index
-    xsq = float(G.points()[x0, 0] ** 2)
-    t_new = tg.nodes()[j0] + dp * xsq
-    peak = int(np.argmax(np.abs(v.values[0, :, x0])))
-    assert abs(tg.nodes()[peak] - t_new) <= tg.dt + 1e-12
-
-
-def test_holmgren_round_trip_second_order():
-    errs = []
-    dp = 5e-4
-    for K in (64, 128):
-        tg = TimeGrid(0.5, K)
-        u = _smooth_field(G, tg, M=1)
-        v = holmgren_transform(holmgren_transform(u, dp), -dp)
-        # compare on nodes whose forward and backward images both stay
-        # inside [0, T] (the zero-fill bands at the ends are exact cuts)
-        shift_max = dp * float((G.points() ** 2).sum(-1).max())
-        nodes = tg.nodes()
-        inner = (nodes >= shift_max) & (nodes <= tg.T - shift_max)
-        errs.append(np.abs(v.values[:, inner] - u.values[:, inner]).max())
-    assert errs[1] < errs[0] / 2.0  # at least O(dt^2) refinement
-
-
-def test_holmgren_matches_per_path_splines():
-    from scipy.interpolate import CubicSpline
-
-    tg = TimeGrid(0.5, 32)
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal((3, tg.K + 1) + G.shape) \
-        + 1j * rng.standard_normal((3, tg.K + 1) + G.shape)
-    dp = 2e-3
-    v = holmgren_transform(SampledField(G, tg, vals), dp)
-    nodes = tg.nodes()
-    ref = np.zeros_like(vals)
-    for m in range(3):
-        for s, x in enumerate(G.points()[..., 0]):
-            tq = nodes - dp * x**2
-            keep = (tq >= 0.0) & (tq <= tg.T)
-            ref[m, keep, s] = CubicSpline(nodes, vals[m, :, s])(tq[keep])
-    assert np.abs(v.values - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_holmgren_window_error():
-    tg = TimeGrid(0.1, 16)
-    u = _smooth_field(G, tg)
-    with pytest.raises(WindowError):
-        holmgren_transform(u, 10.0)
 
 
 # -- integrator --------------------------------------------------------------
@@ -632,13 +529,11 @@ def test_uniqueness_fails_on_garbage_solver(monkeypatch):
     assert not rep.passed
 
 
-def test_uniqueness_report_serialization(tmp_path):
+def test_uniqueness_report_serialization():
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(4, tg, seed=4)
     rep = uniqueness_experiment(make_equation("wave", 1), [50.0, 100.0],
                                 0.5, 1.5, G, ens)
     d = rep.to_dict()
     assert "slope" in d and "log_bound" in d
-    p = tmp_path / "decay.csv"
-    rep.to_csv(str(p))
-    assert p.read_text().splitlines()[0].startswith("mu")
+    assert json.loads(rep.to_json())["mu_list"] == [50.0, 100.0]

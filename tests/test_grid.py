@@ -15,7 +15,6 @@ from spdo.grid import (
     TimeGrid,
     fft_forward,
     fft_inverse,
-    field_from_function,
     l2_norm,
     plane_wave,
     random_band_limited,
@@ -28,7 +27,7 @@ G32 = Grid(1, 32)
 
 
 def test_constant_field_mass_on_zero_mode():
-    f = field_from_function(G32, lambda x: np.ones(x.shape[:-1]))
+    f = SpectralField(G32, np.ones(G32.points().shape[:-1]))
     fh = fft_forward(f)
     assert abs(fh.values[0] - 2.0 * np.pi) < 1e-12
     assert np.abs(fh.values[1:]).max() < 1e-12

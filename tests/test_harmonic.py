@@ -1,85 +1,14 @@
-"""Littlewood-Paley partition and Calderon-Zygmund decomposition."""
+"""Calderon-Zygmund decomposition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdo.grid import Grid, TimeGrid, random_band_limited
-from spdo.harmonic import (
-    LevelTooLowError,
-    cz_decompose,
-    littlewood_paley_partition,
-    lp_project,
-    lp_reconstruct,
-)
+from spdo.grid import Grid, TimeGrid
+from spdo.harmonic import LevelTooLowError, cz_decompose
 from spdo.quantize import SampledField
 from spdo.stochastic import sample_brownian
-
-
-# -- Littlewood-Paley --------------------------------------------------------
-
-def test_partition_parameter_error():
-    with pytest.raises(ValueError):
-        littlewood_paley_partition(1.0)
-
-
-def test_partition_at_origin():
-    part = littlewood_paley_partition(2.0)
-    xi = np.zeros((1, 1))
-    assert abs(part.psi(xi)[0] - 1.0) < 1e-12
-    assert abs(part.phi(xi)[0]) < 1e-12
-
-
-def test_partition_supports():
-    part = littlewood_paley_partition(2.0)
-    r = np.linspace(0.0, 8.0, 400).reshape(-1, 1)
-    psi = part.psi(r)
-    phi = part.phi(r)
-    assert np.all(psi[r[:, 0] > 1.0] < 1e-12)  # supp psi* in the unit ball
-    inside = (r[:, 0] > 0.5) & (r[:, 0] < 4.0)
-    assert np.all(phi[~inside] < 1e-12)  # supp phi* in the k* annulus
-    assert np.all((psi >= -1e-12) & (psi <= 1 + 1e-12))
-    assert np.all((phi >= -1e-12) & (phi <= 1 + 1e-12))
-
-
-def test_partition_sums_to_one():
-    part = littlewood_paley_partition(2.0)
-    rng = np.random.default_rng(0)
-    xi = rng.uniform(-30.0, 30.0, (50, 1))
-    s = part.partition_sum(xi, part.levels_to_cover(30.0))
-    assert np.abs(s - 1.0).max() < 1e-10
-
-
-def test_at_most_two_active_annuli():
-    part = littlewood_paley_partition(2.0)
-    rng = np.random.default_rng(1)
-    xi = rng.uniform(0.6, 30.0, (200, 1))
-    J = part.levels_to_cover(30.0)
-    weights = np.stack([part.phi(xi / 2.0**j) for j in range(J + 1)])
-    active = (weights > 1e-12).sum(axis=0)
-    assert active.max() <= 3  # k* = 2 annuli overlap in at most 3 shells
-
-
-def test_lp_reconstruction():
-    g = Grid(1, 64)
-    rng = np.random.default_rng(2)
-    part = littlewood_paley_partition(2.0)
-    f = random_band_limited(g, rng)
-    rec = lp_reconstruct(f, part)
-    assert np.abs(rec.values - f.values).max() < 1e-10
-
-
-def test_lp_blocks_are_frequency_localized():
-    g = Grid(1, 64)
-    part = littlewood_paley_partition(2.0)
-    f = random_band_limited(g, np.random.default_rng(3))
-    from spdo.grid import to_frequency
-    blk = lp_project(f, part, 2)
-    spec = to_frequency(blk).values
-    mags = np.abs(g.freqs()[..., 0])
-    outside = (mags <= 4.0 * 0.5) | (mags >= 4.0 * 4.0)
-    assert np.abs(spec[outside]).max() < 1e-10
 
 
 # -- Calderon-Zygmund --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Quantization: operator application, adjoints, kernels, symbol extraction."""
+"""Quantization: operator application, adjoints, symbol extraction."""
 
 import math
 import warnings
@@ -8,20 +8,16 @@ import pytest
 import sympy as sp
 
 from spdo import quantize
-from spdo.grid import (Grid, SpectralField, TimeGrid, field_from_function, l2_norm,
-                       plane_wave, random_band_limited)
+from spdo.grid import (Grid, SpectralField, TimeGrid, l2_norm, plane_wave,
+                       random_band_limited)
 from spdo.quantize import (
     RegularizationWarning,
-    SingularKernelError,
     SampledField,
     apply_adjoint,
     apply_amplitude_op,
     apply_symbol_ensemble,
     apply_symbol_op,
-    apply_transpose,
-    compute_kernel,
     extract_symbol,
-    kernel_decay_check,
     smooth_chi,
 )
 from spdo.stochastic import sample_brownian
@@ -35,7 +31,7 @@ def test_derivative_of_resolved_mode():
     # a(xi) = i xi quantizes to d/dx: sin(kx) -> k cos(kx)
     a = symbol_from_expr(sp.I * _XI[0], 1, order=1)
     k = 5
-    u = field_from_function(G, lambda x: np.sin(k * x[..., 0]))
+    u = SpectralField(G, np.sin(k * G.points()[..., 0]))
     got = apply_symbol_op(a, u)
     expect = k * np.cos(k * G.points()[..., 0])
     assert np.abs(got.values - expect).max() < 1e-10
@@ -84,8 +80,7 @@ def test_amplitude_y_xi_leibniz():
     x = G.points()[..., 0]
     # D(x u) on the periodic grid: compare through the spectral derivative of
     # the band-limited product (x is sawtooth-periodic; stay on inner modes)
-    xu = field_from_function(G, lambda p: p[..., 0] * 0.0)  # placeholder
-    xu.values[:] = x * u.values
+    xu = SpectralField(G, x * u.values)
     ref = apply_symbol_op(d, xu)
     err = np.abs(got.values - ref.values)
     # the wrap discontinuity of x pollutes the top modes; compare in the bulk
@@ -101,14 +96,6 @@ def test_adjoint_self_adjoint_multiplication():
     assert np.abs(got.values - ref.values).max() < 1e-10
 
 
-def test_transpose_of_derivative_is_minus():
-    a = symbol_from_expr(_XI[0], 1, order=1)
-    u = random_band_limited(G, np.random.default_rng(5))
-    got = apply_transpose(a, u)
-    ref = apply_symbol_op(a, u)
-    assert np.abs(got.values + ref.values).max() < 1e-10
-
-
 def test_adjoint_inner_product_identity():
     rng = np.random.default_rng(6)
     a = symbol_from_expr(sp.sin(_X[0]) * _XI[0] / sp.sqrt(1 + _XI[0] ** 2),
@@ -120,19 +107,6 @@ def test_adjoint_inner_product_identity():
         Asv = apply_adjoint(a, v)
         lhs = np.sum(Au.values * np.conj(v.values)) * G.cell_volume
         rhs = np.sum(u.values * np.conj(Asv.values)) * G.cell_volume
-        assert abs(lhs - rhs) <= 1e-8 * l2_norm(u) * l2_norm(v)
-
-
-def test_transpose_bilinear_identity():
-    rng = np.random.default_rng(7)
-    a = symbol_from_expr(sp.cos(_X[0]) * _XI[0], 1, order=1)
-    for _ in range(5):
-        u = random_band_limited(G, rng)
-        v = random_band_limited(G, rng)
-        Au = apply_symbol_op(a, u)
-        Atv = apply_transpose(a, v)
-        lhs = np.sum(Au.values * v.values) * G.cell_volume
-        rhs = np.sum(u.values * Atv.values) * G.cell_volume
         assert abs(lhs - rhs) <= 1e-8 * l2_norm(u) * l2_norm(v)
 
 
@@ -195,63 +169,6 @@ def test_single_field_is_a_batch_of_one():
     batch = apply_symbol_op(a, SpectralField(G, u.values[None]), [0.25], [0.7])
     assert one.values.shape == G.shape
     assert np.array_equal(batch.values[0], one.values)
-
-
-# -- kernels -----------------------------------------------------------------
-
-GK = Grid(1, 32)
-
-
-def test_kernel_identity_is_discrete_delta():
-    a = constant_symbol(1.0, dim=1)
-    a.xi_compact_support = True  # resolved band only
-    km = compute_kernel(a, GK)
-    K = km.matrix
-    off = K - np.diag(np.diag(K))
-    assert np.abs(np.diag(K) - K[0, 0]).max() < 1e-9 * abs(K[0, 0])
-    # discrete delta: the diagonal carries 1/cell_volume mass
-    assert abs(K[0, 0] * GK.cell_volume - 1.0) < 1e-10
-    assert np.abs(off).max() < 1e-9 * abs(K[0, 0])
-
-
-def test_kernel_matches_direct_quadrature():
-    a = symbol_from_expr(sp.exp(-_XI[0] ** 2 / 2), 1, order=0)
-    a.xi_compact_support = True  # Gaussian decay: resolved band suffices
-    km = compute_kernel(a, GK)
-    xs = GK.points()[..., 0]
-    xis = GK.freqs()[..., 0]
-    # independent quadrature of (2 pi)^{-1} int e^{i(x-y)xi} a(xi) dxi
-    ref = np.zeros((GK.N, GK.N), np.complex128)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(xs):
-            ref[i, j] = np.sum(np.exp(1j * (x - y) * xis)
-                               * np.exp(-xis**2 / 2)) / (2.0 * np.pi)
-    assert np.abs(km.matrix - ref).max() < 1e-8 * np.abs(ref).max()
-
-
-def test_kernel_circulant_for_x_independent():
-    a = symbol_from_expr(sp.exp(-_XI[0] ** 2 / 4), 1, order=0)
-    a.xi_compact_support = True
-    km = compute_kernel(a, GK)
-    assert km.circulant_defect() < 1e-10
-
-
-def test_singular_kernel_error():
-    a = symbol_from_expr(_XI[0] ** 2, 1, order=2)
-    with pytest.raises(SingularKernelError):
-        compute_kernel(a, GK)
-
-
-def test_kernel_decay_negative_order():
-    # period 8 pi: the dyadic separation ladder reaches deep enough into the
-    # exponential tail of the Bessel kernel for the fit to resolve the decay
-    g = Grid(1, 64, 8.0 * np.pi)
-    n = g.dim
-    a = symbol_from_expr((1 + _XI[0] ** 2) ** sp.Rational(-(n + 2), 2),
-                         1, order=-(n + 2))
-    rep = kernel_decay_check(a, g)
-    assert rep.passed
-    assert rep.exponent <= -(n + 1) + 0.3
 
 
 # -- extraction --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from spdo.grid import Grid
 from spdo.registry import (
@@ -12,6 +13,7 @@ from spdo.registry import (
     make_symbol,
     parse_symbol_expr,
 )
+from spdo.symbols import _T, _W, _X, _XI
 
 
 def test_all_registry_symbols_instantiate():
@@ -46,6 +48,29 @@ def test_expression_rejects_bad_tokens():
                  "open(1)", "a+b"]:
         with pytest.raises(RegistryError):
             parse_symbol_expr(text, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bounded_parse_keeps_every_expression(dim):
+    # the registry symbols, printed, and the README expressions parse to
+    # the expression an unbounded sympify gives
+    loc = {"t": _T, "w": _W, "pi": sp.pi, "sin": sp.sin, "cos": sp.cos,
+           "exp": sp.exp, "abs": sp.Abs, "sqrt": sp.sqrt, "x": _X[0],
+           "xi": _XI[0]}
+    loc.update({f"x{k+1}": _X[k] for k in range(3)})
+    loc.update({f"xi{k+1}": _XI[k] for k in range(3)})
+    texts = [str(make_symbol(name, dim).expr) for name in SYMBOLS]
+    texts += ["sin(x)*xi + 2", "xi", "x", "1/(1+cos(x))", "xi**2 + 1"]
+    for text in texts:
+        got = parse_symbol_expr(text, dim, order=0).expr
+        assert got == sp.sympify(text, locals=loc), text
+
+
+@pytest.mark.parametrize("text", [
+    "((xi + 1)**16)**16", "1" * 31 + "*xi", "sin(" * 60 + "x" + ")" * 60])
+def test_expression_size_bounds(text):
+    with pytest.raises(RegistryError):
+        parse_symbol_expr(text, 1, order=1)
 
 
 def test_expression_dimension_check():

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from spdo.grid import TimeGrid
 from spdo.stochastic import (
     adaptedness_audit,
-    lpf_integral_values,
-    lpf_norm,
     lpf_norm_values,
     sample_brownian,
 )
@@ -55,7 +53,7 @@ def test_lpf_constant_process():
     ens = sample_brownian(6, TG, seed=1)
     vals = np.full((6, TG.K + 1), 3.0)
     # E int c^2 dt = c^2 T exactly under the trapezoid rule
-    assert abs(lpf_integral_values(vals, TG.nodes(), 2.0) - 9.0 * TG.T) < 1e-12
+    assert abs(lpf_norm_values(vals, TG.nodes(), 2.0) ** 2 - 9.0 * TG.T) < 1e-12
     assert abs(lpf_norm_values(vals, TG.nodes(), 2.0) - 3.0 * math.sqrt(TG.T)) < 1e-12
     assert lpf_norm_values(vals, TG.nodes(), math.inf) == 3.0
     del ens
@@ -65,34 +63,10 @@ def test_lpf_brownian_oracles():
     # E int_0^T W^2 dt = T^2/2 and E int W^4 dt = T^3 (E W^4 = 3 t^2)
     ens = sample_brownian(10_000, TG, seed=2)
     nodes = TG.nodes()
-    got2 = lpf_integral_values(ens.paths, nodes, 2.0)
+    got2 = lpf_norm_values(ens.paths, nodes, 2.0) ** 2
     assert abs(got2 - TG.T**2 / 2.0) < 0.05 * TG.T**2 / 2.0
-    got4 = lpf_integral_values(ens.paths, nodes, 4.0)
+    got4 = lpf_norm_values(ens.paths, nodes, 4.0) ** 4
     assert abs(got4 - TG.T**3) < 0.08 * TG.T**3
-
-
-def test_lpf_norm_callable_form():
-    ens = sample_brownian(32, TG, seed=9)
-    got = lpf_norm(lambda t, w: w, ens, 2.0)
-    ref = lpf_norm_values(ens.paths, TG.nodes(), 2.0)
-    assert abs(got - ref) < 1e-12
-
-
-def test_lpf_norm_callable_matches_node_loop():
-    ens = sample_brownian(5, TG, seed=10)
-    nodes = TG.nodes()
-
-    def proc(t, w):
-        return np.exp(1j * w) * (1.0 + t) + np.cos(3.0 * w)
-
-    ref = np.array([[proc(t, ens.paths[m, j]) for j, t in enumerate(nodes)]
-                    for m in range(ens.M)])
-    for p in (1.5, 2.0, math.inf):
-        assert math.isclose(lpf_norm(proc, ens, p),
-                            lpf_norm_values(ref, nodes, p), rel_tol=1e-14)
-    # a callable that ignores (t, w) still gives an (M, K+1) table
-    assert abs(lpf_norm(lambda t, w: 3.0, ens, 2.0)
-               - 3.0 * math.sqrt(TG.T)) < 1e-12
 
 
 def test_adaptedness_audit_passes_for_adapted():
