@@ -1,5 +1,6 @@
 """Symbolic calculus: truncated asymptotic expansions for composition,
-adjoint and amplitude reduction, and the elliptic parametrix.
+transpose, adjoint and amplitude reduction, asymptotic summation with dyadic
+cutoffs, and the elliptic parametrix.
 
 All expansions share the template sum over multi-indices alpha of
 (1 / (alpha! i^{|alpha|})) times paired derivatives.  When both inputs carry
@@ -15,15 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .symbols import (Amplitude, Symbol, _XI, _X, _multiindices, qstar,
-                      symbol_from_expr)
+from .symbols import (Amplitude, Symbol, _XI, _X, _derive, _multiindices,
+                      qstar, symbol_from_expr)
 
 __all__ = [
     "AsymptoticSeries",
     "EllipticityError",
     "compose_symbols",
+    "transpose_symbol",
     "adjoint_symbol",
     "reduce_amplitude",
+    "asymptotic_sum",
     "parametrix",
     "psi5_expr",
     "series_apply",
@@ -119,12 +122,30 @@ def compose_symbols(b: Symbol, a: Symbol, n_terms: int) -> AsymptoticSeries:
         qstar(b.integrability, a.integrability), b.dim)
 
 
+def _reflect_xi(a: Symbol) -> Symbol:
+    return _derive(
+        Symbol, (a,), a.order, a.integrability,
+        lambda e: e.subs({_XI[k]: -_XI[k] for k in range(a.dim)},
+                         simultaneous=True),
+        lambda f: lambda t, w, x, xi: f(t, w, x, -np.asarray(xi)),
+        x_independent=a.x_independent)
+
+
+def _mixed_expansion(a: Symbol, n_terms: int) -> AsymptoticSeries:
+    """sum_alpha (1/alpha! i^{|alpha|}) d^alpha_xi d^alpha_x a."""
+    return _expansion(lambda alpha: a.derivative(alpha, alpha),
+                      a.x_independent, a.order, n_terms, a.integrability,
+                      a.dim)
+
+
+def transpose_symbol(a: Symbol, n_terms: int) -> AsymptoticSeries:
+    """sigma_{tA} ~ sum (1/alpha! i^{|alpha|}) d^alpha_xi d^alpha_x a(x, -xi)."""
+    return _mixed_expansion(_reflect_xi(a), n_terms)
+
+
 def adjoint_symbol(a: Symbol, n_terms: int) -> AsymptoticSeries:
     """sigma_{A*} ~ sum (1/alpha! i^{|alpha|}) d^alpha_xi d^alpha_x conj(a)."""
-    c = a.conjugate()
-    return _expansion(lambda alpha: c.derivative(alpha, alpha),
-                      c.x_independent, c.order, n_terms, c.integrability,
-                      c.dim)
+    return _mixed_expansion(a.conjugate(), n_terms)
 
 
 def reduce_amplitude(a: Amplitude, n_terms: int) -> AsymptoticSeries:
@@ -138,7 +159,7 @@ def reduce_amplitude(a: Amplitude, n_terms: int) -> AsymptoticSeries:
 
 
 # ---------------------------------------------------------------------------
-# parametrix
+# asymptotic summation
 
 
 def psi5_expr(dim: int, scale: float = 1.0):
@@ -149,6 +170,47 @@ def psi5_expr(dim: int, scale: float = 1.0):
     g = sp.exp(-1 / (1 - u))
     return sp.Piecewise((0, r <= sp.Rational(1, 2)), (1, r >= 1),
                         (f / (f + g), True))
+
+
+def asymptotic_sum(series: AsymptoticSeries) -> Symbol:
+    """Single symbol a = sum_j psi5(eps_j xi) a_j with eps_j = 2^{-j}.
+
+    The cutoffs leave each term untouched for |xi| >= 2^j and remove it near
+    the origin, so a - (leading terms) stays in the lower-order class.
+    """
+    if not series.terms:
+        return symbol_from_expr(0, 1, order=0)
+    terms = [s for _, s in series.terms]
+    dim = terms[0].dim
+
+    def expr_sum(*exprs):
+        e = sp.S.Zero
+        for j, ej in enumerate(exprs):
+            e = e + psi5_expr(dim, scale=float(2**j)) * ej
+        return e
+
+    def fn_sum(*fns):
+        from .quantize import smooth_chi
+
+        def fn(t, w, x, xi):
+            xi = np.asarray(xi, dtype=float)
+            r = np.sqrt(np.sum(xi**2, axis=-1))
+            out = None
+            for j, f in enumerate(fns):
+                # the numeric twin of psi5 at scale 2^j
+                v = (1.0 - smooth_chi(2.0 ** (1 - j) * r)) * np.asarray(
+                    f(t, w, x, xi), dtype=np.complex128)
+                out = v if out is None else out + v
+            return out
+
+        return fn
+
+    return _derive(Symbol, terms, series.leading_order,
+                   min(s.integrability for s in terms), expr_sum, fn_sum)
+
+
+# ---------------------------------------------------------------------------
+# parametrix
 
 
 def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries:

@@ -27,6 +27,7 @@ __all__ = [
     "apply_symbol_op",
     "apply_amplitude_op",
     "apply_adjoint",
+    "apply_transpose",
     "apply_symbol_ensemble",
     "extract_symbol",
     "smooth_chi",
@@ -211,20 +212,27 @@ def _as_amplitude(a) -> Amplitude:
                      dim=a.dim, integrability=a.integrability, y_independent=True)
 
 
-def _swap_amplitude(a: Amplitude) -> Amplitude:
-    """The conjugated swapped amplitude conj(a(y, x, xi))."""
+def _swap_amplitude(a: Amplitude, conj: bool, negate_xi: bool) -> Amplitude:
     amp = _as_amplitude(a)
     base = amp.fn
 
     def fn2(t, w, x, y, xi):
-        return np.conj(base(t, w, y, x, xi))
+        v = base(t, w, y, x, -np.asarray(xi) if negate_xi else xi)
+        return np.conj(v) if conj else v
 
     return Amplitude(amp.order, fn2, dim=amp.dim, integrability=amp.integrability)
 
 
 def apply_adjoint(a, u: SpectralField, t: float = 0.0, w=0.0) -> SpectralField:
     """A* u via the conjugated swapped amplitude conj(a(y, x, xi))."""
-    return apply_amplitude_op(_swap_amplitude(a), u, t, w).result
+    return apply_amplitude_op(_swap_amplitude(a, conj=True, negate_xi=False),
+                              u, t, w).result
+
+
+def apply_transpose(a, u: SpectralField, t: float = 0.0, w=0.0) -> SpectralField:
+    """tA u via the swapped, xi-reflected amplitude a(y, x, -xi)."""
+    return apply_amplitude_op(_swap_amplitude(a, conj=False, negate_xi=True),
+                              u, t, w).result
 
 
 def extract_symbol(a: Symbol, grid: Grid, k, t: float = 0.0, w=0.0) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Symbol calculus: composition, adjoint expansions, amplitude reduction,
-parametrix."""
+"""Symbol calculus: composition, transpose/adjoint expansions, amplitude
+reduction, asymptotic summation, parametrix."""
 
 import math
 
@@ -10,15 +10,18 @@ import sympy as sp
 from spdo.calculus import (
     EllipticityError,
     adjoint_symbol,
+    asymptotic_sum,
     compose_symbols,
     parametrix,
     reduce_amplitude,
     series_apply,
+    transpose_symbol,
 )
 from spdo.grid import Grid, l2_norm, random_band_limited
-from spdo.quantize import apply_symbol_op, apply_adjoint
+from spdo.quantize import apply_symbol_op, apply_transpose, apply_adjoint
 from spdo.symbols import (
     amplitude_from_expr,
+    check_symbol_estimate,
     symbol_from_expr,
     _X,
     _XI,
@@ -108,7 +111,29 @@ def test_compose_order_bookkeeping():
     assert ser.leading_order == 3
 
 
-# -- adjoint -----------------------------------------------------
+# -- transpose / adjoint -----------------------------------------------------
+
+def test_transpose_oracles():
+    a = symbol_from_expr(_XI[0], 1, order=1)
+    s = transpose_symbol(a, 2).symbol_sum()
+    assert abs(_eval(s, 0.7, 3.0) + 3.0) < 1e-12
+
+    c = symbol_from_expr(2 + sp.sin(_X[0]), 1, order=0)
+    s = transpose_symbol(c, 2).symbol_sum()
+    assert abs(_eval(s, 0.7, 3.0) - (2 + math.sin(0.7))) < 1e-12
+
+
+def test_transpose_sin_x_xi_matches_quantized_transpose():
+    a = symbol_from_expr(sp.sin(_X[0]) * _XI[0], 1, order=1)
+    s = transpose_symbol(a, 2).symbol_sum()
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        u = random_band_limited(G, rng)
+        got = apply_symbol_op(s, u)
+        ref = apply_transpose(a, u)
+        assert (np.abs(got.values - ref.values).max()
+                <= 1e-9 * max(1.0, np.abs(ref.values).max()))
+
 
 def test_adjoint_oracles():
     a = symbol_from_expr(2 * _XI[0] ** 2, 1, order=2)  # real, x-independent
@@ -145,6 +170,36 @@ def test_reduce_amplitude_y_xi():
     s = reduce_amplitude(amp, 2).symbol_sum()
     # left symbol of D (x .) is x xi - i
     assert abs(_eval(s, 0.9, 4.0) - (0.9 * 4.0 - 1j)) < 1e-10
+
+
+# -- asymptotic summation ----------------------------------------------------
+
+def test_asymptotic_sum_two_terms():
+    ser = compose_symbols(symbol_from_expr(_XI[0] + 1, 1, order=1),
+                          symbol_from_expr(sp.Integer(1), 1, order=0), 1)
+    s = asymptotic_sum(ser)
+    # beyond every cutoff the sum equals xi + 1
+    assert abs(_eval(s, 0.0, 5.0) - 6.0) < 1e-10
+    rep = check_symbol_estimate(s, 1, 0, G)
+    assert rep.passed
+
+
+def test_asymptotic_sum_residual_order():
+    lead = symbol_from_expr(_XI[0], 1, order=1)
+    tail = symbol_from_expr(sp.Integer(1), 1, order=0)
+    from spdo.calculus import AsymptoticSeries
+    ser = AsymptoticSeries([(1.0, lead), (0.0, tail)])
+    s = asymptotic_sum(ser)
+    resid = s - lead
+    resid = type(resid)(0.0, resid.fn, expr=resid.expr, dim=1)
+    rep = check_symbol_estimate(resid, 1, 0, G)
+    assert rep.passed  # the residual is genuinely order 0
+
+
+def test_asymptotic_sum_empty():
+    from spdo.calculus import AsymptoticSeries
+    s = asymptotic_sum(AsymptoticSeries([]))
+    assert abs(_eval(s, 0.1, 3.0)) == 0.0
 
 
 # -- parametrix --------------------------------------------------------------

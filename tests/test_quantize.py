@@ -1,4 +1,5 @@
-"""Quantization: operator application, adjoints, symbol extraction."""
+"""Quantization: operator application, adjoints, transposes, symbol
+extraction."""
 
 import math
 import warnings
@@ -17,6 +18,7 @@ from spdo.quantize import (
     apply_amplitude_op,
     apply_symbol_ensemble,
     apply_symbol_op,
+    apply_transpose,
     extract_symbol,
     smooth_chi,
 )
@@ -96,6 +98,14 @@ def test_adjoint_self_adjoint_multiplication():
     assert np.abs(got.values - ref.values).max() < 1e-10
 
 
+def test_transpose_of_derivative_is_minus():
+    a = symbol_from_expr(_XI[0], 1, order=1)
+    u = random_band_limited(G, np.random.default_rng(5))
+    got = apply_transpose(a, u)
+    ref = apply_symbol_op(a, u)
+    assert np.abs(got.values + ref.values).max() < 1e-10
+
+
 def test_adjoint_inner_product_identity():
     rng = np.random.default_rng(6)
     a = symbol_from_expr(sp.sin(_X[0]) * _XI[0] / sp.sqrt(1 + _XI[0] ** 2),
@@ -107,6 +117,19 @@ def test_adjoint_inner_product_identity():
         Asv = apply_adjoint(a, v)
         lhs = np.sum(Au.values * np.conj(v.values)) * G.cell_volume
         rhs = np.sum(u.values * np.conj(Asv.values)) * G.cell_volume
+        assert abs(lhs - rhs) <= 1e-8 * l2_norm(u) * l2_norm(v)
+
+
+def test_transpose_bilinear_identity():
+    rng = np.random.default_rng(7)
+    a = symbol_from_expr(sp.cos(_X[0]) * _XI[0], 1, order=1)
+    for _ in range(5):
+        u = random_band_limited(G, rng)
+        v = random_band_limited(G, rng)
+        Au = apply_symbol_op(a, u)
+        Atv = apply_transpose(a, v)
+        lhs = np.sum(Au.values * v.values) * G.cell_volume
+        rhs = np.sum(u.values * Atv.values) * G.cell_volume
         assert abs(lhs - rhs) <= 1e-8 * l2_norm(u) * l2_norm(v)
 
 
