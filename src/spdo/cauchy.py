@@ -20,7 +20,7 @@ import numpy as np
 from .grid import FREQUENCY, Grid, SpectralField, TimeGrid, fft_inverse
 from .quantize import SampledField, apply_symbol_op
 from .stochastic import BrownianEnsemble
-from .symbols import _T, _W, Symbol, symbol_from_expr
+from .symbols import _T, _W, Symbol
 
 __all__ = [
     "EquationSpec",
@@ -515,104 +515,100 @@ class CarlemanReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _carleman_terms(z: SampledField, A1, B1, mu: float,
-                    ensemble: BrownianEnsemble, extra_drift=None):
-    """Per-term evaluation of the weighted inequality for one z field.
-
-    Returns (lhs1, lhs2, rhs1..rhs4, gap).  extra_drift, when given, is an
-    array like z.values added to the drift bracket (the Lambda z2 coupling
-    of the Jordan variant).
-    """
+def _carleman_moments(z: SampledField, A1, B1, ensemble: BrownianEnsemble,
+                      extra_drift=None):
+    """terms(mu) -> (lhs1, lhs2, [rhs1..rhs4], gap) for one z field.  Each
+    term is sum_j e^{mu(t_j-T)^2} times a Laurent polynomial in mu whose
+    coefficients are path means of spatial moments per node, computed here
+    once: (1/mu)|mu(t-T)z - B1z|^2 = mu(t-T)^2|z|^2 - 2(t-T)Re(z, B1z)
+    + |B1z|^2/mu, and so on.  extra_drift (like z.values) is added to the
+    drift bracket: the Lambda z2 coupling of the Jordan variant."""
     grid, tg = z.grid, z.timegrid
-    nodes = tg.nodes()
-    T = tg.T
-    th2 = np.exp(mu * (nodes - T) ** 2)
-    Kp1 = z.values.shape[1]
-    K = Kp1 - 1
-    Bz_all = _apply_nodes(B1, z.values, grid, ensemble)
-    A1z_all = _apply_nodes(A1, z.values, grid, ensemble)
-
+    nodes, T, dt, K = tg.nodes(), tg.T, tg.dt, tg.K
     sp_axes = tuple(range(2, 2 + grid.dim))
-    tshape = (1, Kp1) + (1,) * grid.dim
-    tmT = (nodes - T).reshape(tshape)
-    th2b = th2.reshape(tshape)
 
-    lhs1_j = th2[None, :] * np.sum(np.abs(z.values) ** 2,
-                                   axis=sp_axes).real * grid.cell_volume
-    lhs2_j = th2[None, :] / mu * np.sum(
-        np.abs(mu * tmT * z.values - Bz_all) ** 2,
-        axis=sp_axes).real * grid.cell_volume
-    lhs1 = float(np.mean(np.trapezoid(lhs1_j, nodes, axis=1)))
-    lhs2 = float(np.mean(np.trapezoid(lhs2_j, nodes, axis=1)))
+    def _ip(u, v):
+        # path mean of the spatial inner product (u, v), per node
+        return np.mean(np.sum(u * np.conj(v), axis=sp_axes),
+                       axis=0) * grid.cell_volume
 
+    Bz = _apply_nodes(B1, z.values, grid, ensemble)
     dz = np.diff(z.values, axis=1)  # (M, K) + shape
-    zL, BzL, A1zL = z.values[:, :K], Bz_all[:, :K], A1z_all[:, :K]
-    drift = dz / 1j - A1zL * tg.dt - 1j * BzL * tg.dt
+    zL, BzL = z.values[:, :K], Bz[:, :K]
+    drift = dz / 1j - _apply_nodes(A1, zL, grid, ensemble) * dt - 1j * BzL * dt
     if extra_drift is not None:
-        drift = drift + extra_drift[:, :K] * tg.dt
-    tmTL, th2L = tmT[:, :K], th2b[:, :K]
-    G = 1j * mu * tmTL * zL - 1j * BzL
-
-    def _ipt(u, v):
-        # spatial inner product per (path, step)
-        return np.sum(u * np.conj(v), axis=sp_axes) * grid.cell_volume
-
-    w_th2 = th2[None, :K]
-    rhs = np.zeros(4)
-    rhs[0] = (4.0 / mu) * float(np.mean(
-        np.sum(w_th2 * _ipt(drift, G).real, axis=1)))
+        drift = drift + extra_drift[:, :K] * dt
+    # the LHS moments run over all K + 1 nodes
+    zz, BB = _ip(z.values, z.values).real, _ip(Bz, Bz).real
+    zB = _ip(z.values, Bz).real
+    # the drift pairings with i z and i B1 z: Re(u, iv) = Im(u, v)
+    P, Q = _ip(drift, zL).imag, _ip(drift, BzL).imag
+    # the midpoint re-evaluation of the leading pairing differs from it by
+    # the pairings with the increments dz and d(B1 z)
+    Pd, Qd = _ip(drift, dz).imag, _ip(drift, np.diff(Bz, axis=1)).imag
+    dzdz = _ip(dz, dz).real
+    dzBdz = _ip(dz, _apply_nodes(B1, dz, grid, ensemble)).real
+    S = None
     if B1 is not None and not B1.x_independent:
         # skew part (B1 - B1*) z; a real multiplier symbol is self-adjoint,
         # so this only triggers on the x-dependent slow path
         from .calculus import adjoint_symbol
 
         B1s = adjoint_symbol(B1, 2).symbol_sum()
-        skew = BzL - _apply_nodes(B1s, zL, grid, ensemble)
-        rhs[1] = (-2.0 / mu) * float(np.mean(
-            np.sum(w_th2 * _ipt(drift, skew).imag, axis=1)))
-    rhs[2] = -2.0 * float(np.mean(np.sum(
-        w_th2 * (nodes[None, :K] - T)
-        * np.sum(np.abs(dz) ** 2, axis=sp_axes).real * grid.cell_volume,
-        axis=1)))
-    Bdz = _apply_nodes(B1, dz, grid, ensemble)
-    rhs[3] = (-2.0 / mu) * float(np.mean(
-        np.sum(w_th2 * _ipt(dz, Bdz).real, axis=1)))
+        S = _ip(drift, BzL - _apply_nodes(B1s, zL, grid, ensemble)).imag
+    tau = nodes - T
+    tauL = tau[:K]
 
-    # midpoint re-evaluation of the leading pairing, for the gap report
-    zmid = 0.5 * (z.values[:, 1:] + z.values[:, :K])
-    Bmid = 0.5 * (Bz_all[:, 1:] + Bz_all[:, :K])
-    Gmid = 1j * mu * (tmTL + tg.dt / 2.0) * zmid - 1j * Bmid
-    rhs1_mid = (4.0 / mu) * float(np.mean(
-        np.sum(w_th2 * _ipt(drift, Gmid).real, axis=1)))
-    gap = abs(rhs[0] - rhs1_mid)
-    return lhs1, lhs2, rhs, gap
+    def terms(mu: float):
+        th2 = np.exp(mu * tau ** 2)
+        w = th2[:K]
+        lhs1 = float(np.trapezoid(th2 * zz, nodes))
+        lhs2 = float(np.trapezoid(
+            th2 * (mu * tau ** 2 * zz - 2.0 * tau * zB + BB / mu), nodes))
+        rhs = [4.0 * np.sum(w * tauL * P) - (4.0 / mu) * np.sum(w * Q),
+               0.0 if S is None else (-2.0 / mu) * np.sum(w * S),
+               -2.0 * np.sum(w * tauL * dzdz), (-2.0 / mu) * np.sum(w * dzBdz)]
+        # rhs1 minus rhs1 re-read at z + dz/2, B1z + d(B1z)/2, t + dt/2
+        gap = abs(-2.0 * np.sum(w * (tauL * Pd + dt * (P + 0.5 * Pd)))
+                  + (2.0 / mu) * np.sum(w * Qd))
+        return lhs1, lhs2, rhs, float(gap)
+
+    return terms
 
 
-def _check_pinned(z: SampledField):
+def _check_inputs(T: float, B1, ensemble, *zs: SampledField):
+    """The horizon is z's, each z is pinned, and B1 is zero or elliptic."""
     from .bounds import HypothesisError
-
-    peak = float(np.abs(z.values).max())
-    ends = max(float(np.abs(z.values[:, 0]).max()),
-               float(np.abs(z.values[:, -1]).max()))
-    if peak > 0 and ends > 1e-10 * peak:
-        raise HypothesisError(f"z(0) = z(T) = 0 violated: endpoint magnitude "
-                              f"{ends:.3e} vs peak {peak:.3e}")
-
-
-def _check_b1(B1, grid, ensemble):
     from .symbols import ellipticity_check
 
-    if B1 is None:
-        return
-    res = ellipticity_check(B1, grid, ensemble)
-    if not res.elliptic:
-        raise ValueError("B1 must be zero or elliptic")
+    if abs(T - zs[0].timegrid.T) > 1e-12 * max(T, 1.0):
+        raise ValueError(f"horizon T = {T} does not match z's time grid")
+    for z in zs:
+        peak = float(np.abs(z.values).max())
+        ends = max(float(np.abs(z.values[:, 0]).max()),
+                   float(np.abs(z.values[:, -1]).max()))
+        if peak > 0 and ends > 1e-10 * peak:
+            raise HypothesisError(f"z(0) = z(T) = 0 violated: endpoint "
+                                  f"magnitude {ends:.3e} vs peak {peak:.3e}")
+    if B1 is not None and not ellipticity_check(B1, zs[0].grid,
+                                                ensemble).elliptic:
+        raise HypothesisError("B1 must be zero or elliptic")
+
+
+def _verdict(mu, T, lhs_terms, rhs_terms, gap, labels_lhs, labels_rhs):
+    lhs = float(sum(lhs_terms))
+    rhs = float(sum(rhs_terms))
+    margin = rhs - lhs
+    return CarlemanReport(mu, T, lhs_terms, rhs_terms, lhs, rhs, margin, gap,
+                          margin >= -1e-9 * abs(rhs),
+                          labels_lhs=labels_lhs, labels_rhs=labels_rhs)
 
 
 def carleman_report(z: SampledField, A1: Symbol | None, B1: Symbol | None,
-                    mu: float, T: float,
-                    ensemble: BrownianEnsemble) -> CarlemanReport:
-    """Itemized evaluation of the weighted inequality
+                    mu_list, T: float,
+                    ensemble: BrownianEnsemble) -> list[CarlemanReport]:
+    """Itemized evaluation, one report per mu in mu_list, of the weighted
+    inequality
 
         E int th^2 |z|^2 dt + (1/mu) E int th^2 |mu(t-T)z - B1 z|^2 dt
           <= (4/mu) Re E sum th^2 (dz/i - A1 z dt - i B1 z dt, i mu(t-T)z - i B1 z)
@@ -620,65 +616,53 @@ def carleman_report(z: SampledField, A1: Symbol | None, B1: Symbol | None,
            - 2 E sum (t-T) th^2 |dz|^2 - (2/mu) Re E sum th^2 (dz, B1 dz)
 
     with th = e^{mu(t-T)^2/2}, increments in the Ito (left-endpoint) form.
+    The field is checked and its moments computed once for every mu.
     """
-    if abs(T - z.timegrid.T) > 1e-12 * max(T, 1.0):
-        raise ValueError(f"horizon T = {T} does not match z's time grid")
-    _check_pinned(z)
-    _check_b1(B1, z.grid, ensemble)
-    lhs1, lhs2, rhs, gap = _carleman_terms(z, A1, B1, mu, ensemble)
-    lhs = lhs1 + lhs2
-    rhs_tot = float(rhs.sum())
-    margin = rhs_tot - lhs
-    passed = margin >= -1e-9 * abs(rhs_tot)
-    return CarlemanReport(
-        mu, z.timegrid.T, [lhs1, lhs2], list(rhs), lhs, rhs_tot, margin, gap,
-        passed,
-        labels_lhs=["E th2 |z|^2", "(1/mu) E th2 |mu(t-T)z - B1 z|^2"],
-        labels_rhs=["(4/mu) Re pairing", "-(2/mu) Im skew pairing",
-                    "-2 E (t-T) th2 |dz|^2", "-(2/mu) Re (dz, B1 dz)"])
+    _check_inputs(T, B1, ensemble, z)
+    terms = _carleman_moments(z, A1, B1, ensemble)
+    reports = []
+    for mu in mu_list:
+        lhs1, lhs2, rhs, gap = terms(mu)
+        reports.append(_verdict(
+            mu, z.timegrid.T, [lhs1, lhs2], rhs, gap,
+            ["E th2 |z|^2", "(1/mu) E th2 |mu(t-T)z - B1 z|^2"],
+            ["(4/mu) Re pairing", "-(2/mu) Im skew pairing",
+             "-2 E (t-T) th2 |dz|^2", "-(2/mu) Re (dz, B1 dz)"]))
+    return reports
 
 
 def carleman_report_jordan(z1: SampledField, z2: SampledField,
-                           A1: Symbol | None, B1: Symbol | None, mu: float,
-                           T: float, ensemble: BrownianEnsemble) -> CarlemanReport:
+                           A1: Symbol | None, B1: Symbol | None, mu_list,
+                           T: float,
+                           ensemble: BrownianEnsemble) -> list[CarlemanReport]:
     """Two-component variant with the Lambda z2 coupling in the z1 drift:
     both LHS blocks are summed; the z2 block carries the weight C(B1, n) = 2,
     calibrated on the decay experiments.
     With z2 = 0 the coupling vanishes and the report reduces to
     carleman_report on z1."""
-    if abs(T - z1.timegrid.T) > 1e-12 * max(T, 1.0):
-        raise ValueError(f"horizon T = {T} does not match z1's time grid")
-    _check_pinned(z1)
-    _check_pinned(z2)
-    _check_b1(B1, z1.grid, ensemble)
-    grid, tg = z1.grid, z1.timegrid
-    # Lambda coupling: first-order Bessel multiplier
-    import sympy as sp
-    from .symbols import _XI
+    _check_inputs(T, B1, ensemble, z1, z2)
+    from .registry import make_symbol
 
-    lam = symbol_from_expr(
-        sp.sqrt(1 + sum(_XI[k] ** 2 for k in range(grid.dim))), grid.dim,
-        order=1)
-    lam_z2 = _apply_nodes(lam, z2.values, grid, ensemble)
-    l1a, l2a, rhs_a, gap_a = _carleman_terms(z1, A1, B1, mu, ensemble,
-                                             extra_drift=lam_z2)
-    l1b, l2b, rhs_b, gap_b = _carleman_terms(z2, A1, B1, mu, ensemble)
+    # Lambda coupling: first-order Bessel multiplier
+    lam_z2 = _apply_nodes(make_symbol("bessel1", z1.grid.dim), z2.values,
+                          z1.grid, ensemble)
+    terms_a = _carleman_moments(z1, A1, B1, ensemble, extra_drift=lam_z2)
+    terms_b = _carleman_moments(z2, A1, B1, ensemble)
     C = 2.0
-    lhs_terms = [l1a, l2a, l1b, l2b]
-    rhs_terms = list(rhs_a) + list(C * rhs_b)
-    lhs = sum(lhs_terms)
-    rhs_tot = sum(rhs_terms)
-    margin = rhs_tot - lhs
-    passed = margin >= -1e-9 * abs(rhs_tot)
-    return CarlemanReport(
-        mu, tg.T, lhs_terms, rhs_terms, lhs, rhs_tot, margin,
-        gap_a + gap_b, passed,
-        labels_lhs=["E th2 |z1|^2", "(1/mu) E th2 |mu(t-T)z1 - B1 z1|^2",
-                    "E th2 |z2|^2", "(1/mu) E th2 |mu(t-T)z2 - B1 z2|^2"],
-        labels_rhs=["(4/mu) Re z1 pairing", "-(2/mu) Im z1 skew",
-                    "-2 E (t-T) th2 |dz1|^2", "-(2/mu) Re (dz1, B1 dz1)",
-                    "(4C/mu) Re z2 pairing", "-(2C/mu) Im z2 skew",
-                    "-2C E (t-T) th2 |dz2|^2", "-(2C/mu) Re (dz2, B1 dz2)"])
+    reports = []
+    for mu in mu_list:
+        l1a, l2a, rhs_a, gap_a = terms_a(mu)
+        l1b, l2b, rhs_b, gap_b = terms_b(mu)
+        reports.append(_verdict(
+            mu, z1.timegrid.T, [l1a, l2a, l1b, l2b],
+            rhs_a + [C * r for r in rhs_b], gap_a + gap_b,
+            ["E th2 |z1|^2", "(1/mu) E th2 |mu(t-T)z1 - B1 z1|^2",
+             "E th2 |z2|^2", "(1/mu) E th2 |mu(t-T)z2 - B1 z2|^2"],
+            ["(4/mu) Re z1 pairing", "-(2/mu) Im z1 skew",
+             "-2 E (t-T) th2 |dz1|^2", "-(2/mu) Re (dz1, B1 dz1)",
+             "(4C/mu) Re z2 pairing", "-(2C/mu) Im z2 skew",
+             "-2C E (t-T) th2 |dz2|^2", "-(2C/mu) Re (dz2, B1 dz2)"]))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ def _compile(expr, dim, groups):
     group, components on the last axis; the result takes the broadcast shape
     of t, w and the components."""
     f = sp.lambdify((_T, _W) + tuple(v for g in groups for v in g[:dim]),
-                    expr, modules=["numpy"])
+                    expr, modules=[np])
 
     def fn(t, w, *arrays):
         comps = [_split_components(a, dim) for a in arrays]
@@ -265,11 +265,17 @@ def _compile(expr, dim, groups):
 
 
 def _xi_degree(expr, dim) -> int | None:
-    """Total degree of expr in xi1..xin when it is a polynomial in them."""
+    """Total degree of expr in xi1..xin when it is a polynomial in them,
+    expanded in xi alone (not in t, w, x: seconds on (x+xi+t+w+1)**16) at
+    two generic rational values of the other symbols, the larger counting."""
     xi = _XI[:dim]
     if not expr.is_polynomial(*xi):
         return None
-    return int(sp.Poly(expr, *xi).total_degree())
+    rest = sorted(expr.free_symbols - set(xi), key=str)
+    return max(int(sp.Poly(expr.subs({s: sp.Rational(1 + 2 * k, q)
+                                      for k, s in enumerate(rest)}),
+                           *xi).total_degree())
+               for q in (97, -89))
 
 
 def symbol_from_expr(expr, dim=1, order=None, integrability=math.inf,

@@ -27,7 +27,7 @@ from spdo.cauchy import (
 )
 from spdo.grid import Grid, TimeGrid
 from spdo.quantize import SampledField
-from spdo.registry import make_equation
+from spdo.registry import make_equation, make_symbol
 from spdo.stochastic import sample_brownian
 from spdo.symbols import Symbol, symbol_from_expr, _T, _W, _X, _XI
 
@@ -362,7 +362,7 @@ def _zero_field():
 
 
 def test_carleman_zero_field_trivial_pass():
-    rep = carleman_report(_zero_field(), None, B1, 100.0, 0.5, ENS_C)
+    rep, = carleman_report(_zero_field(), None, B1, [100.0], 0.5, ENS_C)
     assert rep.passed
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 
@@ -375,7 +375,7 @@ def test_carleman_deterministic_bump():
     for j, t in enumerate(nodes):
         vals[:, j] = math.sin(math.pi * t / 0.5) ** 2 * prof
     z = SampledField(G, TG_C, vals)
-    rep = carleman_report(z, None, B1, 100.0, 0.5, ENS_C)
+    rep, = carleman_report(z, None, B1, [100.0], 0.5, ENS_C)
     assert rep.passed
     assert rep.margin >= 0.0
 
@@ -385,31 +385,128 @@ def test_carleman_endpoint_violation():
     z = SampledField(G, TG_C, vals)
     from spdo.bounds import HypothesisError
     with pytest.raises(HypothesisError):
-        carleman_report(z, None, B1, 100.0, 0.5, ENS_C)
+        carleman_report(z, None, B1, [100.0], 0.5, ENS_C)
 
 
 def test_carleman_random_semimartingales():
     rng = np.random.default_rng(5)
     for _ in range(10):
         z = pinned_semimartingale(G, ENS_C, rng)
-        for mu in (50.0, 100.0, 200.0):
-            rep = carleman_report(z, None, B1, mu, 0.5, ENS_C)
-            assert rep.passed
+        reps = carleman_report(z, None, B1, [50.0, 100.0, 200.0], 0.5, ENS_C)
+        assert [rep.mu for rep in reps] == [50.0, 100.0, 200.0]
+        assert all(rep.passed for rep in reps)
 
 
 def test_carleman_robust_at_doubled_mu():
     rng = np.random.default_rng(6)
     for _ in range(20):
         z = pinned_semimartingale(G, ENS_C, rng)
-        r1 = carleman_report(z, None, B1, 100.0, 0.5, ENS_C)
-        r2 = carleman_report(z, None, B1, 200.0, 0.5, ENS_C)
+        r1, r2 = carleman_report(z, None, B1, [100.0, 200.0], 0.5, ENS_C)
         assert r1.passed and r2.passed
+
+
+def test_carleman_single_mode_at_last_step_fails():
+    # pinned, but all of z sits on one high mode at node K-1: the jump
+    # back to 0 at T costs more than the weighted LHS earns, at every mu
+    grid = Grid(1, 64)
+    tg = TimeGrid(0.5, 64)
+    ens = sample_brownian(16, tg, seed=11)
+    vals = np.zeros((ens.M, tg.K + 1) + grid.shape, np.complex128)
+    vals[:, tg.K - 1] = np.exp(16j * grid.points()[..., 0])
+    z = SampledField(grid, tg, vals)
+    reps = carleman_report(z, None, make_symbol("bessel1", dim=1),
+                           [50.0, 100.0, 200.0, 400.0], 0.5, ens)
+    assert [rep.passed for rep in reps] == [False] * 4
+    assert all(rep.margin < 0.0 for rep in reps)
+
+
+def _reference_terms(z, A1, B1, mu, ensemble):
+    """The per-mu evaluation the moments replace, kept as an oracle: every
+    term recomputed on the (M, K+1, N) arrays for this one mu."""
+    from spdo.calculus import adjoint_symbol
+
+    apply = cauchy._apply_nodes
+    grid, tg = z.grid, z.timegrid
+    nodes = tg.nodes()
+    T = tg.T
+    th2 = np.exp(mu * (nodes - T) ** 2)
+    Kp1 = z.values.shape[1]
+    K = Kp1 - 1
+    Bz_all = apply(B1, z.values, grid, ensemble)
+    A1z_all = apply(A1, z.values, grid, ensemble)
+    sp_axes = tuple(range(2, 2 + grid.dim))
+    tshape = (1, Kp1) + (1,) * grid.dim
+    tmT = (nodes - T).reshape(tshape)
+    lhs1_j = th2[None, :] * np.sum(np.abs(z.values) ** 2,
+                                   axis=sp_axes).real * grid.cell_volume
+    lhs2_j = th2[None, :] / mu * np.sum(
+        np.abs(mu * tmT * z.values - Bz_all) ** 2,
+        axis=sp_axes).real * grid.cell_volume
+    lhs1 = float(np.mean(np.trapezoid(lhs1_j, nodes, axis=1)))
+    lhs2 = float(np.mean(np.trapezoid(lhs2_j, nodes, axis=1)))
+    dz = np.diff(z.values, axis=1)
+    zL, BzL, A1zL = z.values[:, :K], Bz_all[:, :K], A1z_all[:, :K]
+    drift = dz / 1j - A1zL * tg.dt - 1j * BzL * tg.dt
+    tmTL = tmT[:, :K]
+    G_ = 1j * mu * tmTL * zL - 1j * BzL
+
+    def _ipt(u, v):
+        return np.sum(u * np.conj(v), axis=sp_axes) * grid.cell_volume
+
+    w_th2 = th2[None, :K]
+    rhs = np.zeros(4)
+    rhs[0] = (4.0 / mu) * float(np.mean(
+        np.sum(w_th2 * _ipt(drift, G_).real, axis=1)))
+    if B1 is not None and not B1.x_independent:
+        B1s = adjoint_symbol(B1, 2).symbol_sum()
+        skew = BzL - apply(B1s, zL, grid, ensemble)
+        rhs[1] = (-2.0 / mu) * float(np.mean(
+            np.sum(w_th2 * _ipt(drift, skew).imag, axis=1)))
+    rhs[2] = -2.0 * float(np.mean(np.sum(
+        w_th2 * (nodes[None, :K] - T)
+        * np.sum(np.abs(dz) ** 2, axis=sp_axes).real * grid.cell_volume,
+        axis=1)))
+    Bdz = apply(B1, dz, grid, ensemble)
+    rhs[3] = (-2.0 / mu) * float(np.mean(
+        np.sum(w_th2 * _ipt(dz, Bdz).real, axis=1)))
+    zmid = 0.5 * (z.values[:, 1:] + z.values[:, :K])
+    Bmid = 0.5 * (Bz_all[:, 1:] + Bz_all[:, :K])
+    Gmid = 1j * mu * (tmTL + tg.dt / 2.0) * zmid - 1j * Bmid
+    rhs1_mid = (4.0 / mu) * float(np.mean(
+        np.sum(w_th2 * _ipt(drift, Gmid).real, axis=1)))
+    return [lhs1, lhs2], list(rhs), abs(rhs[0] - rhs1_mid)
+
+
+@pytest.mark.parametrize("case", ["A1-unset", "A1-set", "B1-x-dependent"])
+def test_carleman_moments_match_per_mu_terms(case):
+    A1 = None
+    b1 = B1
+    if case == "A1-set":
+        A1 = symbol_from_expr(sp.Rational(1, 2) * _XI[0] + _W, 1, order=1)
+    if case == "B1-x-dependent":
+        # x-dependent, so the skew term (B1 - B1*) z is not zero
+        b1 = symbol_from_expr((2 + sp.sin(_X[0])) * sp.sqrt(1 + _XI[0] ** 2),
+                              1, order=1)
+    z = pinned_semimartingale(G, ENS_C, np.random.default_rng(12))
+    mus = [50.0, 100.0, 200.0, 400.0]
+    reps = carleman_report(z, A1, b1, mus, 0.5, ENS_C)
+    for mu, rep in zip(mus, reps):
+        lhs_terms, rhs_terms, gap = _reference_terms(z, A1, b1, mu, ENS_C)
+        if case == "B1-x-dependent":
+            assert abs(rhs_terms[1]) > 1e-6 * abs(rhs_terms[0])
+        lhs, rhs = sum(lhs_terms), sum(rhs_terms)
+        pairs = list(zip(rep.lhs_terms + rep.rhs_terms,
+                         lhs_terms + rhs_terms))
+        pairs += [(rep.lhs, lhs), (rep.rhs, rhs), (rep.margin, rhs - lhs),
+                  (rep.discretization_gap, gap)]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * abs(want), (mu, got, want)
 
 
 def test_carleman_report_terms_itemized():
     rng = np.random.default_rng(7)
     z = pinned_semimartingale(G, ENS_C, rng)
-    rep = carleman_report(z, None, B1, 100.0, 0.5, ENS_C)
+    rep, = carleman_report(z, None, B1, [100.0], 0.5, ENS_C)
     assert len(rep.lhs_terms) == 2 and len(rep.rhs_terms) == 4
     assert abs(rep.lhs - sum(rep.lhs_terms)) < 1e-9 * abs(rep.lhs)
     assert abs(rep.rhs - sum(rep.rhs_terms)) < 1e-9 * abs(rep.rhs)
@@ -428,8 +525,8 @@ def test_carleman_dense_path_matches_multiplier_path():
     B1x = symbol_from_expr(one * sp.sqrt(1 + _XI[0] ** 2), 1, order=1)
     assert not (A1x.x_independent or B1x.x_independent)
     z = pinned_semimartingale(G, ENS_C, np.random.default_rng(10))
-    ref = carleman_report(z, A1, B1, 100.0, 0.5, ENS_C)
-    got = carleman_report(z, A1x, B1x, 100.0, 0.5, ENS_C)
+    ref, = carleman_report(z, A1, B1, [100.0], 0.5, ENS_C)
+    got, = carleman_report(z, A1x, B1x, [100.0], 0.5, ENS_C)
     scale = max(abs(ref.lhs), abs(ref.rhs))
     for a, b in zip(ref.lhs_terms + ref.rhs_terms,
                     got.lhs_terms + got.rhs_terms):
@@ -438,16 +535,17 @@ def test_carleman_dense_path_matches_multiplier_path():
 
 
 def test_carleman_jordan_zero_pair():
-    rep = carleman_report_jordan(_zero_field(), _zero_field(), None, B1,
-                                 100.0, 0.5, ENS_C)
+    rep, = carleman_report_jordan(_zero_field(), _zero_field(), None, B1,
+                                  [100.0], 0.5, ENS_C)
     assert rep.passed
 
 
 def test_carleman_jordan_reduces_when_z2_zero():
     rng = np.random.default_rng(8)
     z1 = pinned_semimartingale(G, ENS_C, rng)
-    rj = carleman_report_jordan(z1, _zero_field(), None, B1, 100.0, 0.5, ENS_C)
-    rs = carleman_report(z1, None, B1, 100.0, 0.5, ENS_C)
+    rj, = carleman_report_jordan(z1, _zero_field(), None, B1, [100.0], 0.5,
+                                 ENS_C)
+    rs, = carleman_report(z1, None, B1, [100.0], 0.5, ENS_C)
     assert abs(rj.lhs - rs.lhs) <= 1e-10 * max(1.0, abs(rs.lhs))
     assert abs(rj.rhs - rs.rhs) <= 1e-10 * max(1.0, abs(rs.rhs))
 
@@ -457,7 +555,7 @@ def test_carleman_jordan_coupled_pairs():
     for _ in range(10):
         z1 = pinned_semimartingale(G, ENS_C, rng)
         z2 = pinned_semimartingale(G, ENS_C, rng)
-        rep = carleman_report_jordan(z1, z2, None, B1, 100.0, 0.5, ENS_C)
+        rep, = carleman_report_jordan(z1, z2, None, B1, [100.0], 0.5, ENS_C)
         assert rep.passed
 
 

@@ -274,8 +274,9 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("garding", "ensemble.M = 0\n"),
     ("verify-symbol", "symbol = 2**2**20*xi\n"),
     ("verify-symbol", "symbol = 9**9**9*xi\n"),
+    ("carleman", "B1 = sin(x)\ndraws = 1\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
-        "ensemble-M-0", "huge-power", "power-tower"])
+        "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)
@@ -283,6 +284,26 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     assert res.returncode == 1, res.stderr
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+def test_expanding_power_finishes(tmp_path):
+    # within the size bounds, but expanded in every symbol it has 4845 terms
+    start = time.monotonic()
+    res = _spawn(tmp_path, "verify-symbol",
+                 "symbol = (x+xi+t+w+1)**16\ngrid.N = 32\n")
+    assert time.monotonic() - start < 5.0
+    assert "Traceback" not in res.stderr
+    if res.returncode == 1:
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+    else:
+        assert res.returncode in (0, 2), res.stderr
+
+
+@pytest.mark.parametrize("b1", ["0", "none"])
+def test_carleman_zero_b1(tmp_path, b1):
+    code, out = _run(tmp_path, "carleman", f"B1 = {b1}\ndraws = 2\n")
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["passed"] is True
 
 
 def test_unknown_symbol_message_unquoted(tmp_path):

@@ -13,7 +13,7 @@ from spdo.registry import (
     make_symbol,
     parse_symbol_expr,
 )
-from spdo.symbols import _T, _W, _X, _XI
+from spdo.symbols import _T, _W, _X, _XI, _xi_degree
 
 
 def test_all_registry_symbols_instantiate():
@@ -64,6 +64,23 @@ def test_bounded_parse_keeps_every_expression(dim):
     for text in texts:
         got = parse_symbol_expr(text, dim, order=0).expr
         assert got == sp.sympify(text, locals=loc), text
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_xi_degree_matches_full_expansion(dim):
+    # the degree read at generic points of the other symbols equals the
+    # one of the polynomial expanded in every symbol, on the registry
+    # symbols, the README expressions and cancelling leading terms
+    xi = _XI[:dim]
+    exprs = [make_symbol(name, dim).expr for name in SYMBOLS]
+    exprs += [parse_symbol_expr(text, dim, order=0).expr for text in
+              ["sin(x)*xi + 2", "xi", "x", "1/(1+cos(x))", "xi**2 + 1",
+               "(xi + 1)**2 - xi**2", "(x - 1/97)*xi**2 + xi",
+               "(x + xi + t + w + 1)**4", "sin(x)*xi**3 + w*xi"]]
+    for expr in exprs:
+        want = (int(sp.Poly(expr, *xi).total_degree())
+                if expr.is_polynomial(*xi) else None)
+        assert _xi_degree(expr, dim) == want, expr
 
 
 @pytest.mark.parametrize("text", [
