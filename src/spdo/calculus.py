@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from .symbols import (Amplitude, Symbol, _XI, _X, _derive, _multiindices,
-                      qstar, symbol_from_expr)
+from .symbols import (Amplitude, Symbol, _derive, _multiindices, qstar,
+                      symbol_from_expr)
 
 __all__ = [
     "AsymptoticSeries",
@@ -66,6 +65,8 @@ class AsymptoticSeries:
     def pretty(self) -> str:
         if not self.terms:
             return "0"
+        from .symbols import sp
+
         parts = []
         for o, s in self.terms:
             if s.expr is not None and not s.expr.has(sp.Piecewise):
@@ -95,9 +96,11 @@ def _expansion(term, only_lead, lead, n_terms, integrability, dim):
         for wgt, alpha in _weighted_alphas(j, dim):
             piece = wgt * term(alpha)
             s = piece if s is None else s + piece
-        if s.expr is not None and not s.expr.has(sp.Piecewise) \
-                and sp.expand(s.expr) == 0:
-            continue
+        if s.expr is not None:
+            from .symbols import sp
+
+            if not s.expr.has(sp.Piecewise) and sp.expand(s.expr) == 0:
+                continue
         s.order = lead - j
         s.integrability = integrability
         out.append((lead - j, s))
@@ -123,10 +126,14 @@ def compose_symbols(b: Symbol, a: Symbol, n_terms: int) -> AsymptoticSeries:
 
 
 def _reflect_xi(a: Symbol) -> Symbol:
+    def reflect(e):
+        from .symbols import _XI
+
+        return e.subs({_XI[k]: -_XI[k] for k in range(a.dim)},
+                      simultaneous=True)
+
     return _derive(
-        Symbol, (a,), a.order, a.integrability,
-        lambda e: e.subs({_XI[k]: -_XI[k] for k in range(a.dim)},
-                         simultaneous=True),
+        Symbol, (a,), a.order, a.integrability, reflect,
         lambda f: lambda t, w, x, xi: f(t, w, x, -np.asarray(xi)),
         x_independent=a.x_independent)
 
@@ -164,6 +171,8 @@ def reduce_amplitude(a: Amplitude, n_terms: int) -> AsymptoticSeries:
 
 def psi5_expr(dim: int, scale: float = 1.0):
     """Smooth radial step in xi: 0 for |xi| <= scale/2, 1 for |xi| >= scale."""
+    from .symbols import sp, _XI
+
     r = sp.sqrt(sum(_XI[k] ** 2 for k in range(dim))) / scale
     u = 2 * r - 1
     f = sp.exp(-1 / u)
@@ -184,6 +193,8 @@ def asymptotic_sum(series: AsymptoticSeries) -> Symbol:
     dim = terms[0].dim
 
     def expr_sum(*exprs):
+        from .symbols import sp
+
         e = sp.S.Zero
         for j, ej in enumerate(exprs):
             e = e + psi5_expr(dim, scale=float(2**j)) * ej
@@ -221,7 +232,7 @@ def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries
     next order of the composition expansion q # a, so the residual of the
     n-term construction has order -(n+1) on the high band.
     """
-    from .symbols import ellipticity_check
+    from .symbols import sp, _X, _XI, ellipticity_check
 
     ellipticity = ellipticity_check(a, grid, ensemble)
     if not ellipticity.elliptic:

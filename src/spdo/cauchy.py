@@ -20,7 +20,7 @@ import numpy as np
 from .grid import FREQUENCY, Grid, SpectralField, TimeGrid, fft_inverse
 from .quantize import SampledField, apply_symbol_op
 from .stochastic import BrownianEnsemble
-from .symbols import _T, _W, Symbol
+from .symbols import Symbol
 
 __all__ = [
     "EquationSpec",
@@ -121,9 +121,13 @@ class CompanionSymbol:
     @property
     def tw_independent(self) -> bool:
         """Constants and expressions free of t and w; a bare callable
-        counts as (t, w)-dependent."""
+        counts as (t, w)-dependent.  t and w are read only off an
+        expression, whose Symbol has loaded sympy."""
+        from . import symbols
+
         return not any(isinstance(c, Symbol)
-                       and (c.expr is None or c.expr.has(_T, _W))
+                       and (c.expr is None
+                            or c.expr.has(symbols._T, symbols._W))
                        for c in self.spec.principal.values())
 
     def __call__(self, t, w, x, xi) -> np.ndarray:

@@ -102,6 +102,20 @@ def cfg_ints(cfg, key, default):
         raise ConfigError(f"config key {key!r}: {v!r} is not an integer list")
 
 
+def cfg_mu_list(cfg, default, distinct):
+    """The Carleman weights of config key mu_list: finite, positive, and at
+    least `distinct` distinct values."""
+    mus = cfg_floats(cfg, "mu_list", default)
+    for mu in mus:
+        if not 0.0 < mu < float("inf"):
+            raise ConfigError(f"config key 'mu_list': {mu!r} is not a "
+                              "finite positive number")
+    if len(set(mus)) < distinct:
+        raise ConfigError(f"config key 'mu_list': needs {distinct} or more "
+                          f"distinct values, got {len(set(mus))}")
+    return mus
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -210,13 +224,12 @@ def _extraction_sweep(a, grid):
 
 def run_quantize_demo(cfg, seed):
     import numpy as np
-    import sympy as sp
-    from .registry import _X, _XI
-    from .symbols import symbol_from_expr
 
     grid = _grid(cfg)
     n_random = cfg_int(cfg, "random_symbols", 0)
     if n_random > 0:
+        from .symbols import sp, _X, _XI, symbol_from_expr
+
         # extraction identity on random order-<=1 symbols with periodic
         # (trig-polynomial) coefficients, swept over every resolved mode
         rng = np.random.default_rng(seed)
@@ -267,9 +280,7 @@ def _random_poly_symbol(rng, dim):
     """xi-polynomial of degree <= 3 with trigonometric (periodic)
     x-coefficients."""
     import numpy as np
-    import sympy as sp
-    from .registry import _XI, _X
-    from .symbols import symbol_from_expr
+    from .symbols import sp, _X, _XI, symbol_from_expr
 
     expr = sp.S.Zero
     deg = int(rng.integers(0, 4))
@@ -519,9 +530,12 @@ def run_garding(cfg, seed):
     from .bounds import garding_check
 
     dims = cfg_int(cfg, "grid.dim", 1)
+    # the symbol first: with sympy loaded before numpy.random, glibc malloc
+    # reuses the heap for the dense applies' large temporaries; the other
+    # order maps them afresh (40k more page faults, 60 ms per run)
+    a = _symbol(cfg, "symbol", "garding-stochastic", dim=dims)
     grids = _grids(cfg, dims)
     ens = _ensemble(cfg, seed)
-    a = _symbol(cfg, "symbol", "garding-stochastic", dim=dims)
     rep = garding_check(a, cfg_float(cfg, "delta_star", 1.0),
                         cfg_float(cfg, "eps", 0.1), cfg_float(cfg, "r", 0.0),
                         grids, ens, trials=cfg_int(cfg, "trials", 10),
@@ -531,9 +545,7 @@ def run_garding(cfg, seed):
     if cfg.get("exact_check") not in (None, "0", ""):
         # analytic control case: Re(|xi|^2) >= (1 - eps)|xi|^2 holds with
         # C <= 1 exactly, so the measured constants must not exceed 1
-        import sympy as sp
-        from .registry import _XI
-        from .symbols import symbol_from_expr
+        from .symbols import sp, _XI, symbol_from_expr
 
         expr = sp.sympify(sum(_XI[i] ** 2 for i in range(dims)))
         exact = symbol_from_expr(expr, dims, order=2)
@@ -558,6 +570,7 @@ def run_carleman(cfg, seed):
     import numpy as np
     from .cauchy import pinned_semimartingale, carleman_report
 
+    mu_list = cfg_mu_list(cfg, (50.0, 100.0, 200.0), distinct=1)
     grid = _grid(cfg)
     ens = _ensemble(cfg, seed, default_M=16, default_T=0.5, default_K=64)
     T = ens.timegrid.T
@@ -568,7 +581,6 @@ def run_carleman(cfg, seed):
         return _symbol(cfg, key, default, dim=grid.dim)
 
     B1, A1 = _zero_or_symbol("B1", "bessel1"), _zero_or_symbol("A1")
-    mu_list = cfg_floats(cfg, "mu_list", (50.0, 100.0, 200.0))
     draws = cfg_int(cfg, "draws", 50)
     rng = np.random.default_rng(seed)
     rows = []
@@ -639,11 +651,12 @@ def run_uniqueness(cfg, seed):
     from .cauchy import uniqueness_experiment
     from .registry import make_equation
 
+    # the decay slope is fitted through at least two weights
+    mu_list = cfg_mu_list(cfg, (50.0, 100.0, 200.0, 400.0), distinct=2)
     grid = _grid(cfg, default_N=32)
     ens = _ensemble(cfg, seed, default_M=64, default_T=0.5, default_K=128)
     spec = make_equation(cfg_str(cfg, "equation", "wave"),
                          dim=cfg_int(cfg, "grid.dim", 1))
-    mu_list = cfg_floats(cfg, "mu_list", (50.0, 100.0, 200.0, 400.0))
     rep = uniqueness_experiment(spec, mu_list, ens.timegrid.T,
                                 cfg_float(cfg, "r", 1.5), grid, ens,
                                 seed=seed)

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import re
 
-import sympy as sp
-from sympy.parsing.sympy_parser import parse_expr
-
 from .cauchy import EquationSpec
-from .symbols import Symbol, symbol_from_expr, _T, _W, _X, _XI, _xi_degree
+from .symbols import Symbol, symbol_from_expr, _xi_degree
 
 __all__ = [
     "RegistryError",
@@ -65,7 +62,7 @@ def _check_size(e, budget: float, depth: int) -> None:
     if depth > _MAX_DEPTH:
         raise RegistryError(f"expression nests deeper than {_MAX_DEPTH} "
                             "levels")
-    if isinstance(e, sp.Pow) and not e.exp.free_symbols:
+    if e.is_Pow and not e.exp.free_symbols:
         _check_size(e.exp, _MAX_POWER, depth + 1)
         p = abs(complex(e.exp))  # bounded by the check just made
         if not p <= budget:
@@ -81,6 +78,9 @@ def parse_symbol_expr(text: str, dim: int, order: float | None = None,
                       name: str = "") -> Symbol:
     """Symbol from a restricted expression string."""
     _validate(text)
+    from sympy.parsing.sympy_parser import parse_expr
+    from .symbols import sp, _T, _W, _X, _XI
+
     loc = {"t": _T, "w": _W, "pi": sp.pi,
            "sin": sp.sin, "cos": sp.cos, "exp": sp.exp,
            "abs": sp.Abs, "sqrt": sp.sqrt,
@@ -89,8 +89,10 @@ def parse_symbol_expr(text: str, dim: int, order: float | None = None,
         loc[f"x{k+1}"] = _X[k]
         loc[f"xi{k+1}"] = _XI[k]
     try:
-        _check_size(parse_expr(text, local_dict=loc, evaluate=False),
-                    _MAX_POWER, 0)
+        tree = parse_expr(text, local_dict=loc, evaluate=False)
+        if not isinstance(tree, sp.Basic):  # "()" parses to a tuple
+            raise TypeError(f"not an expression: {tree!r}")
+        _check_size(tree, _MAX_POWER, 0)
         expr = sp.sympify(text, locals=loc)
     except (sp.SympifyError, SyntaxError, TypeError, RecursionError) as e:
         raise RegistryError(f"expression does not parse: {text!r} ({e})")
@@ -109,36 +111,39 @@ def _default_order(expr, dim: int) -> float:
     return float(_xi_degree(expr, dim) or 0)
 
 
-def _abs_xi2(dim: int):
-    return sum(_XI[k] ** 2 for k in range(dim))
+def _abs2(xi):
+    return sum(v ** 2 for v in xi)
 
 
-# name -> (order, description, expr builder over dim)
+# name -> (order, description, expr builder over (sympy, x, xi, w)), with
+# xi the frequency variables of the dimension
 _SYMBOL_TABLE = {
     "identity": (0.0, "multiplication by 1",
-                 lambda dim: sp.Integer(1)),
+                 lambda sp, x, xi, w: sp.Integer(1)),
     "xi": (1.0, "first frequency coordinate (D along axis 1)",
-           lambda dim: _XI[0]),
+           lambda sp, x, xi, w: xi[0]),
     "laplacian": (2.0, "principal symbol |xi|^2 of -Laplacian",
-                  _abs_xi2),
+                  lambda sp, x, xi, w: _abs2(xi)),
     "bessel1": (1.0, "first-order Bessel multiplier sqrt(1+|xi|^2)",
-                lambda dim: sp.sqrt(1 + _abs_xi2(dim))),
+                lambda sp, x, xi, w: sp.sqrt(1 + _abs2(xi))),
     "elliptic-1": (2.0, "elliptic symbol 1 + |xi|^2",
-                   lambda dim: 1 + _abs_xi2(dim)),
+                   lambda sp, x, xi, w: 1 + _abs2(xi)),
     "sgn-smoothed": (0.0, "smoothed sign multiplier xi1/sqrt(1+|xi|^2)",
-                     lambda dim: _XI[0] / sp.sqrt(1 + _abs_xi2(dim))),
+                     lambda sp, x, xi, w: xi[0] / sp.sqrt(1 + _abs2(xi))),
     "mod-x": (0.0, "multiplication by 1 + sin(x1)/2",
-              lambda dim: 1 + sp.sin(_X[0]) / 2),
+              lambda sp, x, xi, w: 1 + sp.sin(x[0]) / 2),
     "mixed-0": (0.0, "x-dependent order-0 symbol cos(x1) |xi|^2/(1+|xi|^2)",
-                lambda dim: sp.cos(_X[0]) * _abs_xi2(dim) / (1 + _abs_xi2(dim))),
+                lambda sp, x, xi, w: sp.cos(x[0]) * _abs2(xi)
+                / (1 + _abs2(xi))),
     "drift-wave": (1.0, "transport symbol sin(x1) xi1",
-                   lambda dim: sp.sin(_X[0]) * _XI[0]),
+                   lambda sp, x, xi, w: sp.sin(x[0]) * xi[0]),
     "garding-stochastic": (
         2.0, "(2 + sin x1 + 0.1 sin W(t)) |xi|^2",
-        lambda dim: (2 + sp.sin(_X[0]) + sp.sin(_W) / 10) * _abs_xi2(dim)),
+        lambda sp, x, xi, w: (2 + sp.sin(x[0]) + sp.sin(w) / 10)
+        * _abs2(xi)),
     "parametrix-demo": (2.0, "(1 + sin^2 x1)(1 + |xi|^2)",
-                        lambda dim: (1 + sp.sin(_X[0]) ** 2)
-                        * (1 + _abs_xi2(dim))),
+                        lambda sp, x, xi, w: (1 + sp.sin(x[0]) ** 2)
+                        * (1 + _abs2(xi))),
 }
 
 SYMBOLS = {k: v[1] for k, v in _SYMBOL_TABLE.items()}
@@ -147,8 +152,10 @@ SYMBOLS = {k: v[1] for k, v in _SYMBOL_TABLE.items()}
 def make_symbol(name: str, dim: int = 1, order: float | None = None) -> Symbol:
     """Instantiate a registry symbol, or parse an expression string."""
     if name in _SYMBOL_TABLE:
+        from .symbols import sp, _W, _X, _XI
+
         o, _, build = _SYMBOL_TABLE[name]
-        return symbol_from_expr(build(dim), dim,
+        return symbol_from_expr(build(sp, _X, _XI[:dim], _W), dim,
                                 order=o if order is None else order, name=name)
     try:
         return parse_symbol_expr(name, dim, order=order, name=name)

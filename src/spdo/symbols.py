@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import sympy as sp
 
 __all__ = [
     "Symbol",
@@ -38,10 +37,31 @@ __all__ = [
     "ellipticity_check",
 ]
 
-_T, _W = sp.symbols("t w", real=True)
-_X = sp.symbols("x1 x2 x3", real=True)
-_XI = sp.symbols("xi1 xi2 xi3", real=True)
-_Y = sp.symbols("y1 y2 y3", real=True)
+# sympy and the variables are built on first use, so a command that builds
+# no symbol never imports sympy
+_SYMPY_GLOBALS = ("sp", "_T", "_W", "_X", "_XI", "_Y")
+
+
+def __getattr__(name):
+    """The module global `name` of _SYMPY_GLOBALS: sympy as ``sp`` and the
+    variables t, w, x1..x3, xi1..xi3, y1..y3 as ``_T, _W, _X, _XI, _Y``.
+
+    The first call imports sympy and builds them all as plain module
+    globals, so later lookups never come here.  Python calls this for a
+    name the module lacks (PEP 562: ``from spdo.symbols import _X``); code
+    in this module calls it before its first sympy use.
+    """
+    global sp, _T, _W, _X, _XI, _Y
+    if name not in _SYMPY_GLOBALS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if "sp" not in globals():
+        import sympy
+        _T, _W = sympy.symbols("t w", real=True)
+        _X = sympy.symbols("x1 x2 x3", real=True)
+        _XI = sympy.symbols("xi1 xi2 xi3", real=True)
+        _Y = sympy.symbols("y1 y2 y3", real=True)
+        sp = sympy
+    return globals()[name]
 
 
 class UndefinedExponentError(ValueError):
@@ -84,11 +104,11 @@ class _Evaluable:
     variables of each array argument, xi last.
     """
 
-    _vars = ()
-
     def __init__(self, order, fn, dim, integrability, expr):
         if fn is None and expr is None:
             raise ValueError("need an expression or an evaluator")
+        if expr is not None:
+            __getattr__("sp")
         self.order = order
         self.dim = dim
         self.integrability = integrability
@@ -122,7 +142,9 @@ class _Evaluable:
 class Symbol(_Evaluable):
     """Symbol a(t, w, x, xi) of order (l, p)."""
 
-    _vars = (_X, _XI)
+    @property
+    def _vars(self):
+        return _X, _XI
 
     def __init__(self, order, fn=None, dim=1, integrability=math.inf,
                  x_independent=None, expr=None, name=""):
@@ -155,10 +177,11 @@ class Symbol(_Evaluable):
                 operator.mul, _pointwise(operator.mul),
                 x_independent=self.x_independent and other.x_independent)
         c = complex(other)
-        ce = (sp.nsimplify(c, rational=False)
-              if c == int(c.real) and c.imag == 0 else c)
+        whole = c == int(c.real) and c.imag == 0
         return _derive(Symbol, (self,), self.order, self.integrability,
-                       lambda e: ce * e, _pointwise(lambda v: c * v),
+                       lambda e: (sp.nsimplify(c, rational=False) if whole
+                                  else c) * e,
+                       _pointwise(lambda v: c * v),
                        x_independent=self.x_independent)
 
     __rmul__ = __mul__
@@ -179,14 +202,16 @@ class Symbol(_Evaluable):
 
     def conjugate(self) -> "Symbol":
         return _derive(Symbol, (self,), self.order, self.integrability,
-                       sp.conjugate, _pointwise(np.conj),
+                       lambda e: sp.conjugate(e), _pointwise(np.conj),
                        x_independent=self.x_independent)
 
 
 class Amplitude(_Evaluable):
     """Amplitude a(t, w, x, y, xi) of order (l, p)."""
 
-    _vars = (_X, _Y, _XI)
+    @property
+    def _vars(self):
+        return _X, _Y, _XI
 
     def __init__(self, order, fn=None, dim=1, integrability=math.inf,
                  expr=None, y_independent=None):
@@ -285,7 +310,7 @@ def symbol_from_expr(expr, dim=1, order=None, integrability=math.inf,
     The order defaults to the degree of a xi-polynomial.  Nothing is
     compiled here: the evaluator is built when the symbol is first called.
     """
-    expr = sp.sympify(expr)
+    expr = __getattr__("sp").sympify(expr)
     if order is None:
         order = _xi_degree(expr, dim)
         if order is None:
@@ -299,11 +324,11 @@ def amplitude_from_expr(expr, dim=1, order=None, integrability=math.inf) -> Ampl
     if order is None:
         raise ValueError("order must be given for amplitudes")
     return Amplitude(order, dim=dim, integrability=integrability,
-                     expr=sp.sympify(expr))
+                     expr=__getattr__("sp").sympify(expr))
 
 
 def constant_symbol(c, dim=1) -> Symbol:
-    return symbol_from_expr(sp.sympify(c), dim, order=0)
+    return symbol_from_expr(c, dim, order=0)
 
 
 # ---------------------------------------------------------------------------

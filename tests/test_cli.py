@@ -275,8 +275,18 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("verify-symbol", "symbol = 2**2**20*xi\n"),
     ("verify-symbol", "symbol = 9**9**9*xi\n"),
     ("carleman", "B1 = sin(x)\ndraws = 1\n"),
+    ("verify-symbol", "symbol = ()\n"),
+    ("carleman", "mu_list = ,\n"),
+    ("carleman", "mu_list = 0\n"),
+    ("carleman", "mu_list = nan\n"),
+    ("uniqueness", "mu_list = ,\n"),
+    ("uniqueness", "mu_list = -50,100\n"),
+    ("uniqueness", "mu_list = 50\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
-        "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic"])
+        "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic",
+        "empty-parens", "carleman-mu-empty", "carleman-mu-zero",
+        "carleman-mu-nan", "uniqueness-mu-empty", "uniqueness-mu-negative",
+        "uniqueness-mu-single"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)

@@ -1,12 +1,14 @@
 """Every top-level definition in src/spdo is reached from a CLI command, or
-is named below with the verdict that is meant to reach it; and no command
-loads scipy."""
+is named below with the verdict that is meant to reach it; no command loads
+scipy, and the commands that build no symbol do not load sympy."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import spdo
 
@@ -17,7 +19,6 @@ PKG = pathlib.Path(spdo.__file__).parent
 ALLOWED_UNREACHED = {
     "symbols.Amplitude": "amplitude apply vs reduced symbol, quantize-demo",
     "symbols.amplitude_from_expr": "amplitude apply vs reduced symbol, quantize-demo",
-    "symbols._Y": "the y variables of amplitudes, quantize-demo",
     "quantize.RegularizationWarning": "amplitude apply, quantize-demo",
     "quantize.AmplitudeApplication": "amplitude apply, quantize-demo",
     "quantize._amplitude_sum": "amplitude apply, quantize-demo",
@@ -93,15 +94,30 @@ def test_unreached_code_is_exactly_the_allowlist():
     assert unreached_names() == set(ALLOWED_UNREACHED)
 
 
+def _python(code: str) -> list:
+    """The output lines of code run in a fresh interpreter on this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PKG.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+IMPORT_ALL = (
+    "import importlib, pkgutil, sys\n"
+    "import spdo\n"
+    "for m in pkgutil.iter_modules(spdo.__path__):\n"
+    "    importlib.import_module('spdo.' + m.name)\n"
+    "from spdo.cli import main\n")
+
+
 def test_no_scipy_module_loads(tmp_path):
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("symbol = garding-stochastic\n")
     code = (
-        "import importlib, pkgutil, sys\n"
-        "import spdo\n"
-        "for m in pkgutil.iter_modules(spdo.__path__):\n"
-        "    importlib.import_module('spdo.' + m.name)\n"
-        "from spdo.cli import main\n"
+        IMPORT_ALL +
         f"rc = main(['verify-symbol', '--config', {str(cfg)!r}, "
         f"'--out', {str(tmp_path / 'out')!r}])\n"
         "assert rc == 0, rc\n"
@@ -109,10 +125,57 @@ def test_no_scipy_module_loads(tmp_path):
         # lambdify with the string 'numpy' runs `from numpy import *`, which
         # loads these two (and unittest, email, socket with them)
         "print(sorted({'numpy.f2py', 'numpy.testing'} & set(sys.modules)))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PKG.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-2:] == ["[]", "[]"]
+    assert _python(code)[-2:] == ["[]", "[]"]
+
+
+# small configs of the commands that build no symbol
+NUMERIC = {"integrator": "ensemble.M = 64\nunitary.K = 50\n",
+           "cz": "grid.N = 32\nensemble.M = 3\ntime.K = 8\n",
+           "uniqueness": "ensemble.M = 8\ntime.K = 16\n"}
+
+
+def _fresh_run(tmp_path, command, cfg_text):
+    """(exit code, whether sympy was loaded, output directory) of command
+    run in a fresh interpreter that first imports every spdo module."""
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / f"{command}-fresh"
+    rc, loaded = _python(
+        IMPORT_ALL +
+        f"rc = main([{command!r}, '--config', {str(cfg)!r}, "
+        f"'--out', {str(out)!r}])\n"
+        "print(rc, 'sympy' in sys.modules)\n")[-1].split()
+    return int(rc), loaded == "True", out
+
+
+def test_importing_spdo_loads_no_sympy():
+    assert _python(IMPORT_ALL + "print('sympy' in sys.modules)\n") == \
+        ["False"]
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC))
+def test_numeric_command_loads_no_sympy(tmp_path, command):
+    rc, loaded, _ = _fresh_run(tmp_path, command, NUMERIC[command])
+    assert rc in (0, 2)
+    assert not loaded
+
+
+def test_carleman_loads_sympy(tmp_path):
+    # its B1 = bessel1 is built from an expression
+    rc, loaded, _ = _fresh_run(tmp_path, "carleman", "draws = 1\n")
+    assert rc == 0
+    assert loaded
+
+
+@pytest.mark.parametrize("command", ["cz", "uniqueness"])
+def test_report_does_not_depend_on_sympy(tmp_path, command):
+    rc, loaded, fresh = _fresh_run(tmp_path, command, NUMERIC[command])
+    assert not loaded
+    from spdo.cli import main
+    from spdo.symbols import sp  # noqa: F401  (imports sympy in-process)
+
+    here = tmp_path / f"{command}-here"
+    assert main([command, "--config", str(tmp_path / f"{command}.cfg"),
+                 "--out", str(here)]) == rc
+    assert (here / "report.json").read_bytes() == \
+        (fresh / "report.json").read_bytes()
