@@ -530,9 +530,9 @@ def run_garding(cfg, seed):
     from .bounds import garding_check
 
     dims = cfg_int(cfg, "grid.dim", 1)
-    # the symbol first: with sympy loaded before numpy.random, glibc malloc
-    # reuses the heap for the dense applies' large temporaries; the other
-    # order maps them afresh (40k more page faults, 60 ms per run)
+    # the symbol first; the order does not show in the measurements: at the
+    # ensemble config either order takes 31.6k-31.7k minor page faults per
+    # run, and the same wall time within noise
     a = _symbol(cfg, "symbol", "garding-stochastic", dim=dims)
     grids = _grids(cfg, dims)
     ens = _ensemble(cfg, seed)

@@ -4,10 +4,15 @@ The operator attached to a symbol a is the discrete Kohn-Nirenberg sum
 
     (Au)(x) = sum_xi a(t, w, x, xi) e^{i x.xi} u_hat(xi) * (1/L)^n
 
-over the resolved frequency lattice.  For x-independent symbols this is a
-diagonal multiplier plus an inverse FFT; otherwise the exact O(N^{2n}) sum
-is evaluated (N capped by dimension).  Amplitudes are applied through the
-regularized double sum with a smooth cutoff chi(eps xi).
+over the resolved frequency lattice, by one of three paths.  An
+x-independent symbol is a diagonal multiplier plus an inverse FFT.  A
+separated symbol sum_r c_r(t, w, x) g_r(t, w, xi) (Symbol.separated) is
+sum_r c_r times the inverse FFT of g_r u_hat, with no cap on N; it runs
+when the batch holds more than one (t, w) node or N is above the cap,
+since the separation costs a few ms of sympy per symbol.  Otherwise the
+exact O(N^{2n}) sum is evaluated (N capped by dimension).  Amplitudes are
+applied through the regularized double sum with a smooth cutoff
+chi(eps xi).
 """
 
 from __future__ import annotations
@@ -27,13 +32,12 @@ __all__ = [
     "apply_symbol_op",
     "apply_amplitude_op",
     "apply_adjoint",
-    "apply_transpose",
     "apply_symbol_ensemble",
     "extract_symbol",
     "smooth_chi",
 ]
 
-# exact-sum size caps per dimension; correctness first at desk scale
+# dense-sum size caps per dimension; correctness first at desk scale
 _N_CAP = {1: 128, 2: 64, 3: 32}
 # work-array budget of one chunk of (path, time) nodes: as fast as larger
 # chunks, and it keeps peak memory flat in the ensemble size
@@ -85,15 +89,16 @@ def apply_symbol_op(a: Symbol, u: SpectralField, t=0.0, w=0.0) -> SpectralField:
     """Kohn-Nirenberg quantization of a applied to u at (t, w).
 
     u may carry batch axes before the grid axes, one field per (t, w) node;
-    t and w broadcast against those axes.  The nodes are processed in chunks
-    whose work arrays hold about _CHUNK_BYTES (at least one node, and at
-    least one lattice row of the dense sum, per chunk).
+    t and w broadcast against those axes.  An x-dependent symbol takes the
+    separated path when it separates and there is more than one node or N
+    is above the cap of the dense sum; otherwise the dense sum.  The nodes
+    are processed in chunks whose work arrays hold about _CHUNK_BYTES (at
+    least one node, and at least one lattice row of the dense sum, per
+    chunk).
     """
     grid = u.grid
     if a.dim != grid.dim:
         raise ValueError("symbol/grid dimension mismatch")
-    if not a.x_independent:
-        _check_cap(grid)
     batch = u.values.shape[:u.values.ndim - grid.dim]
     t = np.broadcast_to(t, batch).reshape(-1)
     w = np.broadcast_to(w, batch).reshape(-1)
@@ -101,7 +106,14 @@ def apply_symbol_op(a: Symbol, u: SpectralField, t=0.0, w=0.0) -> SpectralField:
     npts = grid.N**grid.dim
     if a.x_independent:
         apply_chunk, node_bytes = _apply_multiplier, 16 * npts
+    # the sympy separation costs a few ms, which pays back over many nodes
+    elif (len(fields) > 1 or grid.N > _N_CAP[grid.dim]) and a.separated:
+        # every c_r and g_r, then g_r u_hat, its inverse FFT, c_r times that
+        # and the sum
+        rank = a.separated[0]
+        apply_chunk, node_bytes = _apply_separated, 16 * npts * (2 * rank + 4)
     else:
+        _check_cap(grid)
         apply_chunk, node_bytes = _apply_dense, 16 * npts * npts
     step = max(1, _CHUNK_BYTES // node_bytes)
     out = np.empty_like(fields)
@@ -119,6 +131,21 @@ def _apply_multiplier(a, grid, uhat, t, w):
     x0 = np.zeros(grid.shape + (grid.dim,))
     mult = a(t.reshape(lead), w.reshape(lead), x0, grid.freqs())
     return to_physical(SpectralField(grid, mult * uhat, FREQUENCY)).values
+
+
+def _apply_separated(a, grid, uhat, t, w):
+    """Separated symbol sum_r c_r(t, w, x) g_r(t, w, xi): the sum over r of
+    c_r times the inverse FFT of g_r u_hat, one term at a time."""
+    rank, fn = a.separated
+    lead = (-1,) + (1,) * grid.dim
+    cg = fn(t.reshape(lead), w.reshape(lead), grid.points(), grid.freqs())
+    out = 0.0
+    # a pole on the lattice gives non-finite values, which the verdicts count
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for c, g in zip(cg[:rank], cg[rank:]):
+            v = to_physical(SpectralField(grid, g * uhat, FREQUENCY)).values
+            out = out + c * v
+    return out
 
 
 def _apply_dense(a, grid, uhat, t, w):
@@ -212,27 +239,20 @@ def _as_amplitude(a) -> Amplitude:
                      dim=a.dim, integrability=a.integrability, y_independent=True)
 
 
-def _swap_amplitude(a: Amplitude, conj: bool, negate_xi: bool) -> Amplitude:
+def _swap_amplitude(a: Amplitude) -> Amplitude:
+    """conj(a(t, w, y, x, xi)): the amplitude of the adjoint."""
     amp = _as_amplitude(a)
     base = amp.fn
 
     def fn2(t, w, x, y, xi):
-        v = base(t, w, y, x, -np.asarray(xi) if negate_xi else xi)
-        return np.conj(v) if conj else v
+        return np.conj(base(t, w, y, x, xi))
 
     return Amplitude(amp.order, fn2, dim=amp.dim, integrability=amp.integrability)
 
 
 def apply_adjoint(a, u: SpectralField, t: float = 0.0, w=0.0) -> SpectralField:
     """A* u via the conjugated swapped amplitude conj(a(y, x, xi))."""
-    return apply_amplitude_op(_swap_amplitude(a, conj=True, negate_xi=False),
-                              u, t, w).result
-
-
-def apply_transpose(a, u: SpectralField, t: float = 0.0, w=0.0) -> SpectralField:
-    """tA u via the swapped, xi-reflected amplitude a(y, x, -xi)."""
-    return apply_amplitude_op(_swap_amplitude(a, conj=False, negate_xi=True),
-                              u, t, w).result
+    return apply_amplitude_op(_swap_amplitude(a), u, t, w).result
 
 
 def extract_symbol(a: Symbol, grid: Grid, k, t: float = 0.0, w=0.0) -> np.ndarray:

@@ -37,6 +37,9 @@ __all__ = [
     "ellipticity_check",
 ]
 
+# the most terms Symbol.separated expands a symbol to
+_SEPARATE_TERMS = 1000
+
 # sympy and the variables are built on first use, so a command that builds
 # no symbol never imports sympy
 _SYMPY_GLOBALS = ("sp", "_T", "_W", "_X", "_XI", "_Y")
@@ -159,6 +162,27 @@ class Symbol(_Evaluable):
         return self.expr is not None and not any(
             self.expr.has(v) for v in _X[:self.dim])
 
+    @cached_property
+    def separated(self):
+        """(r, fn) with a = sum_{k<r} c_k(t, w, x) g_k(t, w, xi) read off the
+        expanded expression (terms grouped by xi-factor, then by x-factor)
+        and fn(t, w, x, xi) the list of values c_0..c_{r-1}, g_0..g_{r-1};
+        None for a callable, when a xi-factor still holds x, or when the
+        expansion could pass _SEPARATE_TERMS terms (a power of a sum within
+        the parser's bounds can expand to millions)."""
+        if self.expr is None or _expand_bound(self.expr) > _SEPARATE_TERMS:
+            return None
+        by_g, by_c = {}, {}
+        for term in sp.Add.make_args(sp.expand(self.expr)):
+            c, g = term.as_independent(*_XI[:self.dim], as_Add=False)
+            if g.has(*_X[:self.dim]):
+                return None
+            by_g[g] = by_g.get(g, 0) + c
+        for g, c in by_g.items():
+            by_c[c] = by_c.get(c, 0) + g
+        return len(by_c), _compile(list(by_c) + list(by_c.values()),
+                                   self.dim, self._vars)
+
     def derivative(self, alpha=(), beta=()) -> "Symbol":
         """d^alpha_xi d^beta_x a, as a new Symbol of order l - |alpha|."""
         alpha = _as_multiindex(alpha, self.dim)
@@ -271,18 +295,34 @@ def _as_multiindex(m, dim):
     return m
 
 
+def _expand_bound(e) -> int:
+    """An upper bound on the terms sympy.expand writes out for e: sums add,
+    products and integer powers multiply.  An exponent counts at most 64:
+    a base of two or more terms is past any budget by then."""
+    if e.is_Add:
+        return sum(map(_expand_bound, e.args))
+    if e.is_Mul:
+        return math.prod(map(_expand_bound, e.args))
+    if e.is_Pow and e.exp.is_Integer:
+        return _expand_bound(e.base) ** min(abs(int(e.exp)), 64)
+    return max(1, sum(map(_expand_bound, e.args)))
+
+
 def _compile(expr, dim, groups):
     """numpy evaluator fn(t, w, *arrays) of expr, one array per variable
     group, components on the last axis; the result takes the broadcast shape
-    of t, w and the components."""
+    of t, w and the components (a list of expressions gives the list of
+    their values, each in the shape of the variables it holds)."""
     f = sp.lambdify((_T, _W) + tuple(v for g in groups for v in g[:dim]),
                     expr, modules=[np])
 
     def fn(t, w, *arrays):
         comps = [_split_components(a, dim) for a in arrays]
         with np.errstate(all="ignore"):
-            out = np.asarray(f(t, w, *(c for cs in comps for c in cs)),
-                             dtype=np.complex128)
+            out = f(t, w, *(c for cs in comps for c in cs))
+        if isinstance(expr, list):
+            return [np.asarray(v, dtype=np.complex128) for v in out]
+        out = np.asarray(out, dtype=np.complex128)
         target = np.broadcast(t, w, *(cs[0] for cs in comps)).shape
         return np.broadcast_to(out, target) if out.shape != target else out
 

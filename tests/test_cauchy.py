@@ -516,9 +516,10 @@ def test_carleman_report_terms_itemized():
 
 
 def test_carleman_dense_path_matches_multiplier_path():
-    # (sin^2 + cos^2) keeps x in the expression, so these symbols take the
-    # dense x-dependent path at every node (including the skew term), yet
-    # equal the Fourier multipliers xi and sqrt(1 + xi^2)
+    # (sin^2 + cos^2) keeps x in the expression, so these symbols take an
+    # x-dependent path at every node (including the skew term): the
+    # separated one, c(x) = sin^2 + cos^2 times g(xi), as each apply holds
+    # many nodes; yet they equal the Fourier multipliers xi and sqrt(1 + xi^2)
     one = sp.sin(_X[0]) ** 2 + sp.cos(_X[0]) ** 2
     A1 = symbol_from_expr(_XI[0], 1, order=1)
     A1x = symbol_from_expr(one * _XI[0], 1, order=1)

@@ -1,5 +1,4 @@
-"""Quantization: operator application, adjoints, transposes, symbol
-extraction."""
+"""Quantization: operator application, adjoints, symbol extraction."""
 
 import math
 import warnings
@@ -18,13 +17,13 @@ from spdo.quantize import (
     apply_amplitude_op,
     apply_symbol_ensemble,
     apply_symbol_op,
-    apply_transpose,
     extract_symbol,
     smooth_chi,
 )
+from spdo.registry import make_symbol
 from spdo.stochastic import sample_brownian
-from spdo.symbols import (amplitude_from_expr, constant_symbol, symbol_from_expr, _T, _W,
-                          _X, _XI, _Y)
+from spdo.symbols import (Symbol, amplitude_from_expr, constant_symbol,
+                          symbol_from_expr, _T, _W, _X, _XI, _Y)
 
 G = Grid(1, 64)
 
@@ -98,14 +97,6 @@ def test_adjoint_self_adjoint_multiplication():
     assert np.abs(got.values - ref.values).max() < 1e-10
 
 
-def test_transpose_of_derivative_is_minus():
-    a = symbol_from_expr(_XI[0], 1, order=1)
-    u = random_band_limited(G, np.random.default_rng(5))
-    got = apply_transpose(a, u)
-    ref = apply_symbol_op(a, u)
-    assert np.abs(got.values + ref.values).max() < 1e-10
-
-
 def test_adjoint_inner_product_identity():
     rng = np.random.default_rng(6)
     a = symbol_from_expr(sp.sin(_X[0]) * _XI[0] / sp.sqrt(1 + _XI[0] ** 2),
@@ -120,27 +111,29 @@ def test_adjoint_inner_product_identity():
         assert abs(lhs - rhs) <= 1e-8 * l2_norm(u) * l2_norm(v)
 
 
-def test_transpose_bilinear_identity():
-    rng = np.random.default_rng(7)
-    a = symbol_from_expr(sp.cos(_X[0]) * _XI[0], 1, order=1)
-    for _ in range(5):
-        u = random_band_limited(G, rng)
-        v = random_band_limited(G, rng)
-        Au = apply_symbol_op(a, u)
-        Atv = apply_transpose(a, v)
-        lhs = np.sum(Au.values * v.values) * G.cell_volume
-        rhs = np.sum(u.values * Atv.values) * G.cell_volume
-        assert abs(lhs - rhs) <= 1e-8 * l2_norm(u) * l2_norm(v)
-
-
 # -- batched core ------------------------------------------------------------
 
+# "dense-" names the x-dependent symbols: dense-w and dense-t separate, so a
+# batch of nodes takes the separated path; dense-x-xi does not separate and
+# keeps the dense sum
 BATCH_SYMBOLS = {
     "multiplier-w": ((1 + sp.sin(_W) / 2) * _XI[0] / sp.sqrt(1 + _XI[0] ** 2), 0),
     "multiplier-t": ((1 + _T) * _XI[0] ** 2, 2),
     "dense-w": ((2 + sp.sin(_X[0]) + sp.sin(_W) / 10) * _XI[0] ** 2, 2),
     "dense-t": (sp.cos(_X[0]) * _T * _XI[0] + 1, 1),
+    "dense-x-xi": ((1 + _T) * sp.sin(_X[0] * _XI[0]) + sp.cos(_W), 0),
 }
+
+
+def _node_bytes(a, grid):
+    """The work bytes per node that apply_symbol_op sizes its chunks from,
+    for a batch of more than one node."""
+    npts = grid.N**grid.dim
+    if a.x_independent:
+        return 16 * npts
+    if a.separated:
+        return 16 * npts * (2 * a.separated[0] + 4)
+    return 16 * npts * npts
 
 
 def _per_node_reference(a, grid, values, nodes, paths):
@@ -159,6 +152,15 @@ def _per_node_reference(a, grid, values, nodes, paths):
     return out
 
 
+def _batch(grid, seed=5):
+    """2 paths x 5 nodes of random band-limited fields."""
+    ens = sample_brownian(2, TimeGrid(0.5, 4), seed=4)
+    rng = np.random.default_rng(seed)
+    values = np.stack([[random_band_limited(grid, rng).values
+                        for _ in range(5)] for _ in range(2)])
+    return ens, SampledField(grid, ens.timegrid, values)
+
+
 @pytest.mark.parametrize("name", sorted(BATCH_SYMBOLS))
 @pytest.mark.parametrize("dim,N", [(1, 32), (2, 8)])
 @pytest.mark.parametrize("nodes_per_chunk", [None, 3, 0.2])
@@ -169,20 +171,76 @@ def test_batched_core_matches_per_node_loop(monkeypatch, name, dim, N,
     expr, order = BATCH_SYMBOLS[name]
     a = symbol_from_expr(expr, dim, order=order)
     assert a.x_independent == name.startswith("multiplier")
+    assert (a.x_independent or a.separated is None) == (
+        name != "dense-w" and name != "dense-t")
     grid = Grid(dim, N)
     if nodes_per_chunk is not None:
-        npts = N**dim
-        per_node = 16 * (npts if a.x_independent else npts * npts)
         monkeypatch.setattr(quantize, "_CHUNK_BYTES",
-                            int(nodes_per_chunk * per_node))
-    ens = sample_brownian(2, TimeGrid(0.5, 4), seed=4)
-    rng = np.random.default_rng(5)
-    values = np.stack([[random_band_limited(grid, rng).values
-                        for _ in range(5)] for _ in range(2)])
-    u = SampledField(grid, ens.timegrid, values)
+                            int(nodes_per_chunk * _node_bytes(a, grid)))
+    ens, u = _batch(grid)
     got = apply_symbol_ensemble(a, u, ens).values
-    ref = _per_node_reference(a, grid, values, ens.timegrid.nodes(), ens.paths)
+    ref = _per_node_reference(a, grid, u.values, ens.timegrid.nodes(),
+                              ens.paths)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _separable_expr(dim):
+    """Rank dim + 2: t in a c and in a g, w in a c and in a g."""
+    x, xi = _X[0], _XI[0]
+    e = ((1 + _T) * sp.sin(x) * xi ** 2
+         + sp.cos(_W) * sp.cos(x) * sp.sqrt(1 + _W ** 2 * xi ** 2)
+         + sp.sin(_T + x) * sp.exp(sp.I * _T * xi))
+    return e + sum(sp.cos(_X[k]) * _XI[k] for k in range(1, dim))
+
+
+@pytest.mark.parametrize("dim,N", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("nodes_per_chunk", [None, 3])
+def test_separated_path_matches_per_node_loop(monkeypatch, dim, N,
+                                              nodes_per_chunk):
+    a = symbol_from_expr(_separable_expr(dim), dim, order=2)
+    assert a.separated[0] == dim + 2
+    grid = Grid(dim, N)
+    if nodes_per_chunk is not None:  # chunks of 3, 3, 3 and 1 nodes
+        monkeypatch.setattr(quantize, "_CHUNK_BYTES",
+                            nodes_per_chunk * _node_bytes(a, grid))
+    ens, u = _batch(grid, seed=6)
+    got = apply_symbol_ensemble(a, u, ens).values
+    ref = _per_node_reference(a, grid, u.values, ens.timegrid.nodes(),
+                              ens.paths)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_separated_is_none_unless_read_off_an_expression():
+    assert symbol_from_expr(sp.sin(_X[0] * _XI[0]), 1, order=0).separated \
+        is None
+    assert Symbol(0, lambda t, w, x, xi: x[..., 0] * xi[..., 0]).separated \
+        is None
+    # separable, but the expansion would write out 814385 terms
+    big = symbol_from_expr((_X[0] + _XI[0] + _T + _W + 1) ** 64, 1, order=64)
+    assert big.separated is None
+
+
+def test_separated_path_lifts_the_cap():
+    # mixed-0 = cos(x1) |xi|^2 / (1 + |xi|^2) at N = 128 in 2-D, past the
+    # dense cap of 64: the extraction identity e^{-ix.xi} A e^{ix.xi} gives
+    # the closed form at every resolved mode of the two axes and the
+    # diagonal, in one batched apply
+    grid = Grid(2, 128)
+    a = make_symbol("mixed-0", 2)
+    ks = np.arange(-63, 64)
+    zero = np.zeros_like(ks)
+    modes = np.concatenate([np.stack(p, axis=-1) for p in
+                            ((ks, zero), (zero, ks), (ks, ks))])
+    xi = 2.0 * np.pi * modes / grid.L
+    x = grid.points()
+    waves = np.exp(1j * np.einsum("md,...d->m...", xi, x))
+    got = apply_symbol_op(a, SpectralField(grid, waves)).values / waves
+    mag2 = np.sum(xi ** 2, axis=-1)[:, None, None]
+    expect = np.cos(x[..., 0]) * mag2 / (1.0 + mag2)
+    assert np.abs(got - expect).max() <= 1e-8
+    with pytest.raises(ValueError, match="capped"):
+        apply_symbol_op(symbol_from_expr(sp.sin(_X[0] * _XI[0]), 2, order=0),
+                        SpectralField(grid, waves[0]))
 
 
 def test_single_field_is_a_batch_of_one():
@@ -192,6 +250,19 @@ def test_single_field_is_a_batch_of_one():
     batch = apply_symbol_op(a, SpectralField(G, u.values[None]), [0.25], [0.7])
     assert one.values.shape == G.shape
     assert np.array_equal(batch.values[0], one.values)
+
+
+def test_single_field_inside_the_cap_stays_dense():
+    # the separation pays back only over many nodes: one field inside the
+    # cap keeps the dense sum, bit for bit, and never separates the symbol
+    a = symbol_from_expr(BATCH_SYMBOLS["dense-w"][0], 1, order=2)
+    u = random_band_limited(G, np.random.default_rng(9))
+    got = apply_symbol_op(a, u, 0.25, 0.7).values
+    uhat = np.fft.fftn(u.values)[None] * G.cell_volume
+    dense = quantize._apply_dense(a, G, uhat, np.array([0.25]),
+                                  np.array([0.7]))[0]
+    assert np.array_equal(got, dense)
+    assert "separated" not in vars(a)
 
 
 # -- extraction --------------------------------------------------------------

@@ -27,10 +27,6 @@ ALLOWED_UNREACHED = {
     "quantize._swap_amplitude": "adjoint apply, quantize-demo",
     "quantize.apply_adjoint": "adjoint apply vs adjoint_symbol, quantize-demo",
     "calculus.reduce_amplitude": "reduced symbol of the amplitude, quantize-demo",
-    "quantize.apply_transpose": "transpose apply vs transpose_symbol, quantize-demo",
-    "calculus.transpose_symbol": "transpose symbol vs transpose apply, quantize-demo",
-    "calculus._reflect_xi": "the a(x, -xi) of the transpose symbol, quantize-demo",
-    "calculus.asymptotic_sum": "one symbol for the parametrix series, parametrix",
     "bounds.sobolev_boundedness_check": "H^delta ratio stability, bounds",
     "bounds._mixed_norm": "mixed-norm check, bounds",
     "bounds.mixed_lp_check": "mixed-norm check, bounds",
