@@ -2,9 +2,8 @@
 adjoint and amplitude reduction, and the elliptic parametrix.
 
 All expansions share the template sum over multi-indices alpha of
-(1 / (alpha! i^{|alpha|})) times paired derivatives.  When both inputs carry
-sympy expressions every term is exact; otherwise nested central differences
-are used, which bounds the practical truncation depth at 4.
+(1 / (alpha! i^{|alpha|})) times paired derivatives, each taken exactly on
+the sympy expressions of the inputs, so every term is exact at any depth.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class AsymptoticSeries:
 
         parts = []
         for o, s in self.terms:
-            if s.expr is not None and not s.expr.has(sp.Piecewise):
+            if not s.expr.has(sp.Piecewise):
                 body = str(sp.expand(s.expr))
             else:
                 body = f"<order {o:g} term>"
@@ -87,17 +86,16 @@ def _expansion(term, only_lead, lead, n_terms, integrability, dim):
     n_terms is sum_{|alpha| = j} (1 / (alpha! i^{|alpha|})) term(alpha), of
     order lead - j, with zero terms dropped.  only_lead stops at j = 0, for
     inputs whose paired derivatives vanish."""
+    from .symbols import sp
+
     out = []
     for j in range(1 if only_lead else n_terms + 1):
         s = None
         for wgt, alpha in _weighted_alphas(j, dim):
             piece = wgt * term(alpha)
             s = piece if s is None else s + piece
-        if s.expr is not None:
-            from .symbols import sp
-
-            if not s.expr.has(sp.Piecewise) and sp.expand(s.expr) == 0:
-                continue
+        if not s.expr.has(sp.Piecewise) and sp.expand(s.expr) == 0:
+            continue
         s.order = lead - j
         s.integrability = integrability
         out.append((lead - j, s))
@@ -171,8 +169,6 @@ def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries
         raise EllipticityError("symbol failed the ellipticity check")
     R0 = max(ellipticity.R_K, 1.0)
     dim = a.dim
-    if a.expr is None:
-        raise ValueError("parametrix construction needs a closed-form symbol")
     # recursion on the raw 1/a terms; the low-frequency cutoff is attached
     # once at the end (its support lies below the elliptic band, so the
     # cancellation above |xi| = 2 R0 is untouched)

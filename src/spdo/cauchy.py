@@ -120,14 +120,12 @@ class CompanionSymbol:
 
     @property
     def tw_independent(self) -> bool:
-        """Constants and expressions free of t and w; a bare callable
-        counts as (t, w)-dependent.  t and w are read only off an
-        expression, whose Symbol has loaded sympy."""
+        """Constants and expressions free of t and w.  t and w are read
+        only off an expression, whose Symbol has loaded sympy."""
         from . import symbols
 
         return not any(isinstance(c, Symbol)
-                       and (c.expr is None
-                            or c.expr.has(symbols._T, symbols._W))
+                       and c.expr.has(symbols._T, symbols._W)
                        for c in self.spec.principal.values())
 
     def __call__(self, t, w, x, xi) -> np.ndarray:

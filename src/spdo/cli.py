@@ -58,16 +58,20 @@ def cfg_str(cfg, key, default=None):
     return v
 
 
-def cfg_int(cfg, key, default=None):
+def cfg_int(cfg, key, default=None, least=None):
+    """Integer config key, at least `least` when that is given."""
     v = cfg.get(key)
     if v is None:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
-        return int(v)
+        n = int(v)
     except ValueError:
         raise ConfigError(f"config key {key!r}: {v!r} is not an integer")
+    if least is not None and n < least:
+        raise ConfigError(f"config key {key!r}: {n} is below {least}")
+    return n
 
 
 def cfg_float(cfg, key, default=None):
@@ -82,37 +86,32 @@ def cfg_float(cfg, key, default=None):
         raise ConfigError(f"config key {key!r}: {v!r} is not a number")
 
 
-def cfg_floats(cfg, key, default):
+def cfg_list(cfg, key, default, kind=int, distinct=1):
+    """The comma list of config key `key`, each entry read by kind (int,
+    float or str), with at least `distinct` distinct values: an empty list
+    would make a vacuous verdict."""
     v = cfg.get(key)
     if v is None:
         return list(default)
     try:
-        return [float(p) for p in v.split(",") if p.strip()]
+        vals = [kind(p.strip()) for p in v.split(",") if p.strip()]
     except ValueError:
-        raise ConfigError(f"config key {key!r}: {v!r} is not a number list")
-
-
-def cfg_ints(cfg, key, default):
-    v = cfg.get(key)
-    if v is None:
-        return list(default)
-    try:
-        return [int(p) for p in v.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {v!r} is not an integer list")
+        raise ConfigError(f"config key {key!r}: {v!r} is not a list of "
+                          f"{kind.__name__}")
+    if len(set(vals)) < distinct:
+        raise ConfigError(f"config key {key!r}: needs {distinct} or more "
+                          f"distinct values, got {len(set(vals))}")
+    return vals
 
 
 def cfg_mu_list(cfg, default, distinct):
     """The Carleman weights of config key mu_list: finite, positive, and at
     least `distinct` distinct values."""
-    mus = cfg_floats(cfg, "mu_list", default)
+    mus = cfg_list(cfg, "mu_list", default, float, distinct)
     for mu in mus:
         if not 0.0 < mu < float("inf"):
             raise ConfigError(f"config key 'mu_list': {mu!r} is not a "
                               "finite positive number")
-    if len(set(mus)) < distinct:
-        raise ConfigError(f"config key 'mu_list': needs {distinct} or more "
-                          f"distinct values, got {len(set(mus))}")
     return mus
 
 
@@ -146,7 +145,7 @@ def _grids(cfg, dim):
     from .grid import Grid
 
     return [_checked("grid.dim, grid.N_list", Grid, dim, N)
-            for N in cfg_ints(cfg, "grid.N_list", (32, 64))]
+            for N in cfg_list(cfg, "grid.N_list", (32, 64))]
 
 
 def _timegrid(cfg, default_T, default_K):
@@ -185,9 +184,9 @@ def run_verify_symbol(cfg, seed):
     grid = _grid(cfg)
     ens = _ensemble(cfg, seed)
     a = _symbol(cfg, "symbol", dim=grid.dim)
-    est = check_symbol_estimate(a, cfg_int(cfg, "check.alpha_max", 2),
-                                cfg_int(cfg, "check.beta_max", 2), grid,
-                                ensemble=ens)
+    est = check_symbol_estimate(
+        a, cfg_int(cfg, "check.alpha_max", 2, least=0),
+        cfg_int(cfg, "check.beta_max", 2, least=0), grid, ensemble=ens)
     ell = ellipticity_check(a, grid, ens)
     passed = not any(e.violation for e in est.entries)
     report = {
@@ -302,7 +301,7 @@ def run_compose(cfg, seed):
     grid = _grid(cfg)
     rng = np.random.default_rng(seed)
     tol = cfg_float(cfg, "tol", 1e-9)
-    trials = cfg_int(cfg, "trials", 5)
+    trials = cfg_int(cfg, "trials", 5, least=1)
     pairs = cfg_int(cfg, "random_pairs", 0)
     if pairs > 0:
         # oracle sweep: expansion truncated at the full polynomial degree is
@@ -342,8 +341,9 @@ def run_parametrix(cfg, seed):
 
     grid = _grid(cfg, default_N=128)
     a = _symbol(cfg, "symbol", "parametrix-demo", dim=grid.dim)
-    modes = cfg_ints(cfg, "modes", (8, 16, 32))
-    n_list = cfg_ints(cfg, "n_terms", (1, 2, 3))
+    # the residual slope is fitted through at least two modes
+    modes = cfg_list(cfg, "modes", (8, 16, 32), distinct=2)
+    n_list = cfg_list(cfg, "n_terms", (1, 2, 3))
     rows, all_pass = [], True
     for n in n_list:
         series = parametrix(a, n, grid)
@@ -375,14 +375,15 @@ def run_bounds(cfg, seed):
     dims = cfg_int(cfg, "grid.dim", 1)
     grids = _grids(cfg, dims)
     ens = _ensemble(cfg, seed)
-    names = cfg_str(cfg, "symbol", "identity,sgn-smoothed,mod-x").split(",")
+    names = cfg_list(cfg, "symbol", ("identity", "sgn-smoothed", "mod-x"),
+                     str)
     all_pass = True
     per = {}
     rows = []
-    for name in [n.strip() for n in names if n.strip()]:
+    for name in names:
         a = _symbol({"symbol": name}, "symbol", dim=dims)
         rep = l2_boundedness_check(a, cfg_float(cfg, "q", 2.0), grids, ens,
-                                   trials=cfg_int(cfg, "trials", 5),
+                                   trials=cfg_int(cfg, "trials", 5, least=1),
                                    seed=seed)
         per[name] = rep.to_dict()
         all_pass &= rep.passed
@@ -538,8 +539,8 @@ def run_garding(cfg, seed):
     ens = _ensemble(cfg, seed)
     rep = garding_check(a, cfg_float(cfg, "delta_star", 1.0),
                         cfg_float(cfg, "eps", 0.1), cfg_float(cfg, "r", 0.0),
-                        grids, ens, trials=cfg_int(cfg, "trials", 10),
-                        seed=seed)
+                        grids, ens,
+                        trials=cfg_int(cfg, "trials", 10, least=1), seed=seed)
     report = rep.to_dict()
     passed = rep.passed
     if cfg.get("exact_check") not in (None, "0", ""):
@@ -552,7 +553,8 @@ def run_garding(cfg, seed):
         rep2 = garding_check(exact, cfg_float(cfg, "delta_star", 1.0),
                              cfg_float(cfg, "eps", 0.1),
                              cfg_float(cfg, "r", 0.0), grids, ens,
-                             trials=cfg_int(cfg, "exact_trials", 10),
+                             trials=cfg_int(cfg, "exact_trials", 10,
+                                            least=1),
                              seed=seed)
         # the control is judged on C <= 1 alone (NaN fails the comparison):
         # its stability ratio divides by the 1e-12 floor when a grid gives 0
@@ -581,7 +583,7 @@ def run_carleman(cfg, seed):
         return _symbol(cfg, key, default, dim=grid.dim)
 
     B1, A1 = _zero_or_symbol("B1", "bessel1"), _zero_or_symbol("A1")
-    draws = cfg_int(cfg, "draws", 50)
+    draws = cfg_int(cfg, "draws", 50, least=1)
     rng = np.random.default_rng(seed)
     rows = []
     n_pass = 0
@@ -618,6 +620,8 @@ def run_integrator(cfg, seed):
 
     g = _grid(cfg, default_N=8)
     sigma = cfg_float(cfg, "sigma", 2.0)
+    if sigma == 0:
+        raise ConfigError("config key 'sigma': 0 makes the Ito target 0")
     ens = _ensemble(cfg, seed, default_M=10_000, default_K=200)
     tg, M = ens.timegrid, ens.M
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
@@ -719,12 +723,13 @@ def main(argv=None) -> int:
         return 1
     except Exception as e:
         from .bounds import HypothesisError
+        from .calculus import EllipticityError
         from .registry import RegistryError
 
         if isinstance(e, RegistryError):
             print(f"config error: {e}", file=sys.stderr)
             return 1
-        if isinstance(e, HypothesisError):
+        if isinstance(e, (HypothesisError, EllipticityError)):
             print(f"hypothesis error: {e}", file=sys.stderr)
             return 1
         raise

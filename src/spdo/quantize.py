@@ -231,23 +231,16 @@ def apply_amplitude_op(a: Amplitude, u: SpectralField, t: float = 0.0,
     return AmplitudeApplication(SpectralField(grid, v2), eps, rel, ok)
 
 
-def _as_amplitude(a) -> Amplitude:
-    if isinstance(a, Amplitude):
-        return a
-    fn = a.fn
-    return Amplitude(a.order, lambda t, w, x, y, xi: fn(t, w, x, xi),
-                     dim=a.dim, integrability=a.integrability, y_independent=True)
+def _swap_amplitude(a) -> Amplitude:
+    """conj(a(t, w, y, x, xi)): the amplitude of the adjoint.  A Symbol
+    counts as the amplitude free of y."""
+    from .symbols import sp, _X, _Y
 
-
-def _swap_amplitude(a: Amplitude) -> Amplitude:
-    """conj(a(t, w, y, x, xi)): the amplitude of the adjoint."""
-    amp = _as_amplitude(a)
-    base = amp.fn
-
-    def fn2(t, w, x, y, xi):
-        return np.conj(base(t, w, y, x, xi))
-
-    return Amplitude(amp.order, fn2, dim=amp.dim, integrability=amp.integrability)
+    swap = {}
+    for x, y in zip(_X[:a.dim], _Y[:a.dim]):
+        swap[x], swap[y] = y, x
+    swapped = a.expr.subs(swap, simultaneous=True)
+    return Amplitude(a.order, sp.conjugate(swapped), a.dim, a.integrability)
 
 
 def apply_adjoint(a, u: SpectralField, t: float = 0.0, w=0.0) -> SpectralField:

@@ -2,14 +2,14 @@
 empirical verification of the defining derivative estimates, and ellipticity
 detection on the resolved frequency band.
 
-A symbol evaluator has signature ``fn(t, w, x, xi)`` where ``w`` is the
-driving Brownian value at time t (adaptedness is then automatic), and ``x``
-and ``xi`` are arrays whose last axis is the spatial dimension.  ``t`` and
-``w`` may be arrays too (one entry per (path, time) node); the evaluator
-must broadcast them against the components of ``x`` and ``xi``.  Symbols
-built from sympy expressions carry exact derivatives of every order and are
-compiled to numpy only when first evaluated; plain callables fall back to
-nested central differences.
+A symbol is a sympy expression in t, w, x1..xn and xi1..xin, where ``w``
+is the driving Brownian value at time t (adaptedness is then automatic);
+an amplitude adds y1..yn.  Derivatives of every order, arithmetic and the
+x- and y-independence flags are exact operations on the expression.  The
+numpy evaluator ``fn(t, w, x, xi)`` is compiled only when the symbol is
+first evaluated: ``x`` and ``xi`` are arrays whose last axis is the spatial
+dimension, and ``t`` and ``w`` may be arrays too (one entry per (path,
+time) node), broadcast against the components of ``x`` and ``xi``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,6 @@ __all__ = [
     "EstimateReport",
     "EllipticityResult",
     "UndefinedExponentError",
-    "DerivativeAccuracyError",
     "qstar",
     "symbol_from_expr",
     "amplitude_from_expr",
@@ -71,10 +69,6 @@ class UndefinedExponentError(ValueError):
     """q* is undefined for finite p, q with pq < p + q."""
 
 
-class DerivativeAccuracyError(ArithmeticError):
-    """Finite-difference step underflowed at the requested order."""
-
-
 def qstar(p: float, q: float) -> float:
     """Combined integrability exponent for a product of (l1,p) and (l2,q)."""
     if p < 1 or q < 1:
@@ -100,24 +94,16 @@ def _split_components(arr, dim):
 
 
 class _Evaluable:
-    """What Symbol and Amplitude share.
-
-    The evaluator ``fn(t, w, *arrays)`` is either given as a callable or
-    compiled from ``expr`` when it is first used.  ``_vars`` holds the sympy
-    variables of each array argument, xi last.
+    """What Symbol and Amplitude share: the sympy expression ``expr`` and
+    its numpy evaluator ``fn(t, w, *arrays)``, compiled when first used.
+    ``_vars`` holds the sympy variables of each array argument, xi last.
     """
 
-    def __init__(self, order, fn, dim, integrability, expr):
-        if fn is None and expr is None:
-            raise ValueError("need an expression or an evaluator")
-        if expr is not None:
-            __getattr__("sp")
+    def __init__(self, order, expr, dim=1, integrability=math.inf):
         self.order = order
+        self.expr = __getattr__("sp").sympify(expr)
         self.dim = dim
         self.integrability = integrability
-        self.expr = expr
-        if fn is not None:
-            self.fn = fn
 
     @cached_property
     def fn(self):
@@ -126,20 +112,16 @@ class _Evaluable:
     def __call__(self, t, w, *arrays):
         return np.asarray(self.fn(t, w, *arrays), dtype=np.complex128)
 
-    def _derivative(self, orders, order, **flags):
+    def _derivative(self, orders, order):
         """Derivative of multi-index orders[i] in array argument i."""
         if not any(map(any, orders)):
             return self
         last = len(orders) - 1
-
-        def diff(e):
-            for i in (last,) + tuple(range(last)):  # xi first, then x (and y)
-                for v, k in zip(self._vars[i], orders[i]):
-                    e = sp.diff(e, v, k)
-            return e
-
-        return _derive(type(self), (self,), order, self.integrability, diff,
-                       lambda f: _fd_derivative(f, self.dim, orders), **flags)
+        e = self.expr
+        for i in (last,) + tuple(range(last)):  # xi first, then x (and y)
+            for v, k in zip(self._vars[i], orders[i]):
+                e = sp.diff(e, v, k)
+        return type(self)(order, e, self.dim, self.integrability)
 
 
 class Symbol(_Evaluable):
@@ -149,28 +131,23 @@ class Symbol(_Evaluable):
     def _vars(self):
         return _X, _XI
 
-    def __init__(self, order, fn=None, dim=1, integrability=math.inf,
-                 x_independent=None, expr=None, name=""):
-        super().__init__(order, fn, dim, integrability, expr)
+    def __init__(self, order, expr, dim=1, integrability=math.inf, name=""):
+        super().__init__(order, expr, dim, integrability)
         self.name = name
-        if x_independent is not None:
-            self.x_independent = x_independent
 
     @cached_property
     def x_independent(self) -> bool:
-        """Read off the expression; a bare callable counts as x-dependent."""
-        return self.expr is not None and not any(
-            self.expr.has(v) for v in _X[:self.dim])
+        return not self.expr.has(*_X[:self.dim])
 
     @cached_property
     def separated(self):
         """(r, fn) with a = sum_{k<r} c_k(t, w, x) g_k(t, w, xi) read off the
         expanded expression (terms grouped by xi-factor, then by x-factor)
         and fn(t, w, x, xi) the list of values c_0..c_{r-1}, g_0..g_{r-1};
-        None for a callable, when a xi-factor still holds x, or when the
-        expansion could pass _SEPARATE_TERMS terms (a power of a sum within
-        the parser's bounds can expand to millions)."""
-        if self.expr is None or _expand_bound(self.expr) > _SEPARATE_TERMS:
+        None when a xi-factor still holds x, or when the expansion could
+        pass _SEPARATE_TERMS terms (a power of a sum within the parser's
+        bounds can expand to millions)."""
+        if _expand_bound(self.expr) > _SEPARATE_TERMS:
             return None
         by_g, by_c = {}, {}
         for term in sp.Add.make_args(sp.expand(self.expr)):
@@ -187,37 +164,27 @@ class Symbol(_Evaluable):
         """d^alpha_xi d^beta_x a, as a new Symbol of order l - |alpha|."""
         alpha = _as_multiindex(alpha, self.dim)
         beta = _as_multiindex(beta, self.dim)
-        return self._derivative(
-            (beta, alpha), self.order - sum(alpha),
-            x_independent=self.x_independent and not any(beta))
+        return self._derivative((beta, alpha), self.order - sum(alpha))
 
-    # -- arithmetic (exact when expressions are available) ----------------
+    # -- arithmetic, exact on the expressions -------------------------------
 
     def __mul__(self, other):
         if isinstance(other, Symbol):
-            return _derive(
-                Symbol, (self, other), self.order + other.order,
-                qstar(self.integrability, other.integrability),
-                operator.mul, _pointwise(operator.mul),
-                x_independent=self.x_independent and other.x_independent)
+            return Symbol(self.order + other.order, self.expr * other.expr,
+                          self.dim,
+                          qstar(self.integrability, other.integrability))
         c = complex(other)
-        whole = c == int(c.real) and c.imag == 0
-        return _derive(Symbol, (self,), self.order, self.integrability,
-                       lambda e: (sp.nsimplify(c, rational=False) if whole
-                                  else c) * e,
-                       _pointwise(lambda v: c * v),
-                       x_independent=self.x_independent)
+        if c == int(c.real) and c.imag == 0:
+            c = sp.nsimplify(c, rational=False)
+        return Symbol(self.order, c * self.expr, self.dim, self.integrability)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if not isinstance(other, Symbol):
             other = constant_symbol(other, self.dim)
-        return _derive(
-            Symbol, (self, other), max(self.order, other.order),
-            min(self.integrability, other.integrability),
-            operator.add, _pointwise(operator.add),
-            x_independent=self.x_independent and other.x_independent)
+        return Symbol(max(self.order, other.order), self.expr + other.expr,
+                      self.dim, min(self.integrability, other.integrability))
 
     def __sub__(self, other):
         if not isinstance(other, Symbol):
@@ -225,9 +192,8 @@ class Symbol(_Evaluable):
         return self + (-1.0) * other
 
     def conjugate(self) -> "Symbol":
-        return _derive(Symbol, (self,), self.order, self.integrability,
-                       lambda e: sp.conjugate(e), _pointwise(np.conj),
-                       x_independent=self.x_independent)
+        return Symbol(self.order, sp.conjugate(self.expr), self.dim,
+                      self.integrability)
 
 
 class Amplitude(_Evaluable):
@@ -237,16 +203,9 @@ class Amplitude(_Evaluable):
     def _vars(self):
         return _X, _Y, _XI
 
-    def __init__(self, order, fn=None, dim=1, integrability=math.inf,
-                 expr=None, y_independent=None):
-        super().__init__(order, fn, dim, integrability, expr)
-        if y_independent is not None:
-            self.y_independent = y_independent
-
     @cached_property
     def y_independent(self) -> bool:
-        return self.expr is not None and not any(
-            self.expr.has(v) for v in _Y[:self.dim])
+        return not self.expr.has(*_Y[:self.dim])
 
     def derivative(self, alpha=(), beta_y=()) -> "Amplitude":
         """d^alpha_xi d^beta_y a."""
@@ -257,31 +216,9 @@ class Amplitude(_Evaluable):
 
     def diagonal_symbol(self) -> Symbol:
         """a(t, w, x, x, xi) as a Symbol (the y = x restriction)."""
-        return _derive(
-            Symbol, (self,), self.order, self.integrability,
-            lambda e: e.subs({_Y[a]: _X[a] for a in range(self.dim)}),
-            lambda f: lambda t, w, x, xi: f(t, w, x, x, xi))
-
-
-def _derive(kind, sources, order, integrability, expr_op, fn_op, **flags):
-    """A new `kind` (Symbol or Amplitude) of the given order from `sources`.
-
-    The one branch on the representation: when every source has an
-    expression the result is expr_op of the expressions (exact, compiled
-    only when evaluated, its flags read off the expression); otherwise it
-    wraps fn_op of the source evaluators and takes `flags`.
-    """
-    dim = sources[0].dim
-    if all(s.expr is not None for s in sources):
-        return kind(order, dim=dim, integrability=integrability,
-                    expr=expr_op(*(s.expr for s in sources)))
-    return kind(order, fn_op(*(s.fn for s in sources)), dim=dim,
-                integrability=integrability, **flags)
-
-
-def _pointwise(op):
-    """fn_op for _derive: op applied to the values of the evaluators."""
-    return lambda *fns: lambda *args: op(*(np.asarray(f(*args)) for f in fns))
+        return Symbol(self.order,
+                      self.expr.subs({_Y[a]: _X[a] for a in range(self.dim)}),
+                      self.dim, self.integrability)
 
 
 def _as_multiindex(m, dim):
@@ -355,73 +292,18 @@ def symbol_from_expr(expr, dim=1, order=None, integrability=math.inf,
         order = _xi_degree(expr, dim)
         if order is None:
             raise ValueError("order must be given for non-polynomial symbols")
-    return Symbol(order, dim=dim, integrability=integrability, expr=expr,
-                  name=name)
+    return Symbol(order, expr, dim, integrability, name)
 
 
 def amplitude_from_expr(expr, dim=1, order=None, integrability=math.inf) -> Amplitude:
     """Amplitude from a sympy expression in t, w, x1.., y1.., xi1..  ."""
     if order is None:
         raise ValueError("order must be given for amplitudes")
-    return Amplitude(order, dim=dim, integrability=integrability,
-                     expr=__getattr__("sp").sympify(expr))
+    return Amplitude(order, expr, dim, integrability)
 
 
 def constant_symbol(c, dim=1) -> Symbol:
     return symbol_from_expr(c, dim, order=0)
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-
-
-def _fd_step(total_order: int, scale):
-    # the documented base step 2^-16 underflows in roundoff beyond second
-    # derivatives; grow it with the order
-    h = max(2.0**-16, np.finfo(float).eps ** (1.0 / (total_order + 4)))
-    step = h * scale
-    if np.any(step == 0):
-        raise DerivativeAccuracyError("finite-difference step underflowed")
-    return step
-
-
-def _central4(f, v, h):
-    # h is step * unit-vector; divide by the scalar magnitude so the result
-    # broadcasts like f(v), not like the component-axis step array
-    hmag = np.sqrt(np.sum(np.asarray(h) ** 2, axis=-1))
-    return (-f(v + 2 * h) + 8 * f(v + h) - 8 * f(v - h)
-            + f(v - 2 * h)) / (12 * hmag)
-
-
-def _fd_derivative(fn, dim, orders):
-    """Evaluator of the derivative of fn(t, w, *arrays) of multi-index
-    orders[i] in array argument i (xi last), by nested central differences."""
-    total = sum(map(sum, orders))
-
-    def dfn(t, w, *arrays):
-        return _fd_eval(fn, t, w, [np.asarray(v, float) for v in arrays],
-                        [list(o) for o in orders], total, dim)
-
-    return dfn
-
-
-def _fd_eval(fn, t, w, arrays, orders, total, dim):
-    last = len(arrays) - 1
-    for a in range(dim):
-        for i in (last,) + tuple(range(last)):  # xi first, then x (and y)
-            if orders[i][a] == 0:
-                continue
-            lower = [list(o) for o in orders]
-            lower[i][a] -= 1
-            scale = (1.0 + np.sqrt(np.sum(arrays[i]**2, axis=-1, keepdims=True))
-                     if i == last else 2.0 * np.pi)
-            e = np.zeros(dim)
-            e[a] = 1.0
-            return _central4(
-                lambda s: _fd_eval(fn, t, w, arrays[:i] + [s] + arrays[i + 1:],
-                                   lower, total, dim),
-                arrays[i], _fd_step(total, scale) * e)
-    return np.asarray(fn(t, w, *arrays), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +418,6 @@ def check_symbol_estimate(a: Symbol, alpha_max: int, beta_max: int, grid,
     normalized ratio still grows along the frequency band (log-log slope
     above 0.1) or is not finite.
     """
-    if a.expr is None and (alpha_max > 4 or beta_max > 4):
-        raise ValueError("caps above 4 require closed-form derivatives")
     from .stochastic import lpf_norm_values
 
     xs = _sample_points(grid)

@@ -29,7 +29,7 @@ from spdo.grid import Grid, TimeGrid
 from spdo.quantize import SampledField
 from spdo.registry import make_equation, make_symbol
 from spdo.stochastic import sample_brownian
-from spdo.symbols import Symbol, symbol_from_expr, _T, _W, _X, _XI
+from spdo.symbols import symbol_from_expr, _T, _W, _X, _XI
 
 G = Grid(1, 32)
 
@@ -328,8 +328,6 @@ def test_companion_tw_independent_read_off_coefficients():
     assert spec(symbol_from_expr(2 + sp.sin(_X[0]), 1, order=0)).tw_independent
     assert not spec(symbol_from_expr(1 + _W, 1, order=0)).tw_independent
     assert not spec(symbol_from_expr(1 + _T, 1, order=0)).tw_independent
-    assert not spec(Symbol(0, lambda t, w, x, xi: 1.0 + 0 * xi[..., 0],
-                           x_independent=True)).tw_independent
 
 
 def test_integrator_weak_order_in_dt():

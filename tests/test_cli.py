@@ -286,11 +286,28 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("uniqueness", "mu_list = ,\n"),
     ("uniqueness", "mu_list = -50,100\n"),
     ("uniqueness", "mu_list = 50\n"),
+    ("bounds", "trials = 0\n"),
+    ("bounds", "grid.N_list = ,\n"),
+    ("bounds", "symbol = ,\n"),
+    ("garding", "trials = 0\n"),
+    ("garding", "grid.N_list = ,\n"),
+    ("compose", "random_pairs = 2\ntrials = 0\n"),
+    ("parametrix", "n_terms = ,\n"),
+    ("parametrix", "modes = 8\n"),
+    ("parametrix", "symbol = cos(x)*(1+xi**2)\nsymbol.order = 2\n"),
+    ("verify-symbol", "symbol = xi\ncheck.alpha_max = -1\n"),
+    ("carleman", "draws = 0\n"),
+    ("integrator", "sigma = 0\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
         "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic",
         "empty-parens", "carleman-mu-empty", "carleman-mu-zero",
         "carleman-mu-nan", "uniqueness-mu-empty", "uniqueness-mu-negative",
-        "uniqueness-mu-single"])
+        "uniqueness-mu-single", "bounds-trials-0", "bounds-N-list-empty",
+        "bounds-symbol-empty", "garding-trials-0", "garding-N-list-empty",
+        "compose-trials-0", "parametrix-n-terms-empty",
+        "parametrix-single-mode", "parametrix-not-elliptic",
+        "verify-symbol-alpha-max-negative", "carleman-draws-0",
+        "integrator-sigma-0"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)

@@ -23,7 +23,6 @@ ALLOWED_UNREACHED = {
     "quantize.AmplitudeApplication": "amplitude apply, quantize-demo",
     "quantize._amplitude_sum": "amplitude apply, quantize-demo",
     "quantize.apply_amplitude_op": "amplitude apply, quantize-demo",
-    "quantize._as_amplitude": "adjoint apply, quantize-demo",
     "quantize._swap_amplitude": "adjoint apply, quantize-demo",
     "quantize.apply_adjoint": "adjoint apply vs adjoint_symbol, quantize-demo",
     "calculus.reduce_amplitude": "reduced symbol of the amplitude, quantize-demo",

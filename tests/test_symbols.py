@@ -80,32 +80,6 @@ def test_closed_form_derivative_matches_hand():
     assert np.abs(got.ravel() - np.array([12.0, 18.0])).max() < 1e-12
 
 
-def test_fd_derivative_matches_closed_form():
-    expr = sp.sin(_X[0]) * _XI[0] ** 2
-    a = symbol_from_expr(expr, 1, order=2)
-    fn = a.fn
-    b = type(a)(2.0, fn, dim=1)  # strip the expr: forces finite differences
-    assert b.expr is None
-    xs = np.array([[0.3], [1.1]])
-    xis = np.array([[2.0], [5.0]])
-    exact = a.derivative((1,), (1,))(0.0, 0.0, xs[:, None, :], xis[None, :, :])
-    fd = b.derivative((1,), (1,))(0.0, 0.0, xs[:, None, :], xis[None, :, :])
-    assert np.abs(exact - fd).max() < 1e-5 * max(1.0, np.abs(exact).max())
-
-
-def test_fd_amplitude_derivative_matches_closed_form():
-    amp = amplitude_from_expr(sp.sin(_Y[0]) * _XI[0] ** 2 + _X[0] * _XI[0], 1,
-                              order=2)
-    bare = type(amp)(2.0, amp.fn, dim=1)  # no expr: finite differences
-    assert bare.expr is None
-    x = np.array([0.3, 1.1])[:, None, None, None]
-    y = np.array([0.7, 2.0, 4.5])[None, :, None, None]
-    xi = np.array([2.0, 5.0])[None, None, :, None]
-    exact = amp.derivative((1,), (1,))(0.0, 0.0, x, y, xi)
-    fd = bare.derivative((1,), (1,))(0.0, 0.0, x, y, xi)
-    assert np.abs(exact - fd).max() < 1e-5 * max(1.0, np.abs(exact).max())
-
-
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(sp, name)
