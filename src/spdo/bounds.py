@@ -17,7 +17,7 @@ import numpy as np
 from .grid import (FREQUENCY, Grid, SpectralField, fft_inverse, l2_norm,
                    sobolev_norm, to_frequency)
 from .quantize import SampledField, apply_symbol_ensemble
-from .stochastic import BrownianEnsemble, lpf_norm_values
+from .stochastic import BrownianEnsemble, lpf_norm_values, path_slices
 from .symbols import Symbol
 
 __all__ = [
@@ -81,44 +81,68 @@ def _report(op_id, source, target, constants, factor, extra=None,
                        extra=extra)
 
 
+def _adapted_modes(grid: Grid, rng: np.random.Generator):
+    """The mode coefficients c_k (|k_a| <= N/4) and phases of a random
+    adapted field, drawn from rng."""
+    mask = grid.band_mask(grid.N // 4)
+    amp = (rng.standard_normal(grid.shape)
+           + 1j * rng.standard_normal(grid.shape)) * mask
+    phase = rng.uniform(0, 2 * np.pi, grid.shape)
+    return amp, phase
+
+
+def _adapted_field(grid: Grid, ensemble: BrownianEnsemble, amp,
+                   phase) -> SampledField:
+    """sum_k c_k (1 + sin(W(t) + phase_k)/2) e^{ik.x} on the paths of
+    ensemble."""
+    Wt = ensemble.paths.reshape(ensemble.paths.shape + (1,) * grid.dim)
+    spec = amp * (1.0 + 0.5 * np.sin(Wt + phase))
+    vals = fft_inverse(SpectralField(grid, spec, FREQUENCY)).values
+    return SampledField(grid, ensemble.timegrid, vals)
+
+
 def random_adapted_field(grid: Grid, ensemble: BrownianEnsemble,
                          rng: np.random.Generator) -> SampledField:
     """Band-limited random field (modes |k_a| <= N/4) made adapted by
     modulating each mode with a bounded functional of the path value:
     c_k (1 + sin(W(t) + phase_k)/2)."""
-    tg = ensemble.timegrid
-    mask = grid.band_mask(grid.N // 4)
-    amp = (rng.standard_normal(grid.shape)
-           + 1j * rng.standard_normal(grid.shape)) * mask
-    phase = rng.uniform(0, 2 * np.pi, grid.shape)
-    Wt = ensemble.paths.reshape(ensemble.paths.shape + (1,) * grid.dim)
-    spec = amp * (1.0 + 0.5 * np.sin(Wt + phase))
-    vals = fft_inverse(SpectralField(grid, spec, FREQUENCY)).values
-    return SampledField(grid, tg, vals)
+    return _adapted_field(grid, ensemble, *_adapted_modes(grid, rng))
 
 
 def _trial_constants(a: Symbol, grids, ensemble: BrownianEnsemble,
-                     trials: int, seed: int, ratio) -> dict:
-    """{N: max over trials of num / den where den > 0}, with (num, den) =
-    ratio(u, Au) for random adapted fields u; NaN propagates."""
+                     trials: int, seed: int, tables, reduce) -> dict:
+    """{N: max over trials of num / den where den > 0}, for random adapted
+    fields u.  tables(u, Au) gives arrays with leading (path, time) axes;
+    they are built one path slice at a time, joined along the path axis,
+    and reduce(*joined) gives (num, den).  NaN propagates."""
     constants = {}
     for grid in grids:
         rng = np.random.default_rng(seed)
+        path_bytes = 16 * (ensemble.timegrid.K + 1) * grid.N**grid.dim
         best = 0.0
         for _ in range(trials):
-            u = random_adapted_field(grid, ensemble, rng)
-            num, den = ratio(u, apply_symbol_ensemble(a, u, ensemble))
+            amp, phase = _adapted_modes(grid, rng)
+            parts = []
+            for part in path_slices(ensemble, path_bytes):
+                u = _adapted_field(grid, part, amp, phase)
+                parts.append(tables(u, apply_symbol_ensemble(a, u, part)))
+            num, den = reduce(*(np.concatenate(t) for t in zip(*parts)))
             if den > 0:
                 best = float(np.maximum(best, num / den))
         constants[grid.N] = best
     return constants
 
 
-def _lqf_norm(u: SampledField, q: float, delta: float | None = None) -> float:
-    """L^q_F(0,T) norm of the spatial L^2 norm of u (H^delta when given)."""
+def _norm_table(u: SampledField, delta: float | None = None) -> np.ndarray:
+    """The spatial L^2 norm of u per (path, time) node (H^delta when
+    given)."""
     f = SpectralField(u.grid, u.values)
-    table = l2_norm(f) if delta is None else sobolev_norm(f, delta)
-    return lpf_norm_values(table, u.timegrid.nodes(), q)
+    return l2_norm(f) if delta is None else sobolev_norm(f, delta)
+
+
+def _lqf_norms(nodes, q: float):
+    """The reduction of norm tables to their L^q_F(0,T) norms."""
+    return lambda *tables: [lpf_norm_values(t, nodes, q) for t in tables]
 
 
 def l2_boundedness_check(a: Symbol, q: float, grids, ensemble: BrownianEnsemble,
@@ -126,7 +150,8 @@ def l2_boundedness_check(a: Symbol, q: float, grids, ensemble: BrownianEnsemble,
     """Norm ratio stability for A on L^q_F(0,T; L^2)."""
     constants = _trial_constants(
         a, grids, ensemble, trials, seed,
-        lambda u, Au: (_lqf_norm(Au, q), _lqf_norm(u, q)))
+        lambda u, Au: (_norm_table(Au), _norm_table(u)),
+        _lqf_norms(ensemble.timegrid.nodes(), q))
     space = f"LqF(q={q}; L2)"
     return _report(a.name or "symbol", space, space, constants, 2.0)
 
@@ -138,16 +163,16 @@ def sobolev_boundedness_check(a: Symbol, delta: float, q: float, grids,
     ell = a.order
     constants = _trial_constants(
         a, grids, ensemble, trials, seed,
-        lambda u, Au: (_lqf_norm(Au, q, delta - ell), _lqf_norm(u, q, delta)))
+        lambda u, Au: (_norm_table(Au, delta - ell), _norm_table(u, delta)),
+        _lqf_norms(ensemble.timegrid.nodes(), q))
     return _report(a.name or "symbol", f"LqF(H^{delta})",
                    f"LqF(H^{delta - ell})", constants, 2.0)
 
 
-def _mixed_norm(u: SampledField, outer_p: float, inner_p: float,
-                nodes) -> float:
-    """L^p_x(torus; L^{inner}_F(0,T)) norm."""
-    site = lpf_norm_values(u.values, nodes, inner_p)
-    cell = u.grid.cell_volume
+def _mixed_norm(values: np.ndarray, cell: float, outer_p: float,
+                inner_p: float, nodes) -> float:
+    """L^p_x(torus; L^{inner}_F(0,T)) norm of (path, time, lattice) values."""
+    site = lpf_norm_values(values, nodes, inner_p)
     return float((np.sum(site**outer_p) * cell) ** (1.0 / outer_p))
 
 
@@ -165,10 +190,14 @@ def mixed_lp_check(a: Symbol, p: float, grids, ensemble: BrownianEnsemble,
     pp = p / (p - 1.0)
     src_in, tgt_in = (pp, p) if p < 2 else (p, pp)
     nodes = ensemble.timegrid.nodes()
+    cell = {g.shape: g.cell_volume for g in grids}
+    # the site norms need every path: the tables are the values themselves
     constants = _trial_constants(
         a, grids, ensemble, trials, seed,
-        lambda u, Au: (_mixed_norm(Au, p, tgt_in, nodes),
-                       _mixed_norm(u, p, src_in, nodes)))
+        lambda u, Au: (Au.values, u.values),
+        lambda vAu, vu: (
+            _mixed_norm(vAu, cell[vu.shape[2:]], p, tgt_in, nodes),
+            _mixed_norm(vu, cell[vu.shape[2:]], p, src_in, nodes)))
     return _report(a.name or "symbol", f"Lp(x; L{src_in:g}_F)",
                    f"Lp(x; L{tgt_in:g}_F)", constants, 2.0)
 
@@ -241,22 +270,26 @@ def garding_check(a: Symbol, delta_star: float, eps: float, r: float,
             f"Re a / |xi|^l dips to {worst:.6g} < delta* - eps = "
             f"{delta_star - eps:.6g} on the grid")
 
-    def deficit(u, Au):
-        # ((delta* - eps) E int |u|^2_{H^{l/2}} - E int Re(Au, u), E int |u|^2_{H^r})
+    def pairings(u, Au):
+        # Re(Au, u), |u|^2_{H^{l/2}} and |u|^2_{H^r} per node
         grid = u.grid
         spatial = tuple(range(2, 2 + grid.dim))
         re_pair = (np.sum(Au.values * np.conj(u.values), axis=spatial)
                    * grid.cell_volume).real
         uhat = to_frequency(SpectralField(grid, u.values))
-        src = sobolev_norm(uhat, ell / 2.0) ** 2
-        low = sobolev_norm(uhat, r) ** 2
+        return (re_pair, sobolev_norm(uhat, ell / 2.0) ** 2,
+                sobolev_norm(uhat, r) ** 2)
+
+    def deficit(re_pair, src, low):
+        # ((delta* - eps) E int |u|^2_{H^{l/2}} - E int Re(Au, u), E int |u|^2_{H^r})
         lhs = float(np.mean(np.trapezoid(re_pair, nodes, axis=1)))
         main = (delta_star - eps) * float(
             np.mean(np.trapezoid(src, nodes, axis=1)))
         resid = float(np.mean(np.trapezoid(low, nodes, axis=1)))
         return main - lhs, resid
 
-    constants = _trial_constants(a, grids, ensemble, trials, seed, deficit)
+    constants = _trial_constants(a, grids, ensemble, trials, seed, pairings,
+                                 deficit)
     # C = 0 on one grid and C > 0 on another reads as unstable
     return _report(a.name or "symbol", f"H^{ell/2:g} coercivity",
                    f"H^{r:g} remainder", constants, 2.0,

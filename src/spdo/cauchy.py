@@ -120,13 +120,9 @@ class CompanionSymbol:
 
     @property
     def tw_independent(self) -> bool:
-        """Constants and expressions free of t and w.  t and w are read
-        only off an expression, whose Symbol has loaded sympy."""
-        from . import symbols
-
-        return not any(isinstance(c, Symbol)
-                       and c.expr.has(symbols._T, symbols._W)
-                       for c in self.spec.principal.values())
+        """Constants and expressions free of t and w."""
+        return all(not isinstance(c, Symbol) or c.tw_independent
+                   for c in self.spec.principal.values())
 
     def __call__(self, t, w, x, xi) -> np.ndarray:
         """Values, shape broadcast(t, w, x, xi) + (m, m), with x and xi
@@ -408,9 +404,13 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
         flat = out.reshape(lead + (m, nfreq))
         return np.swapaxes(flat, -1, -2)
 
-    def _source_hat(src, j):
-        """-> (nfreq, m) broadcastable or (M, nfreq, m)."""
-        return _hat(src[:, j] if src.ndim == 3 + grid.dim else src[j])
+    def _source_hats(src):
+        """j -> the spectrum of src at node j: (nfreq, m) for a
+        deterministic source, transformed once for every node, or
+        (M, nfreq, m) for one per path."""
+        if src.ndim == 3 + grid.dim:
+            return lambda j: _hat(src[:, j])
+        return _hat(src).__getitem__
 
     def _cayley(t, w):
         # (..., nfreq, m, m) pair; w of shape (M, 1) gives one per path
@@ -430,14 +430,16 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
     pair = None if A is None or moving else _cayley(0.0, 0.0)
     yhat = _hat(Y[:, 0])  # (M, nfreq, m)
     dW_all = np.diff(ensemble.paths, axis=1)  # (M, K)
+    f_hat = None if f is None else _source_hats(f)
+    F_hat = None if F is None else _source_hats(F)
     for j in range(tg.K):
         if moving:
             pair = _cayley(nodes[j] + dt / 2.0, ensemble.paths[:, j, None])
         rhs = yhat if pair is None else _act(pair[0], yhat)
         if f is not None:
-            rhs = rhs + 1j * dt * _source_hat(f, j)
+            rhs = rhs + 1j * dt * f_hat(j)
         if F is not None:
-            rhs = rhs + 1j * dW_all[:, j, None, None] * _source_hat(F, j)
+            rhs = rhs + 1j * dW_all[:, j, None, None] * F_hat(j)
         yhat = rhs if pair is None else _act(pair[1], rhs)
         back = np.swapaxes(yhat, -1, -2).reshape((M, m) + grid.shape)
         Y[:, j + 1] = np.fft.ifftn(back,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,8 +111,12 @@ def apply_symbol_op(a: Symbol, u: SpectralField, t=0.0, w=0.0) -> SpectralField:
     elif (len(fields) > 1 or grid.N > _N_CAP[grid.dim]) and a.separated:
         # every c_r and g_r, then g_r u_hat, its inverse FFT, c_r times that
         # and the sum
-        rank = a.separated[0]
+        rank, fn = a.separated
         apply_chunk, node_bytes = _apply_separated, 16 * npts * (2 * rank + 4)
+        if a.tw_independent:
+            # the same terms at every node: evaluated once, not per chunk
+            apply_chunk = partial(_apply_separated, cg=fn(
+                0.0, 0.0, grid.points(), grid.freqs()))
     else:
         _check_cap(grid)
         apply_chunk, node_bytes = _apply_dense, 16 * npts * npts
@@ -133,12 +138,15 @@ def _apply_multiplier(a, grid, uhat, t, w):
     return to_physical(SpectralField(grid, mult * uhat, FREQUENCY)).values
 
 
-def _apply_separated(a, grid, uhat, t, w):
+def _apply_separated(a, grid, uhat, t, w, cg=None):
     """Separated symbol sum_r c_r(t, w, x) g_r(t, w, xi): the sum over r of
-    c_r times the inverse FFT of g_r u_hat, one term at a time."""
+    c_r times the inverse FFT of g_r u_hat, one term at a time.  cg, when
+    given, holds the values c_0..c_{r-1}, g_0..g_{r-1} at every node."""
     rank, fn = a.separated
-    lead = (-1,) + (1,) * grid.dim
-    cg = fn(t.reshape(lead), w.reshape(lead), grid.points(), grid.freqs())
+    if cg is None:
+        lead = (-1,) + (1,) * grid.dim
+        cg = fn(t.reshape(lead), w.reshape(lead), grid.points(),
+                grid.freqs())
     out = 0.0
     # a pole on the lattice gives non-finite values, which the verdicts count
     with np.errstate(invalid="ignore", divide="ignore"):

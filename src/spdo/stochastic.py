@@ -15,9 +15,15 @@ import numpy as np
 
 from .grid import TimeGrid
 
+# bytes of (path, time) work arrays per slice of paths: commands that only
+# reduce over the paths run one slice at a time, so peak memory is flat in
+# the ensemble size (quantize._CHUNK_BYTES bounds the applies inside a slice)
+_SLICE_BYTES = 16 << 20
+
 __all__ = [
     "BrownianEnsemble",
     "sample_brownian",
+    "path_slices",
     "lpf_norm_values",
     "adaptedness_audit",
 ]
@@ -58,6 +64,16 @@ def sample_brownian(M: int, tg: TimeGrid, seed: int = 0) -> BrownianEnsemble:
     paths = np.zeros((M, tg.K + 1))
     np.cumsum(inc, axis=1, out=paths[:, 1:])
     return BrownianEnsemble(paths, int(seed), tg)
+
+
+def path_slices(ensemble: BrownianEnsemble, path_bytes: int):
+    """Sub-ensembles over consecutive rows of ensemble.paths, with its seed
+    and time grid, each of about _SLICE_BYTES for path_bytes bytes of work
+    per path (at least one path per slice)."""
+    step = max(1, _SLICE_BYTES // path_bytes)
+    for s in range(0, ensemble.M, step):
+        yield BrownianEnsemble(ensemble.paths[s:s + step], ensemble.seed,
+                               ensemble.timegrid)
 
 
 def lpf_norm_values(values: np.ndarray, nodes: np.ndarray, p: float):

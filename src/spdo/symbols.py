@@ -140,6 +140,10 @@ class Symbol(_Evaluable):
         return not self.expr.has(*_X[:self.dim])
 
     @cached_property
+    def tw_independent(self) -> bool:
+        return not self.expr.has(_T, _W)
+
+    @cached_property
     def separated(self):
         """(r, fn) with a = sum_{k<r} c_k(t, w, x) g_k(t, w, xi) read off the
         expanded expression (terms grouped by xi-factor, then by x-factor)

@@ -12,9 +12,10 @@ import sympy as sp
 
 from spdo.bounds import garding_check, l2_boundedness_check
 from spdo.calculus import parametrix, series_apply
-from spdo.cauchy import carleman_report, integrate_spde_system, \
-    pinned_semimartingale, uniqueness_experiment
-from spdo.cli import _compose_error, _random_poly_symbol, main
+from spdo.cauchy import carleman_report, pinned_semimartingale, \
+    uniqueness_experiment
+from spdo.cli import _compose_error, _random_poly_symbol, main, \
+    run_integrator
 from spdo.grid import Grid, TimeGrid, plane_wave
 from spdo.harmonic import LevelTooLowError, _site_density, cz_decompose
 from spdo.quantize import apply_symbol_op, extract_symbol
@@ -220,28 +221,14 @@ def test_criterion_8_uniqueness_decay():
 
 
 def test_criterion_9_integrator_sanity():
-    g = Grid(1, 8)
-    # Ito isometry: E|Y(T)|^2 = sigma^2 T at M = 10^4
-    tg = TimeGrid(0.5, 200)
-    ens = sample_brownian(10_000, tg, seed=1)
-    sigma = 2.0
-    F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
-    F[:, 0] = sigma
-    Y = integrate_spde_system(None, None, F, g, tg, ens)
-    got = float((np.abs(Y.values[:, -1, 0, 0]) ** 2).mean())
-    iso_err = abs(got - sigma**2 * tg.T) / (sigma**2 * tg.T)
-
-    # unitary evolution: norm drift <= 1e-6 over K = 1000 steps
-    from spdo.cauchy import EquationSpec, build_companion_symbol
-    tg2 = TimeGrid(0.5, 1000)
-    ens2 = sample_brownian(1, tg2, seed=0)
-    cs = build_companion_symbol(
-        EquationSpec(m=1, dim=1, principal={(0, (1,)): 1.0}))
-    init = np.ones((1, 1) + g.shape, np.complex128)
-    Y2 = integrate_spde_system(cs, None, None, g, tg2, ens2, initial=init)
-    drift = float(np.abs(np.abs(Y2.values[0, :, 0]) - 1.0).max())
-
+    # as `spdo integrator` runs it: Ito isometry E|Y(T)|^2 = sigma^2 T at
+    # M = 10^4 (sigma = 2, T = 0.5), unitary norm drift over K = 1000 steps
+    report, passed, _ = run_integrator(
+        {"ensemble.M": "10000", "time.K": "200", "grid.N": "8"}, 1)
+    iso_err = report["ito_isometry"]["rel_error"]
+    drift = report["unitary"]["norm_drift"]
     ok = iso_err <= 0.05 and drift <= 1e-6
+    assert passed == ok
     _verdict(9, ok, f"integrator sanity: Ito isometry error {iso_err:.2%} "
              f"(tol 5%), unitary norm drift {drift:.2e} (tol 1e-6)")
 

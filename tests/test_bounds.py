@@ -192,3 +192,32 @@ def test_report_serialization():
     rep = l2_boundedness_check(constant_symbol(1.0), 2.0, GRIDS[:1], ENS, trials=2)
     assert rep.to_json().startswith("{")
     assert rep.to_dict()["constants"].keys() == {"32"}
+
+
+@pytest.mark.parametrize("dim, Ns, per_slice", [(1, (16, 32), 7),
+                                               (2, (8, 16), 5)])
+def test_path_slices_give_the_same_constants(monkeypatch, dim, Ns, per_slice):
+    # M = 64 paths in uneven slices (per_slice paths on the largest grid,
+    # twice or four times that on the smaller) against one slice, bit for
+    # bit: mod-x takes the separated path with its terms evaluated once,
+    # garding-stochastic with its terms evaluated per node
+    from spdo import stochastic
+    from spdo.registry import make_symbol
+
+    grids = [Grid(dim, N) for N in Ns]
+    ens = sample_brownian(64, TimeGrid(0.5, 8), seed=5)
+
+    def constants():
+        l2 = l2_boundedness_check(make_symbol("mod-x", dim), 2.0, grids, ens,
+                                  trials=2, seed=3)
+        g = garding_check(make_symbol("garding-stochastic", dim), 1.0, 0.1,
+                          0.0, grids, ens, trials=2, seed=3)
+        return l2.constants, g.constants
+
+    monkeypatch.setattr(stochastic, "_SLICE_BYTES", 1 << 40)
+    whole = constants()
+    path_bytes = 16 * 9 * max(Ns) ** dim
+    monkeypatch.setattr(stochastic, "_SLICE_BYTES", per_slice * path_bytes)
+    sizes = [p.M for p in stochastic.path_slices(ens, path_bytes)]
+    assert sizes[0] == per_slice and sizes[-1] == 64 % per_slice
+    assert constants() == whole

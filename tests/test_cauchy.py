@@ -634,3 +634,42 @@ def test_uniqueness_report_serialization():
     d = rep.to_dict()
     assert "slope" in d and "log_bound" in d
     assert json.loads(rep.to_json())["mu_list"] == [50.0, 100.0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ito_final_in_path_slices_matches_whole_ensemble(monkeypatch, dim):
+    # 64 paths in slices of 10 (six of 10 and one of 4): Y(T) bit for bit
+    from spdo import stochastic
+    from spdo.cli import _ito_final
+    from spdo.stochastic import sample_brownian
+
+    g = Grid(dim, 8)
+    tg = TimeGrid(0.5, 16)
+    ens = sample_brownian(64, tg, seed=2)
+    rng = np.random.default_rng(0)
+    F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
+    F[:, 0] = rng.standard_normal((tg.K + 1,) + g.shape)
+    whole = integrate_spde_system(None, None, F, g, tg, ens).values[:, -1, 0]
+    monkeypatch.setattr(stochastic, "_SLICE_BYTES", 10 * 16 * F.size)
+    assert [p.M for p in stochastic.path_slices(ens, 16 * F.size)] \
+        == [10] * 6 + [4]
+    assert np.array_equal(_ito_final(F, g, ens), whole)
+
+
+def test_deterministic_source_matches_its_per_path_copy():
+    # a deterministic source is transformed once for every node, a per-path
+    # source node by node: the same Y, bit for bit
+    from spdo.stochastic import sample_brownian
+
+    g = Grid(2, 8)
+    tg = TimeGrid(0.5, 16)
+    ens = sample_brownian(5, tg, seed=3)
+    rng = np.random.default_rng(1)
+    src = rng.standard_normal((tg.K + 1, 1) + g.shape) + 0j
+    per_path = np.broadcast_to(src, (ens.M,) + src.shape)
+    for f, F in ((src, None), (None, src)):
+        fp = None if f is None else per_path
+        Fp = None if F is None else per_path
+        assert np.array_equal(
+            integrate_spde_system(None, f, F, g, tg, ens).values,
+            integrate_spde_system(None, fp, Fp, g, tg, ens).values)

@@ -194,6 +194,38 @@ def test_integrator_subcommand(tmp_path):
     assert rep["report"]["unitary"]["norm_drift"] <= 1e-6
 
 
+def test_integrator_undersampled_fails(tmp_path, capsys):
+    # at M = 4 the Ito estimate has relative standard deviation
+    # sqrt(2/4) = 0.71, so it misses the 5% tolerance at most seeds
+    code, out = _run(tmp_path, "integrator", "ensemble.M = 4\n", seed=1)
+    assert code == 2
+    assert "integrator: FAIL" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["report"]["ito_isometry"]["rel_error"] > 0.05
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_integrator_peak_memory(tmp_path):
+    # the defaults (M = 10^4, K = 200, N = 8) make a 257 MB (path, time)
+    # solution; integrated in path slices the process peaks near 70 MB.
+    # Linux keeps a process's peak RSS across exec, so the command is
+    # started from a small interpreter, not forked from this large one
+    measure = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    res = subprocess.run(
+        [sys.executable, "-c", measure, sys.executable, "-m", "spdo.cli",
+         "integrator", "--out", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    code, kib = res.stdout.split()
+    assert code == "0", res.stderr
+    assert int(kib) / 1024.0 < 150.0
+
+
 def test_compose_example_prints_expansion(tmp_path, capsys):
     code, out = _run(tmp_path, "compose", "b = xi\na = x\n")
     assert code == 0
@@ -298,6 +330,10 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("verify-symbol", "symbol = xi\ncheck.alpha_max = -1\n"),
     ("carleman", "draws = 0\n"),
     ("integrator", "sigma = 0\n"),
+    ("verify-symbol", "symbol = sin(x)*xi**2\ncheck.alpha_max = 200\n"
+                      "check.beta_max = 200\n"),
+    ("verify-symbol", "symbol = xi\ncheck.alpha_max = 26\n"
+                      "check.beta_max = 27\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
         "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic",
         "empty-parens", "carleman-mu-empty", "carleman-mu-zero",
@@ -307,7 +343,8 @@ def test_verify_symbol_pole_fails(tmp_path):
         "compose-trials-0", "parametrix-n-terms-empty",
         "parametrix-single-mode", "parametrix-not-elliptic",
         "verify-symbol-alpha-max-negative", "carleman-draws-0",
-        "integrator-sigma-0"])
+        "integrator-sigma-0", "verify-symbol-caps-200",
+        "verify-symbol-caps-past-729"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)
@@ -361,16 +398,21 @@ def test_compose_nan_error_fails(tmp_path):
     assert math.isnan(rep["relative_error"])
 
 
-def _spawn(tmp_path, command, cfg_text):
-    """`python -m spdo.cli command` on cfg_text in a fresh process."""
-    cfg = tmp_path / "spawn.cfg"
-    cfg.write_text(cfg_text)
+def _child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def _spawn(tmp_path, command, cfg_text):
+    """`python -m spdo.cli command` on cfg_text in a fresh process."""
+    cfg = tmp_path / "spawn.cfg"
+    cfg.write_text(cfg_text)
     return subprocess.run(
         [sys.executable, "-m", "spdo.cli", command, "--config", str(cfg),
          "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_child_env(), capture_output=True, text=True, timeout=120)

@@ -210,6 +210,25 @@ def test_separated_path_matches_per_node_loop(monkeypatch, dim, N,
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_separated_terms_free_of_t_and_w_are_evaluated_once(monkeypatch):
+    # mixed-0 in chunks of 3 nodes: its terms are evaluated once for the 10
+    # nodes, with the same bits as an evaluation per chunk
+    a = make_symbol("mixed-0", 2)
+    assert a.tw_independent
+    rank, fn = a.separated
+    calls = []
+    a.__dict__["separated"] = (rank, lambda *args: calls.append(1) or fn(*args))
+    grid = Grid(2, 16)
+    monkeypatch.setattr(quantize, "_CHUNK_BYTES", 3 * _node_bytes(a, grid))
+    ens, u = _batch(grid, seed=7)
+    once = apply_symbol_ensemble(a, u, ens).values
+    assert len(calls) == 1
+    a.__dict__["tw_independent"] = False
+    per_chunk = apply_symbol_ensemble(a, u, ens).values
+    assert len(calls) == 1 + 4
+    assert np.array_equal(once, per_chunk)
+
+
 def test_separated_is_none_when_not_separable_or_too_many_terms():
     assert symbol_from_expr(sp.sin(_X[0] * _XI[0]), 1, order=0).separated \
         is None
