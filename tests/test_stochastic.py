@@ -6,10 +6,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdo import stochastic
 from spdo.grid import TimeGrid
 from spdo.stochastic import (
     adaptedness_audit,
     lpf_norm_values,
+    path_slices,
     sample_brownian,
 )
 
@@ -19,6 +21,18 @@ TG = TimeGrid(1.0, 64)
 def test_paths_start_at_zero():
     ens = sample_brownian(16, TG, seed=3)
     assert np.all(ens.paths[:, 0] == 0.0)
+
+
+def test_path_slices_cover_the_paths_in_order(monkeypatch):
+    ens = sample_brownian(5, TG, seed=3)
+    monkeypatch.setattr(stochastic, "_SLICE_BYTES", 2500)
+    assert [p.M for p in path_slices(ens, 1000)] == [2, 2, 1]
+    # a path past the budget still makes a slice
+    parts = list(path_slices(ens, 3000))
+    assert [p.M for p in parts] == [1] * 5
+    assert np.array_equal(np.concatenate([p.paths for p in parts]), ens.paths)
+    assert all(p.seed == ens.seed and p.timegrid == ens.timegrid
+               for p in parts)
 
 
 def test_terminal_variance():
