@@ -382,16 +382,31 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
                              "component count m")
         m = given[0][-1 - grid.dim]
 
-    M = ensemble.M
-    shape = (M, tg.K + 1, m) + grid.shape
-    Y = np.zeros(shape, dtype=np.complex128)
+    Y = np.zeros((ensemble.M, tg.K + 1, m) + grid.shape, dtype=np.complex128)
     if initial is not None:
         Y[:, 0] = initial
+    for j, yhat in enumerate(_spectral_steps(A, f, F, grid, ensemble, Y[:, 0])):
+        Y[:, j + 1] = _from_spectrum(yhat, grid)
+    return VectorField(grid, tg, Y)
+
+
+def _from_spectrum(yhat: np.ndarray, grid: Grid) -> np.ndarray:
+    """(M, nfreq, m) spectral state -> (M, m) + grid.shape values."""
+    back = np.swapaxes(yhat, -1, -2).reshape(yhat.shape[::2] + grid.shape)
+    return np.fft.ifftn(back, axes=tuple(range(2, 2 + grid.dim))) \
+        * (grid.N / grid.L) ** grid.dim
+
+
+def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
+                    ensemble: BrownianEnsemble, y0: np.ndarray):
+    """The spectral states, each (M, nfreq, m), of integrate_spde_system's
+    scheme from y0, (M, m) + grid.shape, after steps 1, ..., K."""
+    tg = ensemble.timegrid
+    m = y0.shape[1]
     nodes = tg.nodes()
     dt = tg.dt
     nfreq = int(np.prod(grid.shape))
     scale_f = grid.cell_volume  # forward FFT weight
-    inv_f = (grid.N / grid.L) ** grid.dim
     eye = np.eye(m, dtype=np.complex128)
     xis = grid.freqs().reshape(-1, grid.dim)
     x0 = np.zeros((1, grid.dim))
@@ -428,7 +443,7 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
 
     moving = A is not None and not A.tw_independent
     pair = None if A is None or moving else _cayley(0.0, 0.0)
-    yhat = _hat(Y[:, 0])  # (M, nfreq, m)
+    yhat = _hat(y0)  # (M, nfreq, m)
     dW_all = np.diff(ensemble.paths, axis=1)  # (M, K)
     f_hat = None if f is None else _source_hats(f)
     F_hat = None if F is None else _source_hats(F)
@@ -441,10 +456,7 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
         if F is not None:
             rhs = rhs + 1j * dW_all[:, j, None, None] * F_hat(j)
         yhat = rhs if pair is None else _act(pair[1], rhs)
-        back = np.swapaxes(yhat, -1, -2).reshape((M, m) + grid.shape)
-        Y[:, j + 1] = np.fft.ifftn(back,
-                                   axes=tuple(range(2, 2 + grid.dim))) * inv_f
-    return VectorField(grid, tg, Y)
+        yield yhat
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 the cutoffs of the other modules are built from.
 
 The CZ decomposition runs the dyadic stopping-time walk on the per-site
-L^p_F(0,T) density: cubes split in half per axis (lexicographic order,
-half-open, lattice-aligned) until the cube average of the density exceeds
-the level r, at which point the cube is frozen as a bad cube.
+L^p_F(0,T) density, one dyadic level at a time: cubes split in half per
+axis (half-open, lattice-aligned) until the cube average of the density
+reaches the level r, at which point the cube is frozen as a bad cube.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ class DyadicCube:
     def volume(self, grid: Grid) -> float:
         return (self.size * grid.dx) ** grid.dim
 
-    def children(self):
-        half = self.size // 2
-        dim = len(self.origin)
-        out = []
-        for bits in range(2**dim):
-            off = tuple(self.origin[a] + ((bits >> a) & 1) * half
-                        for a in range(dim))
-            out.append(DyadicCube(off, half))
-        return sorted(out, key=lambda c: c.origin)
-
     def to_dict(self) -> dict:
         return {"origin": list(self.origin), "size": self.size}
 
@@ -116,23 +106,24 @@ def cz_decompose(u: SampledField, r: float, p: float = 2.0) -> CZDecomposition:
             f"global average density {global_avg:.6g} >= r = {r:.6g}; "
             "raise the level r")
 
+    # one pass per dyadic level: a block is bad when its parent is still
+    # walked and its average reaches r; it is walked on while below r
+    n, N = grid.dim, grid.N
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     bad_cubes = []
-    stack = [DyadicCube((0,) * grid.dim, grid.N)]
-    while stack:
-        cube = stack.pop(0)
-        if cube.size == 1:
-            d = float(density[tuple(cube.origin)])
-            if d >= r:
-                bad_cubes.append(cube)
-            continue
-        for child in cube.children():
-            avg = float(density[child.slices()].sum() * cell) / child.volume(grid)
-            if avg >= r:
-                bad_cubes.append(child)
-            else:
-                if child.size > 1:
-                    stack.append(child)
-                # single cell below level stays good
+    active = np.ones((1,) * n, dtype=bool)
+    for j in range(1, N.bit_length()):
+        s, k = N >> j, 1 << j  # block size, blocks per axis
+        # each block's cells made contiguous, so they are summed in the
+        # order of density[block].sum()
+        blocks = density.reshape((k, s) * n).transpose(order)
+        avg = blocks.reshape((k,) * n + (-1,)).sum(axis=-1) * cell \
+            / (s * grid.dx) ** n
+        active = active[np.ix_(*[np.arange(k) // 2] * n)]  # the parent's
+        hit = avg >= r
+        bad_cubes += [DyadicCube(tuple(int(i) * s for i in idx), s)
+                      for idx in np.argwhere(active & hit)]
+        active &= ~hit
 
     v = u.values.copy()
     bad = []

@@ -255,7 +255,7 @@ def _compile(expr, dim, groups):
     of t, w and the components (a list of expressions gives the list of
     their values, each in the shape of the variables it holds)."""
     f = sp.lambdify((_T, _W) + tuple(v for g in groups for v in g[:dim]),
-                    expr, modules=[np])
+                    expr, modules=[np], docstring_limit=-1)
 
     def fn(t, w, *arrays):
         comps = [_split_components(a, dim) for a in arrays]

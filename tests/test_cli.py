@@ -185,8 +185,9 @@ def test_threads_flag_sizes_blas_pool(tmp_path):
 
 
 def test_integrator_subcommand(tmp_path):
+    # M = 7200 is the least ensemble whose 3 sqrt(2/M) fits in 5%
     code, out = _run(tmp_path, "integrator",
-                     "ensemble.M = 2000\ntime.K = 100\nunitary.K = 200\n"
+                     "ensemble.M = 7200\ntime.K = 100\nunitary.K = 200\n"
                      "drift_tol = 1e-6\n", seed=1)
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
@@ -205,11 +206,23 @@ def test_integrator_undersampled_fails(tmp_path, capsys):
     assert rep["report"]["ito_isometry"]["rel_error"] > 0.05
 
 
+def test_integrator_lucky_undersampled_draw_fails(tmp_path, capsys):
+    # at seed 1234 the M = 4 estimate lands within 1% of its target, but
+    # 3 sqrt(2/4) = 2.1 does not fit in the 5% tolerance
+    code, out = _run(tmp_path, "integrator", "ensemble.M = 4\n", seed=1234)
+    assert code == 2
+    assert "integrator: FAIL" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["report"]["ito_isometry"]["rel_error"] < 0.01
+
+
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="reads ru_maxrss in KiB, as Linux reports it")
 def test_integrator_peak_memory(tmp_path):
-    # the defaults (M = 10^4, K = 200, N = 8) make a 257 MB (path, time)
-    # solution; integrated in path slices the process peaks near 70 MB.
+    # the defaults (M = 10^4, K = 200, N = 8) would make a 257 MB
+    # (path, time) solution; the Ito check keeps only the 1.3 MB spectral
+    # state, and the process peaks near 70 MB.
     # Linux keeps a process's peak RSS across exec, so the command is
     # started from a small interpreter, not forked from this large one
     measure = (
@@ -246,6 +259,29 @@ def test_cz_subcommand(tmp_path):
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
     assert all(rep["report"]["properties"].values())
+
+
+def test_cz_fails_when_a_bad_cube_is_dropped(tmp_path, monkeypatch, capsys):
+    # at level 1.5 this draw has two bad cubes; without one of them the
+    # good and bad parts no longer add up to u
+    import spdo.harmonic
+
+    real = spdo.harmonic.cz_decompose
+
+    def drop_one(*args, **kwargs):
+        dec = real(*args, **kwargs)
+        assert len(dec.bad) == 2
+        dec.bad = dec.bad[1:]
+        return dec
+
+    monkeypatch.setattr(spdo.harmonic, "cz_decompose", drop_one)
+    code, out = _run(tmp_path, "cz", "grid.N = 32\nensemble.M = 3\n"
+                     "time.K = 8\nlevel.r = 1.5\n")
+    assert code == 2
+    assert "cz: FAIL" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["report"]["properties"]["reconstruction"] is False
 
 
 def test_uniqueness_emits_decay_csv(tmp_path):

@@ -120,3 +120,54 @@ def test_cz_zero_mean_property(seed, factor):
         means = np.abs(w.values.sum(axis=2)) * cell
         l1 = np.abs(w.values).sum(axis=2) * cell
         assert np.all(means <= 1e-12 * np.maximum(l1, 1e-30))
+
+
+def _cube_average(density, grid, origin, size):
+    sl = tuple(slice(o, o + size) for o in origin)
+    return float(density[sl].sum() * grid.cell_volume) \
+        / (size * grid.dx) ** grid.dim
+
+
+def _stack_walk(density, grid, r):
+    """The cube-at-a-time walk that the level-synchronous one replaced: a
+    cube whose average reaches r is bad, a smaller one is split further."""
+    bad = []
+    stack = [((0,) * grid.dim, grid.N)]
+    while stack:
+        origin, size = stack.pop(0)
+        half = size // 2
+        for bits in range(2**grid.dim):
+            child = tuple(o + ((bits >> a) & 1) * half
+                          for a, o in enumerate(origin))
+            if _cube_average(density, grid, child, half) >= r:
+                bad.append((child, half))
+            elif half > 1:
+                stack.append((child, half))
+    return sorted(bad)
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (2, 32), (3, 8)])
+def test_cz_walk_matches_cube_at_a_time_walk(n, N):
+    from spdo.harmonic import _site_density
+
+    g = Grid(n, N)
+    ens = sample_brownian(3, TimeGrid(0.5, 8), seed=n)
+    u = _random_field(g, ens, N)
+    # heavy-tailed site weights give bad cubes at every level
+    rng = np.random.default_rng(N + n)
+    u.values *= np.exp(1.5 * rng.standard_normal(g.shape))
+    density = _site_density(u, 2.0)
+    # levels equal to a cube's exact average: the largest top-level cube,
+    # and the densest single cell, whose ancestors all average below it
+    top = max(((tuple(i * N // 2 for i in o), N // 2)
+               for o in np.ndindex(*(2,) * n)),
+              key=lambda c: _cube_average(density, g, *c))
+    peak = (tuple(int(i) for i in np.unravel_index(np.argmax(density),
+                                                  g.shape)), 1)
+    ties = [(_cube_average(density, g, *c), c) for c in (top, peak)]
+    ties += [(r, None) for r in np.mean(density) * np.array([1.5, 2.5, 4, 7])]
+    for r, tied in ties:
+        expected = _stack_walk(density, g, r)
+        got = [(c.origin, c.size) for c, _ in cz_decompose(u, r).bad]
+        assert got == expected
+        assert expected and (tied is None or tied in expected)
