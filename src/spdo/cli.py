@@ -4,10 +4,15 @@ Every experiment is a subcommand driven by a flat key=value config file and
 a seed; a run writes report.json (deterministic: same config + seed gives
 byte-identical output), meta.json (timestamps, versions) and data/*.csv.
 
-Exit codes: 0 verdict PASS, 2 verdict FAIL, 1 usage or configuration error.
+Exit codes: 0 verdict PASS, 2 verdict FAIL, 1 usage or configuration error
+(a config key that the command never reads is one).
 
 numpy is imported inside the commands, after main() has applied --threads:
-the BLAS thread pool is sized when numpy loads.
+the BLAS thread pool is sized when numpy loads.  main imports it through
+spdo._import_long_lived, with the cyclic collector paused and then frozen,
+as symbols does sympy: no later full collection and no interpreter exit
+walks their import heap, a walk that took about 0.3 s at every exit of a
+process that had loaded sympy.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, _import_long_lived
 
 
 class ConfigError(ValueError):
@@ -30,8 +35,29 @@ class ConfigError(ValueError):
 # config plumbing
 
 
-def parse_config(path: str) -> dict:
-    cfg = {}
+class Config(dict):
+    """A parsed config that records in `read` every key looked up through
+    get, [] or in, so that main can name the keys no command read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def parse_config(path: str) -> Config:
+    cfg = Config()
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -736,15 +762,22 @@ def main(argv=None) -> int:
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    import numpy as np
+    np = _import_long_lived("numpy")
 
     raw_args = list(argv) if argv is not None else sys.argv[1:]
     started = datetime.datetime.now(datetime.timezone.utc)
     try:
-        cfg = parse_config(args.config) if args.config else {}
+        cfg = parse_config(args.config) if args.config else Config()
         if "seed" in cfg and "--seed" not in raw_args:
             args.seed = cfg_int(cfg, "seed")
         report, passed, csvs = _COMMANDS[args.command](cfg, args.seed)
+        # a key no command reads would be silently ignored (a typo, or
+        # grid.N given to a command that reads grid.N_list)
+        unknown = sorted(set(cfg) - cfg.read)
+        if unknown:
+            raise ConfigError(
+                f"unknown key{'s' if len(unknown) > 1 else ''} "
+                f"{', '.join(map(repr, unknown))} for {args.command}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

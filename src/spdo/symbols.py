@@ -10,6 +10,10 @@ numpy evaluator ``fn(t, w, x, xi)`` is compiled only when the symbol is
 first evaluated: ``x`` and ``xi`` are arrays whose last axis is the spatial
 dimension, and ``t`` and ``w`` may be arrays too (one entry per (path,
 time) node), broadcast against the components of ``x`` and ``xi``.
+
+sympy is imported on first use, with the cyclic collector paused, and the
+heap is then frozen (``spdo._import_long_lived``): sympy's lives as long as
+the process, and no later collection or interpreter exit walks it.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def __getattr__(name):
     if name not in _SYMPY_GLOBALS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if "sp" not in globals():
-        import sympy
+        from . import _import_long_lived
+        sympy = _import_long_lived("sympy")
         _T, _W = sympy.symbols("t w", real=True)
         _X = sympy.symbols("x1 x2 x3", real=True)
         _XI = sympy.symbols("xi1 xi2 xi3", real=True)

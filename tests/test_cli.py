@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from spdo.cli import ConfigError, main, parse_config
+from spdo.cli import Config, ConfigError, main, parse_config
 
 
 def _run(tmp_path, command, cfg_text=None, seed=1234, name="run"):
@@ -321,6 +321,53 @@ def test_config_seed_respected_unless_flag(tmp_path):
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["seed"] == 99
+
+
+def test_config_records_reads():
+    cfg = Config({"a": "1", "b": "2", "c": "3", "d": "4"})
+    cfg.get("a")
+    cfg["b"]
+    "c" in cfg
+    assert set(cfg) - cfg.read == {"d"}
+
+
+def test_unread_config_key_exits_1(tmp_path, capsys):
+    # bounds reads grid.N_list: a grid.N would be ignored, and the run PASS
+    code, out = _run(tmp_path, "bounds",
+                     "grid.N = 100\ntrials = 1\nensemble.M = 4\n")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unknown key 'grid.N' for bounds"]
+    assert not (out / "report.json").exists()
+
+
+# the README acceptance invocations of criteria 1-9, every key they name
+# given, with lowered counts
+ACCEPTANCE_CONFIGS = {
+    "compose": "random_pairs = 2\ntrials = 2\ngrid.N = 16\n",
+    "quantize-demo": "random_symbols = 2\ngrid.N = 16\n",
+    "parametrix": "grid.N = 64\nn_terms = 1,2\nmodes = 8,16\n",
+    "cz": "cases = 1x32,2x16\ndraws = 2\n",
+    "bounds": "grid.N_list = 32,64\nensemble.M = 4\ntrials = 1\n",
+    "garding": "trials = 2\nensemble.M = 4\nexact_check = 1\n"
+               "exact_trials = 1\n",
+    "carleman": "mu_list = 50,100,200\ndraws = 2\nensemble.M = 4\n"
+                "time.T = 0.5\nB1 = bessel1\n",
+    "uniqueness": "equation = schrodinger\ngrid.N = 16\nensemble.M = 8\n"
+                  "time.K = 16\nmu_list = 50,100,200,400\n",
+    "integrator": "sigma = 2\nensemble.M = 64\nunitary.K = 50\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTANCE_CONFIGS))
+def test_acceptance_config_leaves_no_key_unread(tmp_path, command):
+    from spdo.cli import _COMMANDS
+
+    p = tmp_path / f"{command}.cfg"
+    p.write_text(ACCEPTANCE_CONFIGS[command])
+    cfg = parse_config(str(p))
+    _COMMANDS[command](cfg, 1234)
+    assert set(cfg) - cfg.read == set()
 
 
 def test_unknown_command_exit_one():

@@ -1,6 +1,7 @@
 """Every top-level definition in src/spdo is reached from a CLI command, or
 is named below with the verdict that is meant to reach it; no command loads
-scipy, and the commands that build no symbol do not load sympy."""
+scipy, the commands that build no symbol do not load sympy, and the CLI's
+numpy and sympy imports are frozen out of the cyclic collector."""
 
 import ast
 import os
@@ -160,6 +161,32 @@ def test_carleman_loads_sympy(tmp_path):
     rc, loaded, _ = _fresh_run(tmp_path, "carleman", "draws = 1\n")
     assert rc == 0
     assert loaded
+
+
+def test_importing_spdo_freezes_nothing():
+    assert _python(IMPORT_ALL + "import gc\nprint(gc.get_freeze_count())\n") \
+        == ["0"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_imports_frozen_and_collector_state_kept(tmp_path, enabled):
+    # compose builds symbols, so main imports numpy and then sympy through
+    # spdo._import_long_lived; a second main freezes nothing more (the count
+    # may fall: a frozen object that is freed leaves it)
+    cfg = tmp_path / "compose.cfg"
+    cfg.write_text("b = xi\na = x\n")
+    run = (f"main(['compose', '--config', {str(cfg)!r}, "
+           f"'--out', {str(tmp_path / 'out')!r}])")
+    out = _python(
+        "import gc, sys\n"
+        + ("" if enabled else "gc.disable()\n") +
+        "from spdo.cli import main\n"
+        f"rc = {run}\n"
+        "n = gc.get_freeze_count()\n"
+        f"rc2 = {run}\n"
+        "print(rc, rc2, 'sympy' in sys.modules, n > 0, gc.isenabled(), "
+        "gc.get_freeze_count() <= n)\n")
+    assert out[-1] == f"0 0 True True {enabled} True"
 
 
 @pytest.mark.parametrize("command", ["cz", "uniqueness"])
