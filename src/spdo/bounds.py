@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FREQUENCY, Grid, SpectralField, fft_inverse, l2_norm,
-                   sobolev_norm, to_frequency)
+from .grid import (Grid, SpectralField, fft_forward, fft_inverse, l2_norm,
+                   sobolev_norm)
 from .quantize import SampledField, apply_symbol_ensemble
 from .stochastic import BrownianEnsemble, lpf_norm_values, path_slices
 from .symbols import Symbol
@@ -97,8 +97,7 @@ def _adapted_field(grid: Grid, ensemble: BrownianEnsemble, amp,
     ensemble."""
     Wt = ensemble.paths.reshape(ensemble.paths.shape + (1,) * grid.dim)
     spec = amp * (1.0 + 0.5 * np.sin(Wt + phase))
-    vals = fft_inverse(SpectralField(grid, spec, FREQUENCY)).values
-    return SampledField(grid, ensemble.timegrid, vals)
+    return SampledField(grid, ensemble.timegrid, fft_inverse(grid, spec))
 
 
 def random_adapted_field(grid: Grid, ensemble: BrownianEnsemble,
@@ -114,7 +113,8 @@ def _trial_constants(a: Symbol, grids, ensemble: BrownianEnsemble,
     """{N: max over trials of num / den where den > 0}, for random adapted
     fields u.  tables(u, Au) gives arrays with leading (path, time) axes;
     they are built one path slice at a time, joined along the path axis,
-    and reduce(*joined) gives (num, den).  NaN propagates."""
+    and reduce(*joined) gives (num, den).  NaN propagates, from num and
+    from den alike."""
     constants = {}
     for grid in grids:
         rng = np.random.default_rng(seed)
@@ -127,7 +127,7 @@ def _trial_constants(a: Symbol, grids, ensemble: BrownianEnsemble,
                 u = _adapted_field(grid, part, amp, phase)
                 parts.append(tables(u, apply_symbol_ensemble(a, u, part)))
             num, den = reduce(*(np.concatenate(t) for t in zip(*parts)))
-            if den > 0:
+            if den > 0 or np.isnan(den):
                 best = float(np.maximum(best, num / den))
         constants[grid.N] = best
     return constants
@@ -136,8 +136,9 @@ def _trial_constants(a: Symbol, grids, ensemble: BrownianEnsemble,
 def _norm_table(u: SampledField, delta: float | None = None) -> np.ndarray:
     """The spatial L^2 norm of u per (path, time) node (H^delta when
     given)."""
-    f = SpectralField(u.grid, u.values)
-    return l2_norm(f) if delta is None else sobolev_norm(f, delta)
+    if delta is None:
+        return l2_norm(SpectralField(u.grid, u.values))
+    return sobolev_norm(u.grid, fft_forward(u.grid, u.values), delta)
 
 
 def _lqf_norms(nodes, q: float):
@@ -276,9 +277,9 @@ def garding_check(a: Symbol, delta_star: float, eps: float, r: float,
         spatial = tuple(range(2, 2 + grid.dim))
         re_pair = (np.sum(Au.values * np.conj(u.values), axis=spatial)
                    * grid.cell_volume).real
-        uhat = to_frequency(SpectralField(grid, u.values))
-        return (re_pair, sobolev_norm(uhat, ell / 2.0) ** 2,
-                sobolev_norm(uhat, r) ** 2)
+        uhat = fft_forward(grid, u.values)
+        return (re_pair, sobolev_norm(grid, uhat, ell / 2.0) ** 2,
+                sobolev_norm(grid, uhat, r) ** 2)
 
     def deficit(re_pair, src, low):
         # ((delta* - eps) E int |u|^2_{H^{l/2}} - E int Re(Au, u), E int |u|^2_{H^r})

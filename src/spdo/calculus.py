@@ -199,14 +199,12 @@ def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries
 
 def series_apply(series: AsymptoticSeries, u, t: float = 0.0, w=0.0):
     """Apply the quantization of the finite series to one field."""
+    from .grid import SpectralField
     from .quantize import apply_symbol_op
 
-    out = None
-    for _, s in series.terms:
-        v = apply_symbol_op(s, u, t, w)
-        out = v if out is None else type(v)(v.grid, out.values + v.values,
-                                            v.representation)
-    if out is None:
-        from .grid import SpectralField
-        out = SpectralField(u.grid, np.zeros(u.grid.shape), u.representation)
-    return out
+    out = np.zeros(u.grid.shape)
+    for j, (_, s) in enumerate(series.terms):
+        v = apply_symbol_op(s, u, t, w).values
+        # the first term as it is: 0.0 + v would turn its -0.0 into 0.0
+        out = v if j == 0 else out + v
+    return SpectralField(u.grid, out)

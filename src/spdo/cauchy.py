@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FREQUENCY, Grid, SpectralField, TimeGrid, fft_inverse
+from .grid import Grid, SpectralField, TimeGrid, fft_forward, fft_inverse
 from .quantize import SampledField, apply_symbol_op
 from .stochastic import BrownianEnsemble
 from .symbols import Symbol
@@ -39,7 +39,6 @@ __all__ = [
     "pinned_semimartingale",
     "smooth_time_cutoff",
     "carleman_report",
-    "carleman_report_jordan",
     "uniqueness_experiment",
 ]
 
@@ -58,15 +57,11 @@ class EquationSpec:
 
     principal maps (k, alpha) -> coefficient (complex constant or order-0
     Symbol in x), entering a_k(t,w,x,xi) = sum_{|alpha| = m-k} a_alpha xi^alpha.
-    Lower-order drift and noise coefficients are carried for the integrator
-    sources and are not part of the principal analysis.
     """
 
     m: int
     dim: int
     principal: dict
-    drift: dict = field(default_factory=dict)
-    noise: dict = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
@@ -393,8 +388,7 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
 def _from_spectrum(yhat: np.ndarray, grid: Grid) -> np.ndarray:
     """(M, nfreq, m) spectral state -> (M, m) + grid.shape values."""
     back = np.swapaxes(yhat, -1, -2).reshape(yhat.shape[::2] + grid.shape)
-    return np.fft.ifftn(back, axes=tuple(range(2, 2 + grid.dim))) \
-        * (grid.N / grid.L) ** grid.dim
+    return fft_inverse(grid, back)
 
 
 def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
@@ -406,7 +400,6 @@ def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
     nodes = tg.nodes()
     dt = tg.dt
     nfreq = int(np.prod(grid.shape))
-    scale_f = grid.cell_volume  # forward FFT weight
     eye = np.eye(m, dtype=np.complex128)
     xis = grid.freqs().reshape(-1, grid.dim)
     x0 = np.zeros((1, grid.dim))
@@ -414,9 +407,7 @@ def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
     def _hat(arr):
         # arr: (..., m) + grid.shape -> (..., nfreq, m)
         lead = arr.shape[: arr.ndim - 1 - grid.dim]
-        axes = tuple(range(len(lead) + 1, arr.ndim))
-        out = np.fft.fftn(arr, axes=axes) * scale_f
-        flat = out.reshape(lead + (m, nfreq))
+        flat = fft_forward(grid, arr).reshape(lead + (m, nfreq))
         return np.swapaxes(flat, -1, -2)
 
     def _source_hats(src):
@@ -499,8 +490,7 @@ def pinned_semimartingale(grid: Grid, ensemble: BrownianEnsemble,
     lattice = (1,) * grid.dim
     Wt = ensemble.paths.reshape(ensemble.paths.shape + lattice)
     spec = (a_amp + b_amp * Wt) * s.reshape((1, -1) + lattice)
-    vals = fft_inverse(SpectralField(grid, spec, FREQUENCY)).values
-    return SampledField(grid, tg, vals)
+    return SampledField(grid, tg, fft_inverse(grid, spec))
 
 
 @dataclass
@@ -514,14 +504,16 @@ class CarlemanReport:
     margin: float
     discretization_gap: float
     passed: bool
-    labels_lhs: list = field(default_factory=list)
-    labels_rhs: list = field(default_factory=list)
+
+    LABELS_LHS = ("E th2 |z|^2", "(1/mu) E th2 |mu(t-T)z - B1 z|^2")
+    LABELS_RHS = ("(4/mu) Re pairing", "-(2/mu) Im skew pairing",
+                  "-2 E (t-T) th2 |dz|^2", "-(2/mu) Re (dz, B1 dz)")
 
     def to_dict(self) -> dict:
         return {
             "mu": self.mu, "T": self.T,
-            "lhs_terms": dict(zip(self.labels_lhs, self.lhs_terms)),
-            "rhs_terms": dict(zip(self.labels_rhs, self.rhs_terms)),
+            "lhs_terms": dict(zip(self.LABELS_LHS, self.lhs_terms)),
+            "rhs_terms": dict(zip(self.LABELS_RHS, self.rhs_terms)),
             "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin,
             "discretization_gap": self.discretization_gap,
             "passed": self.passed,
@@ -531,14 +523,12 @@ class CarlemanReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _carleman_moments(z: SampledField, A1, B1, ensemble: BrownianEnsemble,
-                      extra_drift=None):
+def _carleman_moments(z: SampledField, A1, B1, ensemble: BrownianEnsemble):
     """terms(mu) -> (lhs1, lhs2, [rhs1..rhs4], gap) for one z field.  Each
     term is sum_j e^{mu(t_j-T)^2} times a Laurent polynomial in mu whose
     coefficients are path means of spatial moments per node, computed here
     once: (1/mu)|mu(t-T)z - B1z|^2 = mu(t-T)^2|z|^2 - 2(t-T)Re(z, B1z)
-    + |B1z|^2/mu, and so on.  extra_drift (like z.values) is added to the
-    drift bracket: the Lambda z2 coupling of the Jordan variant."""
+    + |B1z|^2/mu, and so on."""
     grid, tg = z.grid, z.timegrid
     nodes, T, dt, K = tg.nodes(), tg.T, tg.dt, tg.K
     sp_axes = tuple(range(2, 2 + grid.dim))
@@ -552,8 +542,6 @@ def _carleman_moments(z: SampledField, A1, B1, ensemble: BrownianEnsemble,
     dz = np.diff(z.values, axis=1)  # (M, K) + shape
     zL, BzL = z.values[:, :K], Bz[:, :K]
     drift = dz / 1j - _apply_nodes(A1, zL, grid, ensemble) * dt - 1j * BzL * dt
-    if extra_drift is not None:
-        drift = drift + extra_drift[:, :K] * dt
     # the LHS moments run over all K + 1 nodes
     zz, BB = _ip(z.values, z.values).real, _ip(Bz, Bz).real
     zB = _ip(z.values, Bz).real
@@ -592,32 +580,30 @@ def _carleman_moments(z: SampledField, A1, B1, ensemble: BrownianEnsemble,
     return terms
 
 
-def _check_inputs(T: float, B1, ensemble, *zs: SampledField):
-    """The horizon is z's, each z is pinned, and B1 is zero or elliptic."""
+def _check_inputs(T: float, B1, ensemble, z: SampledField):
+    """The horizon is z's, z is pinned, and B1 is zero or elliptic."""
     from .bounds import HypothesisError
     from .symbols import ellipticity_check
 
-    if abs(T - zs[0].timegrid.T) > 1e-12 * max(T, 1.0):
+    if abs(T - z.timegrid.T) > 1e-12 * max(T, 1.0):
         raise ValueError(f"horizon T = {T} does not match z's time grid")
-    for z in zs:
-        peak = float(np.abs(z.values).max())
-        ends = max(float(np.abs(z.values[:, 0]).max()),
-                   float(np.abs(z.values[:, -1]).max()))
-        if peak > 0 and ends > 1e-10 * peak:
-            raise HypothesisError(f"z(0) = z(T) = 0 violated: endpoint "
-                                  f"magnitude {ends:.3e} vs peak {peak:.3e}")
-    if B1 is not None and not ellipticity_check(B1, zs[0].grid,
+    peak = float(np.abs(z.values).max())
+    ends = max(float(np.abs(z.values[:, 0]).max()),
+               float(np.abs(z.values[:, -1]).max()))
+    if peak > 0 and ends > 1e-10 * peak:
+        raise HypothesisError(f"z(0) = z(T) = 0 violated: endpoint "
+                              f"magnitude {ends:.3e} vs peak {peak:.3e}")
+    if B1 is not None and not ellipticity_check(B1, z.grid,
                                                 ensemble).elliptic:
         raise HypothesisError("B1 must be zero or elliptic")
 
 
-def _verdict(mu, T, lhs_terms, rhs_terms, gap, labels_lhs, labels_rhs):
+def _verdict(mu, T, lhs_terms, rhs_terms, gap):
     lhs = float(sum(lhs_terms))
     rhs = float(sum(rhs_terms))
     margin = rhs - lhs
     return CarlemanReport(mu, T, lhs_terms, rhs_terms, lhs, rhs, margin, gap,
-                          margin >= -1e-9 * abs(rhs),
-                          labels_lhs=labels_lhs, labels_rhs=labels_rhs)
+                          margin >= -1e-9 * abs(rhs))
 
 
 def carleman_report(z: SampledField, A1: Symbol | None, B1: Symbol | None,
@@ -639,45 +625,7 @@ def carleman_report(z: SampledField, A1: Symbol | None, B1: Symbol | None,
     reports = []
     for mu in mu_list:
         lhs1, lhs2, rhs, gap = terms(mu)
-        reports.append(_verdict(
-            mu, z.timegrid.T, [lhs1, lhs2], rhs, gap,
-            ["E th2 |z|^2", "(1/mu) E th2 |mu(t-T)z - B1 z|^2"],
-            ["(4/mu) Re pairing", "-(2/mu) Im skew pairing",
-             "-2 E (t-T) th2 |dz|^2", "-(2/mu) Re (dz, B1 dz)"]))
-    return reports
-
-
-def carleman_report_jordan(z1: SampledField, z2: SampledField,
-                           A1: Symbol | None, B1: Symbol | None, mu_list,
-                           T: float,
-                           ensemble: BrownianEnsemble) -> list[CarlemanReport]:
-    """Two-component variant with the Lambda z2 coupling in the z1 drift:
-    both LHS blocks are summed; the z2 block carries the weight C(B1, n) = 2,
-    calibrated on the decay experiments.
-    With z2 = 0 the coupling vanishes and the report reduces to
-    carleman_report on z1."""
-    _check_inputs(T, B1, ensemble, z1, z2)
-    from .registry import make_symbol
-
-    # Lambda coupling: first-order Bessel multiplier
-    lam_z2 = _apply_nodes(make_symbol("bessel1", z1.grid.dim), z2.values,
-                          z1.grid, ensemble)
-    terms_a = _carleman_moments(z1, A1, B1, ensemble, extra_drift=lam_z2)
-    terms_b = _carleman_moments(z2, A1, B1, ensemble)
-    C = 2.0
-    reports = []
-    for mu in mu_list:
-        l1a, l2a, rhs_a, gap_a = terms_a(mu)
-        l1b, l2b, rhs_b, gap_b = terms_b(mu)
-        reports.append(_verdict(
-            mu, z1.timegrid.T, [l1a, l2a, l1b, l2b],
-            rhs_a + [C * r for r in rhs_b], gap_a + gap_b,
-            ["E th2 |z1|^2", "(1/mu) E th2 |mu(t-T)z1 - B1 z1|^2",
-             "E th2 |z2|^2", "(1/mu) E th2 |mu(t-T)z2 - B1 z2|^2"],
-            ["(4/mu) Re z1 pairing", "-(2/mu) Im z1 skew",
-             "-2 E (t-T) th2 |dz1|^2", "-(2/mu) Re (dz1, B1 dz1)",
-             "(4C/mu) Re z2 pairing", "-(2C/mu) Im z2 skew",
-             "-2C E (t-T) th2 |dz2|^2", "-(2C/mu) Re (dz2, B1 dz2)"]))
+        reports.append(_verdict(mu, z.timegrid.T, [lhs1, lhs2], rhs, gap))
     return reports
 
 
@@ -755,7 +703,7 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
     mask = grid.band_mask(grid.N // 8)
     prof_spec[mask] = (rng.standard_normal(int(mask.sum()))
                        + 1j * rng.standard_normal(int(mask.sum())))
-    profile = np.fft.ifftn(prof_spec) * (grid.N / grid.L) ** grid.dim
+    profile = fft_inverse(grid, prof_spec)
     profile *= forcing_amplitude / max(np.abs(profile).max(), 1e-30)
 
     # narrow window hugging t = 2T/3 pins the decay exponent at T^2/9

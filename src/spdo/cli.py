@@ -21,6 +21,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -100,22 +101,30 @@ def cfg_int(cfg, key, default=None, least=None):
     return n
 
 
-def cfg_float(cfg, key, default=None):
+def cfg_float(cfg, key, default=None, least=None):
+    """Number config key, not NaN, and at least `least` when that is
+    given."""
     v = cfg.get(key)
     if v is None:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
-        return float(v)
+        x = float(v)
     except ValueError:
+        x = math.nan
+    if math.isnan(x):
         raise ConfigError(f"config key {key!r}: {v!r} is not a number")
+    if least is not None and x < least:
+        raise ConfigError(f"config key {key!r}: {x:g} is below {least:g}")
+    return x
 
 
-def cfg_list(cfg, key, default, kind=int, distinct=1):
+def cfg_list(cfg, key, default, kind=int, distinct=1, least=None):
     """The comma list of config key `key`, each entry read by kind (int,
     float or str), with at least `distinct` distinct values: an empty list
-    would make a vacuous verdict."""
+    would make a vacuous verdict.  Each entry is at least `least` when that
+    is given."""
     v = cfg.get(key)
     if v is None:
         return list(default)
@@ -127,6 +136,8 @@ def cfg_list(cfg, key, default, kind=int, distinct=1):
     if len(set(vals)) < distinct:
         raise ConfigError(f"config key {key!r}: needs {distinct} or more "
                           f"distinct values, got {len(set(vals))}")
+    if least is not None and min(vals, default=least) < least:
+        raise ConfigError(f"config key {key!r}: {min(vals)} is below {least}")
     return vals
 
 
@@ -381,7 +392,7 @@ def run_parametrix(cfg, seed):
     grid = _grid(cfg, default_N=128)
     a = _symbol(cfg, "symbol", "parametrix-demo", dim=grid.dim)
     # the residual slope is fitted through at least two modes
-    modes = cfg_list(cfg, "modes", (8, 16, 32), distinct=2)
+    modes = cfg_list(cfg, "modes", (8, 16, 32), distinct=2, least=1)
     n_list = cfg_list(cfg, "n_terms", (1, 2, 3))
     rows, all_pass = [], True
     for n in n_list:
@@ -421,7 +432,8 @@ def run_bounds(cfg, seed):
     rows = []
     for name in names:
         a = _symbol({"symbol": name}, "symbol", dim=dims)
-        rep = l2_boundedness_check(a, cfg_float(cfg, "q", 2.0), grids, ens,
+        rep = l2_boundedness_check(a, cfg_float(cfg, "q", 2.0, least=1.0),
+                                   grids, ens,
                                    trials=cfg_int(cfg, "trials", 5, least=1),
                                    seed=seed)
         per[name] = rep.to_dict()
@@ -444,11 +456,12 @@ def run_cz(cfg, seed):
     rng = np.random.default_rng(seed)
     u = random_adapted_field(grid, ens, rng)
     r = cfg_float(cfg, "level.r", 0.0)
+    p = cfg_float(cfg, "p", 2.0, least=1.0)
     if r <= 0:
         from .harmonic import _site_density
 
-        r = 4.0 * float(np.mean(_site_density(u, cfg_float(cfg, "p", 2.0))))
-    dec = cz_decompose(u, r, cfg_float(cfg, "p", 2.0))
+        r = 4.0 * float(np.mean(_site_density(u, p)))
+    dec = _checked("level.r", cz_decompose, u, r, p)
     checks = _cz_property_checks(u, dec)
     passed = all(checks.values())
     report = {"level": dec.level, "n_bad_cubes": len(dec.bad),
@@ -486,7 +499,7 @@ def _run_cz_sweep(cfg, seed):
     else:
         cases = [(cfg_int(cfg, "grid.dim", 1), cfg_int(cfg, "grid.N", 32))]
     draws = cfg_int(cfg, "draws", 25)
-    p = cfg_float(cfg, "p", 2.0)
+    p = cfg_float(cfg, "p", 2.0, least=1.0)
     tg = _timegrid(cfg, 0.5, 8)
     M = cfg_int(cfg, "ensemble.M", 3)
     checked = 0

@@ -2,15 +2,17 @@
 
 Normalization convention
 ------------------------
-The forward transform approximates the continuum integral
+Fields hold lattice values.  Spectra are plain arrays that fft_forward
+makes and fft_inverse reads, and only these two carry the weights.  The
+forward transform approximates the continuum integral
 
     u_hat(xi) = integral exp(-i x.xi) u(x) dx
 
-so the discrete forward FFT carries a cell weight of (L/N) per axis.  The
-inverse carries 1/L per axis, which is the discrete analogue of
-(2 pi)^{-n} integral dxi on the frequency lattice {2 pi k / L}.  With this
-pairing, symbol values multiply spectra with the same magnitudes as in the
-continuum quantization, and Parseval reads
+so fft_forward carries a cell weight of (L/N) per axis.  fft_inverse
+carries 1/L per axis on the inverse sum ((N/L)^n on ifftn), which is the
+discrete analogue of (2 pi)^{-n} integral dxi on the frequency lattice
+{2 pi k / L}.  With this pairing, symbol values multiply spectra with the
+same magnitudes as in the continuum quantization, and Parseval reads
 
     sum_x |u|^2 (L/N)^n  ==  sum_xi |u_hat|^2 (1/L)^n .
 """
@@ -20,10 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class RepresentationError(ValueError):
-    """Raised when a field is in the wrong representation for an operation."""
 
 
 @dataclass(frozen=True)
@@ -157,62 +155,39 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
-
-
 @dataclass
 class SpectralField:
-    """Complex field on a Grid, in physical or frequency representation.
+    """Complex field on a Grid: its values at the lattice points.
 
     values has shape grid.shape, or batch axes followed by grid.shape (one
-    field per batch entry); transforms and norms act on the trailing grid
-    axes.
+    field per batch entry); norms act on the trailing grid axes.
     """
 
     grid: Grid
     values: np.ndarray
-    representation: str = PHYSICAL
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape[self.values.ndim - self.grid.dim:] != self.grid.shape:
             raise ValueError(f"values shape {self.values.shape} does not end "
                              f"in grid shape {self.grid.shape}")
-        if self.representation not in (PHYSICAL, FREQUENCY):
-            raise RepresentationError(f"unknown representation {self.representation!r}")
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.values.copy(), self.representation)
 
 
 def _grid_axes(grid: Grid) -> tuple[int, ...]:
     return tuple(range(-grid.dim, 0))
 
 
-def fft_forward(f: SpectralField) -> SpectralField:
-    """Physical -> frequency, carrying the (L/N)^n cell weight."""
-    if f.representation != PHYSICAL:
-        raise RepresentationError("fft_forward expects a physical-representation field")
-    vals = np.fft.fftn(f.values, axes=_grid_axes(f.grid)) * f.grid.cell_volume
-    return SpectralField(f.grid, vals, FREQUENCY)
+def fft_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Spectra of lattice values over the trailing grid axes, carrying the
+    (L/N)^n cell weight."""
+    return np.fft.fftn(values, axes=_grid_axes(grid)) * grid.cell_volume
 
 
-def fft_inverse(f: SpectralField) -> SpectralField:
-    """Frequency -> physical, carrying the (N/L)^n weight."""
-    if f.representation != FREQUENCY:
-        raise RepresentationError("fft_inverse expects a frequency-representation field")
-    vals = (np.fft.ifftn(f.values, axes=_grid_axes(f.grid))
-            * (f.grid.N / f.grid.L) ** f.grid.dim)
-    return SpectralField(f.grid, vals, PHYSICAL)
-
-
-def to_frequency(f: SpectralField) -> SpectralField:
-    return f if f.representation == FREQUENCY else fft_forward(f)
-
-
-def to_physical(f: SpectralField) -> SpectralField:
-    return f if f.representation == PHYSICAL else fft_inverse(f)
+def fft_inverse(grid: Grid, spectra: np.ndarray) -> np.ndarray:
+    """Lattice values of spectra over the trailing grid axes, carrying the
+    (N/L)^n weight."""
+    return (np.fft.ifftn(spectra, axes=_grid_axes(grid))
+            * (grid.N / grid.L) ** grid.dim)
 
 
 def _lattice_norm(grid: Grid, density: np.ndarray,
@@ -224,17 +199,16 @@ def _lattice_norm(grid: Grid, density: np.ndarray,
 
 
 def l2_norm(f: SpectralField) -> float | np.ndarray:
-    cell = (f.grid.cell_volume if f.representation == PHYSICAL
-            else f.grid.freq_cell_volume)
-    return _lattice_norm(f.grid, np.abs(f.values) ** 2, cell)
+    return _lattice_norm(f.grid, np.abs(f.values) ** 2, f.grid.cell_volume)
 
 
-def sobolev_norm(f: SpectralField, delta: float) -> float | np.ndarray:
-    """H^delta norm via the Bessel weight (1+|xi|^2)^{delta/2} on the spectrum."""
-    fh = to_frequency(f)
-    w = (1.0 + f.grid.freq_norms() ** 2) ** delta
-    return _lattice_norm(f.grid, w * np.abs(fh.values) ** 2,
-                         f.grid.freq_cell_volume)
+def sobolev_norm(grid: Grid, spectra: np.ndarray,
+                 delta: float) -> float | np.ndarray:
+    """H^delta norm from the spectra (fft_forward) of fields, via the Bessel
+    weight (1+|xi|^2)^{delta/2}."""
+    w = (1.0 + grid.freq_norms() ** 2) ** delta
+    return _lattice_norm(grid, w * np.abs(spectra) ** 2,
+                         grid.freq_cell_volume)
 
 
 def plane_wave(grid: Grid, k: tuple[int, ...] | int) -> SpectralField:
@@ -253,4 +227,4 @@ def random_band_limited(grid: Grid, rng: np.random.Generator) -> SpectralField:
     mask = grid.band_mask(grid.N // 4)
     amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     spec[mask] = amp[mask]
-    return to_physical(SpectralField(grid, spec, FREQUENCY))
+    return SpectralField(grid, fft_inverse(grid, spec))

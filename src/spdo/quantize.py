@@ -23,8 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import (FREQUENCY, Grid, SpectralField, TimeGrid, to_frequency,
-                   to_physical)
+from .grid import Grid, SpectralField, TimeGrid, fft_forward, fft_inverse
 from .symbols import Amplitude, Symbol
 
 __all__ = [
@@ -124,8 +123,7 @@ def apply_symbol_op(a: Symbol, u: SpectralField, t=0.0, w=0.0) -> SpectralField:
     out = np.empty_like(fields)
     for s in range(0, len(fields), step):
         c = slice(s, s + step)
-        uhat = to_frequency(
-            SpectralField(grid, fields[c], u.representation)).values
+        uhat = fft_forward(grid, fields[c])
         out[c] = apply_chunk(a, grid, uhat, t[c], w[c])
     return SpectralField(grid, out.reshape(u.values.shape))
 
@@ -135,7 +133,7 @@ def _apply_multiplier(a, grid, uhat, t, w):
     lead = (-1,) + (1,) * grid.dim
     x0 = np.zeros(grid.shape + (grid.dim,))
     mult = a(t.reshape(lead), w.reshape(lead), x0, grid.freqs())
-    return to_physical(SpectralField(grid, mult * uhat, FREQUENCY)).values
+    return fft_inverse(grid, mult * uhat)
 
 
 def _apply_separated(a, grid, uhat, t, w, cg=None):
@@ -151,8 +149,7 @@ def _apply_separated(a, grid, uhat, t, w, cg=None):
     # a pole on the lattice gives non-finite values, which the verdicts count
     with np.errstate(invalid="ignore", divide="ignore"):
         for c, g in zip(cg[:rank], cg[rank:]):
-            v = to_physical(SpectralField(grid, g * uhat, FREQUENCY)).values
-            out = out + c * v
+            out = out + c * fft_inverse(grid, g * uhat)
     return out
 
 
@@ -202,7 +199,7 @@ def _amplitude_sum(a: Amplitude, u: SpectralField, t, w, eps) -> np.ndarray:
     grid = u.grid
     xs = _flat_points(grid)
     xis = _flat_freqs(grid)
-    uvals = to_physical(u).values.reshape(-1)
+    uvals = u.values.reshape(-1)
     cut = smooth_chi(eps * np.sqrt(np.sum(xis**2, axis=-1)))
     X = xs[:, None, None, :]
     Y = xs[None, :, None, :]

@@ -1,4 +1,4 @@
-"""Symbols and amplitudes of order (l, p): representation, order arithmetic,
+"""Symbols and amplitudes of order (l, p): sympy expressions, order arithmetic,
 empirical verification of the defining derivative estimates, and ellipticity
 detection on the resolved frequency band.
 

@@ -176,6 +176,21 @@ def test_garding_margin_monotone_in_constant_shift():
         assert rb.constants[N] <= ra.constants[N] + 1e-9
 
 
+def test_l2_check_fails_on_nan_exponent():
+    # the NaN ratio of every trial is a non-finite constant, not a skip
+    rep = l2_boundedness_check(constant_symbol(1.0), math.nan, GRIDS, ENS,
+                               trials=1)
+    assert not rep.passed
+    assert all(math.isnan(c) for c in rep.constants.values())
+
+
+def test_garding_check_fails_on_nan_remainder_order():
+    a = symbol_from_expr(_XI[0] ** 2, 1, order=2)
+    rep = garding_check(a, 1.0, 0.1, math.nan, GRIDS, ENS, trials=1)
+    assert not rep.passed
+    assert all(math.isnan(c) for c in rep.constants.values())
+
+
 def test_adjoint_norm_symmetry():
     from spdo.calculus import adjoint_symbol
     a = symbol_from_expr(sp.sin(_X[0]) * _XI[0] / sp.sqrt(1 + _XI[0] ** 2),

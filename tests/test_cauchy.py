@@ -16,7 +16,6 @@ from spdo.cauchy import (
     VectorField,
     build_companion_symbol,
     carleman_report,
-    carleman_report_jordan,
     characteristic_roots,
     check_hypotheses,
     integrate_spde_system,
@@ -531,31 +530,6 @@ def test_carleman_dense_path_matches_multiplier_path():
                     got.lhs_terms + got.rhs_terms):
         assert abs(a - b) <= 1e-10 * scale
     assert got.passed == ref.passed
-
-
-def test_carleman_jordan_zero_pair():
-    rep, = carleman_report_jordan(_zero_field(), _zero_field(), None, B1,
-                                  [100.0], 0.5, ENS_C)
-    assert rep.passed
-
-
-def test_carleman_jordan_reduces_when_z2_zero():
-    rng = np.random.default_rng(8)
-    z1 = pinned_semimartingale(G, ENS_C, rng)
-    rj, = carleman_report_jordan(z1, _zero_field(), None, B1, [100.0], 0.5,
-                                 ENS_C)
-    rs, = carleman_report(z1, None, B1, [100.0], 0.5, ENS_C)
-    assert abs(rj.lhs - rs.lhs) <= 1e-10 * max(1.0, abs(rs.lhs))
-    assert abs(rj.rhs - rs.rhs) <= 1e-10 * max(1.0, abs(rs.rhs))
-
-
-def test_carleman_jordan_coupled_pairs():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        z1 = pinned_semimartingale(G, ENS_C, rng)
-        z2 = pinned_semimartingale(G, ENS_C, rng)
-        rep, = carleman_report_jordan(z1, z2, None, B1, [100.0], 0.5, ENS_C)
-        assert rep.passed
 
 
 # -- cutoff and uniqueness ---------------------------------------------------

@@ -417,6 +417,12 @@ def test_verify_symbol_pole_fails(tmp_path):
                       "check.beta_max = 200\n"),
     ("verify-symbol", "symbol = xi\ncheck.alpha_max = 26\n"
                       "check.beta_max = 27\n"),
+    ("garding", "r = nan\n"),
+    ("cz", "p = -1\n"),
+    ("bounds", "q = 0.5\n"),
+    ("cz", "level.r = 0.001\n"),
+    ("uniqueness", "r = nan\n"),
+    ("parametrix", "modes = 8,-16\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
         "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic",
         "empty-parens", "carleman-mu-empty", "carleman-mu-zero",
@@ -427,7 +433,9 @@ def test_verify_symbol_pole_fails(tmp_path):
         "parametrix-single-mode", "parametrix-not-elliptic",
         "verify-symbol-alpha-max-negative", "carleman-draws-0",
         "integrator-sigma-0", "verify-symbol-caps-200",
-        "verify-symbol-caps-past-729"])
+        "verify-symbol-caps-past-729", "garding-r-nan", "cz-p-below-1",
+        "bounds-q-below-1", "cz-level-too-low", "uniqueness-r-nan",
+        "parametrix-mode-negative"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)

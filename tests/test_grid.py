@@ -1,16 +1,16 @@
 """Grid, FFT normalization, and norm oracles."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spdo
 from spdo.grid import (
-    FREQUENCY,
     Grid,
-    RepresentationError,
     SpectralField,
     TimeGrid,
     fft_forward,
@@ -19,24 +19,25 @@ from spdo.grid import (
     plane_wave,
     random_band_limited,
     sobolev_norm,
-    to_frequency,
-    to_physical,
 )
 
 G32 = Grid(1, 32)
 
 
+def _sobolev(f, delta):
+    return sobolev_norm(f.grid, fft_forward(f.grid, f.values), delta)
+
+
 def test_constant_field_mass_on_zero_mode():
     f = SpectralField(G32, np.ones(G32.points().shape[:-1]))
-    fh = fft_forward(f)
-    assert abs(fh.values[0] - 2.0 * np.pi) < 1e-12
-    assert np.abs(fh.values[1:]).max() < 1e-12
+    fh = fft_forward(G32, f.values)
+    assert abs(fh[0] - 2.0 * np.pi) < 1e-12
+    assert np.abs(fh[1:]).max() < 1e-12
 
 
 def test_plane_wave_single_mode():
     # e^{i3x} on N=32: unit mass at k=3 after the 1/L normalization
-    fh = fft_forward(plane_wave(G32, 3))
-    spec = fh.values * G32.freq_cell_volume
+    spec = fft_forward(G32, plane_wave(G32, 3).values) * G32.freq_cell_volume
     k = np.fft.fftfreq(32, d=G32.dx) * 2.0 * np.pi
     idx = int(np.argmin(np.abs(k - 3.0)))
     assert abs(spec[idx] - 1.0) < 1e-12
@@ -47,24 +48,16 @@ def test_plane_wave_single_mode():
 def test_round_trip_identity():
     rng = np.random.default_rng(0)
     f = random_band_limited(G32, rng)
-    g = fft_inverse(fft_forward(f))
-    assert np.abs(g.values - f.values).max() < 1e-12
-
-
-def test_representation_errors():
-    f = plane_wave(G32, 1)
-    with pytest.raises(RepresentationError):
-        fft_inverse(f)
-    with pytest.raises(RepresentationError):
-        fft_forward(fft_forward(f))
+    g = fft_inverse(G32, fft_forward(G32, f.values))
+    assert np.abs(g - f.values).max() < 1e-12
 
 
 def test_parseval():
     rng = np.random.default_rng(1)
     f = random_band_limited(G32, rng)
-    fh = fft_forward(f)
+    fh = fft_forward(G32, f.values)
     phys = np.sum(np.abs(f.values) ** 2) * G32.cell_volume
-    freq = np.sum(np.abs(fh.values) ** 2) * G32.freq_cell_volume
+    freq = np.sum(np.abs(fh) ** 2) * G32.freq_cell_volume
     assert abs(phys - freq) < 1e-10 * phys
 
 
@@ -73,13 +66,13 @@ def test_sobolev_norm_oracles():
     base = l2_norm(f)
     assert abs(base - math.sqrt(2.0 * np.pi)) < 1e-10
     # delta = 0 is the plain L2 norm
-    assert abs(sobolev_norm(f, 0.0) - base) < 1e-12
+    assert abs(_sobolev(f, 0.0) - base) < 1e-12
     # single mode k=3: (1 + 9)^{1/2} scaling
-    assert abs(sobolev_norm(f, 1.0) - math.sqrt(10.0) * base) < 1e-9
+    assert abs(_sobolev(f, 1.0) - math.sqrt(10.0) * base) < 1e-9
     # two modes combine in Pythagorean fashion
     g = SpectralField(G32, plane_wave(G32, 3).values + plane_wave(G32, 5).values)
     expect = math.sqrt(10.0 * base**2 + 26.0 * base**2)
-    assert abs(sobolev_norm(g, 1.0) - expect) < 1e-9
+    assert abs(_sobolev(g, 1.0) - expect) < 1e-9
 
 
 def test_torus_distance_wraps():
@@ -113,13 +106,18 @@ def test_norms_reduce_over_trailing_grid_axes():
     fields = [random_band_limited(g, rng) for _ in range(6)]
     batch = SpectralField(g, np.stack([f.values for f in fields]).reshape(
         (2, 3) + g.shape))
+    spec = fft_forward(g, batch.values)
     l2 = l2_norm(batch)
-    sob = sobolev_norm(batch, 0.75)
+    sob = sobolev_norm(g, spec, 0.75)
+    assert spec.shape == batch.values.shape
     assert l2.shape == sob.shape == (2, 3)
     for i, f in enumerate(fields):
+        assert np.array_equal(spec.reshape((6,) + g.shape)[i],
+                              fft_forward(g, f.values))
         assert abs(l2.flat[i] - l2_norm(f)) <= 1e-14 * l2_norm(f)
-        assert abs(sob.flat[i] - sobolev_norm(f, 0.75)) \
-            <= 1e-14 * sobolev_norm(f, 0.75)
+        assert abs(sob.flat[i] - _sobolev(f, 0.75)) \
+            <= 1e-14 * _sobolev(f, 0.75)
+    assert np.abs(fft_inverse(g, spec) - batch.values).max() < 1e-12
     with pytest.raises(ValueError):
         SpectralField(g, np.zeros((3, 8)))
 
@@ -146,13 +144,13 @@ def test_mode_orthogonality(k1, k2):
 def test_band_limited_is_band_limited(seed):
     rng = np.random.default_rng(seed)
     f = random_band_limited(G32, rng)
-    spec = to_frequency(f).values
+    spec = fft_forward(G32, f.values)
     ints = np.rint(np.fft.fftfreq(32) * 32).astype(int)
     assert np.abs(spec[np.abs(ints) > 8]).max() < 1e-12
 
 
-def test_to_physical_idempotent():
-    f = plane_wave(G32, 2)
-    assert to_physical(f) is f or np.array_equal(to_physical(f).values, f.values)
-    fh = to_frequency(f)
-    assert fh.representation == FREQUENCY
+def test_only_grid_calls_numpy_fft():
+    # the transform weights live in fft_forward and fft_inverse alone
+    pkg = pathlib.Path(spdo.__file__).parent
+    users = {p.name for p in pkg.glob("*.py") if "np.fft" in p.read_text()}
+    assert users == {"grid.py"}

@@ -31,7 +31,6 @@ ALLOWED_UNREACHED = {
     "bounds._mixed_norm": "mixed-norm check, bounds",
     "bounds.mixed_lp_check": "mixed-norm check, bounds",
     "bounds.weak_type_check": "weak-type level-set bound, bounds",
-    "cauchy.carleman_report_jordan": "Jordan Carleman variant, carleman jordan = 1",
     "stochastic.adaptedness_audit": "adaptedness of the drawn fields, garding/bounds/carleman",
 }
 
