@@ -2,12 +2,15 @@
 
 Every experiment is a subcommand driven by a flat key=value config file and
 a seed; a run writes report.json (deterministic: same config + seed gives
-byte-identical output), meta.json (timestamps, versions) and data/*.csv.
+byte-identical output), meta.json (timestamps, versions, the effective
+config with defaults filled in) and data/*.csv.
 
-Exit codes: 0 verdict PASS, 2 verdict FAIL, 1 usage or configuration error
-(a config key that the command never reads is one).
+Exit codes: 0 verdict PASS, 2 verdict FAIL, 1 usage or configuration error.
+main resolves the config against the command's key table (_KEYS) before
+any work: a key outside the table, one that the chosen mode does not read,
+and a value out of bounds exit 1 before numpy loads.
 
-numpy is imported inside the commands, after main() has applied --threads:
+numpy is imported after main() has applied --threads:
 the BLAS thread pool is sized when numpy loads.  main imports it through
 spdo._import_long_lived, with the cyclic collector paused and then frozen,
 as symbols does sympy: no later full collection and no interpreter exit
@@ -36,29 +39,8 @@ class ConfigError(ValueError):
 # config plumbing
 
 
-class Config(dict):
-    """A parsed config that records in `read` every key looked up through
-    get, [] or in, so that main can name the keys no command read."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
-
-
-def parse_config(path: str) -> Config:
-    cfg = Config()
+def parse_config(path: str) -> dict:
+    cfg = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -78,78 +60,176 @@ def parse_config(path: str) -> Config:
     return cfg
 
 
-def cfg_str(cfg, key, default=None):
-    v = cfg.get(key, default)
-    if v is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    return v
+def _number(kind, least=None, positive=False, infinite=False):
+    """Parser of one int or float (kind): not NaN, finite unless
+    `infinite`, above 0 when `positive`, at least `least` when given."""
+    def parse(text):
+        try:
+            x = kind(text)
+        except ValueError:
+            x = math.nan
+        if math.isnan(x):
+            raise ValueError(f"{text!r} is not "
+                             f"{'an integer' if kind is int else 'a number'}")
+        if math.isinf(x) and not infinite:
+            raise ValueError(f"{text!r} is not finite")
+        if positive and x <= 0:
+            raise ValueError(f"{x:g} is not positive")
+        if least is not None and x < least:
+            raise ValueError(f"{x:g} is below {least:g}")
+        return x
+    return parse
 
 
-def cfg_int(cfg, key, default=None, least=None):
-    """Integer config key, at least `least` when that is given."""
-    v = cfg.get(key)
-    if v is None:
-        if default is None:
+def _list(item, distinct=1):
+    """Parser of a comma list of item values with at least `distinct`
+    distinct values: an empty list would make a vacuous verdict."""
+    def parse(text):
+        vals = tuple(item(p.strip()) for p in text.split(",") if p.strip())
+        if len(set(vals)) < distinct:
+            raise ValueError(f"needs {distinct} or more distinct values, "
+                             f"got {len(set(vals))}")
+        return vals
+    return parse
+
+
+def _dimxN(text):
+    """One entry of cz's cases, e.g. 2x32."""
+    dim, _, N = text.partition("x")
+    try:
+        return int(dim), int(N)
+    except ValueError:
+        raise ValueError(f"bad entry {text!r}") from None
+
+
+def _flag(text):
+    if text not in ("0", "1"):
+        raise ValueError(f"{text!r} is not 0 or 1")
+    return text == "1"
+
+
+def _operator(text):
+    """A symbol name, or None for the zero operator: 0, none or empty."""
+    return None if text in ("", "none", "0") else text
+
+
+# _KEYS[command] maps each key to (parser, default[, mode]).  A default is
+# a typed value, None for an absent optional key, _REQUIRED, or a function
+# of the values above it.  A mode (text, test) reads the key only when
+# test(values above) holds; given otherwise, the key is an error, since the
+# command would ignore it.  main reads seed for every command.
+_INT, _FLOAT, _COUNT = _number(int), _number(float), _number(int, least=1)
+_POSITIVE = _number(float, positive=True)
+_REQUIRED, _ORDER = object(), (_FLOAT, None)
+_COMMON = {"seed": (_number(int, least=0), 1234)}
+_DIM = {"grid.dim": (_INT, 1)}
+
+
+def _ensemble_keys(M=8, K=64):
+    return {"time.T": (_FLOAT, 0.5), "time.K": (_INT, K),
+            "ensemble.M": (_INT, M)}
+
+
+def _cz_single(v):
+    return v["draws"] == 1 and not v["cases"]
+
+
+_N_LIST = {**_DIM, "grid.N_list": (_list(_INT, distinct=2), (32, 64))}
+_SYMBOL_GIVEN = ("random_symbols = 0", lambda v: v["random_symbols"] == 0)
+_PAIR_GIVEN = ("random_pairs = 0", lambda v: v["random_pairs"] == 0)
+_NO_CASES = ("no cases", lambda v: not v["cases"])
+_KEYS = {
+    "verify-symbol": {
+        **_DIM, "grid.N": (_INT, 64), **_ensemble_keys(),
+        "check.alpha_max": (_number(int, least=0), 2),
+        "check.beta_max": (_number(int, least=0), 2),
+        "symbol": (str, _REQUIRED), "symbol.order": _ORDER},
+    "quantize-demo": {
+        **_DIM, "grid.N": (_INT, 64),
+        "random_symbols": (_number(int, least=0), 0),
+        "tol": (_FLOAT, 1e-8, ("random_symbols > 0",
+                               lambda v: v["random_symbols"] > 0)),
+        "symbol": (str, "bessel1", _SYMBOL_GIVEN),
+        "symbol.order": _ORDER + (_SYMBOL_GIVEN,)},
+    "compose": {
+        **_DIM, "grid.N": (_INT, 64), "tol": (_FLOAT, 1e-9),
+        "trials": (_COUNT, 5), "random_pairs": (_number(int, least=0), 0),
+        "b": (str, _REQUIRED, _PAIR_GIVEN), "b.order": _ORDER + (_PAIR_GIVEN,),
+        "a": (str, _REQUIRED, _PAIR_GIVEN), "a.order": _ORDER + (_PAIR_GIVEN,),
+        "n_terms": (_number(int, least=0), 4, _PAIR_GIVEN),
+        "check": (_flag, False, _PAIR_GIVEN)},
+    "parametrix": {
+        **_DIM, "grid.N": (_INT, 128),
+        "symbol": (str, "parametrix-demo"), "symbol.order": _ORDER,
+        # the residual slope is fitted through at least two modes
+        "modes": (_list(_number(int, least=1), distinct=2), (8, 16, 32)),
+        "n_terms": (_list(_number(int, least=0)), (1, 2, 3))},
+    "bounds": {
+        **_N_LIST, **_ensemble_keys(),
+        "symbol": (_list(str), ("identity", "sgn-smoothed", "mod-x")),
+        "q": (_number(float, least=1.0, infinite=True), 2.0),
+        "trials": (_COUNT, 5)},
+    "cz": {
+        "cases": (_list(_dimxN, distinct=0), ()),
+        "grid.dim": (_INT, 1, _NO_CASES), "grid.N": (_INT, 32, _NO_CASES),
+        "draws": (_COUNT, lambda v: 25 if v["cases"] else 1),
+        "p": (_number(float, least=1.0, infinite=True), 2.0),
+        "level.r": (_FLOAT, 0.0, ("draws = 1 and no cases", _cz_single)),
+        "time.T": (_FLOAT, 0.5),
+        "time.K": (_INT, lambda v: 64 if _cz_single(v) else 8),
+        "ensemble.M": (_INT, lambda v: 8 if _cz_single(v) else 3)},
+    "garding": {
+        **_N_LIST, **_ensemble_keys(),
+        "symbol": (str, "garding-stochastic"), "symbol.order": _ORDER,
+        "delta_star": (_FLOAT, 1.0), "eps": (_FLOAT, 0.1), "r": (_FLOAT, 0.0),
+        "trials": (_COUNT, 10), "exact_check": (_flag, False),
+        "exact_trials": (_COUNT, 10, ("exact_check = 1",
+                                      lambda v: v["exact_check"]))},
+    "integrator": {
+        **_DIM, "grid.N": (_INT, 8), **_ensemble_keys(10_000, 200),
+        "sigma": (_FLOAT, 2.0), "unitary.K": (_INT, 1000),
+        "iso_tol": (_FLOAT, 0.05), "drift_tol": (_FLOAT, 1e-6)},
+    "carleman": {
+        "mu_list": (_list(_POSITIVE), (50.0, 100.0, 200.0)),
+        **_DIM, "grid.N": (_INT, 64), **_ensemble_keys(16),
+        "B1": (_operator, "bessel1"), "B1.order": _ORDER + (
+            ("a non-zero B1", lambda v: v["B1"] is not None),),
+        "A1": (_operator, None), "A1.order": _ORDER + (
+            ("a non-zero A1", lambda v: v["A1"] is not None),),
+        "draws": (_COUNT, 50)},
+    "uniqueness": {
+        # the decay slope is fitted through at least two weights
+        "mu_list": (_list(_POSITIVE, distinct=2), (50.0, 100.0, 200.0, 400.0)),
+        **_DIM, "grid.N": (_INT, 32), **_ensemble_keys(64, 128),
+        "equation": (str, "wave"), "r": (_POSITIVE, 1.5)},
+}
+
+
+def resolve_config(command, cfg):
+    """The effective config of command: each key of its table that the
+    chosen mode reads, parsed from cfg or defaulted, in table order."""
+    table = {**_COMMON, **_KEYS[command]}
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        raise ConfigError(
+            f"unknown key{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(map(repr, unknown))} for {command}")
+    values = {}
+    for key, (parse, default, *mode) in table.items():
+        if mode and not mode[0][1](values):
+            if key in cfg:
+                raise ConfigError(
+                    f"config key {key!r} is read only with {mode[0][0]}")
+        elif key in cfg:
+            try:
+                values[key] = parse(cfg[key])
+            except ValueError as e:
+                raise ConfigError(f"config key {key!r}: {e}") from None
+        elif default is _REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        n = int(v)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {v!r} is not an integer")
-    if least is not None and n < least:
-        raise ConfigError(f"config key {key!r}: {n} is below {least}")
-    return n
-
-
-def cfg_float(cfg, key, default=None, least=None):
-    """Number config key, not NaN, and at least `least` when that is
-    given."""
-    v = cfg.get(key)
-    if v is None:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        x = float(v)
-    except ValueError:
-        x = math.nan
-    if math.isnan(x):
-        raise ConfigError(f"config key {key!r}: {v!r} is not a number")
-    if least is not None and x < least:
-        raise ConfigError(f"config key {key!r}: {x:g} is below {least:g}")
-    return x
-
-
-def cfg_list(cfg, key, default, kind=int, distinct=1, least=None):
-    """The comma list of config key `key`, each entry read by kind (int,
-    float or str), with at least `distinct` distinct values: an empty list
-    would make a vacuous verdict.  Each entry is at least `least` when that
-    is given."""
-    v = cfg.get(key)
-    if v is None:
-        return list(default)
-    try:
-        vals = [kind(p.strip()) for p in v.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {v!r} is not a list of "
-                          f"{kind.__name__}")
-    if len(set(vals)) < distinct:
-        raise ConfigError(f"config key {key!r}: needs {distinct} or more "
-                          f"distinct values, got {len(set(vals))}")
-    if least is not None and min(vals, default=least) < least:
-        raise ConfigError(f"config key {key!r}: {min(vals)} is below {least}")
-    return vals
-
-
-def cfg_mu_list(cfg, default, distinct):
-    """The Carleman weights of config key mu_list: finite, positive, and at
-    least `distinct` distinct values."""
-    mus = cfg_list(cfg, "mu_list", default, float, distinct)
-    for mu in mus:
-        if not 0.0 < mu < float("inf"):
-            raise ConfigError(f"config key 'mu_list': {mu!r} is not a "
-                              "finite positive number")
-    return mus
+        else:
+            values[key] = default(values) if callable(default) else default
+    return values
 
 
 def _write_csv(path, header, rows):
@@ -170,45 +250,25 @@ def _checked(keys, build, *args, **kwargs):
         raise ConfigError(f"{keys}: {e}") from None
 
 
-def _grid(cfg, default_N=64):
+def _grid(dim, N):
     from .grid import Grid
 
-    return _checked("grid.dim, grid.N", Grid, cfg_int(cfg, "grid.dim", 1),
-                    cfg_int(cfg, "grid.N", default_N))
+    return _checked(f"grid {dim}x{N}", Grid, dim, N)
 
 
-def _grids(cfg, dim):
-    """The grids of grid.N_list."""
-    from .grid import Grid
-
-    return [_checked("grid.dim, grid.N_list", Grid, dim, N)
-            for N in cfg_list(cfg, "grid.N_list", (32, 64))]
-
-
-def _timegrid(cfg, default_T, default_K):
+def _ensemble(v, seed):
     from .grid import TimeGrid
-
-    return _checked("time.T, time.K", TimeGrid,
-                    cfg_float(cfg, "time.T", default_T),
-                    cfg_int(cfg, "time.K", default_K))
-
-
-def _ensemble(cfg, seed, default_M=8, default_T=0.5, default_K=64):
     from .stochastic import sample_brownian
 
-    tg = _timegrid(cfg, default_T, default_K)
-    return _checked("ensemble.M", sample_brownian,
-                    cfg_int(cfg, "ensemble.M", default_M), tg, seed=seed)
+    tg = _checked("time.T, time.K", TimeGrid, v["time.T"], v["time.K"])
+    return _checked("ensemble.M", sample_brownian, v["ensemble.M"], tg,
+                    seed=seed)
 
 
-def _symbol(cfg, key, default=None, dim=1):
+def _symbol(v, key, dim):
     from .registry import make_symbol
 
-    name = cfg.get(key, default)
-    if name is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    okey = key + ".order"
-    return make_symbol(name, dim, cfg_float(cfg, okey) if okey in cfg else None)
+    return make_symbol(v[key], dim, v[key + ".order"])
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +282,19 @@ def _symbol(cfg, key, default=None, dim=1):
 _MAX_DERIVATIVE_PAIRS = 729
 
 
-def run_verify_symbol(cfg, seed):
+def run_verify_symbol(v, seed):
     from .symbols import check_symbol_estimate, ellipticity_check
 
-    grid = _grid(cfg)
-    alpha_max = cfg_int(cfg, "check.alpha_max", 2, least=0)
-    beta_max = cfg_int(cfg, "check.beta_max", 2, least=0)
+    grid = _grid(v["grid.dim"], v["grid.N"])
+    alpha_max, beta_max = v["check.alpha_max"], v["check.beta_max"]
     pairs = ((alpha_max + 1) * (beta_max + 1)) ** grid.dim
     if pairs > _MAX_DERIVATIVE_PAIRS:
         raise ConfigError(
             f"config keys 'check.alpha_max', 'check.beta_max': "
             f"(alpha_max+1)^n (beta_max+1)^n = {pairs} passes "
             f"{_MAX_DERIVATIVE_PAIRS}")
-    ens = _ensemble(cfg, seed)
-    a = _symbol(cfg, "symbol", dim=grid.dim)
+    ens = _ensemble(v, seed)
+    a = _symbol(v, "symbol", grid.dim)
     est = check_symbol_estimate(a, alpha_max, beta_max, grid, ensemble=ens)
     ell = ellipticity_check(a, grid, ens)
     passed = not any(e.violation for e in est.entries)
@@ -271,11 +330,11 @@ def _extraction_sweep(a, grid):
     return errs
 
 
-def run_quantize_demo(cfg, seed):
+def run_quantize_demo(v, seed):
     import numpy as np
 
-    grid = _grid(cfg)
-    n_random = cfg_int(cfg, "random_symbols", 0)
+    grid = _grid(v["grid.dim"], v["grid.N"])
+    n_random = v["random_symbols"]
     if n_random > 0:
         from .symbols import sp, _X, _XI, symbol_from_expr
 
@@ -291,15 +350,15 @@ def run_quantize_demo(cfg, seed):
             a = symbol_from_expr(c0 + c1 * _XI[0], grid.dim, order=1)
             errs = _extraction_sweep(a, grid)
             # numpy's max and maximum propagate NaN; Python's max drops it
-            e = float(np.max([v for _, v in errs]))
+            e = float(np.max([err for _, err in errs]))
             worst = float(np.maximum(worst, e))
             rows.append((i, e))
-        passed = worst <= cfg_float(cfg, "tol", 1e-8)
+        passed = worst <= v["tol"]
         report = {"random_symbols": n_random, "max_extraction_error": worst,
                   "modes_per_symbol": grid.N - 2, "passed": passed}
         return report, passed, {"extraction": (("symbol", "max_rel_error"),
                                                rows)}
-    a = _symbol(cfg, "symbol", "bessel1", dim=grid.dim)
+    a = _symbol(v, "symbol", grid.dim)
     errs = _extraction_sweep(a, grid)
     worst = float(np.max([e for _, e in errs]))
     passed = worst <= 1e-8
@@ -344,15 +403,13 @@ def _random_poly_symbol(rng, dim):
     return symbol_from_expr(expr, dim, order=float(deg)), deg
 
 
-def run_compose(cfg, seed):
+def run_compose(v, seed):
     import numpy as np
     from .calculus import compose_symbols
 
-    grid = _grid(cfg)
+    grid = _grid(v["grid.dim"], v["grid.N"])
     rng = np.random.default_rng(seed)
-    tol = cfg_float(cfg, "tol", 1e-9)
-    trials = cfg_int(cfg, "trials", 5, least=1)
-    pairs = cfg_int(cfg, "random_pairs", 0)
+    tol, trials, pairs = v["tol"], v["trials"], v["random_pairs"]
     if pairs > 0:
         # oracle sweep: expansion truncated at the full polynomial degree is
         # exact, so it must reproduce direct operator composition
@@ -368,14 +425,14 @@ def run_compose(cfg, seed):
         report = {"random_pairs": pairs, "worst_relative_error": worst,
                   "tol": tol, "passed": passed}
         return report, passed, {"compose": (("pair", "rel_error"), rows)}
-    b = _symbol(cfg, "b", dim=grid.dim)
-    a = _symbol(cfg, "a", dim=grid.dim)
-    n_terms = cfg_int(cfg, "n_terms", 4)
+    b = _symbol(v, "b", grid.dim)
+    a = _symbol(v, "a", grid.dim)
+    n_terms = v["n_terms"]
     series = compose_symbols(b, a, n_terms)
     text = series.pretty()
     print(text)
     report = {"expansion": text, "n_terms": n_terms, "passed": True}
-    if cfg.get("check") not in (None, "0", ""):
+    if v["check"]:
         worst = _compose_error(b, a, grid, rng, trials, n_terms)
         report["relative_error"] = worst
         report["tol"] = tol
@@ -383,19 +440,22 @@ def run_compose(cfg, seed):
     return report, report["passed"], {}
 
 
-def run_parametrix(cfg, seed):
+def run_parametrix(v, seed):
     import numpy as np
     from .calculus import parametrix, series_apply
     from .quantize import apply_symbol_op
     from .grid import plane_wave, l2_norm, SpectralField
 
-    grid = _grid(cfg, default_N=128)
-    a = _symbol(cfg, "symbol", "parametrix-demo", dim=grid.dim)
-    # the residual slope is fitted through at least two modes
-    modes = cfg_list(cfg, "modes", (8, 16, 32), distinct=2, least=1)
-    n_list = cfg_list(cfg, "n_terms", (1, 2, 3))
+    grid = _grid(v["grid.dim"], v["grid.N"])
+    modes = v["modes"]
+    # plane_wave aliases a mode at or above N/2, which the slope fit would
+    # read as the mode given
+    if max(modes) >= grid.N // 2:
+        raise ConfigError(f"config key 'modes': {max(modes)} is not below "
+                          f"the Nyquist mode N/2 = {grid.N // 2}")
+    a = _symbol(v, "symbol", grid.dim)
     rows, all_pass = [], True
-    for n in n_list:
+    for n in v["n_terms"]:
         series = parametrix(a, n, grid)
         resid = []
         for k in modes:
@@ -419,22 +479,18 @@ def run_parametrix(cfg, seed):
     return report, all_pass, {"parametrix": (hdr, rows)}
 
 
-def run_bounds(cfg, seed):
+def run_bounds(v, seed):
     from .bounds import l2_boundedness_check
+    from .registry import make_symbol
 
-    dims = cfg_int(cfg, "grid.dim", 1)
-    grids = _grids(cfg, dims)
-    ens = _ensemble(cfg, seed)
-    names = cfg_list(cfg, "symbol", ("identity", "sgn-smoothed", "mod-x"),
-                     str)
+    grids = [_grid(v["grid.dim"], N) for N in v["grid.N_list"]]
+    ens = _ensemble(v, seed)
     all_pass = True
     per = {}
     rows = []
-    for name in names:
-        a = _symbol({"symbol": name}, "symbol", dim=dims)
-        rep = l2_boundedness_check(a, cfg_float(cfg, "q", 2.0, least=1.0),
-                                   grids, ens,
-                                   trials=cfg_int(cfg, "trials", 5, least=1),
+    for name in v["symbol"]:
+        a = make_symbol(name, v["grid.dim"])
+        rep = l2_boundedness_check(a, v["q"], grids, ens, trials=v["trials"],
                                    seed=seed)
         per[name] = rep.to_dict()
         all_pass &= rep.passed
@@ -444,19 +500,18 @@ def run_bounds(cfg, seed):
     return report, all_pass, {"bounds": (("symbol", "N", "constant"), rows)}
 
 
-def run_cz(cfg, seed):
+def run_cz(v, seed):
     import numpy as np
     from .harmonic import cz_decompose
     from .bounds import random_adapted_field
 
-    if cfg_int(cfg, "draws", 1) > 1 or cfg.get("cases"):
-        return _run_cz_sweep(cfg, seed)
-    grid = _grid(cfg, default_N=32)
-    ens = _ensemble(cfg, seed)
+    if not _cz_single(v):
+        return _run_cz_sweep(v, seed)
+    grid = _grid(v["grid.dim"], v["grid.N"])
+    ens = _ensemble(v, seed)
     rng = np.random.default_rng(seed)
     u = random_adapted_field(grid, ens, rng)
-    r = cfg_float(cfg, "level.r", 0.0)
-    p = cfg_float(cfg, "p", 2.0, least=1.0)
+    r, p = v["level.r"], v["p"]
     if r <= 0:
         from .harmonic import _site_density
 
@@ -472,7 +527,7 @@ def run_cz(cfg, seed):
     return report, passed, {"cubes": (("index", "origin", "size"), rows)}
 
 
-def _run_cz_sweep(cfg, seed):
+def _run_cz_sweep(v, seed):
     """Property suite over many random (u, r) draws, possibly several grids.
 
     `cases` is a comma list of dimxN entries, e.g. 1x32,1x64,2x16,2x32;
@@ -481,37 +536,20 @@ def _run_cz_sweep(cfg, seed):
     are skipped and reported, with a 90% coverage floor on the rest.
     """
     import numpy as np
-    from .grid import Grid
     from .harmonic import cz_decompose, LevelTooLowError, _site_density
-    from .stochastic import sample_brownian
     from .bounds import random_adapted_field
 
-    cases_txt = cfg.get("cases", "")
-    if cases_txt:
-        cases = []
-        for part in cases_txt.split(","):
-            part = part.strip()
-            try:
-                d, N = part.split("x")
-                cases.append((int(d), int(N)))
-            except ValueError:
-                raise ConfigError(f"config key 'cases': bad entry {part!r}")
-    else:
-        cases = [(cfg_int(cfg, "grid.dim", 1), cfg_int(cfg, "grid.N", 32))]
-    draws = cfg_int(cfg, "draws", 25)
-    p = cfg_float(cfg, "p", 2.0, least=1.0)
-    tg = _timegrid(cfg, 0.5, 8)
-    M = cfg_int(cfg, "ensemble.M", 3)
+    cases = v["cases"] or [(v["grid.dim"], v["grid.N"])]
+    grids = [_grid(dim, N) for dim, N in cases]
+    draws, p = v["draws"], v["p"]
     checked = 0
     total = 0
     agg = None
     rows = []
-    for dim, N in cases:
-        grid = _checked(f"grid {dim}x{N}", Grid, dim, N)
+    for grid, (dim, N) in zip(grids, cases):
         for i in range(draws):
             total += 1
-            ens = _checked("ensemble.M", sample_brownian, M, tg,
-                           seed=seed + total)
+            ens = _ensemble(v, seed + total)
             rng = np.random.default_rng(seed + total)
             u = random_adapted_field(grid, ens, rng)
             avg = float(np.mean(_site_density(u, p)))
@@ -579,35 +617,29 @@ def _cz_property_checks(u, dec):
     return checks
 
 
-def run_garding(cfg, seed):
+def run_garding(v, seed):
     from .bounds import garding_check
 
-    dims = cfg_int(cfg, "grid.dim", 1)
+    dims = v["grid.dim"]
+    consts = v["delta_star"], v["eps"], v["r"]
     # the symbol first; the order does not show in the measurements: at the
     # ensemble config either order takes 31.6k-31.7k minor page faults per
     # run, and the same wall time within noise
-    a = _symbol(cfg, "symbol", "garding-stochastic", dim=dims)
-    grids = _grids(cfg, dims)
-    ens = _ensemble(cfg, seed)
-    rep = garding_check(a, cfg_float(cfg, "delta_star", 1.0),
-                        cfg_float(cfg, "eps", 0.1), cfg_float(cfg, "r", 0.0),
-                        grids, ens,
-                        trials=cfg_int(cfg, "trials", 10, least=1), seed=seed)
+    a = _symbol(v, "symbol", dims)
+    grids = [_grid(dims, N) for N in v["grid.N_list"]]
+    ens = _ensemble(v, seed)
+    rep = garding_check(a, *consts, grids, ens, trials=v["trials"], seed=seed)
     report = rep.to_dict()
     passed = rep.passed
-    if cfg.get("exact_check") not in (None, "0", ""):
+    if v["exact_check"]:
         # analytic control case: Re(|xi|^2) >= (1 - eps)|xi|^2 holds with
         # C <= 1 exactly, so the measured constants must not exceed 1
         from .symbols import sp, _XI, symbol_from_expr
 
         expr = sp.sympify(sum(_XI[i] ** 2 for i in range(dims)))
         exact = symbol_from_expr(expr, dims, order=2)
-        rep2 = garding_check(exact, cfg_float(cfg, "delta_star", 1.0),
-                             cfg_float(cfg, "eps", 0.1),
-                             cfg_float(cfg, "r", 0.0), grids, ens,
-                             trials=cfg_int(cfg, "exact_trials", 10,
-                                            least=1),
-                             seed=seed)
+        rep2 = garding_check(exact, *consts, grids, ens,
+                             trials=v["exact_trials"], seed=seed)
         # the control is judged on C <= 1 alone (NaN fails the comparison):
         # its stability ratio divides by the 1e-12 floor when a grid gives 0
         exact_ok = all(c <= 1.0 + 1e-9 for c in rep2.constants.values())
@@ -620,22 +652,17 @@ def run_garding(cfg, seed):
     return report, passed, {"garding": (("N", "constant"), rows)}
 
 
-def run_carleman(cfg, seed):
+def run_carleman(v, seed):
     import numpy as np
     from .cauchy import pinned_semimartingale, carleman_report
 
-    mu_list = cfg_mu_list(cfg, (50.0, 100.0, 200.0), distinct=1)
-    grid = _grid(cfg)
-    ens = _ensemble(cfg, seed, default_M=16, default_T=0.5, default_K=64)
+    mu_list = list(v["mu_list"])
+    grid = _grid(v["grid.dim"], v["grid.N"])
+    ens = _ensemble(v, seed)
     T = ens.timegrid.T
-
-    def _zero_or_symbol(key, default=None):
-        if cfg.get(key, default) in (None, "", "none", "0"):
-            return None
-        return _symbol(cfg, key, default, dim=grid.dim)
-
-    B1, A1 = _zero_or_symbol("B1", "bessel1"), _zero_or_symbol("A1")
-    draws = cfg_int(cfg, "draws", 50, least=1)
+    B1, A1 = (None if v[key] is None else _symbol(v, key, grid.dim)
+              for key in ("B1", "A1"))
+    draws = v["draws"]
     rng = np.random.default_rng(seed)
     rows = []
     n_pass = 0
@@ -674,7 +701,7 @@ def _ito_final(F, grid, ens):
     return _from_spectrum(last, grid)[:, 0]
 
 
-def run_integrator(cfg, seed):
+def run_integrator(v, seed):
     """Integrator sanity: Ito isometry at large M, unitary norm drift."""
     import numpy as np
     from .cauchy import (EquationSpec, build_companion_symbol,
@@ -682,12 +709,13 @@ def run_integrator(cfg, seed):
     from .grid import TimeGrid
     from .stochastic import sample_brownian
 
-    g = _grid(cfg, default_N=8)
-    sigma = cfg_float(cfg, "sigma", 2.0)
+    g = _grid(v["grid.dim"], v["grid.N"])
+    sigma = v["sigma"]
     if sigma == 0:
         raise ConfigError("config key 'sigma': 0 makes the Ito target 0")
-    ens = _ensemble(cfg, seed, default_M=10_000, default_K=200)
+    ens = _ensemble(v, seed)
     tg, M = ens.timegrid, ens.M
+    tg2 = _checked("unitary.K", TimeGrid, tg.T, v["unitary.K"])
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = sigma
     final = _ito_final(F, g, ens)
@@ -695,8 +723,6 @@ def run_integrator(cfg, seed):
     target = sigma**2 * tg.T
     iso_err = abs(got - target) / target
 
-    K2 = cfg_int(cfg, "unitary.K", 1000)
-    tg2 = _checked("unitary.K", TimeGrid, tg.T, K2)
     ens2 = sample_brownian(1, tg2, seed=seed)
     cs = build_companion_symbol(
         EquationSpec(m=1, dim=g.dim, principal={(0, (1,) + (0,) * (g.dim - 1)):
@@ -706,30 +732,28 @@ def run_integrator(cfg, seed):
     drift = float(np.abs(np.abs(Y2.values[0, :, 0]) - 1.0).max())
 
     # 3 relative standard deviations of the estimate, 3 sqrt(2/M), must fit
-    iso_tol = cfg_float(cfg, "iso_tol", 0.05)
+    iso_tol = v["iso_tol"]
     passed = iso_err <= iso_tol and 3.0 * np.sqrt(2.0 / M) <= iso_tol \
-        and drift <= cfg_float(cfg, "drift_tol", 1e-6)
+        and drift <= v["drift_tol"]
     report = {"ito_isometry": {"M": M, "measured": got, "target": target,
                                "rel_error": iso_err},
-              "unitary": {"K": K2, "norm_drift": drift}, "passed": passed}
+              "unitary": {"K": v["unitary.K"], "norm_drift": drift},
+              "passed": passed}
     rows = [("ito_isometry_rel_error", iso_err),
             ("unitary_norm_drift", drift)]
     return report, passed, {"integrator": (("check", "value"), rows)}
 
 
-def run_uniqueness(cfg, seed):
+def run_uniqueness(v, seed):
     from .cauchy import uniqueness_experiment
     from .registry import make_equation
 
-    # the decay slope is fitted through at least two weights
-    mu_list = cfg_mu_list(cfg, (50.0, 100.0, 200.0, 400.0), distinct=2)
-    grid = _grid(cfg, default_N=32)
-    ens = _ensemble(cfg, seed, default_M=64, default_T=0.5, default_K=128)
-    spec = make_equation(cfg_str(cfg, "equation", "wave"),
-                         dim=cfg_int(cfg, "grid.dim", 1))
-    rep = uniqueness_experiment(spec, mu_list, ens.timegrid.T,
-                                cfg_float(cfg, "r", 1.5), grid, ens,
-                                seed=seed)
+    mu_list = v["mu_list"]
+    grid = _grid(v["grid.dim"], v["grid.N"])
+    ens = _ensemble(v, seed)
+    spec = make_equation(v["equation"], dim=grid.dim)
+    rep = uniqueness_experiment(spec, mu_list, ens.timegrid.T, v["r"], grid,
+                                ens, seed=seed)
     report = rep.to_dict()
     rows = list(zip(mu_list, rep.log_bound, rep.log_quotient))
     return report, rep.passed, {"decay": (("mu", "log_bound", "log_quotient"),
@@ -742,18 +766,9 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-_COMMANDS = {
-    "verify-symbol": run_verify_symbol,
-    "quantize-demo": run_quantize_demo,
-    "compose": run_compose,
-    "parametrix": run_parametrix,
-    "bounds": run_bounds,
-    "cz": run_cz,
-    "garding": run_garding,
-    "integrator": run_integrator,
-    "carleman": run_carleman,
-    "uniqueness": run_uniqueness,
-}
+# command name -> run_<name>(values of its _KEYS table, seed)
+_COMMANDS = {name: globals()["run_" + name.replace("-", "_")]
+             for name in _KEYS}
 
 
 def main(argv=None) -> int:
@@ -762,7 +777,8 @@ def main(argv=None) -> int:
         description="Stochastic pseudo-differential operator experiments")
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--seed", type=int, default=None,
+                   help="overrides the seed config key (default 1234)")
     p.add_argument("--out", default="spdo-out", help="output directory")
     p.add_argument("--threads", type=int, default=0,
                    help="cap worker threads (0 = library default)")
@@ -775,22 +791,15 @@ def main(argv=None) -> int:
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    np = _import_long_lived("numpy")
-
-    raw_args = list(argv) if argv is not None else sys.argv[1:]
     started = datetime.datetime.now(datetime.timezone.utc)
     try:
-        cfg = parse_config(args.config) if args.config else Config()
-        if "seed" in cfg and "--seed" not in raw_args:
-            args.seed = cfg_int(cfg, "seed")
-        report, passed, csvs = _COMMANDS[args.command](cfg, args.seed)
-        # a key no command reads would be silently ignored (a typo, or
-        # grid.N given to a command that reads grid.N_list)
-        unknown = sorted(set(cfg) - cfg.read)
-        if unknown:
-            raise ConfigError(
-                f"unknown key{'s' if len(unknown) > 1 else ''} "
-                f"{', '.join(map(repr, unknown))} for {args.command}")
+        cfg = parse_config(args.config) if args.config else {}
+        values = resolve_config(args.command, cfg)
+        if args.seed is not None:  # the flag overrides a valid seed key
+            values = resolve_config(args.command,
+                                    {**cfg, "seed": str(args.seed)})
+        np = _import_long_lived("numpy")
+        report, passed, csvs = _COMMANDS[args.command](values, values["seed"])
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -808,7 +817,7 @@ def main(argv=None) -> int:
         raise
 
     os.makedirs(args.out, exist_ok=True)
-    payload = {"command": args.command, "seed": args.seed,
+    payload = {"command": args.command, "seed": values["seed"],
                "config": dict(sorted(cfg.items())), "report": report,
                "passed": bool(passed)}
     with open(os.path.join(args.out, "report.json"), "w") as fh:
@@ -821,6 +830,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "numpy": np.__version__,
         "threads": args.threads,
+        "config": values,
     }
     with open(os.path.join(args.out, "meta.json"), "w") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")

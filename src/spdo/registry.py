@@ -39,6 +39,8 @@ _MAX_DEPTH = 50
 
 
 def _validate(text: str) -> None:
+    if not text.strip():
+        raise RegistryError("empty expression")
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)

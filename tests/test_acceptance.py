@@ -15,7 +15,7 @@ from spdo.calculus import parametrix, series_apply
 from spdo.cauchy import carleman_report, pinned_semimartingale, \
     uniqueness_experiment
 from spdo.cli import _compose_error, _random_poly_symbol, main, \
-    run_integrator
+    resolve_config, run_integrator
 from spdo.grid import Grid, TimeGrid, plane_wave
 from spdo.harmonic import LevelTooLowError, _site_density, cz_decompose
 from spdo.quantize import apply_symbol_op, extract_symbol
@@ -223,8 +223,9 @@ def test_criterion_8_uniqueness_decay():
 def test_criterion_9_integrator_sanity():
     # as `spdo integrator` runs it: Ito isometry E|Y(T)|^2 = sigma^2 T at
     # M = 10^4 (sigma = 2, T = 0.5), unitary norm drift over K = 1000 steps
-    report, passed, _ = run_integrator(
-        {"ensemble.M": "10000", "time.K": "200", "grid.N": "8"}, 1)
+    report, passed, _ = run_integrator(resolve_config(
+        "integrator", {"ensemble.M": "10000", "time.K": "200",
+                       "grid.N": "8"}), 1)
     iso_err = report["ito_isometry"]["rel_error"]
     drift = report["unitary"]["norm_drift"]
     ok = iso_err <= 0.05 and drift <= 1e-6

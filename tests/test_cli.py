@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from spdo.cli import Config, ConfigError, main, parse_config
+from spdo.cli import _COMMON, _KEYS, ConfigError, main, parse_config, \
+    resolve_config
 
 
 def _run(tmp_path, command, cfg_text=None, seed=1234, name="run"):
@@ -323,14 +324,6 @@ def test_config_seed_respected_unless_flag(tmp_path):
     assert rep["seed"] == 99
 
 
-def test_config_records_reads():
-    cfg = Config({"a": "1", "b": "2", "c": "3", "d": "4"})
-    cfg.get("a")
-    cfg["b"]
-    "c" in cfg
-    assert set(cfg) - cfg.read == {"d"}
-
-
 def test_unread_config_key_exits_1(tmp_path, capsys):
     # bounds reads grid.N_list: a grid.N would be ignored, and the run PASS
     code, out = _run(tmp_path, "bounds",
@@ -361,13 +354,118 @@ ACCEPTANCE_CONFIGS = {
 
 @pytest.mark.parametrize("command", sorted(ACCEPTANCE_CONFIGS))
 def test_acceptance_config_leaves_no_key_unread(tmp_path, command):
-    from spdo.cli import _COMMANDS
-
+    # every key given is in the command's table and read in the mode that
+    # the given values choose
     p = tmp_path / f"{command}.cfg"
     p.write_text(ACCEPTANCE_CONFIGS[command])
     cfg = parse_config(str(p))
-    _COMMANDS[command](cfg, 1234)
-    assert set(cfg) - cfg.read == set()
+    values = resolve_config(command, cfg)
+    assert set(cfg) <= set(values)
+
+
+# keys that a base config alone leaves unread: the values that choose
+# their mode, and the required keys
+_BASE = {"verify-symbol": {"symbol": "xi"}, "compose": {"b": "xi", "a": "x"}}
+_MODE = {("quantize-demo", "tol"): {"random_symbols": "1"},
+         ("garding", "exact_trials"): {"exact_check": "1"},
+         ("carleman", "A1.order"): {"A1": "xi"}}
+
+
+def _bad_values(parse):
+    """The bad values of a key with parser `parse`: '', 'nan' and 'abc'
+    for every number or list key, '-1' for integer keys and 'inf' for
+    float keys; none for a name.  An empty `cases` is valid."""
+    try:
+        probe = parse("8")
+    except ValueError:  # cz's cases take dimxN entries
+        return ["nan", "abc"]
+    listed = isinstance(probe, tuple)
+    probe = probe[0] if listed else probe
+    if isinstance(probe, str) or probe is None:
+        return ["", "nan", "abc"] if listed else []
+    return ["", "nan", "abc", "-1" if isinstance(probe, int) else "inf"]
+
+
+def _table(command):
+    return {**_COMMON, **_KEYS[command]}
+
+
+_SWEEP = [(command, key) for command in sorted(_KEYS)
+          for key, (parse, *_) in _table(command).items()
+          if _bad_values(parse)]
+
+
+@pytest.mark.parametrize("command, key", _SWEEP,
+                         ids=[f"{c}-{k}" for c, k in _SWEEP])
+def test_every_number_and_list_key_rejects_bad_values(tmp_path, capsys,
+                                                      command, key):
+    base = {**_BASE.get(command, {}), **_MODE.get((command, key), {})}
+    assert key in resolve_config(command, base)
+    for value in _bad_values(_table(command)[key][0]):
+        if value == "inf" and key in ("p", "q"):
+            continue  # exponents of L^p norms, where inf is valid
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n"
+                               for k, v in {**base, key: value}.items()))
+        code = main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, (key, value)
+        assert len(err.strip().splitlines()) == 1, (key, value, err)
+        assert err.startswith("config error: "), (key, value, err)
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_config_error_comes_before_numpy(tmp_path):
+    # the README garding config with a typo: named before any work
+    child = ("import sys\n"
+             "import spdo.cli\n"
+             "code = spdo.cli.main(sys.argv[1:])\n"
+             "print(code, 'numpy' in sys.modules)\n")
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("trials = 50\nensemble.M = 16\nexact_check = 1\n"
+                   "exact_trails = 10\n")
+    res = subprocess.run(
+        [sys.executable, "-c", child, "garding", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert res.stdout.split() == ["1", "False"]
+    assert res.stderr.splitlines() == [
+        "config error: unknown key 'exact_trails' for garding"]
+
+
+@pytest.mark.parametrize("command", ["compose", "cz"])
+def test_negative_seed_flag_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("random_pairs = 1\n" if command == "compose" else "")
+    code = main([command, "--seed", "-5", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == ["config error: config key 'seed': -5 is below 0"]
+
+
+def test_meta_holds_effective_config(tmp_path):
+    code, out = _run(tmp_path, "cz", "grid.N = 16\ntime.K = 4\n", seed=3)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["config"] == {"seed": 3, "cases": [], "grid.dim": 1,
+                              "grid.N": 16, "draws": 1, "p": 2.0,
+                              "level.r": 0.0, "time.T": 0.5, "time.K": 4,
+                              "ensemble.M": 8}
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["config"] == {"grid.N": "16", "time.K": "4"}
+
+
+def test_parametrix_lattice_modes_stay_valid(tmp_path):
+    # no correction term (n_terms = 0) is a series whose residual decays
+    # like k^-1; mode 63, the last below N/2 = 64, gives a real verdict
+    code, _ = _run(tmp_path, "parametrix", "n_terms = 0\n", name="n0")
+    assert code == 0
+    code, out = _run(tmp_path, "parametrix", "modes = 8,16,63\n",
+                     name="k63")
+    assert code == 2
+    assert json.loads((out / "report.json").read_text())["passed"] is False
 
 
 def test_unknown_command_exit_one():
@@ -423,6 +521,33 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("cz", "level.r = 0.001\n"),
     ("uniqueness", "r = nan\n"),
     ("parametrix", "modes = 8,-16\n"),
+    ("integrator", "time.T = inf\n"),
+    ("integrator", "sigma = inf\n"),
+    ("garding", "eps = inf\n"),
+    ("garding", "delta_star = -inf\n"),
+    ("compose", "random_pairs = 2\ntol = inf\n"),
+    ("verify-symbol", "symbol = xi**3\nsymbol.order = inf\n"),
+    ("uniqueness", "r = inf\n"),
+    ("uniqueness", "r = -1\n"),
+    ("quantize-demo", "random_symbols = -3\n"),
+    ("cz", "draws = 0\n"),
+    ("cz", "draws = -5\n"),
+    ("compose", "b = xi\na = x\nn_terms = -2\n"),
+    ("bounds", "grid.N_list = 32\n"),
+    ("bounds", "grid.N_list = 32,32\n"),
+    ("garding", "grid.N_list = 32\n"),
+    ("garding", "grid.N_list = 32,32\n"),
+    ("parametrix", "modes = 8,16,200\n"),
+    ("parametrix", "modes = 8,16,64\n"),
+    ("compose", "seed = -5\n"),
+    ("cz", "seed = -5\n"),
+    ("compose", "b = xi\na = x\ncheck = false\n"),
+    ("garding", "exact_check = false\n"),
+    ("compose", "random_pairs = 2\nn_terms = 3\n"),
+    ("garding", "exact_trials = 3\n"),
+    ("carleman", "B1 = 0\nB1.order = 1\n"),
+    ("cz", "cases = 1x32\nlevel.r = 1\n"),
+    ("verify-symbol", "symbol =\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
         "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic",
         "empty-parens", "carleman-mu-empty", "carleman-mu-zero",
@@ -435,7 +560,18 @@ def test_verify_symbol_pole_fails(tmp_path):
         "integrator-sigma-0", "verify-symbol-caps-200",
         "verify-symbol-caps-past-729", "garding-r-nan", "cz-p-below-1",
         "bounds-q-below-1", "cz-level-too-low", "uniqueness-r-nan",
-        "parametrix-mode-negative"])
+        "parametrix-mode-negative", "integrator-T-inf", "integrator-sigma-inf",
+        "garding-eps-inf", "garding-delta-star-minus-inf", "compose-tol-inf",
+        "verify-symbol-order-inf", "uniqueness-r-inf", "uniqueness-r-negative",
+        "quantize-demo-random-symbols-negative", "cz-draws-0",
+        "cz-draws-negative", "compose-n-terms-negative",
+        "bounds-N-list-single", "bounds-N-list-repeated",
+        "garding-N-list-single", "garding-N-list-repeated",
+        "parametrix-mode-past-nyquist", "parametrix-mode-nyquist",
+        "compose-seed-negative", "cz-seed-negative", "compose-check-false",
+        "garding-exact-check-false", "compose-random-mode-n-terms",
+        "garding-exact-trials-without-check", "carleman-zero-B1-order",
+        "cz-sweep-level-r", "verify-symbol-empty"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)
