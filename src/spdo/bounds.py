@@ -8,15 +8,13 @@ a supremum over an infinite-dimensional ball, and the reports say so.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Grid, SpectralField, fft_forward, fft_inverse, l2_norm,
-                   sobolev_norm)
-from .quantize import SampledField, apply_symbol_ensemble
+from .grid import Field, Grid, fft_forward, fft_inverse, l2_norm, sobolev_norm
+from .quantize import apply_symbol_ensemble
 from .stochastic import BrownianEnsemble, lpf_norm_values, path_slices
 from .symbols import Symbol
 
@@ -59,9 +57,6 @@ class BoundReport:
             "extra": self.extra,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _report(op_id, source, target, constants, factor, extra=None,
             floor=0.0) -> BoundReport:
@@ -92,16 +87,16 @@ def _adapted_modes(grid: Grid, rng: np.random.Generator):
 
 
 def _adapted_field(grid: Grid, ensemble: BrownianEnsemble, amp,
-                   phase) -> SampledField:
+                   phase) -> Field:
     """sum_k c_k (1 + sin(W(t) + phase_k)/2) e^{ik.x} on the paths of
     ensemble."""
     Wt = ensemble.paths.reshape(ensemble.paths.shape + (1,) * grid.dim)
     spec = amp * (1.0 + 0.5 * np.sin(Wt + phase))
-    return SampledField(grid, ensemble.timegrid, fft_inverse(grid, spec))
+    return Field(grid, fft_inverse(grid, spec))
 
 
 def random_adapted_field(grid: Grid, ensemble: BrownianEnsemble,
-                         rng: np.random.Generator) -> SampledField:
+                         rng: np.random.Generator) -> Field:
     """Band-limited random field (modes |k_a| <= N/4) made adapted by
     modulating each mode with a bounded functional of the path value:
     c_k (1 + sin(W(t) + phase_k)/2)."""
@@ -133,11 +128,11 @@ def _trial_constants(a: Symbol, grids, ensemble: BrownianEnsemble,
     return constants
 
 
-def _norm_table(u: SampledField, delta: float | None = None) -> np.ndarray:
+def _norm_table(u: Field, delta: float | None = None) -> np.ndarray:
     """The spatial L^2 norm of u per (path, time) node (H^delta when
     given)."""
     if delta is None:
-        return l2_norm(SpectralField(u.grid, u.values))
+        return l2_norm(u)
     return sobolev_norm(u.grid, fft_forward(u.grid, u.values), delta)
 
 
@@ -203,7 +198,7 @@ def mixed_lp_check(a: Symbol, p: float, grids, ensemble: BrownianEnsemble,
                    f"Lp(x; L{tgt_in:g}_F)", constants, 2.0)
 
 
-def weak_type_check(a: Symbol, u: SampledField, ensemble: BrownianEnsemble,
+def weak_type_check(a: Symbol, u: Field, ensemble: BrownianEnsemble,
                     r_values, p: float = 2.0) -> BoundReport:
     """Weak-type level-set bound:
 
@@ -229,7 +224,7 @@ def weak_type_check(a: Symbol, u: SampledField, ensemble: BrownianEnsemble,
     constants = {}
     for r in r_values:
         try:
-            dec = cz_decompose(u, r, p)
+            dec = cz_decompose(u, ensemble, r, p)
         except LevelTooLowError:
             continue
         lhs = r * ((abs_Au > r).sum(axis=spatial) * cell)

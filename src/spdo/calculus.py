@@ -199,7 +199,7 @@ def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries
 
 def series_apply(series: AsymptoticSeries, u, t: float = 0.0, w=0.0):
     """Apply the quantization of the finite series to one field."""
-    from .grid import SpectralField
+    from .grid import Field
     from .quantize import apply_symbol_op
 
     out = np.zeros(u.grid.shape)
@@ -207,4 +207,4 @@ def series_apply(series: AsymptoticSeries, u, t: float = 0.0, w=0.0):
         v = apply_symbol_op(s, u, t, w).values
         # the first term as it is: 0.0 + v would turn its -0.0 into 0.0
         out = v if j == 0 else out + v
-    return SpectralField(u.grid, out)
+    return Field(u.grid, out)

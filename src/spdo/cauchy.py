@@ -11,14 +11,13 @@ superdiagonal |xi| and bottom row a_k(t,w,x,xi) |xi|^{k+1-m}.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpectralField, TimeGrid, fft_forward, fft_inverse
-from .quantize import SampledField, apply_symbol_op
+from .grid import Field, Grid, TimeGrid, fft_forward, fft_inverse
+from .quantize import apply_symbol_op
 from .stochastic import BrownianEnsemble
 from .symbols import Symbol
 
@@ -29,9 +28,7 @@ __all__ = [
     "HypothesisReport",
     "CarlemanReport",
     "DecayReport",
-    "VectorField",
     "StabilityError",
-    "build_companion_symbol",
     "sphere_directions",
     "characteristic_roots",
     "check_hypotheses",
@@ -43,8 +40,9 @@ __all__ = [
 ]
 
 
-class StabilityError(RuntimeError):
-    """Resolved-band CFL condition dt max|sigma(A)| <= 0.5 violated."""
+class StabilityError(ValueError):
+    """Resolved-band CFL condition dt max|sigma(A)| <= 0.5 violated: the
+    time grid is too coarse for the system."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +136,6 @@ class CompanionSymbol:
             val = ak * safe ** (k + 1 - m)
             out[..., m - 1, k] = np.where(mag > 0, val, 0.0)
         return out
-
-
-def build_companion_symbol(spec: EquationSpec) -> CompanionSymbol:
-    return CompanionSymbol(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -321,50 +315,25 @@ def check_hypotheses(rf: RootField) -> HypothesisReport:
 # system integration
 
 
-@dataclass
-class VectorField:
-    """Vector-valued random field: (path, time, component) + lattice."""
-
-    grid: Grid
-    timegrid: TimeGrid
-    values: np.ndarray  # (M, K+1, m) + grid.shape
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[2]
-
-    def component(self, c: int) -> SampledField:
-        return SampledField(self.grid, self.timegrid,
-                            self.values[:, :, c].copy())
-
-
 def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
-                          tg: TimeGrid, ensemble: BrownianEnsemble,
-                          initial=None) -> VectorField:
+                          ensemble: BrownianEnsemble, initial=None) -> Field:
     """Midpoint semi-implicit Euler-Maruyama for (1/i) dY = A Y dt + f dt
     + F dw, spectral in space:
 
         (I - i dt/2 A) Y_{j+1} = (I + i dt/2 A) Y_j + i f dt + i F dW_j .
 
-    f and F are either None or arrays (K+1, m) + grid.shape (deterministic
-    sources) or (M, K+1, m) + grid.shape; initial broadcasts to
-    (M, m) + grid.shape.  The component count m is A.m, or with A = None
-    the component axis of f, F or initial.  Only x-independent A is
-    supported on the implicit path (the symbol acts per frequency).  The
-    Cayley pair (I + i dt/2 A, (I - i dt/2 A)^{-1}) is built once when A is
-    free of (t, w), else once per step at (t_j + dt/2, W(t_j)) for all paths;
-    the CFL bound dt max|sigma(A)| <= 0.5 is checked on the matrices of
-    every pair, before it is applied.
+    The time grid is the ensemble's, and the solution is a Field with
+    (path, time, component) axes.  f and F are either None or arrays
+    (K+1, m) + grid.shape (deterministic sources) or (M, K+1, m) +
+    grid.shape; initial broadcasts to (M, m) + grid.shape.  The component
+    count m is A.m, or with A = None the component axis of f, F or
+    initial.  Only x-independent A is supported on the implicit path (the
+    symbol acts per frequency).  The Cayley pair (I + i dt/2 A,
+    (I - i dt/2 A)^{-1}) is built once when A is free of (t, w), else once
+    per step at (t_j + dt/2, W(t_j)) for all paths; the CFL bound
+    dt max|sigma(A)| <= 0.5 is checked on the matrices of every pair,
+    before it is applied.
     """
-    if ensemble.timegrid != tg:
-        raise ValueError("ensemble and integration time grids differ")
     if A is not None:
         m = A.m
         if not A.x_independent:
@@ -377,12 +346,13 @@ def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
                              "component count m")
         m = given[0][-1 - grid.dim]
 
-    Y = np.zeros((ensemble.M, tg.K + 1, m) + grid.shape, dtype=np.complex128)
+    Y = np.zeros((ensemble.M, ensemble.timegrid.K + 1, m) + grid.shape,
+                 dtype=np.complex128)
     if initial is not None:
         Y[:, 0] = initial
     for j, yhat in enumerate(_spectral_steps(A, f, F, grid, ensemble, Y[:, 0])):
         Y[:, j + 1] = _from_spectrum(yhat, grid)
-    return VectorField(grid, tg, Y)
+    return Field(grid, Y)
 
 
 def _from_spectrum(yhat: np.ndarray, grid: Grid) -> np.ndarray:
@@ -461,7 +431,7 @@ def _apply_nodes(sym: Symbol | None, vals: np.ndarray, grid: Grid,
     if sym is None:
         return np.zeros_like(vals)
     k = vals.shape[1]
-    return apply_symbol_op(sym, SpectralField(grid, vals),
+    return apply_symbol_op(sym, Field(grid, vals),
                            ensemble.timegrid.nodes()[:k],
                            ensemble.paths[:, :k]).values
 
@@ -476,7 +446,7 @@ def smooth_time_cutoff(tg: TimeGrid) -> np.ndarray:
 
 
 def pinned_semimartingale(grid: Grid, ensemble: BrownianEnsemble,
-                          rng: np.random.Generator) -> SampledField:
+                          rng: np.random.Generator) -> Field:
     """Adapted band-limited semimartingale pinned to zero at t = 0 and T:
     z(t) = sin^2(pi t / T) sum_{|k_a| <= N/4} (a_k + b_k W(t)) e^{i k.x}."""
     tg = ensemble.timegrid
@@ -490,7 +460,7 @@ def pinned_semimartingale(grid: Grid, ensemble: BrownianEnsemble,
     lattice = (1,) * grid.dim
     Wt = ensemble.paths.reshape(ensemble.paths.shape + lattice)
     spec = (a_amp + b_amp * Wt) * s.reshape((1, -1) + lattice)
-    return SampledField(grid, tg, fft_inverse(grid, spec))
+    return Field(grid, fft_inverse(grid, spec))
 
 
 @dataclass
@@ -519,17 +489,14 @@ class CarlemanReport:
             "passed": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-
-def _carleman_moments(z: SampledField, A1, B1, ensemble: BrownianEnsemble):
+def _carleman_moments(z: Field, A1, B1, ensemble: BrownianEnsemble):
     """terms(mu) -> (lhs1, lhs2, [rhs1..rhs4], gap) for one z field.  Each
     term is sum_j e^{mu(t_j-T)^2} times a Laurent polynomial in mu whose
     coefficients are path means of spatial moments per node, computed here
     once: (1/mu)|mu(t-T)z - B1z|^2 = mu(t-T)^2|z|^2 - 2(t-T)Re(z, B1z)
     + |B1z|^2/mu, and so on."""
-    grid, tg = z.grid, z.timegrid
+    grid, tg = z.grid, ensemble.timegrid
     nodes, T, dt, K = tg.nodes(), tg.T, tg.dt, tg.K
     sp_axes = tuple(range(2, 2 + grid.dim))
 
@@ -580,13 +547,11 @@ def _carleman_moments(z: SampledField, A1, B1, ensemble: BrownianEnsemble):
     return terms
 
 
-def _check_inputs(T: float, B1, ensemble, z: SampledField):
-    """The horizon is z's, z is pinned, and B1 is zero or elliptic."""
+def _check_inputs(B1, ensemble, z: Field):
+    """z is pinned, and B1 is zero or elliptic."""
     from .bounds import HypothesisError
     from .symbols import ellipticity_check
 
-    if abs(T - z.timegrid.T) > 1e-12 * max(T, 1.0):
-        raise ValueError(f"horizon T = {T} does not match z's time grid")
     peak = float(np.abs(z.values).max())
     ends = max(float(np.abs(z.values[:, 0]).max()),
                float(np.abs(z.values[:, -1]).max()))
@@ -606,8 +571,7 @@ def _verdict(mu, T, lhs_terms, rhs_terms, gap):
                           margin >= -1e-9 * abs(rhs))
 
 
-def carleman_report(z: SampledField, A1: Symbol | None, B1: Symbol | None,
-                    mu_list, T: float,
+def carleman_report(z: Field, A1: Symbol | None, B1: Symbol | None, mu_list,
                     ensemble: BrownianEnsemble) -> list[CarlemanReport]:
     """Itemized evaluation, one report per mu in mu_list, of the weighted
     inequality
@@ -617,15 +581,18 @@ def carleman_report(z: SampledField, A1: Symbol | None, B1: Symbol | None,
            - (2/mu) Im E sum th^2 (dz/i - A1 z dt - i B1 z dt, (B1-B1*) z)
            - 2 E sum (t-T) th^2 |dz|^2 - (2/mu) Re E sum th^2 (dz, B1 dz)
 
-    with th = e^{mu(t-T)^2/2}, increments in the Ito (left-endpoint) form.
-    The field is checked and its moments computed once for every mu.
+    with th = e^{mu(t-T)^2/2}, increments in the Ito (left-endpoint) form,
+    for z with leading (path, time) axes over ensemble, whose time grid
+    gives T.  The field is checked and its moments computed once for every
+    mu.
     """
-    _check_inputs(T, B1, ensemble, z)
+    _check_inputs(B1, ensemble, z)
     terms = _carleman_moments(z, A1, B1, ensemble)
     reports = []
     for mu in mu_list:
         lhs1, lhs2, rhs, gap = terms(mu)
-        reports.append(_verdict(mu, z.timegrid.T, [lhs1, lhs2], rhs, gap))
+        reports.append(_verdict(mu, ensemble.timegrid.T, [lhs1, lhs2], rhs,
+                                gap))
     return reports
 
 
@@ -658,9 +625,6 @@ class DecayReport:
             "passed": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _time_plateau(tg: TimeGrid, lo: float, hi: float, ramp: float) -> np.ndarray:
     from .harmonic import _smoothstep
@@ -671,11 +635,12 @@ def _time_plateau(tg: TimeGrid, lo: float, hi: float, ramp: float) -> np.ndarray
     return up * down
 
 
-def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
-                          grid: Grid, ensemble: BrownianEnsemble,
+def uniqueness_experiment(spec: EquationSpec, mu_list, r: float, grid: Grid,
+                          ensemble: BrownianEnsemble,
                           forcing_amplitude: float = 1.0,
                           seed: int = 0) -> DecayReport:
-    """Decay-in-mu experiment for the Cauchy uniqueness mechanism.
+    """Decay-in-mu experiment for the Cauchy uniqueness mechanism, on the
+    time grid of the ensemble, of horizon T.
 
     With zero data and forcing supported in [2T/3, T], the solution vanishes
     on [0, T/2] by causality; the certified bound on E int_0^{T/2} |u|^2 is
@@ -688,14 +653,12 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
     measured energy must not exceed the bound with C = 1 at any mu.
     """
     tg = ensemble.timegrid
-    if abs(T - tg.T) > 1e-12 * max(T, 1.0):
-        raise ValueError(f"horizon T = {T} does not match the ensemble grid "
-                         f"T = {tg.T}")
+    T = tg.T
     rf = characteristic_roots(spec, grid, ensemble)
     hyp = check_hypotheses(rf)
     if not (hyp.h1p or (hyp.h1 and hyp.h4)):
         raise RuntimeError(f"root hypotheses fail: {hyp.to_dict()}")
-    A = build_companion_symbol(spec)
+    A = CompanionSymbol(spec)
     m = spec.m
     rng = np.random.default_rng(seed)
     # spatial profile: fixed band-limited bump
@@ -712,8 +675,8 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
     f = np.zeros((tg.K + 1, m) + grid.shape, np.complex128)
     f[:, m - 1] = window.reshape((-1,) + (1,) * grid.dim) * profile[None]
 
-    Y = integrate_spde_system(A, f, None, grid, tg, ensemble)
-    u = Y.component(0)  # Lambda^{m-1}(zeta u) slot; energy proxy
+    Y = integrate_spde_system(A, f, None, grid, ensemble)
+    u = Y.values[:, :, 0]  # Lambda^{m-1}(zeta u) slot; energy proxy
 
     nodes = tg.nodes()
     half = nodes <= T / 2.0 + 1e-12
@@ -727,7 +690,7 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, T: float, r: float,
     if not (ball_w > 0).any():
         raise ValueError(f"ball radius r = {r} contains no lattice sites")
     sp_axes = tuple(range(2, 2 + grid.dim))
-    en = np.sum(ball_w * np.abs(u.values) ** 2, axis=sp_axes) \
+    en = np.sum(ball_w * np.abs(u) ** 2, axis=sp_axes) \
         * grid.cell_volume  # (M, K+1)
     direct = float(np.mean(np.trapezoid(en[:, half], nodes[half], axis=1)))
 

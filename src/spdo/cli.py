@@ -301,7 +301,7 @@ def run_verify_symbol(v, seed):
     report = {
         "symbol": a.name or "<expr>",
         "order": a.order,
-        "estimate": json.loads(est.to_json()),
+        "estimate": est.to_dict(),
         "ellipticity": {"elliptic": ell.elliptic, "C_K": ell.C_K,
                         "R_K": ell.R_K},
         "passed": passed,
@@ -371,7 +371,7 @@ def _compose_error(b, a, grid, rng, trials, n_terms):
     import numpy as np
     from .calculus import compose_symbols
     from .quantize import apply_symbol_op
-    from .grid import random_band_limited, l2_norm, SpectralField
+    from .grid import Field, l2_norm, random_band_limited
 
     comp = compose_symbols(b, a, n_terms).symbol_sum()
     worst = 0.0
@@ -379,7 +379,7 @@ def _compose_error(b, a, grid, rng, trials, n_terms):
         u = random_band_limited(grid, rng)
         direct = apply_symbol_op(b, apply_symbol_op(a, u))
         via = apply_symbol_op(comp, u)
-        err = l2_norm(SpectralField(grid, direct.values - via.values))
+        err = l2_norm(Field(grid, direct.values - via.values))
         worst = float(np.maximum(worst, err / max(l2_norm(direct), 1e-30)))
     return worst
 
@@ -444,7 +444,7 @@ def run_parametrix(v, seed):
     import numpy as np
     from .calculus import parametrix, series_apply
     from .quantize import apply_symbol_op
-    from .grid import plane_wave, l2_norm, SpectralField
+    from .grid import Field, l2_norm, plane_wave
 
     grid = _grid(v["grid.dim"], v["grid.N"])
     modes = v["modes"]
@@ -462,7 +462,7 @@ def run_parametrix(v, seed):
             e = plane_wave(grid, k)
             qe = series_apply(series, e)
             aqe = apply_symbol_op(a, qe)
-            r = l2_norm(SpectralField(grid, aqe.values - e.values)) \
+            r = l2_norm(Field(grid, aqe.values - e.values)) \
                 / l2_norm(e)
             resid.append(r)
         slope = float(np.polyfit(np.log(np.asarray(modes, float)),
@@ -504,6 +504,7 @@ def run_cz(v, seed):
     import numpy as np
     from .harmonic import cz_decompose
     from .bounds import random_adapted_field
+    from .stochastic import lpf_norm_values
 
     if not _cz_single(v):
         return _run_cz_sweep(v, seed)
@@ -513,11 +514,10 @@ def run_cz(v, seed):
     u = random_adapted_field(grid, ens, rng)
     r, p = v["level.r"], v["p"]
     if r <= 0:
-        from .harmonic import _site_density
-
-        r = 4.0 * float(np.mean(_site_density(u, p)))
-    dec = _checked("level.r", cz_decompose, u, r, p)
-    checks = _cz_property_checks(u, dec)
+        r = 4.0 * float(np.mean(lpf_norm_values(u.values,
+                                                ens.timegrid.nodes(), p)))
+    dec = _checked("level.r", cz_decompose, u, ens, r, p)
+    checks = _cz_property_checks(u, ens, dec)
     passed = all(checks.values())
     report = {"level": dec.level, "n_bad_cubes": len(dec.bad),
               "cube_measure": dec.cube_measure(), "u_l1_lpf": dec.u_l1_lpf,
@@ -536,8 +536,9 @@ def _run_cz_sweep(v, seed):
     are skipped and reported, with a 90% coverage floor on the rest.
     """
     import numpy as np
-    from .harmonic import cz_decompose, LevelTooLowError, _site_density
+    from .harmonic import cz_decompose, LevelTooLowError
     from .bounds import random_adapted_field
+    from .stochastic import lpf_norm_values
 
     cases = v["cases"] or [(v["grid.dim"], v["grid.N"])]
     grids = [_grid(dim, N) for dim, N in cases]
@@ -552,15 +553,16 @@ def _run_cz_sweep(v, seed):
             ens = _ensemble(v, seed + total)
             rng = np.random.default_rng(seed + total)
             u = random_adapted_field(grid, ens, rng)
-            avg = float(np.mean(_site_density(u, p)))
+            avg = float(np.mean(lpf_norm_values(u.values,
+                                                ens.timegrid.nodes(), p)))
             r = (2.0 + 6.0 * rng.random()) * avg
             try:
-                dec = cz_decompose(u, r, p)
+                dec = cz_decompose(u, ens, r, p)
             except LevelTooLowError:
                 rows.append((dim, N, i, float(r), "skipped", ""))
                 continue
             checked += 1
-            checks = _cz_property_checks(u, dec)
+            checks = _cz_property_checks(u, ens, dec)
             agg = checks if agg is None else \
                 {k: agg[k] and checks[k] for k in agg}
             rows.append((dim, N, i, float(r),
@@ -576,10 +578,10 @@ def _run_cz_sweep(v, seed):
     return report, passed, {"cz_sweep": (hdr, rows)}
 
 
-def _cz_property_checks(u, dec):
+def _cz_property_checks(u, ens, dec):
     """The six decomposition guarantees, evaluated directly."""
     import numpy as np
-    from .harmonic import _site_density
+    from .stochastic import lpf_norm_values
 
     grid = u.grid
     recon = dec.good.values.copy()
@@ -604,7 +606,8 @@ def _cz_property_checks(u, dec):
         m = np.abs(wk.values[sl].mean(axis=axes)).max()
         zero_mean &= bool(m <= 1e-12 * max(1.0, np.abs(u.values).max()))
     checks["zero_mean"] = zero_mean
-    dens = _site_density(dec.good, dec.exponent)
+    dens = lpf_norm_values(dec.good.values, ens.timegrid.nodes(),
+                           dec.exponent)
     checks["good_bound"] = bool(
         dens.max() <= 2**grid.dim * dec.level * (1 + 1e-12))
     outside = ~covered
@@ -634,12 +637,10 @@ def run_garding(v, seed):
     if v["exact_check"]:
         # analytic control case: Re(|xi|^2) >= (1 - eps)|xi|^2 holds with
         # C <= 1 exactly, so the measured constants must not exceed 1
-        from .symbols import sp, _XI, symbol_from_expr
+        from .registry import make_symbol
 
-        expr = sp.sympify(sum(_XI[i] ** 2 for i in range(dims)))
-        exact = symbol_from_expr(expr, dims, order=2)
-        rep2 = garding_check(exact, *consts, grids, ens,
-                             trials=v["exact_trials"], seed=seed)
+        rep2 = garding_check(make_symbol("laplacian", dims), *consts, grids,
+                             ens, trials=v["exact_trials"], seed=seed)
         # the control is judged on C <= 1 alone (NaN fails the comparison):
         # its stability ratio divides by the 1e-12 floor when a grid gives 0
         exact_ok = all(c <= 1.0 + 1e-9 for c in rep2.constants.values())
@@ -652,11 +653,27 @@ def run_garding(v, seed):
     return report, passed, {"garding": (("N", "constant"), rows)}
 
 
+# ln of the largest float64: the Carleman weight e^{mu T^2} overflows past it
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _weight_fits(mu, T):
+    """Reject a run whose largest Carleman weight e^{mu T^2} overflows."""
+    # mu * T * T, not T**2: a float product overflows to inf, a power raises
+    if mu * T * T > _LOG_FLOAT_MAX:
+        raise ConfigError(
+            f"config keys 'mu_list', 'time.T': the weight e^(mu T^2) at "
+            f"mu = {mu:g} overflows: mu T^2 = {mu * T * T:.6g} > "
+            f"ln(float64 max) = {_LOG_FLOAT_MAX:.2f}")
+
+
 def run_carleman(v, seed):
     import numpy as np
     from .cauchy import pinned_semimartingale, carleman_report
 
     mu_list = list(v["mu_list"])
+    # the robustness sweep runs up to 2 max(mu_list)
+    _weight_fits(2.0 * max(mu_list), v["time.T"])
     grid = _grid(v["grid.dim"], v["grid.N"])
     ens = _ensemble(v, seed)
     T = ens.timegrid.T
@@ -672,7 +689,7 @@ def run_carleman(v, seed):
         z = pinned_semimartingale(grid, ens, rng)
         # mu_list, then the doubled values of the robustness sweep
         reps = carleman_report(z, A1, B1,
-                               mu_list + [2.0 * mu for mu in mu_list], T, ens)
+                               mu_list + [2.0 * mu for mu in mu_list], ens)
         for mu, rep in zip(mu_list, reps):
             rows.append((d, float(mu), rep.lhs, rep.rhs, rep.margin,
                          rep.discretization_gap, rep.passed))
@@ -704,8 +721,7 @@ def _ito_final(F, grid, ens):
 def run_integrator(v, seed):
     """Integrator sanity: Ito isometry at large M, unitary norm drift."""
     import numpy as np
-    from .cauchy import (EquationSpec, build_companion_symbol,
-                         integrate_spde_system)
+    from .cauchy import CompanionSymbol, EquationSpec, integrate_spde_system
     from .grid import TimeGrid
     from .stochastic import sample_brownian
 
@@ -724,11 +740,12 @@ def run_integrator(v, seed):
     iso_err = abs(got - target) / target
 
     ens2 = sample_brownian(1, tg2, seed=seed)
-    cs = build_companion_symbol(
+    cs = CompanionSymbol(
         EquationSpec(m=1, dim=g.dim, principal={(0, (1,) + (0,) * (g.dim - 1)):
                                                 1.0}))
     init = np.ones((1, 1) + g.shape, np.complex128)
-    Y2 = integrate_spde_system(cs, None, None, g, tg2, ens2, initial=init)
+    Y2 = _checked("time.T, unitary.K", integrate_spde_system, cs, None, None,
+                  g, ens2, initial=init)
     drift = float(np.abs(np.abs(Y2.values[0, :, 0]) - 1.0).max())
 
     # 3 relative standard deviations of the estimate, 3 sqrt(2/M), must fit
@@ -749,11 +766,12 @@ def run_uniqueness(v, seed):
     from .registry import make_equation
 
     mu_list = v["mu_list"]
+    _weight_fits(max(mu_list), v["time.T"])
     grid = _grid(v["grid.dim"], v["grid.N"])
     ens = _ensemble(v, seed)
     spec = make_equation(v["equation"], dim=grid.dim)
-    rep = uniqueness_experiment(spec, mu_list, ens.timegrid.T, v["r"], grid,
-                                ens, seed=seed)
+    rep = _checked("time.T, time.K", uniqueness_experiment, spec, mu_list,
+                   v["r"], grid, ens, seed=seed)
     report = rep.to_dict()
     rows = list(zip(mu_list, rep.log_bound, rep.log_quotient))
     return report, rep.passed, {"decay": (("mu", "log_bound", "log_quotient"),

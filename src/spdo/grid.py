@@ -20,37 +20,28 @@ same magnitudes as in the continuum quantization, and Parseval reads
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic lattice on the torus [0, L)^n."""
+    """Uniform periodic lattice of N points per axis on the torus [0, L)^n."""
 
     dim: int = 1
-    points_per_axis: int = 64
-    period: float = 2.0 * np.pi
+    N: int = 64
+    L: ClassVar[float] = 2.0 * np.pi
     # lattice arrays, built once per grid and handed out read-only
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self):
-        n, N = self.dim, self.points_per_axis
+        n, N = self.dim, self.N
         if not 1 <= n <= 3:
             raise ValueError(f"dim must be 1..3, got {n}")
         if N < 8 or (N & (N - 1)) != 0:
-            raise ValueError(f"points_per_axis must be a power of two >= 8, got {N}")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    @property
-    def N(self) -> int:
-        return self.points_per_axis
-
-    @property
-    def L(self) -> float:
-        return self.period
+            raise ValueError(f"N must be a power of two >= 8, got {N}")
 
     @property
     def dx(self) -> float:
@@ -130,37 +121,31 @@ class Grid:
 class TimeGrid:
     """Uniform partition of [0, T] with K steps (K + 1 nodes)."""
 
-    horizon: float
-    steps: int
+    T: float
+    K: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.steps < 2:
+        if self.T <= 0:
+            raise ValueError("T must be positive")
+        if self.K < 2:
             raise ValueError("need at least 2 time steps")
 
     @property
-    def T(self) -> float:
-        return self.horizon
-
-    @property
-    def K(self) -> int:
-        return self.steps
-
-    @property
     def dt(self) -> float:
-        return self.horizon / self.steps
+        return self.T / self.K
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        return np.linspace(0.0, self.T, self.K + 1)
 
 
 @dataclass
-class SpectralField:
+class Field:
     """Complex field on a Grid: its values at the lattice points.
 
-    values has shape grid.shape, or batch axes followed by grid.shape (one
-    field per batch entry); norms act on the trailing grid axes.
+    values has shape grid.shape, or leading axes followed by grid.shape, one
+    field per entry: a random field over a BrownianEnsemble leads with
+    (path, time) axes, and a system's solution with (path, time, component)
+    axes.  Norms act on the trailing grid axes.
     """
 
     grid: Grid
@@ -198,7 +183,7 @@ def _lattice_norm(grid: Grid, density: np.ndarray,
     return float(norm) if norm.ndim == 0 else norm
 
 
-def l2_norm(f: SpectralField) -> float | np.ndarray:
+def l2_norm(f: Field) -> float | np.ndarray:
     return _lattice_norm(f.grid, np.abs(f.values) ** 2, f.grid.cell_volume)
 
 
@@ -211,20 +196,20 @@ def sobolev_norm(grid: Grid, spectra: np.ndarray,
                          grid.freq_cell_volume)
 
 
-def plane_wave(grid: Grid, k: tuple[int, ...] | int) -> SpectralField:
+def plane_wave(grid: Grid, k: tuple[int, ...] | int) -> Field:
     """exp(i k.x 2 pi / L) for integer lattice mode k."""
     if np.isscalar(k):
         k = (int(k),) + (0,) * (grid.dim - 1)
     x = grid.points()
     phase = sum(2.0 * np.pi * k[a] / grid.L * x[..., a] for a in range(grid.dim))
-    return SpectralField(grid, np.exp(1j * phase))
+    return Field(grid, np.exp(1j * phase))
 
 
-def random_band_limited(grid: Grid, rng: np.random.Generator) -> SpectralField:
+def random_band_limited(grid: Grid, rng: np.random.Generator) -> Field:
     """Random field with iid complex Gaussian amplitudes on the modes
     |k_a| <= N/4."""
     spec = np.zeros(grid.shape, dtype=np.complex128)
     mask = grid.band_mask(grid.N // 4)
     amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     spec[mask] = amp[mask]
-    return SpectralField(grid, fft_inverse(grid, spec))
+    return Field(grid, fft_inverse(grid, spec))

@@ -9,15 +9,12 @@ reaches the level r, at which point the cube is frozen as a bad cube.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
-from .quantize import SampledField
-from .stochastic import lpf_norm_values
+from .grid import Field, Grid
+from .stochastic import BrownianEnsemble, lpf_norm_values
 
 __all__ = [
     "DyadicCube",
@@ -57,14 +54,11 @@ class DyadicCube:
     def volume(self, grid: Grid) -> float:
         return (self.size * grid.dx) ** grid.dim
 
-    def to_dict(self) -> dict:
-        return {"origin": list(self.origin), "size": self.size}
-
 
 @dataclass
 class CZDecomposition:
-    good: SampledField  # v
-    bad: list  # [(DyadicCube, SampledField w_k)]
+    good: Field  # v
+    bad: list  # [(DyadicCube, Field w_k)]
     level: float
     exponent: float
     u_l1_lpf: float  # |u|_{L^1(R^n; L^p_F)}
@@ -73,22 +67,11 @@ class CZDecomposition:
         g = self.good.grid
         return sum(c.volume(g) for c, _ in self.bad)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "level": self.level,
-            "exponent": ("inf" if math.isinf(self.exponent) else self.exponent),
-            "u_l1_lpf": self.u_l1_lpf,
-            "cubes": [c.to_dict() for c, _ in self.bad],
-        }, indent=2, sort_keys=True)
 
-
-def _site_density(u: SampledField, p: float) -> np.ndarray:
-    """|u(., ., x)|_{L^p_F} per lattice site, shape grid.shape."""
-    return lpf_norm_values(u.values, u.timegrid.nodes(), p)
-
-
-def cz_decompose(u: SampledField, r: float, p: float = 2.0) -> CZDecomposition:
-    """Calderon-Zygmund decomposition u = v + sum_k w_k at level r.
+def cz_decompose(u: Field, ensemble: BrownianEnsemble, r: float,
+                 p: float = 2.0) -> CZDecomposition:
+    """Calderon-Zygmund decomposition u = v + sum_k w_k at level r of a
+    field with leading (path, time) axes over ensemble.
 
     Guarantees, by construction: disjoint half-open dyadic cubes;
     r sum|I_k| <= |u|_{L^1(L^p_F)}; each w_k has zero spatial mean per
@@ -97,7 +80,7 @@ def cz_decompose(u: SampledField, r: float, p: float = 2.0) -> CZDecomposition:
     if r <= 0:
         raise ValueError("level r must be positive")
     grid = u.grid
-    density = _site_density(u, p)
+    density = lpf_norm_values(u.values, ensemble.timegrid.nodes(), p)
     cell = grid.cell_volume
     total = float(density.sum() * cell)
     global_avg = total / grid.L**grid.dim
@@ -134,6 +117,6 @@ def cz_decompose(u: SampledField, r: float, p: float = 2.0) -> CZDecomposition:
         w = np.zeros_like(u.values)
         w[sl] = u.values[sl] - mean
         v[sl] = np.broadcast_to(mean, u.values[sl].shape)
-        bad.append((cube, SampledField(grid, u.timegrid, w)))
-    good = SampledField(grid, u.timegrid, v)
+        bad.append((cube, Field(grid, w)))
+    good = Field(grid, v)
     return CZDecomposition(good, bad, float(r), p, total)

@@ -1,4 +1,4 @@
-"""Quantization: symbols and amplitudes acting on sampled fields.
+"""Quantization: symbols and amplitudes acting on fields.
 
 The operator attached to a symbol a is the discrete Kohn-Nirenberg sum
 
@@ -23,11 +23,10 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Grid, SpectralField, TimeGrid, fft_forward, fft_inverse
+from .grid import Field, Grid, fft_forward, fft_inverse
 from .symbols import Amplitude, Symbol
 
 __all__ = [
-    "SampledField",
     "RegularizationWarning",
     "apply_symbol_op",
     "apply_amplitude_op",
@@ -48,28 +47,6 @@ class RegularizationWarning(UserWarning):
     """Amplitude cutoff refinement did not converge to tolerance."""
 
 
-@dataclass
-class SampledField:
-    """Random field u(t, w, x) as a (path, time, lattice) complex array."""
-
-    grid: Grid
-    timegrid: TimeGrid
-    values: np.ndarray  # (M, K+1) + grid.shape
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        expect = self.values.shape[2:]
-        if expect != self.grid.shape or self.values.shape[1] != self.timegrid.K + 1:
-            raise ValueError("sampled field shape does not match grid/timegrid")
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[0]
-
-    def copy(self) -> "SampledField":
-        return SampledField(self.grid, self.timegrid, self.values.copy())
-
-
 def _flat_points(grid: Grid) -> np.ndarray:
     return grid.points().reshape(-1, grid.dim)
 
@@ -85,7 +62,7 @@ def _check_cap(grid: Grid) -> None:
             f"for dim {grid.dim}")
 
 
-def apply_symbol_op(a: Symbol, u: SpectralField, t=0.0, w=0.0) -> SpectralField:
+def apply_symbol_op(a: Symbol, u: Field, t=0.0, w=0.0) -> Field:
     """Kohn-Nirenberg quantization of a applied to u at (t, w).
 
     u may carry batch axes before the grid axes, one field per (t, w) node;
@@ -125,7 +102,7 @@ def apply_symbol_op(a: Symbol, u: SpectralField, t=0.0, w=0.0) -> SpectralField:
         c = slice(s, s + step)
         uhat = fft_forward(grid, fields[c])
         out[c] = apply_chunk(a, grid, uhat, t[c], w[c])
-    return SpectralField(grid, out.reshape(u.values.shape))
+    return Field(grid, out.reshape(u.values.shape))
 
 
 def _apply_multiplier(a, grid, uhat, t, w):
@@ -173,11 +150,9 @@ def _apply_dense(a, grid, uhat, t, w):
     return (out * grid.freq_cell_volume).reshape((len(t),) + grid.shape)
 
 
-def apply_symbol_ensemble(a: Symbol, u: SampledField, ensemble) -> SampledField:
+def apply_symbol_ensemble(a: Symbol, u: Field, ensemble) -> Field:
     """Apply the operator of a at every (path, time) node of u."""
-    f = apply_symbol_op(a, SpectralField(u.grid, u.values),
-                        u.timegrid.nodes(), ensemble.paths)
-    return SampledField(u.grid, u.timegrid, f.values)
+    return apply_symbol_op(a, u, ensemble.timegrid.nodes(), ensemble.paths)
 
 
 def smooth_chi(s: np.ndarray) -> np.ndarray:
@@ -189,13 +164,13 @@ def smooth_chi(s: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AmplitudeApplication:
-    result: SpectralField
+    result: Field
     eps: float
     relative_change: float  # between eps and eps/2 evaluations
     converged: bool
 
 
-def _amplitude_sum(a: Amplitude, u: SpectralField, t, w, eps) -> np.ndarray:
+def _amplitude_sum(a: Amplitude, u: Field, t, w, eps) -> np.ndarray:
     grid = u.grid
     xs = _flat_points(grid)
     xis = _flat_freqs(grid)
@@ -212,7 +187,7 @@ def _amplitude_sum(a: Amplitude, u: SpectralField, t, w, eps) -> np.ndarray:
     return out.reshape(grid.shape)
 
 
-def apply_amplitude_op(a: Amplitude, u: SpectralField, t: float = 0.0,
+def apply_amplitude_op(a: Amplitude, u: Field, t: float = 0.0,
                        w=0.0) -> AmplitudeApplication:
     """Regularized double-sum quantization of an amplitude.
 
@@ -233,7 +208,7 @@ def apply_amplitude_op(a: Amplitude, u: SpectralField, t: float = 0.0,
     if not ok:
         warnings.warn(f"amplitude cutoff refinement gap {rel:.3e} > 1e-3",
                       RegularizationWarning)
-    return AmplitudeApplication(SpectralField(grid, v2), eps, rel, ok)
+    return AmplitudeApplication(Field(grid, v2), eps, rel, ok)
 
 
 def _swap_amplitude(a) -> Amplitude:
@@ -248,7 +223,7 @@ def _swap_amplitude(a) -> Amplitude:
     return Amplitude(a.order, sp.conjugate(swapped), a.dim, a.integrability)
 
 
-def apply_adjoint(a, u: SpectralField, t: float = 0.0, w=0.0) -> SpectralField:
+def apply_adjoint(a, u: Field, t: float = 0.0, w=0.0) -> Field:
     """A* u via the conjugated swapped amplitude conj(a(y, x, xi))."""
     return apply_amplitude_op(_swap_amplitude(a), u, t, w).result
 

@@ -19,7 +19,6 @@ the process, and no later collection or interpreter exit walks it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -368,9 +367,6 @@ class EstimateReport:
                 for e in self.entries
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _sample_points(grid):

@@ -17,10 +17,10 @@ from spdo.cauchy import carleman_report, pinned_semimartingale, \
 from spdo.cli import _compose_error, _random_poly_symbol, main, \
     resolve_config, run_integrator
 from spdo.grid import Grid, TimeGrid, plane_wave
-from spdo.harmonic import LevelTooLowError, _site_density, cz_decompose
+from spdo.harmonic import LevelTooLowError, cz_decompose
 from spdo.quantize import apply_symbol_op, extract_symbol
 from spdo.registry import make_equation, make_symbol
-from spdo.stochastic import sample_brownian
+from spdo.stochastic import lpf_norm_values, sample_brownian
 from spdo.symbols import symbol_from_expr, _X, _XI
 
 
@@ -90,7 +90,7 @@ def test_criterion_3_parametrix_residual_decay():
     _verdict(3, ok, "parametrix residual decay; " + "; ".join(details))
 
 
-def _cz_properties_hold(u, dec, grid):
+def _cz_properties_hold(u, ens, dec, grid):
     n = grid.dim
     r = dec.level
     cell = grid.cell_volume
@@ -112,7 +112,8 @@ def _cz_properties_hold(u, dec, grid):
         l1 = np.abs(w.values).sum(axis=axes) * cell
         if np.any(means > 1e-12 * np.maximum(l1, 1e-30)):
             return False
-    dens = _site_density(dec.good, dec.exponent)
+    dens = lpf_norm_values(dec.good.values, ens.timegrid.nodes(),
+                           dec.exponent)
     if dens.max() > 2**n * r * (1.0 + 1e-12):
         return False
     outside = mask == 0
@@ -135,14 +136,15 @@ def test_criterion_4_cz_property_suite():
             ens = sample_brownian(3, TimeGrid(0.5, 8), seed=draw)
             rng = np.random.default_rng(draw)
             u = random_adapted_field(grid, ens, rng)
-            avg = float(_site_density(u, 2.0).mean())
+            avg = float(lpf_norm_values(u.values, ens.timegrid.nodes(),
+                                        2.0).mean())
             factor = 2.0 + 6.0 * rng.random()
             try:
-                dec = cz_decompose(u, factor * avg)
+                dec = cz_decompose(u, ens, factor * avg)
             except LevelTooLowError:
                 continue
             checked += 1
-            ok &= _cz_properties_hold(u, dec, grid)
+            ok &= _cz_properties_hold(u, ens, dec, grid)
     ok &= checked >= 90
     _verdict(4, ok, f"CZ six-property suite on {checked} random (u, r) "
              "draws, n in {1, 2}")
@@ -192,7 +194,7 @@ def test_criterion_7_carleman():
     for _ in range(trials):
         z = pinned_semimartingale(grid, ens, rng)
         reps = carleman_report(z, None, B1, mus + tuple(2 * mu for mu in mus),
-                               0.5, ens)
+                               ens)
         all_mu = all(rep.passed for rep in reps[:len(mus)])
         n_pass += all_mu
         if all_mu:
@@ -209,8 +211,8 @@ def test_criterion_8_uniqueness_decay():
     tg = TimeGrid(0.5, 128)
     ens = sample_brownian(64, tg, seed=2)
     spec = make_equation("schrodinger", 1)
-    rep = uniqueness_experiment(spec, [50.0, 100.0, 200.0, 400.0], 0.5, 1.5,
-                                grid, ens)
+    rep = uniqueness_experiment(spec, [50.0, 100.0, 200.0, 400.0], 1.5, grid,
+                                ens)
     target = -(0.5**2 / 4.0 - 0.5**2 / 9.0)
     decreasing = all(b2 < b1 for b1, b2 in
                      zip(rep.log_bound, rep.log_bound[1:]))

@@ -118,7 +118,7 @@ def test_weak_type_constants_match_node_loop():
     u_l1_lpf = float(lpf_norm_values(u.values, ENS.timegrid.nodes(),
                                      2.0).sum() * cell)
     for r in levels:
-        v = cz_decompose(u, r, 2.0).good.values
+        v = cz_decompose(u, ENS, r, 2.0).good.values
         C = 0.0
         for m in range(ENS.M):
             for j in range(ENS.timegrid.K + 1):
@@ -205,7 +205,6 @@ def test_adjoint_norm_symmetry():
 
 def test_report_serialization():
     rep = l2_boundedness_check(constant_symbol(1.0), 2.0, GRIDS[:1], ENS, trials=2)
-    assert rep.to_json().startswith("{")
     assert rep.to_dict()["constants"].keys() == {"32"}
 
 

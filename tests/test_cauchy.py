@@ -1,7 +1,6 @@
 """Companion reduction, root hypotheses, integration, and the Carleman
 machinery."""
 
-import json
 import math
 
 import numpy as np
@@ -13,8 +12,6 @@ from spdo.cauchy import (
     CompanionSymbol,
     EquationSpec,
     StabilityError,
-    VectorField,
-    build_companion_symbol,
     carleman_report,
     characteristic_roots,
     check_hypotheses,
@@ -24,8 +21,7 @@ from spdo.cauchy import (
     sphere_directions,
     uniqueness_experiment,
 )
-from spdo.grid import Grid, TimeGrid
-from spdo.quantize import SampledField
+from spdo.grid import Field, Grid, TimeGrid
 from spdo.registry import make_equation, make_symbol
 from spdo.stochastic import sample_brownian
 from spdo.symbols import symbol_from_expr, _T, _W, _X, _XI
@@ -37,7 +33,7 @@ G = Grid(1, 32)
 
 def test_companion_m1_degenerate():
     spec = EquationSpec(m=1, dim=1, principal={(0, (1,)): 1.0})
-    cs = build_companion_symbol(spec)
+    cs = CompanionSymbol(spec)
     sig = cs(0.0, 0.0, np.zeros((1, 1)), np.array([[3.0]]))[0]
     assert sig.shape == (1, 1)
     assert abs(sig[0, 0] - 3.0) < 1e-12
@@ -45,7 +41,7 @@ def test_companion_m1_degenerate():
 
 def test_companion_wave_matrix():
     spec = make_equation("wave", 1)
-    cs = build_companion_symbol(spec)
+    cs = CompanionSymbol(spec)
     xi = np.array([[2.0]])
     sig = cs(0.0, 0.0, np.zeros((1, 1)), xi)[0]
     expect = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -56,7 +52,7 @@ def test_companion_structure_m3_random_points():
     rng = np.random.default_rng(0)
     spec = EquationSpec(m=3, dim=1, principal={
         (2, (1,)): 1.3, (1, (2,)): -0.7, (0, (3,)): 0.4})
-    cs = build_companion_symbol(spec)
+    cs = CompanionSymbol(spec)
     for _ in range(100):
         xi = rng.uniform(0.5, 8.0) * rng.choice([-1.0, 1.0])
         sig = cs(0.0, 0.0, np.zeros((1, 1)), np.array([[xi]]))[0]
@@ -70,7 +66,7 @@ def test_companion_structure_m3_random_points():
 
 
 def test_companion_origin_patched():
-    cs = build_companion_symbol(make_equation("wave", 1))
+    cs = CompanionSymbol(make_equation("wave", 1))
     sig = cs(0.0, 0.0, np.zeros((1, 1)), np.zeros((1, 1)))[0]
     assert np.abs(sig).max() == 0.0
 
@@ -148,7 +144,7 @@ def test_root_continuation_caps_the_order():
 def test_companion_consistency_eigenvalues_equal_roots():
     spec = EquationSpec(m=3, dim=1, principal={
         (2, (1,)): 0.4, (1, (2,)): 1.2, (0, (3,)): -0.6})
-    cs = build_companion_symbol(spec)
+    cs = CompanionSymbol(spec)
     rf = characteristic_roots(spec, G)
     for s, lams in enumerate(rf.roots):
         t, w, x, d = rf.samples[s]
@@ -201,8 +197,8 @@ def test_sphere_directions():
 def test_integrator_zero_sources_zero_solution():
     tg = TimeGrid(0.5, 32)
     ens = sample_brownian(4, tg, seed=0)
-    cs = build_companion_symbol(make_equation("wave", 1))
-    Y = integrate_spde_system(cs, None, None, G, tg, ens)
+    cs = CompanionSymbol(make_equation("wave", 1))
+    Y = integrate_spde_system(cs, None, None, G, ens)
     assert np.abs(Y.values).max() < 1e-14
 
 
@@ -210,9 +206,9 @@ def test_integrator_unitary_scalar():
     tg = TimeGrid(0.5, 1000)
     ens = sample_brownian(1, tg, seed=0)
     spec = EquationSpec(m=1, dim=1, principal={(0, (1,)): 1.0})
-    cs = build_companion_symbol(spec)
+    cs = CompanionSymbol(spec)
     init = np.ones((1, 1) + G.shape, np.complex128)
-    Y = integrate_spde_system(cs, None, None, G, tg, ens, initial=init)
+    Y = integrate_spde_system(cs, None, None, G, ens, initial=init)
     norms = np.abs(Y.values[0, :, 0, G.N // 2])
     assert np.abs(norms - 1.0).max() <= 1e-6
 
@@ -224,7 +220,7 @@ def test_integrator_ito_isometry():
     sigma = 2.0
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = sigma
-    Y = integrate_spde_system(None, None, F, g, tg, ens)
+    Y = integrate_spde_system(None, None, F, g, ens)
     # E|Y(T)|^2 = sigma^2 T per site
     site = np.abs(Y.values[:, -1, 0, 0]) ** 2
     got = float(site.mean())
@@ -234,20 +230,20 @@ def test_integrator_ito_isometry():
 def test_integrator_stability_error():
     tg = TimeGrid(0.5, 4)  # dt max|sigma| far beyond 0.5
     ens = sample_brownian(2, tg, seed=0)
-    cs = build_companion_symbol(make_equation("wave", 1))
+    cs = CompanionSymbol(make_equation("wave", 1))
     with pytest.raises(StabilityError):
-        integrate_spde_system(cs, None, None, Grid(1, 64), tg, ens)
+        integrate_spde_system(cs, None, None, Grid(1, 64), ens)
 
 
 def test_integrator_cfl_checked_along_the_paths():
     # dt max|sigma(A)| = 0.125 at w = 0, but 1 + 100 w^2 grows along the paths
     coeff = symbol_from_expr(1 + 100 * _W**2, 1, order=0)
-    cs = build_companion_symbol(
+    cs = CompanionSymbol(
         EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(4, tg, seed=0)
     with pytest.raises(StabilityError):
-        integrate_spde_system(cs, None, None, Grid(1, 32), tg, ens)
+        integrate_spde_system(cs, None, None, Grid(1, 32), ens)
 
 
 def test_integrator_reads_m_off_its_inputs():
@@ -255,11 +251,11 @@ def test_integrator_reads_m_off_its_inputs():
     ens = sample_brownian(2, tg, seed=0)
     x = G.points()[..., 0]
     y0 = np.stack([np.cos(x), np.sin(x)]).astype(np.complex128)
-    Y = integrate_spde_system(None, None, None, G, tg, ens, initial=y0)
-    assert Y.m == 2
+    Y = integrate_spde_system(None, None, None, G, ens, initial=y0)
+    assert Y.values.shape[2] == 2
     assert np.abs(Y.values - y0).max() <= 1e-14
     with pytest.raises(ValueError):
-        integrate_spde_system(None, None, None, G, tg, ens)
+        integrate_spde_system(None, None, None, G, ens)
 
 
 def _path_loop_reference(cs, f, F, tg, ens, y0):
@@ -288,7 +284,7 @@ def _path_loop_reference(cs, f, F, tg, ens, y0):
 def test_integrator_tw_dependent_matches_path_loop():
     # wave speed^2 1 + sin(W)/2 + t: the Cayley pair differs per path and step
     coeff = symbol_from_expr(1 + sp.sin(_W) / 2 + _T, 1, order=0)
-    cs = build_companion_symbol(
+    cs = CompanionSymbol(
         EquationSpec(m=2, dim=1, principal={(0, (2,)): coeff}))
     assert not cs.tw_independent
     tg = TimeGrid(0.5, 64)
@@ -299,7 +295,7 @@ def test_integrator_tw_dependent_matches_path_loop():
     F = np.zeros_like(f)
     F[:, 1] = 0.3 * np.sin(2.0 * x)
     y0 = np.stack([np.cos(x), np.sin(3.0 * x)]).astype(np.complex128)
-    got = integrate_spde_system(cs, f, F, G, tg, ens, initial=y0).values
+    got = integrate_spde_system(cs, f, F, G, ens, initial=y0).values
     ref = _path_loop_reference(cs, f, F, tg, ens, y0)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -311,16 +307,16 @@ def test_integrator_w_coefficient_is_not_frozen():
     y0 = np.cos(G.points()[..., 0])[None].astype(np.complex128)
     runs = []
     for coeff in (1.0, symbol_from_expr(1 + _W * (_W - 1), 1, order=0)):
-        cs = build_companion_symbol(
+        cs = CompanionSymbol(
             EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
-        runs.append(integrate_spde_system(cs, None, None, G, tg, ens,
+        runs.append(integrate_spde_system(cs, None, None, G, ens,
                                           initial=y0).values)
     assert np.abs(runs[1] - runs[0]).max() > 1e-3
 
 
 def test_companion_tw_independent_read_off_coefficients():
     def spec(coeff):
-        return build_companion_symbol(
+        return CompanionSymbol(
             EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
 
     assert spec(2.0).tw_independent
@@ -339,7 +335,7 @@ def test_integrator_weak_order_in_dt():
         ens = sample_brownian(1, tg, seed=0)
         f = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
         f[:, 0] = np.cos(3.0 * tg.nodes()).reshape(-1, 1)
-        Y = integrate_spde_system(None, f, None, g, tg, ens)
+        Y = integrate_spde_system(None, f, None, g, ens)
         exact = 1j * math.sin(3.0 * tg.T) / 3.0
         errs.append(abs(Y.values[0, -1, 0, 0] - exact))
     slope = np.polyfit(np.log(Ks), np.log(errs), 1)[0]
@@ -355,11 +351,11 @@ B1 = symbol_from_expr(sp.sqrt(1 + _XI[0] ** 2), 1, order=1)
 
 def _zero_field():
     vals = np.zeros((ENS_C.M, TG_C.K + 1) + G.shape, np.complex128)
-    return SampledField(G, TG_C, vals)
+    return Field(G, vals)
 
 
 def test_carleman_zero_field_trivial_pass():
-    rep, = carleman_report(_zero_field(), None, B1, [100.0], 0.5, ENS_C)
+    rep, = carleman_report(_zero_field(), None, B1, [100.0], ENS_C)
     assert rep.passed
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 
@@ -371,25 +367,25 @@ def test_carleman_deterministic_bump():
     prof = np.exp(1j * x) + 0.3 * np.exp(-2j * x)
     for j, t in enumerate(nodes):
         vals[:, j] = math.sin(math.pi * t / 0.5) ** 2 * prof
-    z = SampledField(G, TG_C, vals)
-    rep, = carleman_report(z, None, B1, [100.0], 0.5, ENS_C)
+    z = Field(G, vals)
+    rep, = carleman_report(z, None, B1, [100.0], ENS_C)
     assert rep.passed
     assert rep.margin >= 0.0
 
 
 def test_carleman_endpoint_violation():
     vals = np.ones((ENS_C.M, TG_C.K + 1) + G.shape, np.complex128)
-    z = SampledField(G, TG_C, vals)
+    z = Field(G, vals)
     from spdo.bounds import HypothesisError
     with pytest.raises(HypothesisError):
-        carleman_report(z, None, B1, [100.0], 0.5, ENS_C)
+        carleman_report(z, None, B1, [100.0], ENS_C)
 
 
 def test_carleman_random_semimartingales():
     rng = np.random.default_rng(5)
     for _ in range(10):
         z = pinned_semimartingale(G, ENS_C, rng)
-        reps = carleman_report(z, None, B1, [50.0, 100.0, 200.0], 0.5, ENS_C)
+        reps = carleman_report(z, None, B1, [50.0, 100.0, 200.0], ENS_C)
         assert [rep.mu for rep in reps] == [50.0, 100.0, 200.0]
         assert all(rep.passed for rep in reps)
 
@@ -398,7 +394,7 @@ def test_carleman_robust_at_doubled_mu():
     rng = np.random.default_rng(6)
     for _ in range(20):
         z = pinned_semimartingale(G, ENS_C, rng)
-        r1, r2 = carleman_report(z, None, B1, [100.0, 200.0], 0.5, ENS_C)
+        r1, r2 = carleman_report(z, None, B1, [100.0, 200.0], ENS_C)
         assert r1.passed and r2.passed
 
 
@@ -410,9 +406,9 @@ def test_carleman_single_mode_at_last_step_fails():
     ens = sample_brownian(16, tg, seed=11)
     vals = np.zeros((ens.M, tg.K + 1) + grid.shape, np.complex128)
     vals[:, tg.K - 1] = np.exp(16j * grid.points()[..., 0])
-    z = SampledField(grid, tg, vals)
+    z = Field(grid, vals)
     reps = carleman_report(z, None, make_symbol("bessel1", dim=1),
-                           [50.0, 100.0, 200.0, 400.0], 0.5, ens)
+                           [50.0, 100.0, 200.0, 400.0], ens)
     assert [rep.passed for rep in reps] == [False] * 4
     assert all(rep.margin < 0.0 for rep in reps)
 
@@ -423,7 +419,7 @@ def _reference_terms(z, A1, B1, mu, ensemble):
     from spdo.calculus import adjoint_symbol
 
     apply = cauchy._apply_nodes
-    grid, tg = z.grid, z.timegrid
+    grid, tg = z.grid, ensemble.timegrid
     nodes = tg.nodes()
     T = tg.T
     th2 = np.exp(mu * (nodes - T) ** 2)
@@ -486,7 +482,7 @@ def test_carleman_moments_match_per_mu_terms(case):
                               1, order=1)
     z = pinned_semimartingale(G, ENS_C, np.random.default_rng(12))
     mus = [50.0, 100.0, 200.0, 400.0]
-    reps = carleman_report(z, A1, b1, mus, 0.5, ENS_C)
+    reps = carleman_report(z, A1, b1, mus, ENS_C)
     for mu, rep in zip(mus, reps):
         lhs_terms, rhs_terms, gap = _reference_terms(z, A1, b1, mu, ENS_C)
         if case == "B1-x-dependent":
@@ -503,13 +499,12 @@ def test_carleman_moments_match_per_mu_terms(case):
 def test_carleman_report_terms_itemized():
     rng = np.random.default_rng(7)
     z = pinned_semimartingale(G, ENS_C, rng)
-    rep, = carleman_report(z, None, B1, [100.0], 0.5, ENS_C)
+    rep, = carleman_report(z, None, B1, [100.0], ENS_C)
     assert len(rep.lhs_terms) == 2 and len(rep.rhs_terms) == 4
     assert abs(rep.lhs - sum(rep.lhs_terms)) < 1e-9 * abs(rep.lhs)
     assert abs(rep.rhs - sum(rep.rhs_terms)) < 1e-9 * abs(rep.rhs)
     d = rep.to_dict()
     assert "discretization_gap" in d
-    assert rep.to_json().startswith("{")
 
 
 def test_carleman_dense_path_matches_multiplier_path():
@@ -523,8 +518,8 @@ def test_carleman_dense_path_matches_multiplier_path():
     B1x = symbol_from_expr(one * sp.sqrt(1 + _XI[0] ** 2), 1, order=1)
     assert not (A1x.x_independent or B1x.x_independent)
     z = pinned_semimartingale(G, ENS_C, np.random.default_rng(10))
-    ref, = carleman_report(z, A1, B1, [100.0], 0.5, ENS_C)
-    got, = carleman_report(z, A1x, B1x, [100.0], 0.5, ENS_C)
+    ref, = carleman_report(z, A1, B1, [100.0], ENS_C)
+    got, = carleman_report(z, A1x, B1x, [100.0], ENS_C)
     scale = max(abs(ref.lhs), abs(ref.rhs))
     for a, b in zip(ref.lhs_terms + ref.rhs_terms,
                     got.lhs_terms + got.rhs_terms):
@@ -554,7 +549,7 @@ def test_uniqueness_zero_forcing():
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(4, tg, seed=1)
     rep = uniqueness_experiment(make_equation("schrodinger", 1),
-                                [50.0, 100.0], 0.5, 1.5, G, ens,
+                                [50.0, 100.0], 1.5, G, ens,
                                 forcing_amplitude=0.0)
     assert rep.direct_energy == 0.0
 
@@ -563,7 +558,7 @@ def test_uniqueness_schrodinger_decay():
     tg = TimeGrid(0.5, 128)
     ens = sample_brownian(16, tg, seed=2)
     rep = uniqueness_experiment(make_equation("schrodinger", 1),
-                                [50.0, 100.0, 200.0, 400.0], 0.5, 1.5, G, ens)
+                                [50.0, 100.0, 200.0, 400.0], 1.5, G, ens)
     assert rep.passed
     assert all(b2 < b1 for b1, b2 in zip(rep.log_bound, rep.log_bound[1:]))
     target = -(0.5**2 / 4.0 - 0.5**2 / 9.0)
@@ -575,7 +570,7 @@ def test_uniqueness_wave_branch():
     tg = TimeGrid(0.5, 128)
     ens = sample_brownian(16, tg, seed=3)
     rep = uniqueness_experiment(make_equation("wave", 1),
-                                [50.0, 100.0, 200.0, 400.0], 0.5, 1.5, G, ens)
+                                [50.0, 100.0, 200.0, 400.0], 1.5, G, ens)
     assert rep.passed
 
 
@@ -585,14 +580,14 @@ def test_uniqueness_fails_on_garbage_solver(monkeypatch):
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(4, tg, seed=2)
     args = (make_equation("schrodinger", 1), [50.0, 100.0, 200.0, 400.0],
-            0.5, 1.5, G, ens)
+            1.5, G, ens)
     assert uniqueness_experiment(*args).passed
 
-    def garbage(A, f, F, grid, tg, ensemble, *rest, **kw):
+    def garbage(A, f, F, grid, ensemble, *rest, **kw):
         rng = np.random.default_rng(0)
-        shape = (ensemble.M, tg.K + 1, A.m) + grid.shape
-        return VectorField(grid, tg, 1e6 * (rng.standard_normal(shape)
-                                            + 1j * rng.standard_normal(shape)))
+        shape = (ensemble.M, ensemble.timegrid.K + 1, A.m) + grid.shape
+        return Field(grid, 1e6 * (rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape)))
 
     monkeypatch.setattr(cauchy, "integrate_spde_system", garbage)
     rep = uniqueness_experiment(*args)
@@ -604,10 +599,9 @@ def test_uniqueness_report_serialization():
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(4, tg, seed=4)
     rep = uniqueness_experiment(make_equation("wave", 1), [50.0, 100.0],
-                                0.5, 1.5, G, ens)
+                                1.5, G, ens)
     d = rep.to_dict()
     assert "slope" in d and "log_bound" in d
-    assert json.loads(rep.to_json())["mu_list"] == [50.0, 100.0]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -622,7 +616,7 @@ def test_ito_final_matches_whole_trajectory(dim):
     rng = np.random.default_rng(0)
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = rng.standard_normal((tg.K + 1,) + g.shape)
-    whole = integrate_spde_system(None, None, F, g, tg, ens).values[:, -1, 0]
+    whole = integrate_spde_system(None, None, F, g, ens).values[:, -1, 0]
     assert np.array_equal(_ito_final(F, g, ens), whole)
 
 
@@ -641,5 +635,5 @@ def test_deterministic_source_matches_its_per_path_copy():
         fp = None if f is None else per_path
         Fp = None if F is None else per_path
         assert np.array_equal(
-            integrate_spde_system(None, f, F, g, tg, ens).values,
-            integrate_spde_system(None, fp, Fp, g, tg, ens).values)
+            integrate_spde_system(None, f, F, g, ens).values,
+            integrate_spde_system(None, fp, Fp, g, ens).values)

@@ -125,7 +125,7 @@ def test_garding_control_fails_above_one_or_nan(tmp_path, monkeypatch, bad):
 
     def control_off(a, *args, **kwargs):
         rep = real(a, *args, **kwargs)
-        if not a.name:  # the exact |xi|^2 control
+        if a.name == "laplacian":  # the exact |xi|^2 control
             rep.constants = {32: 0.5, 64: bad}
         return rep
 
@@ -548,6 +548,14 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("carleman", "B1 = 0\nB1.order = 1\n"),
     ("cz", "cases = 1x32\nlevel.r = 1\n"),
     ("verify-symbol", "symbol =\n"),
+    ("integrator", "unitary.K = 2\n"),
+    ("uniqueness", "time.T = 30\n"),
+    ("uniqueness", "time.K = 2\n"),
+    ("carleman", "draws = 1\ntime.T = 2\n"),
+    ("carleman", "draws = 1\ntime.T = 30\n"),
+    ("carleman", "draws = 1\ntime.T = 1.333\n"),
+    ("uniqueness", "equation = schrodinger\ntime.T = 2\n"),
+    ("uniqueness", "equation = schrodinger\ntime.T = 1.333\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
         "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic",
         "empty-parens", "carleman-mu-empty", "carleman-mu-zero",
@@ -571,7 +579,10 @@ def test_verify_symbol_pole_fails(tmp_path):
         "compose-seed-negative", "cz-seed-negative", "compose-check-false",
         "garding-exact-check-false", "compose-random-mode-n-terms",
         "garding-exact-trials-without-check", "carleman-zero-B1-order",
-        "cz-sweep-level-r", "verify-symbol-empty"])
+        "cz-sweep-level-r", "verify-symbol-empty", "integrator-unitary-cfl",
+        "uniqueness-T-30", "uniqueness-cfl", "carleman-weight-T-2",
+        "carleman-weight-T-30", "carleman-weight-past-bound",
+        "uniqueness-weight-T-2", "uniqueness-weight-past-bound"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)
@@ -579,6 +590,19 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     assert res.returncode == 1, res.stderr
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+@pytest.mark.parametrize("command, cfg_text", [
+    ("carleman", "draws = 1\ntime.T = 1.32\n"),
+    ("uniqueness", "equation = schrodinger\ntime.T = 1.32\n"),
+])
+def test_carleman_weight_below_the_overflow_bound_runs(tmp_path, command,
+                                                       cfg_text):
+    # the largest weight is e^697 (2 * 200 or 400 times 1.32^2), below
+    # float64's e^709.78; T = 1.333 (e^710.8) is a bad-input row above
+    res = _spawn(tmp_path, command, cfg_text)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
 
 
 def test_expanding_power_finishes(tmp_path):

@@ -1,5 +1,6 @@
 """Grid, FFT normalization, and norm oracles."""
 
+import ast
 import math
 import pathlib
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 import spdo
 from spdo.grid import (
+    Field,
     Grid,
-    SpectralField,
     TimeGrid,
     fft_forward,
     fft_inverse,
@@ -29,7 +30,7 @@ def _sobolev(f, delta):
 
 
 def test_constant_field_mass_on_zero_mode():
-    f = SpectralField(G32, np.ones(G32.points().shape[:-1]))
+    f = Field(G32, np.ones(G32.points().shape[:-1]))
     fh = fft_forward(G32, f.values)
     assert abs(fh[0] - 2.0 * np.pi) < 1e-12
     assert np.abs(fh[1:]).max() < 1e-12
@@ -70,7 +71,7 @@ def test_sobolev_norm_oracles():
     # single mode k=3: (1 + 9)^{1/2} scaling
     assert abs(_sobolev(f, 1.0) - math.sqrt(10.0) * base) < 1e-9
     # two modes combine in Pythagorean fashion
-    g = SpectralField(G32, plane_wave(G32, 3).values + plane_wave(G32, 5).values)
+    g = Field(G32, plane_wave(G32, 3).values + plane_wave(G32, 5).values)
     expect = math.sqrt(10.0 * base**2 + 26.0 * base**2)
     assert abs(_sobolev(g, 1.0) - expect) < 1e-9
 
@@ -104,7 +105,7 @@ def test_norms_reduce_over_trailing_grid_axes():
     g = Grid(2, 8)
     rng = np.random.default_rng(2)
     fields = [random_band_limited(g, rng) for _ in range(6)]
-    batch = SpectralField(g, np.stack([f.values for f in fields]).reshape(
+    batch = Field(g, np.stack([f.values for f in fields]).reshape(
         (2, 3) + g.shape))
     spec = fft_forward(g, batch.values)
     l2 = l2_norm(batch)
@@ -119,7 +120,7 @@ def test_norms_reduce_over_trailing_grid_axes():
             <= 1e-14 * _sobolev(f, 0.75)
     assert np.abs(fft_inverse(g, spec) - batch.values).max() < 1e-12
     with pytest.raises(ValueError):
-        SpectralField(g, np.zeros((3, 8)))
+        Field(g, np.zeros((3, 8)))
 
 
 def test_timegrid():
@@ -154,3 +155,26 @@ def test_only_grid_calls_numpy_fft():
     pkg = pathlib.Path(spdo.__file__).parent
     users = {p.name for p in pkg.glob("*.py") if "np.fft" in p.read_text()}
     assert users == {"grid.py"}
+
+
+def test_one_field_type_and_one_time_grid_source():
+    # a field is (grid, values), and its time grid is its ensemble's: no
+    # function takes an ensemble with a second copy of the time grid, and
+    # only Field holds values and only BrownianEnsemble a time grid
+    pkg = pathlib.Path(spdo.__file__).parent
+    both, holders = [], {"values": set(), "timegrid": set()}
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args
+                         + args.kwonlyargs}
+                if "ensemble" in names and names & {"T", "tg", "timegrid"}:
+                    both.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) \
+                            and getattr(item.target, "id", None) in holders:
+                        holders[item.target.id].add(node.name)
+    assert both == []
+    assert holders == {"values": {"Field"}, "timegrid": {"BrownianEnsemble"}}

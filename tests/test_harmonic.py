@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdo.grid import Grid, TimeGrid
+from spdo.grid import Field, Grid, TimeGrid
 from spdo.harmonic import LevelTooLowError, cz_decompose
-from spdo.quantize import SampledField
-from spdo.stochastic import sample_brownian
+from spdo.stochastic import lpf_norm_values, sample_brownian
 
 
 # -- Calderon-Zygmund --------------------------------------------------------
@@ -21,7 +20,7 @@ def _random_field(grid, ens, seed, scale=1.0):
     return u
 
 
-def _check_all_properties(u, dec, grid):
+def _check_all_properties(u, ens, dec, grid):
     n = grid.dim
     r = dec.level
     cell = grid.cell_volume
@@ -48,8 +47,8 @@ def _check_all_properties(u, dec, grid):
         assert np.all(means <= 1e-12 * np.maximum(l1, 1e-30))
 
     # 5: good part density bounded by 2^n r
-    from spdo.harmonic import _site_density
-    dens = _site_density(dec.good, dec.exponent)
+    dens = lpf_norm_values(dec.good.values, ens.timegrid.nodes(),
+                           dec.exponent)
     assert dens.max() <= 2**n * r + 1e-9 * r
 
     # 6: v = u outside the cubes
@@ -64,14 +63,14 @@ def test_cz_level_too_low():
     ens = sample_brownian(4, TimeGrid(0.5, 16), seed=0)
     u = _random_field(g, ens, 0)
     with pytest.raises(LevelTooLowError):
-        cz_decompose(u, 1e-9)
+        cz_decompose(u, ens, 1e-9)
 
 
 def test_cz_high_level_trivial():
     g = Grid(1, 32)
     ens = sample_brownian(4, TimeGrid(0.5, 16), seed=0)
     u = _random_field(g, ens, 1)
-    dec = cz_decompose(u, 1e9)
+    dec = cz_decompose(u, ens, 1e9)
     assert dec.bad == []
     assert np.array_equal(dec.good.values, u.values)
 
@@ -83,12 +82,11 @@ def test_cz_deterministic_tall_bump():
     x = g.points()[..., 0]
     bump = 10.0 * np.exp(-((x - np.pi) ** 2) * 8.0) + 0.05
     vals = np.broadcast_to(bump, (2, 9) + g.shape).astype(np.complex128).copy()
-    u = SampledField(g, tg, vals)
-    from spdo.harmonic import _site_density
-    avg = float(_site_density(u, 2.0).mean())
-    dec = cz_decompose(u, 4.0 * avg)
+    u = Field(g, vals)
+    avg = float(lpf_norm_values(u.values, tg.nodes(), 2.0).mean())
+    dec = cz_decompose(u, ens, 4.0 * avg)
     assert len(dec.bad) >= 1
-    _check_all_properties(u, dec, g)
+    _check_all_properties(u, ens, dec, g)
 
 
 def test_cz_properties_random_draws():
@@ -96,10 +94,10 @@ def test_cz_properties_random_draws():
         g = Grid(n, N)
         ens = sample_brownian(3, TimeGrid(0.5, 8), seed=seed)
         u = _random_field(g, ens, seed)
-        from spdo.harmonic import _site_density
-        avg = float(_site_density(u, 2.0).mean())
-        dec = cz_decompose(u, 3.0 * avg)
-        _check_all_properties(u, dec, g)
+        avg = float(lpf_norm_values(u.values, ens.timegrid.nodes(),
+                                    2.0).mean())
+        dec = cz_decompose(u, ens, 3.0 * avg)
+        _check_all_properties(u, ens, dec, g)
 
 
 @settings(max_examples=10, deadline=None)
@@ -109,10 +107,9 @@ def test_cz_zero_mean_property(seed, factor):
     g = Grid(1, 32)
     ens = sample_brownian(2, TimeGrid(0.5, 8), seed=seed % 97)
     u = _random_field(g, ens, seed)
-    from spdo.harmonic import _site_density
-    avg = float(_site_density(u, 2.0).mean())
+    avg = float(lpf_norm_values(u.values, ens.timegrid.nodes(), 2.0).mean())
     try:
-        dec = cz_decompose(u, factor * avg)
+        dec = cz_decompose(u, ens, factor * avg)
     except LevelTooLowError:
         return
     cell = g.cell_volume
@@ -148,15 +145,13 @@ def _stack_walk(density, grid, r):
 
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (2, 32), (3, 8)])
 def test_cz_walk_matches_cube_at_a_time_walk(n, N):
-    from spdo.harmonic import _site_density
-
     g = Grid(n, N)
     ens = sample_brownian(3, TimeGrid(0.5, 8), seed=n)
     u = _random_field(g, ens, N)
     # heavy-tailed site weights give bad cubes at every level
     rng = np.random.default_rng(N + n)
     u.values *= np.exp(1.5 * rng.standard_normal(g.shape))
-    density = _site_density(u, 2.0)
+    density = lpf_norm_values(u.values, ens.timegrid.nodes(), 2.0)
     # levels equal to a cube's exact average: the largest top-level cube,
     # and the densest single cell, whose ancestors all average below it
     top = max(((tuple(i * N // 2 for i in o), N // 2)
@@ -168,6 +163,6 @@ def test_cz_walk_matches_cube_at_a_time_walk(n, N):
     ties += [(r, None) for r in np.mean(density) * np.array([1.5, 2.5, 4, 7])]
     for r, tied in ties:
         expected = _stack_walk(density, g, r)
-        got = [(c.origin, c.size) for c, _ in cz_decompose(u, r).bad]
+        got = [(c.origin, c.size) for c, _ in cz_decompose(u, ens, r).bad]
         assert got == expected
         assert expected and (tied is None or tied in expected)

@@ -8,11 +8,10 @@ import pytest
 import sympy as sp
 
 from spdo import quantize
-from spdo.grid import (Grid, SpectralField, TimeGrid, l2_norm, plane_wave,
+from spdo.grid import (Field, Grid, TimeGrid, l2_norm, plane_wave,
                        random_band_limited)
 from spdo.quantize import (
     RegularizationWarning,
-    SampledField,
     apply_adjoint,
     apply_amplitude_op,
     apply_symbol_ensemble,
@@ -32,7 +31,7 @@ def test_derivative_of_resolved_mode():
     # a(xi) = i xi quantizes to d/dx: sin(kx) -> k cos(kx)
     a = symbol_from_expr(sp.I * _XI[0], 1, order=1)
     k = 5
-    u = SpectralField(G, np.sin(k * G.points()[..., 0]))
+    u = Field(G, np.sin(k * G.points()[..., 0]))
     got = apply_symbol_op(a, u)
     expect = k * np.cos(k * G.points()[..., 0])
     assert np.abs(got.values - expect).max() < 1e-10
@@ -81,7 +80,7 @@ def test_amplitude_y_xi_leibniz():
     x = G.points()[..., 0]
     # D(x u) on the periodic grid: compare through the spectral derivative of
     # the band-limited product (x is sawtooth-periodic; stay on inner modes)
-    xu = SpectralField(G, x * u.values)
+    xu = Field(G, x * u.values)
     ref = apply_symbol_op(d, xu)
     err = np.abs(got.values - ref.values)
     # the wrap discontinuity of x pollutes the top modes; compare in the bulk
@@ -158,7 +157,7 @@ def _batch(grid, seed=5):
     rng = np.random.default_rng(seed)
     values = np.stack([[random_band_limited(grid, rng).values
                         for _ in range(5)] for _ in range(2)])
-    return ens, SampledField(grid, ens.timegrid, values)
+    return ens, Field(grid, values)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_SYMBOLS))
@@ -251,20 +250,20 @@ def test_separated_path_lifts_the_cap():
     xi = 2.0 * np.pi * modes / grid.L
     x = grid.points()
     waves = np.exp(1j * np.einsum("md,...d->m...", xi, x))
-    got = apply_symbol_op(a, SpectralField(grid, waves)).values / waves
+    got = apply_symbol_op(a, Field(grid, waves)).values / waves
     mag2 = np.sum(xi ** 2, axis=-1)[:, None, None]
     expect = np.cos(x[..., 0]) * mag2 / (1.0 + mag2)
     assert np.abs(got - expect).max() <= 1e-8
     with pytest.raises(ValueError, match="capped"):
         apply_symbol_op(symbol_from_expr(sp.sin(_X[0] * _XI[0]), 2, order=0),
-                        SpectralField(grid, waves[0]))
+                        Field(grid, waves[0]))
 
 
 def test_single_field_is_a_batch_of_one():
     a = symbol_from_expr(BATCH_SYMBOLS["dense-w"][0], 1, order=2)
     u = random_band_limited(G, np.random.default_rng(8))
     one = apply_symbol_op(a, u, 0.25, 0.7)
-    batch = apply_symbol_op(a, SpectralField(G, u.values[None]), [0.25], [0.7])
+    batch = apply_symbol_op(a, Field(G, u.values[None]), [0.25], [0.7])
     assert one.values.shape == G.shape
     assert np.array_equal(batch.values[0], one.values)
 

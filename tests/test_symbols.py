@@ -171,7 +171,7 @@ def test_estimate_report_serializes():
     rep = check_symbol_estimate(a, 1, 0, G)
     d = rep.to_dict()
     assert d["passed"] is True
-    assert "entries" in d and rep.to_json().startswith("{")
+    assert "entries" in d
 
 
 # -- ellipticity -------------------------------------------------------------
