@@ -529,19 +529,27 @@ def _carleman_moments(z: Field, A1, B1, ensemble: BrownianEnsemble):
         S = _ip(drift, BzL - _apply_nodes(B1s, zL, grid, ensemble)).imag
     tau = nodes - T
     tauL = tau[:K]
+    finite = all(np.isfinite(m).all() for m in
+                 (zz, BB, zB, P, Q, Pd, Qd, dzdz, dzBdz, S) if m is not None)
 
     def terms(mu: float):
         th2 = np.exp(mu * tau ** 2)
         w = th2[:K]
-        lhs1 = float(np.trapezoid(th2 * zz, nodes))
-        lhs2 = float(np.trapezoid(
-            th2 * (mu * tau ** 2 * zz - 2.0 * tau * zB + BB / mu), nodes))
-        rhs = [4.0 * np.sum(w * tauL * P) - (4.0 / mu) * np.sum(w * Q),
-               0.0 if S is None else (-2.0 / mu) * np.sum(w * S),
-               -2.0 * np.sum(w * tauL * dzdz), (-2.0 / mu) * np.sum(w * dzBdz)]
-        # rhs1 minus rhs1 re-read at z + dz/2, B1z + d(B1z)/2, t + dt/2
-        gap = abs(-2.0 * np.sum(w * (tauL * Pd + dt * (P + 0.5 * Pd)))
-                  + (2.0 / mu) * np.sum(w * Qd))
+        # a weight that fits in float64 can still overflow times a moment
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs1 = float(np.trapezoid(th2 * zz, nodes))
+            lhs2 = float(np.trapezoid(
+                th2 * (mu * tau ** 2 * zz - 2.0 * tau * zB + BB / mu), nodes))
+            rhs = [4.0 * np.sum(w * tauL * P) - (4.0 / mu) * np.sum(w * Q),
+                   0.0 if S is None else (-2.0 / mu) * np.sum(w * S),
+                   -2.0 * np.sum(w * tauL * dzdz),
+                   (-2.0 / mu) * np.sum(w * dzBdz)]
+            # rhs1 minus rhs1 re-read at z + dz/2, B1z + d(B1z)/2, t + dt/2
+            gap = abs(-2.0 * np.sum(w * (tauL * Pd + dt * (P + 0.5 * Pd)))
+                      + (2.0 / mu) * np.sum(w * Qd))
+        if finite and not np.isfinite([lhs1, lhs2, *rhs, gap]).all():
+            raise OverflowError(f"the weighted sums at mu = {mu:g} overflow "
+                                "float64")
         return lhs1, lhs2, rhs, float(gap)
 
     return terms
@@ -584,7 +592,7 @@ def carleman_report(z: Field, A1: Symbol | None, B1: Symbol | None, mu_list,
     with th = e^{mu(t-T)^2/2}, increments in the Ito (left-endpoint) form,
     for z with leading (path, time) axes over ensemble, whose time grid
     gives T.  The field is checked and its moments computed once for every
-    mu.
+    mu.  OverflowError: a weighted sum of finite moments passes float64.
     """
     _check_inputs(B1, ensemble, z)
     terms = _carleman_moments(z, A1, B1, ensemble)

@@ -688,8 +688,12 @@ def run_carleman(v, seed):
     for d in range(draws):
         z = pinned_semimartingale(grid, ens, rng)
         # mu_list, then the doubled values of the robustness sweep
-        reps = carleman_report(z, A1, B1,
-                               mu_list + [2.0 * mu for mu in mu_list], ens)
+        try:
+            reps = carleman_report(z, A1, B1,
+                                   mu_list + [2.0 * mu for mu in mu_list], ens)
+        except OverflowError as e:
+            raise ConfigError(f"config keys 'mu_list', 'time.T': {e}") \
+                from None
         for mu, rep in zip(mu_list, reps):
             rows.append((d, float(mu), rep.lhs, rep.rhs, rep.margin,
                          rep.discretization_gap, rep.passed))

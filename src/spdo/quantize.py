@@ -9,10 +9,11 @@ x-independent symbol is a diagonal multiplier plus an inverse FFT.  A
 separated symbol sum_r c_r(t, w, x) g_r(t, w, xi) (Symbol.separated) is
 sum_r c_r times the inverse FFT of g_r u_hat, with no cap on N; it runs
 when the batch holds more than one (t, w) node or N is above the cap,
-since the separation costs a few ms of sympy per symbol.  Otherwise the
-exact O(N^{2n}) sum is evaluated (N capped by dimension).  Amplitudes are
-applied through the regularized double sum with a smooth cutoff
-chi(eps xi).
+since the separation of an expression symbol costs a few ms of sympy
+(registry separations are precompiled, and take the same paths).
+Otherwise the exact O(N^{2n}) sum is evaluated (N capped by dimension).
+Amplitudes are applied through the regularized double sum with a smooth
+cutoff chi(eps xi).
 """
 
 from __future__ import annotations

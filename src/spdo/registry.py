@@ -12,6 +12,7 @@ is at most 64, and trees at most 50 levels deep.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .cauchy import EquationSpec
 from .symbols import Symbol, symbol_from_expr, _xi_degree
@@ -151,14 +152,29 @@ _SYMBOL_TABLE = {
 SYMBOLS = {k: v[1] for k, v in _SYMBOL_TABLE.items()}
 
 
-def make_symbol(name: str, dim: int = 1, order: float | None = None) -> Symbol:
-    """Instantiate a registry symbol, or parse an expression string."""
-    if name in _SYMBOL_TABLE:
-        from .symbols import sp, _W, _X, _XI
+def _expr(name: str, dim: int):
+    """The sympy expression of registry symbol `name` in dimension dim."""
+    from .symbols import sp, _W, _X, _XI
 
-        o, _, build = _SYMBOL_TABLE[name]
-        return symbol_from_expr(build(sp, _X, _XI[:dim], _W), dim,
-                                order=o if order is None else order, name=name)
+    return _SYMBOL_TABLE[name][2](sp, _X, _XI[:dim], _W)
+
+
+def make_symbol(name: str, dim: int = 1, order: float | None = None) -> Symbol:
+    """Instantiate a registry symbol, or parse an expression string.
+
+    A registry symbol is read off its rendered form in _compiled_symbols
+    (tools/gen_compiled_symbols.py writes it) without sympy; sympy loads
+    when its expression is first read, for calculus on it."""
+    if name in _SYMBOL_TABLE:
+        from ._compiled_symbols import COMPILED
+
+        if (name, dim) not in COMPILED:
+            raise RegistryError(f"symbol {name!r}: dim must be 1..3, "
+                                f"got {dim}")
+        o = _SYMBOL_TABLE[name][0]
+        return Symbol._precompiled(o if order is None else order, dim, name,
+                                   partial(_expr, name, dim),
+                                   COMPILED[name, dim])
     try:
         return parse_symbol_expr(name, dim, order=order, name=name)
     except RegistryError as e:

@@ -9,7 +9,10 @@ x- and y-independence flags are exact operations on the expression.  The
 numpy evaluator ``fn(t, w, x, xi)`` is compiled only when the symbol is
 first evaluated: ``x`` and ``xi`` are arrays whose last axis is the spatial
 dimension, and ``t`` and ``w`` may be arrays too (one entry per (path,
-time) node), broadcast against the components of ``x`` and ``xi``.
+time) node), broadcast against the components of ``x`` and ``xi``.  A
+compile renders the lambdify source (_source) and runs it (_load); a
+registry symbol is read off sources rendered ahead of time
+(Symbol._precompiled), so it needs no sympy until its expression is read.
 
 sympy is imported on first use, with the cyclic collector paused, and the
 heap is then frozen (``spdo._import_long_lived``): sympy's lives as long as
@@ -18,6 +21,8 @@ the process, and no later collection or interpreter exit walks it.
 
 from __future__ import annotations
 
+import builtins
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -111,7 +116,7 @@ class _Evaluable:
 
     @cached_property
     def fn(self):
-        return _compile(self.expr, self.dim, self._vars)
+        return _load(_source(self.expr, self.dim, self._vars), self.dim)
 
     def __call__(self, t, w, *arrays):
         return np.asarray(self.fn(t, w, *arrays), dtype=np.complex128)
@@ -139,6 +144,23 @@ class Symbol(_Evaluable):
         super().__init__(order, expr, dim, integrability)
         self.name = name
 
+    @classmethod
+    def _precompiled(cls, order, dim, name, build, compiled) -> "Symbol":
+        """The Symbol of expression build(), read off its rendered form
+        compiled = (_source of fn, _separation, x_independent,
+        tw_independent) with no sympy: only reading ``expr`` calls build."""
+        a = cls.__new__(cls)
+        a.order, a.dim, a.integrability, a.name = order, dim, math.inf, name
+        a._build = build
+        source, separation, a.x_independent, a.tw_independent = compiled
+        a.fn = _load(source, dim)
+        a.separated = _load_separation(separation, dim)
+        return a
+
+    @cached_property
+    def expr(self):
+        return __getattr__("sp").sympify(self._build())
+
     @cached_property
     def x_independent(self) -> bool:
         return not self.expr.has(*_X[:self.dim])
@@ -149,9 +171,14 @@ class Symbol(_Evaluable):
 
     @cached_property
     def separated(self):
-        """(r, fn) with a = sum_{k<r} c_k(t, w, x) g_k(t, w, xi) read off the
-        expanded expression (terms grouped by xi-factor, then by x-factor)
-        and fn(t, w, x, xi) the list of values c_0..c_{r-1}, g_0..g_{r-1};
+        """(r, fn) with a = sum_{k<r} c_k(t, w, x) g_k(t, w, xi) and
+        fn(t, w, x, xi) the list of values c_0..c_{r-1}, g_0..g_{r-1}, or
+        None (see _separation)."""
+        return _load_separation(self._separation(), self.dim)
+
+    def _separation(self):
+        """(r, _source of [c_0..c_{r-1}, g_0..g_{r-1}]) read off the
+        expanded expression (terms grouped by xi-factor, then by x-factor);
         None when a xi-factor still holds x, or when the expansion could
         pass _SEPARATE_TERMS terms (a power of a sum within the parser's
         bounds can expand to millions)."""
@@ -165,8 +192,8 @@ class Symbol(_Evaluable):
             by_g[g] = by_g.get(g, 0) + c
         for g, c in by_g.items():
             by_c[c] = by_c.get(c, 0) + g
-        return len(by_c), _compile(list(by_c) + list(by_c.values()),
-                                   self.dim, self._vars)
+        return len(by_c), _source(list(by_c) + list(by_c.values()),
+                                  self.dim, self._vars)
 
     def derivative(self, alpha=(), beta=()) -> "Symbol":
         """d^alpha_xi d^beta_x a, as a new Symbol of order l - |alpha|."""
@@ -183,7 +210,7 @@ class Symbol(_Evaluable):
                           qstar(self.integrability, other.integrability))
         c = complex(other)
         if c == int(c.real) and c.imag == 0:
-            c = sp.nsimplify(c, rational=False)
+            c = __getattr__("sp").nsimplify(c, rational=False)
         return Symbol(self.order, c * self.expr, self.dim, self.integrability)
 
     __rmul__ = __mul__
@@ -200,7 +227,7 @@ class Symbol(_Evaluable):
         return self + (-1.0) * other
 
     def conjugate(self) -> "Symbol":
-        return Symbol(self.order, sp.conjugate(self.expr), self.dim,
+        return Symbol(self.order, self.expr.conjugate(), self.dim,
                       self.integrability)
 
 
@@ -253,25 +280,42 @@ def _expand_bound(e) -> int:
     return max(1, sum(map(_expand_bound, e.args)))
 
 
-def _compile(expr, dim, groups):
-    """numpy evaluator fn(t, w, *arrays) of expr, one array per variable
-    group, components on the last axis; the result takes the broadcast shape
-    of t, w and the components (a list of expressions gives the list of
-    their values, each in the shape of the variables it holds)."""
-    f = sp.lambdify((_T, _W) + tuple(v for g in groups for v in g[:dim]),
-                    expr, modules=[np], docstring_limit=-1)
+def _source(expr, dim, groups) -> str:
+    """The lambdify source of the numpy evaluator of expr, whose arguments
+    are t, w and the first dim variables of each group (a list of
+    expressions gives a function returning the list of their values)."""
+    return inspect.getsource(sp.lambdify(
+        (_T, _W) + tuple(v for g in groups for v in g[:dim]), expr,
+        modules=[np], docstring_limit=-1))
+
+
+def _load(source, dim):
+    """numpy evaluator fn(t, w, *arrays) of a _source text, run in the
+    namespace lambdify(modules=[numpy]) runs it in: one array per variable
+    group, components on the last axis; the result takes the broadcast
+    shape of t, w and the components (a list result is the list of the
+    values, each in the shape of the variables it holds)."""
+    scope = {}
+    exec(source, {**np.__dict__, "builtins": builtins, "range": range},
+         scope)
+    (f,) = scope.values()
 
     def fn(t, w, *arrays):
         comps = [_split_components(a, dim) for a in arrays]
         with np.errstate(all="ignore"):
             out = f(t, w, *(c for cs in comps for c in cs))
-        if isinstance(expr, list):
+        if isinstance(out, list):
             return [np.asarray(v, dtype=np.complex128) for v in out]
         out = np.asarray(out, dtype=np.complex128)
         target = np.broadcast(t, w, *(cs[0] for cs in comps)).shape
         return np.broadcast_to(out, target) if out.shape != target else out
 
     return fn
+
+
+def _load_separation(separation, dim):
+    """(r, fn) of a _separation (r, source), or None."""
+    return separation and (separation[0], _load(separation[1], dim))
 
 
 def _xi_degree(expr, dim) -> int | None:

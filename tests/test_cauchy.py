@@ -398,6 +398,24 @@ def test_carleman_robust_at_doubled_mu():
         assert r1.passed and r2.passed
 
 
+def test_carleman_weighted_sum_overflow_raises():
+    # e^(400 * 1.332^2) = e^709.69 fits in float64; times (t - T) and the
+    # moments of a random field it does not
+    tg = TimeGrid(1.332, 64)
+    ens = sample_brownian(4, tg, seed=5)
+    z = pinned_semimartingale(G, ens, np.random.default_rng(5))
+    with pytest.raises(OverflowError, match="mu = 400 overflow"):
+        carleman_report(z, None, B1, [400.0], ens)
+
+
+def test_carleman_nan_field_fails_without_overflow_error():
+    # non-finite moments are a FAIL of the field, not an overflow
+    z = pinned_semimartingale(G, ENS_C, np.random.default_rng(5))
+    z.values[0, 5, 3] = np.nan
+    reps = carleman_report(z, None, B1, [50.0, 400.0], ENS_C)
+    assert [rep.passed for rep in reps] == [False, False]
+
+
 def test_carleman_single_mode_at_last_step_fails():
     # pinned, but all of z sits on one high mode at node K-1: the jump
     # back to 0 at T costs more than the weighted LHS earns, at every mu

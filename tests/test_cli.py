@@ -285,6 +285,63 @@ def test_cz_fails_when_a_bad_cube_is_dropped(tmp_path, monkeypatch, capsys):
     assert rep["report"]["properties"]["reconstruction"] is False
 
 
+@pytest.mark.parametrize("cfg_text", ["grid.N = 32\n",
+                                      "grid.N = 16\nrandom_symbols = 2\n"],
+                         ids=["registry", "random"])
+def test_quantize_demo_fails_at_a_shifted_xi(tmp_path, monkeypatch, capsys,
+                                             cfg_text):
+    # the quantization reads the symbol one lattice frequency off the mode
+    # it is asked for
+    import spdo.quantize
+
+    real = spdo.quantize.extract_symbol
+
+    def shifted(a, grid, mode, *args, **kwargs):
+        return real(a, grid, (mode[0] + 1,) + tuple(mode[1:]), *args,
+                    **kwargs)
+
+    monkeypatch.setattr(spdo.quantize, "extract_symbol", shifted)
+    code, out = _run(tmp_path, "quantize-demo", cfg_text)
+    assert code == 2
+    assert "quantize-demo: FAIL" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["report"]["max_extraction_error"] > 1e-3
+
+
+def test_parametrix_fails_one_term_short(tmp_path, monkeypatch, capsys):
+    # each n-term series is built with n - 1 terms, so its residual decays
+    # like |k|^-n, one order short of the -(n+1) target
+    import spdo.calculus
+
+    real = spdo.calculus.parametrix
+
+    def short(a, n_terms, *args, **kwargs):
+        return real(a, n_terms - 1, *args, **kwargs)
+
+    monkeypatch.setattr(spdo.calculus, "parametrix", short)
+    code, out = _run(tmp_path, "parametrix",
+                     "grid.N = 64\nn_terms = 1,2\nmodes = 8,16\n")
+    assert code == 2
+    assert "parametrix: FAIL" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    for n, slope in rep["report"]["slopes"].items():
+        target = -(int(n) + 1)
+        assert abs(slope - target) > 0.2 * abs(target), (n, slope)
+        assert abs(slope + int(n)) < 0.2 * int(n), (n, slope)
+
+
+def test_carleman_sums_overflow_is_a_config_error(tmp_path):
+    # e^(2 * 200 * 1.332^2) = e^709.69 fits in float64, but its products
+    # with (t - T) and the moments do not
+    res = _spawn(tmp_path, "carleman", "draws = 1\ntime.T = 1.332\n")
+    assert res.returncode == 1
+    assert res.stderr.startswith(
+        "config error: config keys 'mu_list', 'time.T': the weighted sums "
+        "at mu = 400 overflow float64"), res.stderr
+
+
 def test_uniqueness_emits_decay_csv(tmp_path):
     code, out = _run(tmp_path, "uniqueness",
                      "equation = wave\ngrid.N = 32\nensemble.M = 8\n"
@@ -554,6 +611,8 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("carleman", "draws = 1\ntime.T = 2\n"),
     ("carleman", "draws = 1\ntime.T = 30\n"),
     ("carleman", "draws = 1\ntime.T = 1.333\n"),
+    ("carleman", "draws = 1\ntime.T = 1.332\n"),
+    ("garding", "grid.dim = 4\n"),
     ("uniqueness", "equation = schrodinger\ntime.T = 2\n"),
     ("uniqueness", "equation = schrodinger\ntime.T = 1.333\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
@@ -582,6 +641,7 @@ def test_verify_symbol_pole_fails(tmp_path):
         "cz-sweep-level-r", "verify-symbol-empty", "integrator-unitary-cfl",
         "uniqueness-T-30", "uniqueness-cfl", "carleman-weight-T-2",
         "carleman-weight-T-30", "carleman-weight-past-bound",
+        "carleman-weight-T-1.332", "garding-registry-symbol-dim-4",
         "uniqueness-weight-T-2", "uniqueness-weight-past-bound"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
@@ -599,7 +659,9 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
 def test_carleman_weight_below_the_overflow_bound_runs(tmp_path, command,
                                                        cfg_text):
     # the largest weight is e^697 (2 * 200 or 400 times 1.32^2), below
-    # float64's e^709.78; T = 1.333 (e^710.8) is a bad-input row above
+    # float64's e^709.78; T = 1.333 (e^710.8) is a bad-input row above, and
+    # so is T = 1.332, whose weight e^709.69 fits but overflows times (t - T)
+    # and the moments
     res = _spawn(tmp_path, command, cfg_text)
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""

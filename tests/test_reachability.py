@@ -1,7 +1,8 @@
 """Every top-level definition in src/spdo is reached from a CLI command, or
 is named below with the verdict that is meant to reach it; no command loads
-scipy, the commands that build no symbol do not load sympy, and the CLI's
-numpy and sympy imports are frozen out of the cyclic collector."""
+scipy, the commands that do no calculus and name only registry symbols do not
+load sympy, and the CLI's numpy and sympy imports are frozen out of the
+cyclic collector."""
 
 import ast
 import os
@@ -123,10 +124,17 @@ def test_no_scipy_module_loads(tmp_path):
     assert _python(code)[-2:] == ["[]", "[]"]
 
 
-# small configs of the commands that build no symbol
+# small configs of the commands that do no calculus: they build no symbol,
+# or only registry symbols, which are precompiled
 NUMERIC = {"integrator": "ensemble.M = 64\nunitary.K = 50\n",
            "cz": "grid.N = 32\nensemble.M = 3\ntime.K = 8\n",
-           "uniqueness": "ensemble.M = 8\ntime.K = 16\n"}
+           "uniqueness": "ensemble.M = 8\ntime.K = 16\n",
+           "bounds": "grid.N_list = 16,32\nensemble.M = 4\ntime.K = 8\n"
+                     "trials = 1\n",
+           "garding": "grid.N_list = 16,32\nensemble.M = 4\ntime.K = 8\n"
+                      "trials = 1\nexact_check = 1\nexact_trials = 1\n",
+           "carleman": "draws = 1\ngrid.N = 32\ntime.K = 32\n",
+           "quantize-demo": "grid.N = 16\n"}
 
 
 def _fresh_run(tmp_path, command, cfg_text):
@@ -155,11 +163,33 @@ def test_numeric_command_loads_no_sympy(tmp_path, command):
     assert not loaded
 
 
-def test_carleman_loads_sympy(tmp_path):
-    # its B1 = bessel1 is built from an expression
-    rc, loaded, _ = _fresh_run(tmp_path, "carleman", "draws = 1\n")
+def test_carleman_with_an_expression_B1_loads_sympy(tmp_path):
+    # the default B1 = bessel1 is precompiled; an expression is parsed
+    rc, loaded, _ = _fresh_run(
+        tmp_path, "carleman",
+        NUMERIC["carleman"] + "B1 = sqrt(1+xi**2)\nB1.order = 1\n")
     assert rc == 0
     assert loaded
+
+
+def test_precompiled_symbol_loads_sympy_for_calculus():
+    # make_symbol reads the rendered form; the expression, and sympy with
+    # it, is built on the first calculus step, which then agrees with the
+    # same step on the symbol built from the expression
+    out = _python(
+        "import sys\n"
+        "from spdo.registry import make_symbol, _expr\n"
+        "a = make_symbol('parametrix-demo')\n"
+        "print('sympy' in sys.modules)\n"
+        "ops = (lambda s: 2 * s, lambda s: s.conjugate(), lambda s: s + 1,\n"
+        "       lambda s: s * s, lambda s: s.derivative(1, 1))\n"
+        "got = [op(a) for op in ops]\n"
+        "print('sympy' in sys.modules)\n"
+        "from spdo.symbols import symbol_from_expr\n"
+        "b = symbol_from_expr(_expr('parametrix-demo', 1), 1, order=2.0)\n"
+        "print([(g.order, g.expr) == (op(b).order, op(b).expr)\n"
+        "       for g, op in zip(got, ops)])\n")
+    assert out == ["False", "True", str([True] * 5)]
 
 
 def test_importing_spdo_freezes_nothing():
@@ -188,7 +218,8 @@ def test_imports_frozen_and_collector_state_kept(tmp_path, enabled):
     assert out[-1] == f"0 0 True True {enabled} True"
 
 
-@pytest.mark.parametrize("command", ["cz", "uniqueness"])
+@pytest.mark.parametrize("command", ["cz", "uniqueness", "bounds", "garding",
+                                     "carleman"])
 def test_report_does_not_depend_on_sympy(tmp_path, command):
     rc, loaded, fresh = _fresh_run(tmp_path, command, NUMERIC[command])
     assert not loaded

@@ -126,3 +126,60 @@ def test_stochastic_registry_symbol_uses_path_value():
     v1 = complex(np.ravel(a(0.0, np.pi / 2.0, x, xi))[0])
     assert abs(v0 - 8.0) < 1e-12
     assert abs(v1 - 8.4) < 1e-12
+
+
+def _bits(v):
+    return np.ascontiguousarray(v).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SYMBOLS))
+def test_compiled_symbol_matches_the_sympy_path(name, dim):
+    from spdo.registry import _SYMBOL_TABLE, _expr
+    from spdo.symbols import symbol_from_expr
+
+    got = make_symbol(name, dim)
+    want = symbol_from_expr(_expr(name, dim), dim,
+                            order=_SYMBOL_TABLE[name][0], name=name)
+    # a lattice sample at four (t, w) nodes
+    grid = Grid(dim, 8)
+    X = grid.points().reshape(1, -1, dim)
+    XI = grid.freqs().reshape(1, -1, dim)
+    t = np.array([[0.0], [0.1], [0.3], [0.5]])
+    w = np.array([[0.0], [-0.7], [0.4], [1.3]])
+    assert _bits(got(t, w, X, XI)) == _bits(want(t, w, X, XI))
+    assert (got.x_independent, got.tw_independent) == \
+        (want.x_independent, want.tw_independent)
+    assert got.separated[0] == want.separated[0]
+    for g, v in zip(got.separated[1](t, w, X, XI),
+                    want.separated[1](t, w, X, XI), strict=True):
+        assert _bits(g) == _bits(v)
+    assert (got.order, got.name) == (want.order, want.name)
+    assert got.expr == want.expr
+
+
+def test_compiled_symbols_module_is_current():
+    import importlib.util
+    import pathlib
+
+    tool = pathlib.Path(__file__).parents[1] / "tools" / \
+        "gen_compiled_symbols.py"
+    spec = importlib.util.spec_from_file_location("gen_compiled_symbols",
+                                                  tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.render() == gen.TARGET.read_text(), \
+        "src/spdo/_compiled_symbols.py is stale: run " \
+        "python3 tools/gen_compiled_symbols.py"
+
+
+def test_make_symbol_order_override_keeps_the_compiled_form():
+    a = make_symbol("bessel1", 2, order=3.0)
+    assert a.order == 3.0 and a.x_independent and a.separated[0] == 1
+    assert a.expr == sp.sqrt(1 + _XI[0] ** 2 + _XI[1] ** 2)
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_registry_symbol_outside_dims_1_to_3(dim):
+    with pytest.raises(RegistryError, match="dim must be 1..3"):
+        make_symbol("laplacian", dim)
