@@ -8,7 +8,9 @@ the sympy expressions of the inputs, so every term is exact at any depth.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,23 +85,40 @@ def _weighted_alphas(j: int, dim: int):
 
 def _expansion(term, only_lead, lead, n_terms, integrability, dim):
     """The template of every expansion here: the series whose term j <=
-    n_terms is sum_{|alpha| = j} (1 / (alpha! i^{|alpha|})) term(alpha), of
-    order lead - j, with zero terms dropped.  only_lead stops at j = 0, for
-    inputs whose paired derivatives vanish."""
-    from .symbols import sp
-
+    n_terms is sum_{|alpha| = j} (1 / (alpha! i^{|alpha|})) times the
+    product of the factors term(alpha), of order lead - j, with zero terms
+    dropped.  only_lead stops at j = 0, for inputs whose paired derivatives
+    vanish."""
     out = []
     for j in range(1 if only_lead else n_terms + 1):
-        s = None
+        s, summands = None, []
         for wgt, alpha in _weighted_alphas(j, dim):
-            piece = wgt * term(alpha)
+            summands.append(term(alpha))
+            piece = wgt * functools.reduce(operator.mul, summands[-1])
             s = piece if s is None else s + piece
-        if not s.expr.has(sp.Piecewise) and sp.expand(s.expr) == 0:
+        if _is_zero(s, summands):
             continue
         s.order = lead - j
         s.integrability = integrability
         out.append((lead - j, s))
     return AsymptoticSeries(out)
+
+
+def _is_zero(s, summands) -> bool:
+    """Whether the term s, the weighted sum of the products of the factors
+    in summands, is exactly 0 (a term with a Piecewise is kept).  One
+    summand's product expands to 0 exactly when a factor does: expand works
+    in a polynomial ring over the atoms, with no zero divisors, and sympy
+    Floats do not underflow."""
+    from .symbols import sp
+
+    if s.expr == 0:
+        return True
+    if s.expr.has(sp.Piecewise):
+        return False
+    if len(summands) == 1:
+        return any(sp.expand(f.expr) == 0 for f in summands[0])
+    return sp.expand(s.expr) == 0
 
 
 def compose_symbols(b: Symbol, a: Symbol, n_terms: int) -> AsymptoticSeries:
@@ -115,7 +134,7 @@ def compose_symbols(b: Symbol, a: Symbol, n_terms: int) -> AsymptoticSeries:
         raise ValueError("dimension mismatch")
     zero = (0,) * b.dim
     return _expansion(
-        lambda alpha: b.derivative(alpha, zero) * a.derivative(zero, alpha),
+        lambda alpha: (b.derivative(alpha, zero), a.derivative(zero, alpha)),
         a.x_independent, b.order + a.order, n_terms,
         qstar(b.integrability, a.integrability), b.dim)
 
@@ -123,7 +142,7 @@ def compose_symbols(b: Symbol, a: Symbol, n_terms: int) -> AsymptoticSeries:
 def adjoint_symbol(a: Symbol, n_terms: int) -> AsymptoticSeries:
     """sigma_{A*} ~ sum (1/alpha! i^{|alpha|}) d^alpha_xi d^alpha_x conj(a)."""
     c = a.conjugate()
-    return _expansion(lambda alpha: c.derivative(alpha, alpha),
+    return _expansion(lambda alpha: (c.derivative(alpha, alpha),),
                       c.x_independent, c.order, n_terms, c.integrability,
                       c.dim)
 
@@ -134,7 +153,7 @@ def reduce_amplitude(a: Amplitude, n_terms: int) -> AsymptoticSeries:
         sigma_A ~ sum (1/alpha! i^{|alpha|}) d^alpha_xi d^alpha_y a |_{y=x}.
     """
     return _expansion(
-        lambda alpha: a.derivative(alpha, alpha).diagonal_symbol(),
+        lambda alpha: (a.derivative(alpha, alpha).diagonal_symbol(),),
         a.y_independent, a.order, n_terms, a.integrability, a.dim)
 
 
@@ -198,11 +217,12 @@ def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries
 
 
 def series_apply(series: AsymptoticSeries, u, t: float = 0.0, w=0.0):
-    """Apply the quantization of the finite series to one field."""
+    """Apply the quantization of the finite series to the field u, or to
+    each field of a batch u at the node (t, w)."""
     from .grid import Field
     from .quantize import apply_symbol_op
 
-    out = np.zeros(u.grid.shape)
+    out = np.zeros_like(u.values)
     for j, (_, s) in enumerate(series.terms):
         v = apply_symbol_op(s, u, t, w).values
         # the first term as it is: 0.0 + v would turn its -0.0 into 0.0

@@ -317,17 +317,19 @@ def _extraction_sweep(a, grid):
     from .quantize import extract_symbol
 
     kmax = grid.N // 2 - 1
-    errs = []
-    x = grid.points()
-    for k in range(-kmax, kmax + 1):
-        mode = (k,) + (0,) * (grid.dim - 1)
-        vals = extract_symbol(a, grid, mode)
-        xi0 = np.zeros(grid.shape + (grid.dim,))
-        xi0[..., 0] = 2.0 * np.pi * k / grid.L
-        direct = a(0.0, 0.0, x, xi0)
-        denom = max(float(np.abs(direct).max()), 1e-30)
-        errs.append((k, float(np.abs(vals - direct).max() / denom)))
-    return errs
+    ks = np.arange(-kmax, kmax + 1)
+    # every mode in one batch, at one (t, w) node
+    vals = extract_symbol(a, grid, [(k,) + (0,) * (grid.dim - 1)
+                                    for k in ks.tolist()])
+    lead = (-1,) + (1,) * grid.dim
+    xi0 = np.zeros(vals.shape + (grid.dim,))
+    xi0[..., 0] = (2.0 * np.pi * ks / grid.L).reshape(lead)
+    direct = np.broadcast_to(a(0.0, 0.0, grid.points(), xi0), vals.shape)
+    axes = tuple(range(1, vals.ndim))
+    # numpy's maximum propagates NaN, as Python's max(nan, c) does
+    denom = np.maximum(np.abs(direct).max(axis=axes), 1e-30)
+    errs = np.abs(vals - direct).max(axis=axes) / denom
+    return list(zip(ks.tolist(), errs.tolist()))
 
 
 def run_quantize_demo(v, seed):
@@ -374,14 +376,14 @@ def _compose_error(b, a, grid, rng, trials, n_terms):
     from .grid import Field, l2_norm, random_band_limited
 
     comp = compose_symbols(b, a, n_terms).symbol_sum()
-    worst = 0.0
-    for _ in range(trials):
-        u = random_band_limited(grid, rng)
-        direct = apply_symbol_op(b, apply_symbol_op(a, u))
-        via = apply_symbol_op(comp, u)
-        err = l2_norm(Field(grid, direct.values - via.values))
-        worst = float(np.maximum(worst, err / max(l2_norm(direct), 1e-30)))
-    return worst
+    # the trial fields, drawn in turn, applied as one batch at one node
+    u = Field(grid, np.stack([random_band_limited(grid, rng).values
+                              for _ in range(trials)]))
+    direct = apply_symbol_op(b, apply_symbol_op(a, u))
+    via = apply_symbol_op(comp, u)
+    err = l2_norm(Field(grid, direct.values - via.values))
+    # numpy's max and maximum propagate NaN
+    return float(np.max(err / np.maximum(l2_norm(direct), 1e-30)))
 
 
 def _random_poly_symbol(rng, dim):
@@ -454,17 +456,14 @@ def run_parametrix(v, seed):
         raise ConfigError(f"config key 'modes': {max(modes)} is not below "
                           f"the Nyquist mode N/2 = {grid.N // 2}")
     a = _symbol(v, "symbol", grid.dim)
+    # every mode in one batch, at one (t, w) node
+    e = plane_wave(grid, [(k,) + (0,) * (grid.dim - 1) for k in modes])
     rows, all_pass = [], True
     for n in v["n_terms"]:
         series = parametrix(a, n, grid)
-        resid = []
-        for k in modes:
-            e = plane_wave(grid, k)
-            qe = series_apply(series, e)
-            aqe = apply_symbol_op(a, qe)
-            r = l2_norm(Field(grid, aqe.values - e.values)) \
-                / l2_norm(e)
-            resid.append(r)
+        aqe = apply_symbol_op(a, series_apply(series, e))
+        resid = (l2_norm(Field(grid, aqe.values - e.values))
+                 / l2_norm(e)).tolist()
         slope = float(np.polyfit(np.log(np.asarray(modes, float)),
                                  np.log(resid), 1)[0])
         target = -(n + 1)

@@ -196,12 +196,17 @@ def sobolev_norm(grid: Grid, spectra: np.ndarray,
                          grid.freq_cell_volume)
 
 
-def plane_wave(grid: Grid, k: tuple[int, ...] | int) -> Field:
-    """exp(i k.x 2 pi / L) for integer lattice mode k."""
+def plane_wave(grid: Grid, k) -> Field:
+    """exp(i k.x 2 pi / L) for integer lattice mode k: an int (the mode
+    (k, 0, ..)) or a tuple of dim ints; for a sequence of such tuples, one
+    field per mode, in order."""
     if np.isscalar(k):
         k = (int(k),) + (0,) * (grid.dim - 1)
+    k = np.asarray(k)
     x = grid.points()
-    phase = sum(2.0 * np.pi * k[a] / grid.L * x[..., a] for a in range(grid.dim))
+    lead = k.shape[:-1] + (1,) * grid.dim
+    phase = sum(2.0 * np.pi * k[..., a].reshape(lead) / grid.L * x[..., a]
+                for a in range(grid.dim))
     return Field(grid, np.exp(1j * phase))
 
 

@@ -12,6 +12,8 @@ when the batch holds more than one (t, w) node or N is above the cap,
 since the separation of an expression symbol costs a few ms of sympy
 (registry separations are precompiled, and take the same paths).
 Otherwise the exact O(N^{2n}) sum is evaluated (N capped by dimension).
+A batch of fields at scalar (t, w) is one node, whose symbol values are
+evaluated once for all its fields.
 Amplitudes are applied through the regularized double sum with a smooth
 cutoff chi(eps xi).
 """
@@ -66,80 +68,101 @@ def _check_cap(grid: Grid) -> None:
 def apply_symbol_op(a: Symbol, u: Field, t=0.0, w=0.0) -> Field:
     """Kohn-Nirenberg quantization of a applied to u at (t, w).
 
-    u may carry batch axes before the grid axes, one field per (t, w) node;
-    t and w broadcast against those axes.  An x-dependent symbol takes the
-    separated path when it separates and there is more than one node or N
-    is above the cap of the dense sum; otherwise the dense sum.  The nodes
-    are processed in chunks whose work arrays hold about _CHUNK_BYTES (at
-    least one node, and at least one lattice row of the dense sum, per
-    chunk).
+    u may carry batch axes before the grid axes.  Scalar t and w make the
+    whole batch one (t, w) node; arrays give one node per field and
+    broadcast against those axes.  An x-dependent symbol takes the separated
+    path when it separates and there is more than one node or N is above
+    the cap of the dense sum; otherwise the dense sum.  The fields are
+    processed in chunks whose work arrays hold about _CHUNK_BYTES (at least
+    one field, and at least one lattice row of the dense sum, per chunk).
     """
     grid = u.grid
     if a.dim != grid.dim:
         raise ValueError("symbol/grid dimension mismatch")
-    batch = u.values.shape[:u.values.ndim - grid.dim]
-    t = np.broadcast_to(t, batch).reshape(-1)
-    w = np.broadcast_to(w, batch).reshape(-1)
     fields = u.values.reshape((-1,) + grid.shape)
+    if np.isscalar(t) and np.isscalar(w):
+        t, w = np.array([t]), np.array([w])
+    else:
+        batch = u.values.shape[:u.values.ndim - grid.dim]
+        t = np.broadcast_to(t, batch).reshape(-1)
+        w = np.broadcast_to(w, batch).reshape(-1)
+    one_node = len(t) == 1
     npts = grid.N**grid.dim
     if a.x_independent:
-        apply_chunk, node_bytes = _apply_multiplier, 16 * npts
+        apply_chunk, field_bytes = _apply_multiplier, 16 * npts
     # the sympy separation costs a few ms, which pays back over many nodes
-    elif (len(fields) > 1 or grid.N > _N_CAP[grid.dim]) and a.separated:
+    elif (not one_node or grid.N > _N_CAP[grid.dim]) and a.separated:
         # every c_r and g_r, then g_r u_hat, its inverse FFT, c_r times that
         # and the sum
-        rank, fn = a.separated
-        apply_chunk, node_bytes = _apply_separated, 16 * npts * (2 * rank + 4)
-        if a.tw_independent:
-            # the same terms at every node: evaluated once, not per chunk
-            apply_chunk = partial(_apply_separated, cg=fn(
-                0.0, 0.0, grid.points(), grid.freqs()))
+        apply_chunk = _apply_separated
+        field_bytes = 16 * npts * (2 * a.separated[0] + 4)
     else:
         _check_cap(grid)
-        apply_chunk, node_bytes = _apply_dense, 16 * npts * npts
-    step = max(1, _CHUNK_BYTES // node_bytes)
+        apply_chunk = _apply_dense
+        # at one node every field shares the work array, the symbol on a
+        # block of rows
+        field_bytes = 0 if one_node else 16 * npts * npts
+    if apply_chunk is not _apply_dense and (one_node or a.tw_independent):
+        # the same values at every node: evaluated once, not per chunk
+        node = (t[0].item(), w[0].item()) if one_node else (0.0, 0.0)
+        apply_chunk = partial(apply_chunk,
+                              values=_node_values(a, grid, *node))
+    step = max(1, _CHUNK_BYTES // field_bytes if field_bytes
+               else len(fields))
     out = np.empty_like(fields)
     for s in range(0, len(fields), step):
         c = slice(s, s + step)
+        nodes = slice(None) if one_node else c
         uhat = fft_forward(grid, fields[c])
-        out[c] = apply_chunk(a, grid, uhat, t[c], w[c])
+        out[c] = apply_chunk(a, grid, uhat, t[nodes], w[nodes])
     return Field(grid, out.reshape(u.values.shape))
 
 
-def _apply_multiplier(a, grid, uhat, t, w):
-    """x-independent symbol: a diagonal multiplier on the spectra."""
-    lead = (-1,) + (1,) * grid.dim
-    x0 = np.zeros(grid.shape + (grid.dim,))
-    mult = a(t.reshape(lead), w.reshape(lead), x0, grid.freqs())
-    return fft_inverse(grid, mult * uhat)
-
-
-def _apply_separated(a, grid, uhat, t, w, cg=None):
-    """Separated symbol sum_r c_r(t, w, x) g_r(t, w, xi): the sum over r of
-    c_r times the inverse FFT of g_r u_hat, one term at a time.  cg, when
-    given, holds the values c_0..c_{r-1}, g_0..g_{r-1} at every node."""
-    rank, fn = a.separated
-    if cg is None:
+def _node_values(a, grid, t, w):
+    """At the node (t, w), or at each node of the arrays t and w: an
+    x-independent symbol on the frequency lattice, or else the separated
+    terms c_0..c_{r-1}, g_0..g_{r-1}."""
+    if not np.isscalar(t):
         lead = (-1,) + (1,) * grid.dim
-        cg = fn(t.reshape(lead), w.reshape(lead), grid.points(),
-                grid.freqs())
+        t, w = t.reshape(lead), w.reshape(lead)
+    if a.x_independent:
+        return a(t, w, np.zeros(grid.shape + (grid.dim,)), grid.freqs())
+    return a.separated[1](t, w, grid.points(), grid.freqs())
+
+
+def _apply_multiplier(a, grid, uhat, t, w, values=None):
+    """x-independent symbol: a diagonal multiplier on the spectra.  values,
+    when given, holds the multiplier at the node of every field."""
+    if values is None:
+        values = _node_values(a, grid, t, w)
+    return fft_inverse(grid, values * uhat)
+
+
+def _apply_separated(a, grid, uhat, t, w, values=None):
+    """Separated symbol sum_r c_r(t, w, x) g_r(t, w, xi): the sum over r of
+    c_r times the inverse FFT of g_r u_hat, one term at a time.  values,
+    when given, holds the terms at the node of every field."""
+    rank = a.separated[0]
+    if values is None:
+        values = _node_values(a, grid, t, w)
     out = 0.0
     # a pole on the lattice gives non-finite values, which the verdicts count
     with np.errstate(invalid="ignore", divide="ignore"):
-        for c, g in zip(cg[:rank], cg[rank:]):
+        for c, g in zip(values[:rank], values[rank:]):
             out = out + c * fft_inverse(grid, g * uhat)
     return out
 
 
 def _apply_dense(a, grid, uhat, t, w):
     """x-dependent symbol: the exact sum over the frequency lattice, a block
-    of lattice rows at a time."""
+    of lattice rows at a time.  t and w hold one node per field, or one node
+    for all: each field then takes its own product with the block."""
     xs = _flat_points(grid)
     xis = _flat_freqs(grid)
     phase = grid.phase_matrix()
-    uhat = uhat.reshape(len(t), -1, 1)
-    out = np.empty((len(t), len(xs)), dtype=np.complex128)
-    rows = max(1, _CHUNK_BYTES // (16 * uhat.size))
+    uhat = uhat.reshape(len(uhat), -1, 1)
+    out = np.empty((len(uhat), len(xs)), dtype=np.complex128)
+    rows = max(1, _CHUNK_BYTES // (16 * len(t) * len(xis)))
     for r in range(0, len(xs), rows):
         x = slice(r, r + rows)
         vals = a(t[:, None, None], w[:, None, None], xs[x, None, :],
@@ -148,7 +171,7 @@ def _apply_dense(a, grid, uhat, t, w):
         # count; the product need not warn about them as well
         with np.errstate(invalid="ignore", divide="ignore"):
             out[:, x] = ((vals * phase[x]) @ uhat)[..., 0]
-    return (out * grid.freq_cell_volume).reshape((len(t),) + grid.shape)
+    return (out * grid.freq_cell_volume).reshape((len(uhat),) + grid.shape)
 
 
 def apply_symbol_ensemble(a: Symbol, u: Field, ensemble) -> Field:
@@ -233,7 +256,9 @@ def extract_symbol(a: Symbol, grid: Grid, k, t: float = 0.0, w=0.0) -> np.ndarra
     """sigma_A(x, xi_0) = e^{-i x.xi_0} (A e^{i x.xi_0}) for lattice mode k.
 
     Exact on the discrete lattice with the chosen normalization; returns the
-    array of values over x.
+    array of values over x.  k is one mode or a sequence of modes (as for
+    grid.plane_wave), which are applied as one batch at the node (t, w);
+    the arrays then lead with one axis of modes.
     """
     from .grid import plane_wave
 

@@ -147,6 +147,53 @@ def test_reduce_amplitude_y_xi():
     assert abs(_eval(s, 0.9, 4.0) - (0.9 * 4.0 - 1j)) < 1e-10
 
 
+def _random_symbol(rng, dim):
+    """Three terms c * (1, sin or cos of one x_k) * xi_m^d, d <= 3."""
+    expr = 0
+    for _ in range(3):
+        k, m = rng.integers(0, dim, 2)
+        coeff = (1, sp.sin(_X[k]), sp.cos(_X[k]))[rng.integers(3)]
+        expr += (float(np.round(rng.uniform(-2, 2), 3)) * coeff
+                 * _XI[m] ** int(rng.integers(0, 4)))
+    return symbol_from_expr(expr, dim, order=3)
+
+
+def test_zero_terms_are_those_the_expanded_term_drops(monkeypatch):
+    # expanding the factors of a one-summand term, not their product, drops
+    # exactly the terms that the expand of the whole term drops
+    import spdo.calculus as calculus
+
+    seen = []
+    real = calculus._is_zero
+
+    def recorded(s, summands):
+        got = real(s, summands)
+        whole = not s.expr.has(sp.Piecewise) and sp.expand(s.expr) == 0
+        seen.append((got, whole, s.expr == 0, len(summands)))
+        return got
+
+    monkeypatch.setattr(calculus, "_is_zero", recorded)
+    rng = np.random.default_rng(4)
+    for dim in (1, 2):
+        for _ in range(8):
+            compose_symbols(_random_symbol(rng, dim), _random_symbol(rng, dim),
+                            3)
+    adjoint_symbol(symbol_from_expr(sp.sin(_X[0]) * _XI[0] ** 2
+                                    + sp.I * sp.cos(_X[0]) * _XI[0], 1,
+                                    order=2), 3)
+    reduce_amplitude(amplitude_from_expr(sp.sin(_Y[0]) * _X[0] * _XI[0] ** 2,
+                                         1, order=2), 3)
+    # a factor that is zero in disguise
+    z = (_XI[0] + 1) ** 3 - _XI[0] ** 3 - 3 * _XI[0] ** 2 - 3 * _XI[0] - 1
+    assert not compose_symbols(symbol_from_expr(z * sp.sin(_X[0]), 1, order=3),
+                               symbol_from_expr(sp.sin(_X[0]) * _XI[0], 1,
+                                                order=1), 3).terms
+    assert all(got == whole for got, whole, _, _ in seen)
+    assert any(got and not literal for got, _, literal, _ in seen)
+    assert any(not got for got, _, _, _ in seen)
+    assert any(n > 1 for _, _, _, n in seen)
+
+
 # -- parametrix --------------------------------------------------------------
 
 def test_parametrix_exact_multiplier():
@@ -189,3 +236,24 @@ def test_series_pretty_prints():
     a = symbol_from_expr(_X[0], 1, order=0)
     txt = compose_symbols(b, a, 1).pretty()
     assert isinstance(txt, str) and len(txt) > 0
+
+
+def test_series_apply_of_a_batch():
+    # each field of a batch as if it came alone; an empty series gives
+    # complex zeros in the shape of the batch
+    from spdo.calculus import AsymptoticSeries
+    from spdo.grid import Field
+
+    rng = np.random.default_rng(5)
+    u = Field(G, np.stack([random_band_limited(G, rng).values
+                           for _ in range(3)]))
+    ser = compose_symbols(symbol_from_expr(_XI[0], 1, order=1),
+                          symbol_from_expr(sp.sin(_X[0]) * _XI[0], 1,
+                                           order=1), 1)
+    got = series_apply(ser, u).values
+    for f in range(3):
+        assert np.array_equal(got[f],
+                              series_apply(ser, Field(G, u.values[f])).values)
+    zero = series_apply(AsymptoticSeries([]), u).values
+    assert zero.shape == u.values.shape and zero.dtype == np.complex128
+    assert not zero.any()

@@ -290,15 +290,15 @@ def test_cz_fails_when_a_bad_cube_is_dropped(tmp_path, monkeypatch, capsys):
                          ids=["registry", "random"])
 def test_quantize_demo_fails_at_a_shifted_xi(tmp_path, monkeypatch, capsys,
                                              cfg_text):
-    # the quantization reads the symbol one lattice frequency off the mode
+    # the quantization reads the symbol one lattice frequency off each mode
     # it is asked for
     import spdo.quantize
 
     real = spdo.quantize.extract_symbol
 
-    def shifted(a, grid, mode, *args, **kwargs):
-        return real(a, grid, (mode[0] + 1,) + tuple(mode[1:]), *args,
-                    **kwargs)
+    def shifted(a, grid, modes, *args, **kwargs):
+        return real(a, grid, [(m[0] + 1,) + tuple(m[1:]) for m in modes],
+                    *args, **kwargs)
 
     monkeypatch.setattr(spdo.quantize, "extract_symbol", shifted)
     code, out = _run(tmp_path, "quantize-demo", cfg_text)

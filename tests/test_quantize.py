@@ -228,6 +228,30 @@ def test_separated_terms_free_of_t_and_w_are_evaluated_once(monkeypatch):
     assert np.array_equal(once, per_chunk)
 
 
+@pytest.mark.parametrize("name,N", [("multiplier-t", 32), ("dense-w", 256)])
+def test_one_node_values_are_evaluated_once(monkeypatch, name, N):
+    # 10 fields at one scalar node, 3 to a chunk: the multiplier, or the
+    # separated terms above the dense cap, are evaluated once for all of
+    # them, with the bits of each field applied alone
+    a = symbol_from_expr(BATCH_SYMBOLS[name][0], 1, order=2)
+    grid = Grid(1, N)
+    _, u = _batch(grid, seed=6)
+    alone = [apply_symbol_op(a, Field(grid, v), 0.25, 0.7).values
+             for v in u.values.reshape((-1,) + grid.shape)]
+    calls = []
+    if a.x_independent:
+        fn = a.fn
+        a.__dict__["fn"] = lambda *args: calls.append(1) or fn(*args)
+    else:
+        rank, fn = a.separated
+        a.__dict__["separated"] = (rank, lambda *args: calls.append(1)
+                                   or fn(*args))
+    monkeypatch.setattr(quantize, "_CHUNK_BYTES", 3 * _node_bytes(a, grid))
+    got = apply_symbol_op(a, u, 0.25, 0.7).values
+    assert len(calls) == 1
+    assert np.array_equal(got.reshape(-1, N), np.stack(alone))
+
+
 def test_separated_is_none_when_not_separable_or_too_many_terms():
     assert symbol_from_expr(sp.sin(_X[0] * _XI[0]), 1, order=0).separated \
         is None
@@ -269,16 +293,27 @@ def test_single_field_is_a_batch_of_one():
 
 
 def test_single_field_inside_the_cap_stays_dense():
-    # the separation pays back only over many nodes: one field inside the
-    # cap keeps the dense sum, bit for bit, and never separates the symbol
-    a = symbol_from_expr(BATCH_SYMBOLS["dense-w"][0], 1, order=2)
-    u = random_band_limited(G, np.random.default_rng(9))
-    got = apply_symbol_op(a, u, 0.25, 0.7).values
-    uhat = np.fft.fftn(u.values)[None] * G.cell_volume
-    dense = quantize._apply_dense(a, G, uhat, np.array([0.25]),
-                                  np.array([0.7]))[0]
-    assert np.array_equal(got, dense)
-    assert "separated" not in vars(a)
+    # the separation pays back only over many nodes: one field, or a batch
+    # of 20 at one scalar node, inside the cap keeps the dense sum, bit for
+    # bit each field as if it came alone, and never separates the symbol;
+    # the batch evaluates the symbol once, for its one block of rows
+    rng = np.random.default_rng(9)
+    for batch in ((), (20,)):
+        a = symbol_from_expr(BATCH_SYMBOLS["dense-w"][0], 1, order=2)
+        u = np.stack([random_band_limited(G, rng).values
+                      for _ in range(math.prod(batch))])
+        calls = []
+        fn = a.fn
+        a.__dict__["fn"] = lambda *args: calls.append(1) or fn(*args)
+        got = apply_symbol_op(a, Field(G, u.reshape(batch + G.shape)), 0.25,
+                              0.7).values
+        assert got.shape == batch + G.shape and len(calls) == 1
+        for f, v in enumerate(got.reshape(u.shape)):
+            uhat = np.fft.fftn(u[f])[None] * G.cell_volume
+            dense = quantize._apply_dense(a, G, uhat, np.array([0.25]),
+                                          np.array([0.7]))[0]
+            assert np.array_equal(v, dense)
+        assert "separated" not in vars(a)
 
 
 # -- extraction --------------------------------------------------------------

@@ -104,7 +104,12 @@ def main(argv=None) -> int:
             for side in order:
                 log = os.path.join(args.logs, f"{workload}-{side}-{i}.txt")
                 _run(checkouts[side], workload, args.seed, log)
-                runs[side].append(_parse(log))
+                run = _parse(log)
+                if run is None:
+                    print(f"bench_pairs: {log} holds no result line; the "
+                          f"run failed", file=sys.stderr)
+                    return 1
+                runs[side].append(run)
         for side in SIDES:
             records[side]["workloads"][workload] = _summary(runs[side])
         par, chg = (records[s]["workloads"][workload] for s in SIDES)
