@@ -257,7 +257,7 @@ def garding_check(a: Symbol, delta_star: float, eps: float, r: float,
     mags = np.sqrt(np.sum(xis**2, axis=-1))
     sel = mags > 0
     xpts = gmax.points().reshape(-1, gmax.dim)[:: max(1, gmax.N // 16)]
-    tidx = np.unique(np.linspace(0, ensemble.timegrid.K, 5).astype(int))
+    tidx = ensemble.timegrid.node_indices(5)
     vals = a(nodes[tidx][:, None, None], ensemble.paths[:4, tidx, None, None],
              xpts[:, None, :], xis[None, sel, :]).real  # (path, t, x, xi)
     worst = float((vals / mags[sel] ** ell).min())

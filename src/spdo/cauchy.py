@@ -214,7 +214,7 @@ def characteristic_roots(spec: EquationSpec, grid: Grid,
         tws = [(0.0, 0.0)]
     else:
         nodes = ensemble.timegrid.nodes()
-        tidx = np.unique(np.linspace(0, ensemble.timegrid.K, 3).astype(int))
+        tidx = ensemble.timegrid.node_indices(3)
         tws = [(nodes[j], ensemble.paths[p, j])
                for p in range(min(2, ensemble.M)) for j in tidx]
 
@@ -405,7 +405,6 @@ def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
     moving = A is not None and not A.tw_independent
     pair = None if A is None or moving else _cayley(0.0, 0.0)
     yhat = _hat(y0)  # (M, nfreq, m)
-    dW_all = np.diff(ensemble.paths, axis=1)  # (M, K)
     f_hat = None if f is None else _source_hats(f)
     F_hat = None if F is None else _source_hats(F)
     for j in range(tg.K):
@@ -415,7 +414,9 @@ def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
         if f is not None:
             rhs = rhs + 1j * dt * f_hat(j)
         if F is not None:
-            rhs = rhs + 1j * dW_all[:, j, None, None] * F_hat(j)
+            # the increment of step j, as np.diff would subtract it
+            dW = ensemble.paths[:, j + 1] - ensemble.paths[:, j]
+            rhs = rhs + 1j * dW[:, None, None] * F_hat(j)
         yhat = rhs if pair is None else _act(pair[1], rhs)
         yield yhat
 

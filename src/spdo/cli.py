@@ -68,15 +68,17 @@ def _number(kind, least=None, positive=False, infinite=False):
             x = kind(text)
         except ValueError:
             x = math.nan
-        if math.isnan(x):
+        # comparisons, not math.isnan or :g, which overflow on a huge int
+        if x != x:
             raise ValueError(f"{text!r} is not "
                              f"{'an integer' if kind is int else 'a number'}")
-        if math.isinf(x) and not infinite:
+        if abs(x) == math.inf and not infinite:
             raise ValueError(f"{text!r} is not finite")
+        shown = x if kind is int else f"{x:g}"
         if positive and x <= 0:
-            raise ValueError(f"{x:g} is not positive")
+            raise ValueError(f"{shown} is not positive")
         if least is not None and x < least:
-            raise ValueError(f"{x:g} is below {least:g}")
+            raise ValueError(f"{shown} is below {least:g}")
         return x
     return parse
 
@@ -205,9 +207,43 @@ _KEYS = {
 }
 
 
+# bytes of a complex field at every (path, time) node and lattice site, over
+# every grid and draw of a run.  It is the largest array of cz, carleman and
+# uniqueness; bounds and garding hold it one path slice at a time, and for
+# every command it bounds the work.  The defaults of integrator, the largest
+# in use, come to 257 MB
+_MAX_FIELD_BYTES = 1 << 30
+_SIZE_KEYS = ("ensemble.M", "time.K", "grid.dim", "grid.N", "grid.N_list",
+              "cases", "draws")
+
+
+def _check_field_bytes(values):
+    """Reject the values of a command with an ensemble whose field, as
+    _MAX_FIELD_BYTES counts it, would pass that budget."""
+    if "ensemble.M" not in values:
+        return
+    shapes = values.get("cases") or [
+        (values["grid.dim"], N)
+        for N in values.get("grid.N_list", (values.get("grid.N"),))]
+    # Grid rejects a dimension outside 1..3 later; a huge one here would
+    # make a huge power
+    sites = sum(N ** dim for dim, N in shapes if 1 <= dim <= 3)
+    nbytes = (16 * values["ensemble.M"] * (values["time.K"] + 1) * sites
+              * values.get("draws", 1))
+    if nbytes > _MAX_FIELD_BYTES:
+        keys = ", ".join(repr(k) for k in _SIZE_KEYS if k in values)
+        # log2, not a float: the product of huge keys overflows a float
+        raise ConfigError(
+            f"config keys {keys}: a complex field at every (path, time) "
+            f"node and lattice site, over every grid and draw, takes "
+            f"2^{math.log2(nbytes):.1f} bytes, past the budget of "
+            f"2^{math.log2(_MAX_FIELD_BYTES):.0f}")
+
+
 def resolve_config(command, cfg):
     """The effective config of command: each key of its table that the
-    chosen mode reads, parsed from cfg or defaulted, in table order."""
+    chosen mode reads, parsed from cfg or defaulted, in table order, with
+    the sizes of its arrays within _MAX_FIELD_BYTES."""
     table = {**_COMMON, **_KEYS[command]}
     unknown = sorted(set(cfg) - set(table))
     if unknown:
@@ -229,6 +265,7 @@ def resolve_config(command, cfg):
             raise ConfigError(f"missing required config key {key!r}")
         else:
             values[key] = default(values) if callable(default) else default
+    _check_field_bytes(values)
     return values
 
 
@@ -280,10 +317,16 @@ def _symbol(v, key, dim):
 # count; the most it takes is that of the default caps 2/2 in 3-D.  In 1-D
 # caps 40/40 (1,681 pairs) run about 8 s
 _MAX_DERIVATIVE_PAIRS = 729
+# and evaluates each pair at up to 36 (t, path) nodes, each time at 16^n
+# points by 64^n frequencies at most: 2^20 in 2-D at any N.  In 3-D at
+# N = 16 one evaluation takes 2^24 values (268 MB) and the default caps ran
+# past 60 s; at N = 8 (2^18) they run in under 9 s
+_MAX_ESTIMATE_SAMPLES = 1 << 20
 
 
 def run_verify_symbol(v, seed):
-    from .symbols import check_symbol_estimate, ellipticity_check
+    from .symbols import (check_symbol_estimate, ellipticity_check,
+                          estimate_samples)
 
     grid = _grid(v["grid.dim"], v["grid.N"])
     alpha_max, beta_max = v["check.alpha_max"], v["check.beta_max"]
@@ -293,6 +336,11 @@ def run_verify_symbol(v, seed):
             f"config keys 'check.alpha_max', 'check.beta_max': "
             f"(alpha_max+1)^n (beta_max+1)^n = {pairs} passes "
             f"{_MAX_DERIVATIVE_PAIRS}")
+    samples = estimate_samples(grid)
+    if samples > _MAX_ESTIMATE_SAMPLES:
+        raise ConfigError(
+            f"config keys 'grid.dim', 'grid.N': one estimate evaluation "
+            f"takes {samples} (x, xi) samples, past {_MAX_ESTIMATE_SAMPLES}")
     ens = _ensemble(v, seed)
     a = _symbol(v, "symbol", grid.dim)
     est = check_symbol_estimate(a, alpha_max, beta_max, grid, ensemble=ens)

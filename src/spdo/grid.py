@@ -137,6 +137,13 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.K + 1)
 
+    def node_indices(self, n: int) -> np.ndarray:
+        """Indices of n nodes spread evenly over 0, ..., K: the integer
+        parts of linspace(0, K, n), repeats dropped (np.unique's result,
+        without the numpy.ma import np.unique makes)."""
+        idx = np.linspace(0, self.K, n).astype(int)
+        return idx[np.diff(idx, prepend=-1) > 0]
+
 
 @dataclass
 class Field:

@@ -19,6 +19,9 @@ from .grid import TimeGrid
 # reduce over the paths run one slice at a time, so peak memory is flat in
 # the ensemble size (quantize._CHUNK_BYTES bounds the applies inside a slice)
 _SLICE_BYTES = 16 << 20
+# bytes of normal draws per slice of rows in sample_brownian: the path array
+# is then the only (M, K)-sized array it makes
+_DRAW_BYTES = 1 << 20
 
 __all__ = [
     "BrownianEnsemble",
@@ -56,13 +59,24 @@ class BrownianEnsemble:
 
 
 def sample_brownian(M: int, tg: TimeGrid, seed: int = 0) -> BrownianEnsemble:
-    """M paths with W(0) = 0 and independent N(0, dt) increments."""
+    """M paths with W(0) = 0 and independent N(0, dt) increments.
+
+    The increments are drawn from one Generator in consecutive slices of
+    rows, about _DRAW_BYTES each, and each slice is scaled in place and
+    summed into its rows of the paths.  Row-major draws in slices take the
+    stream as one (M, K) draw does, so the paths are bit-equal to
+    cumsum(standard_normal((M, K)) * sqrt(dt), axis=1) after a zero column.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
     rng = np.random.default_rng(seed)
-    inc = rng.standard_normal((M, tg.K)) * math.sqrt(tg.dt)
+    scale = math.sqrt(tg.dt)
     paths = np.zeros((M, tg.K + 1))
-    np.cumsum(inc, axis=1, out=paths[:, 1:])
+    rows = max(1, _DRAW_BYTES // (8 * tg.K))
+    for s in range(0, M, rows):
+        inc = rng.standard_normal((min(rows, M - s), tg.K))
+        inc *= scale
+        np.cumsum(inc, axis=1, out=paths[s:s + rows, 1:])
     return BrownianEnsemble(paths, int(seed), tg)
 
 

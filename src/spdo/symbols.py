@@ -445,23 +445,35 @@ class EstimateReport:
         }
 
 
+# points and frequencies per axis that check_symbol_estimate samples, at most
+_POINTS_PER_AXIS, _FREQS_PER_AXIS = 16, 64
+
+
 def _sample_points(grid):
     pts = grid.points()
-    step = max(1, grid.N // 16)
+    step = max(1, grid.N // _POINTS_PER_AXIS)
     sl = (slice(None, None, step),) * grid.dim
     return pts[sl].reshape(-1, grid.dim)
 
 
-def _sample_freqs(grid, max_per_axis=64):
+def _sample_freqs(grid, max_per_axis=_FREQS_PER_AXIS):
     fr = grid.freqs()
     step = max(1, grid.N // max_per_axis)
     sl = (slice(None, None, step),) * grid.dim
     return fr[sl].reshape(-1, grid.dim)
 
 
+def estimate_samples(grid) -> int:
+    """The (x, xi) pairs of one evaluation in check_symbol_estimate: the
+    sizes of _sample_points and _sample_freqs, without building them."""
+    def per_axis(most):
+        return len(range(0, grid.N, max(1, grid.N // most)))
+    return (per_axis(_POINTS_PER_AXIS) * per_axis(_FREQS_PER_AXIS)) ** grid.dim
+
+
 def _time_path_samples(ensemble):
-    K = ensemble.timegrid.K
-    tidx = np.unique(np.linspace(0, K, min(9, K + 1)).astype(int))
+    tg = ensemble.timegrid
+    tidx = tg.node_indices(min(9, tg.K + 1))
     pidx = np.arange(min(4, ensemble.M))
     return tidx, pidx
 
@@ -563,6 +575,16 @@ class EllipticityResult:
     detail: str = ""
 
 
+def _median(vals: np.ndarray) -> float:
+    """float(np.median(vals)) of a non-empty 1-D float array, NaN when any
+    value is NaN, without the numpy.ma import np.median makes."""
+    s = np.sort(vals)  # NaN sorts last
+    n = s.size
+    if np.isnan(s[-1]):
+        return math.nan
+    return float(s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2.0)
+
+
 def ellipticity_check(a: Symbol, grid, ensemble=None) -> EllipticityResult:
     """Largest C_K and smallest dyadic R_K with |a| >= C_K (1+|xi|)^l for
     |xi| >= R_K on the resolved band, or not-elliptic when the normalized
@@ -589,7 +611,7 @@ def ellipticity_check(a: Symbol, grid, ensemble=None) -> EllipticityResult:
     r_big = xi_max / 2.0
     outer = mags >= r_big
     plateau = float(min_ratio[outer].min()) if outer.any() else 0.0
-    outer_med = float(np.median(min_ratio[outer])) if outer.any() else 0.0
+    outer_med = _median(min_ratio[outer]) if outer.any() else 0.0
     if plateau <= max(1e-8, 1e-3 * outer_med):
         return EllipticityResult(False, detail="normalized modulus collapses on "
                                                "a resolved ray")

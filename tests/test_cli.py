@@ -223,7 +223,9 @@ def test_integrator_lucky_undersampled_draw_fails(tmp_path, capsys):
 def test_integrator_peak_memory(tmp_path):
     # the defaults (M = 10^4, K = 200, N = 8) would make a 257 MB
     # (path, time) solution; the Ito check keeps only the 1.3 MB spectral
-    # state, and the process peaks near 70 MB.
+    # state next to the 16 MB (M, K + 1) paths, which are drawn and
+    # differenced without a second (M, K) array, and the process peaks
+    # near 56 MB, about 35 MB of it the imports.
     # Linux keeps a process's peak RSS across exec, so the command is
     # started from a small interpreter, not forked from this large one
     measure = (
@@ -237,7 +239,7 @@ def test_integrator_peak_memory(tmp_path):
         env=_child_env(), capture_output=True, text=True, timeout=120)
     code, kib = res.stdout.split()
     assert code == "0", res.stderr
-    assert int(kib) / 1024.0 < 150.0
+    assert int(kib) / 1024.0 < 64.0
 
 
 def test_compose_example_prints_expansion(tmp_path, capsys):
@@ -615,6 +617,11 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("garding", "grid.dim = 4\n"),
     ("uniqueness", "equation = schrodinger\ntime.T = 2\n"),
     ("uniqueness", "equation = schrodinger\ntime.T = 1.333\n"),
+    ("verify-symbol", "symbol = sin(x1)*xi1**2\nsymbol.order = 2\n"
+                      "grid.dim = 3\ngrid.N = 16\n"),
+    ("verify-symbol", "symbol = sin(x1)*xi1**2\nsymbol.order = 2\n"
+                      "grid.dim = 3\n"),
+    ("cz", "grid.dim = 1000000000\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
         "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic",
         "empty-parens", "carleman-mu-empty", "carleman-mu-zero",
@@ -642,7 +649,9 @@ def test_verify_symbol_pole_fails(tmp_path):
         "uniqueness-T-30", "uniqueness-cfl", "carleman-weight-T-2",
         "carleman-weight-T-30", "carleman-weight-past-bound",
         "carleman-weight-T-1.332", "garding-registry-symbol-dim-4",
-        "uniqueness-weight-T-2", "uniqueness-weight-past-bound"])
+        "uniqueness-weight-T-2", "uniqueness-weight-past-bound",
+        "verify-symbol-3d-N-16", "verify-symbol-3d-default",
+        "cz-dim-huge"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)
@@ -650,6 +659,35 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     assert res.returncode == 1, res.stderr
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+@pytest.mark.parametrize("command, cfg_text, keys", [
+    ("integrator", "ensemble.M = 10000000000\n", "'ensemble.M', 'time.K'"),
+    ("uniqueness", "time.K = 10000000000\n", "'time.K'"),
+    ("bounds", "grid.N_list = 32,1073741824\n", "'grid.N_list'"),
+    ("cz", "cases = 1x32,3x4096\n", "'cases', 'draws'"),
+    ("carleman", "draws = 1000000000\n", "'grid.N', 'draws'"),
+    ("verify-symbol", "symbol = xi\ngrid.N = 1" + "0" * 400 + "\n",
+     "'grid.N'"),
+], ids=["integrator-M", "uniqueness-K", "bounds-N-list", "cz-cases",
+        "carleman-draws", "verify-symbol-N-400-digits"])
+def test_arrays_past_the_budget_exit_1_before_numpy_loads(tmp_path, command,
+                                                          cfg_text, keys):
+    # each is far past the budget; the key table rejects it before any array
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(cfg_text)
+    child = ("import sys\n"
+             "import spdo.cli\n"
+             "code = spdo.cli.main(sys.argv[1:])\n"
+             "print(code, 'numpy' in sys.modules)\n")
+    res = subprocess.run(
+        [sys.executable, "-c", child, command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert res.stdout.split() == ["1", "False"], res.stderr
+    line, = res.stderr.strip().splitlines()
+    assert line.startswith("config error: config keys ") and keys in line
+    assert "past the budget of 2^30" in line
 
 
 @pytest.mark.parametrize("command, cfg_text", [

@@ -131,6 +131,14 @@ def test_timegrid():
     assert nodes[0] == 0.0 and abs(nodes[-1] - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("K", [2, 3, 7, 8, 64, 127, 200])
+@pytest.mark.parametrize("n", [1, 3, 5, 9, 300])
+def test_node_indices_are_np_unique_of_linspace(K, n):
+    got = TimeGrid(1.0, K).node_indices(n)
+    want = np.unique(np.linspace(0, K, n).astype(int))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
 def test_mode_orthogonality(k1, k2):

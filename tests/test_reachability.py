@@ -137,8 +137,8 @@ NUMERIC = {"integrator": "ensemble.M = 64\nunitary.K = 50\n",
            "quantize-demo": "grid.N = 16\n"}
 
 
-def _fresh_run(tmp_path, command, cfg_text):
-    """(exit code, whether sympy was loaded, output directory) of command
+def _fresh_run(tmp_path, command, cfg_text, module="sympy"):
+    """(exit code, whether module was loaded, output directory) of command
     run in a fresh interpreter that first imports every spdo module."""
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text(cfg_text)
@@ -147,7 +147,7 @@ def _fresh_run(tmp_path, command, cfg_text):
         IMPORT_ALL +
         f"rc = main([{command!r}, '--config', {str(cfg)!r}, "
         f"'--out', {str(out)!r}])\n"
-        "print(rc, 'sympy' in sys.modules)\n")[-1].split()
+        f"print(rc, {module!r} in sys.modules)\n")[-1].split()
     return int(rc), loaded == "True", out
 
 
@@ -159,6 +159,16 @@ def test_importing_spdo_loads_no_sympy():
 @pytest.mark.parametrize("command", sorted(NUMERIC))
 def test_numeric_command_loads_no_sympy(tmp_path, command):
     rc, loaded, _ = _fresh_run(tmp_path, command, NUMERIC[command])
+    assert rc in (0, 2)
+    assert not loaded
+
+
+@pytest.mark.parametrize("command", ["bounds", "carleman", "garding",
+                                     "uniqueness"])
+def test_numeric_command_loads_no_numpy_ma(tmp_path, command):
+    # np.unique and np.median import numpy.ma, about 17 ms per process
+    rc, loaded, _ = _fresh_run(tmp_path, command, NUMERIC[command],
+                               module="numpy.ma")
     assert rc in (0, 2)
     assert not loaded
 

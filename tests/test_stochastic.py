@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,32 @@ def test_path_slices_cover_the_paths_in_order(monkeypatch):
     assert np.array_equal(np.concatenate([p.paths for p in parts]), ens.paths)
     assert all(p.seed == ens.seed and p.timegrid == ens.timegrid
                for p in parts)
+
+
+def _one_shot_brownian(M, tg, seed):
+    """The paths as one (M, K) draw makes them: the reference."""
+    inc = np.random.default_rng(seed).standard_normal((M, tg.K)) \
+        * math.sqrt(tg.dt)
+    paths = np.zeros((M, tg.K + 1))
+    np.cumsum(inc, axis=1, out=paths[:, 1:])
+    return paths
+
+
+@pytest.mark.parametrize("M, K", [(1, 64), (7, 64), (10, 2), (1, 2),
+                                  (250, 7)])
+def test_sliced_draws_equal_one_draw(monkeypatch, M, K):
+    # 3 rows of 64 steps per slice: 7 paths make slices of 3, 3 and 1
+    monkeypatch.setattr(stochastic, "_DRAW_BYTES", 3 * 8 * 64)
+    tg = TimeGrid(0.7, K)
+    ens = sample_brownian(M, tg, seed=11)
+    assert np.array_equal(ens.paths, _one_shot_brownian(M, tg, 11))
+
+
+def test_default_slices_equal_one_draw():
+    # 10,000 x 200: about 650 rows per slice, and a shorter last slice
+    tg = TimeGrid(1.0, 200)
+    ens = sample_brownian(10_000, tg, seed=5)
+    assert np.array_equal(ens.paths, _one_shot_brownian(10_000, tg, 5))
 
 
 def test_terminal_variance():

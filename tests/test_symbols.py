@@ -232,6 +232,33 @@ def test_ellipticity_scaling_invariance():
     assert abs(r2.C_K - 5.0 * r1.C_K) < 1e-9 * r2.C_K + 1e-12
 
 
+@pytest.mark.parametrize("dim, N", [(1, 8), (1, 64), (1, 256), (2, 8),
+                                    (2, 32), (2, 128), (3, 8), (3, 16)])
+def test_estimate_samples_counts_the_sampled_pairs(dim, N):
+    from spdo.symbols import _sample_freqs, _sample_points, estimate_samples
+
+    grid = Grid(dim, N)
+    assert estimate_samples(grid) == \
+        len(_sample_points(grid)) * len(_sample_freqs(grid))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 11])
+def test_median_is_np_median(n):
+    from spdo.symbols import _median
+
+    rng = np.random.default_rng(n)
+    with np.errstate(over="ignore"):  # both warn when a middle sum overflows
+        for special in (None, math.nan, math.inf, -math.inf):
+            for _ in range(20):
+                vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+                if special is not None:
+                    vals[rng.integers(n)] = special
+                got, want = _median(vals), float(np.median(vals))
+                assert got == want or (math.isnan(got) and math.isnan(want))
+        big = np.array([1.5e308, 1.6e308])
+        assert _median(big) == float(np.median(big)) == math.inf
+
+
 def test_stochastic_symbol_evaluates_on_path_value():
     a = symbol_from_expr((2 + sp.sin(_W)) * _XI[0] ** 2, 1, order=2)
     xi = np.array([[3.0]])
