@@ -207,43 +207,73 @@ _KEYS = {
 }
 
 
-# bytes of a complex field at every (path, time) node and lattice site, over
-# every grid and draw of a run.  It is the largest array of cz, carleman and
-# uniqueness; bounds and garding hold it one path slice at a time, and for
-# every command it bounds the work.  The defaults of integrator, the largest
-# in use, come to 257 MB
-_MAX_FIELD_BYTES = 1 << 30
-_SIZE_KEYS = ("ensemble.M", "time.K", "grid.dim", "grid.N", "grid.N_list",
-              "cases", "draws")
+# the most bytes the arrays that a command with an ensemble holds at one
+# time may take, as _held_arrays counts them.  The defaults of integrator,
+# the largest in use, hold 16 MB of paths and a 1.3 MB spectral state
+_MAX_HELD_BYTES = 1 << 30
 
 
-def _check_field_bytes(values):
-    """Reject the values of a command with an ensemble whose field, as
-    _MAX_FIELD_BYTES counts it, would pass that budget."""
-    if "ensemble.M" not in values:
-        return
-    shapes = values.get("cases") or [
-        (values["grid.dim"], N)
-        for N in values.get("grid.N_list", (values.get("grid.N"),))]
+def _sites(dim, N):
     # Grid rejects a dimension outside 1..3 later; a huge one here would
     # make a huge power
-    sites = sum(N ** dim for dim, N in shapes if 1 <= dim <= 3)
-    nbytes = (16 * values["ensemble.M"] * (values["time.K"] + 1) * sites
-              * values.get("draws", 1))
-    if nbytes > _MAX_FIELD_BYTES:
-        keys = ", ".join(repr(k) for k in _SIZE_KEYS if k in values)
+    return N ** dim if 1 <= dim <= 3 else 0
+
+
+def _held_arrays(command, v):
+    """(bytes, size keys, what) of each array that command holds together
+    with the others, as the values v size it; an array of one draw, one
+    path slice or one step counts once."""
+    if "ensemble.M" not in v:
+        return []
+    grid = tuple(k for k in ("grid.dim", "grid.N", "grid.N_list", "cases")
+                 if k in v)
+    shapes = v.get("cases") or [
+        (v["grid.dim"], N) for N in v.get("grid.N_list", (v.get("grid.N"),))]
+    n = max(_sites(dim, N) for dim, N in shapes)  # of the largest grid
+    M, K1 = v["ensemble.M"], v["time.K"] + 1
+    path_time = ("ensemble.M", "time.K") + grid
+    arrays = [(8 * M * K1, ("ensemble.M", "time.K"), "the Brownian paths")]
+    if command in ("cz", "carleman"):
+        arrays.append((16 * M * K1 * n, path_time,
+                       "one draw's field at every (path, time) node"))
+    elif command == "uniqueness":
+        arrays.append((32 * M * K1 * n, path_time, "the two-component "
+                       "solution at every (path, time) node"))
+    elif command in ("bounds", "garding"):
+        arrays.append((16 * K1 * n, ("time.K",) + grid,
+                       "one path's field at every time node"))
+    elif command == "integrator":
+        arrays += [(16 * M * n, ("ensemble.M",) + grid, "the spectral state"),
+                   (16 * K1 * n, ("time.K",) + grid, "the noise source"),
+                   (16 * (v["unitary.K"] + 1) * n, ("unitary.K",) + grid,
+                    "the unitary run")]
+    elif command == "verify-symbol":
+        dim, N = shapes[0]
+        arrays.append((16 * _sites(dim, min(N, 16)) * n, grid,
+                       "the ellipticity scan of at least min(N, 16)^n "
+                       "points by N^n frequencies"))
+    return arrays
+
+
+def _check_held_bytes(command, values):
+    """Reject the values of command when the arrays it holds at one time
+    would pass _MAX_HELD_BYTES, naming the keys of the largest."""
+    arrays = _held_arrays(command, values)
+    nbytes = sum(b for b, _, _ in arrays)
+    if nbytes > _MAX_HELD_BYTES:
+        _, keys, what = max(arrays)
         # log2, not a float: the product of huge keys overflows a float
         raise ConfigError(
-            f"config keys {keys}: a complex field at every (path, time) "
-            f"node and lattice site, over every grid and draw, takes "
+            f"config keys {', '.join(map(repr, keys))}: the arrays {command} "
+            f"holds at one time, the largest {what}, take "
             f"2^{math.log2(nbytes):.1f} bytes, past the budget of "
-            f"2^{math.log2(_MAX_FIELD_BYTES):.0f}")
+            f"2^{math.log2(_MAX_HELD_BYTES):.0f}")
 
 
 def resolve_config(command, cfg):
     """The effective config of command: each key of its table that the
     chosen mode reads, parsed from cfg or defaulted, in table order, with
-    the sizes of its arrays within _MAX_FIELD_BYTES."""
+    the arrays it holds at one time within _MAX_HELD_BYTES."""
     table = {**_COMMON, **_KEYS[command]}
     unknown = sorted(set(cfg) - set(table))
     if unknown:
@@ -265,7 +295,7 @@ def resolve_config(command, cfg):
             raise ConfigError(f"missing required config key {key!r}")
         else:
             values[key] = default(values) if callable(default) else default
-    _check_field_bytes(values)
+    _check_held_bytes(command, values)
     return values
 
 
@@ -326,7 +356,7 @@ _MAX_ESTIMATE_SAMPLES = 1 << 20
 
 def run_verify_symbol(v, seed):
     from .symbols import (check_symbol_estimate, ellipticity_check,
-                          estimate_samples)
+                          _sample_freqs, _sample_points)
 
     grid = _grid(v["grid.dim"], v["grid.N"])
     alpha_max, beta_max = v["check.alpha_max"], v["check.beta_max"]
@@ -336,7 +366,7 @@ def run_verify_symbol(v, seed):
             f"config keys 'check.alpha_max', 'check.beta_max': "
             f"(alpha_max+1)^n (beta_max+1)^n = {pairs} passes "
             f"{_MAX_DERIVATIVE_PAIRS}")
-    samples = estimate_samples(grid)
+    samples = len(_sample_points(grid)) * len(_sample_freqs(grid))
     if samples > _MAX_ESTIMATE_SAMPLES:
         raise ConfigError(
             f"config keys 'grid.dim', 'grid.N': one estimate evaluation "

@@ -445,30 +445,18 @@ class EstimateReport:
         }
 
 
-# points and frequencies per axis that check_symbol_estimate samples, at most
-_POINTS_PER_AXIS, _FREQS_PER_AXIS = 16, 64
-
-
 def _sample_points(grid):
     pts = grid.points()
-    step = max(1, grid.N // _POINTS_PER_AXIS)
+    step = max(1, grid.N // 16)
     sl = (slice(None, None, step),) * grid.dim
     return pts[sl].reshape(-1, grid.dim)
 
 
-def _sample_freqs(grid, max_per_axis=_FREQS_PER_AXIS):
+def _sample_freqs(grid, max_per_axis=64):
     fr = grid.freqs()
     step = max(1, grid.N // max_per_axis)
     sl = (slice(None, None, step),) * grid.dim
     return fr[sl].reshape(-1, grid.dim)
-
-
-def estimate_samples(grid) -> int:
-    """The (x, xi) pairs of one evaluation in check_symbol_estimate: the
-    sizes of _sample_points and _sample_freqs, without building them."""
-    def per_axis(most):
-        return len(range(0, grid.N, max(1, grid.N // most)))
-    return (per_axis(_POINTS_PER_AXIS) * per_axis(_FREQS_PER_AXIS)) ** grid.dim
 
 
 def _time_path_samples(ensemble):

@@ -664,13 +664,18 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
 @pytest.mark.parametrize("command, cfg_text, keys", [
     ("integrator", "ensemble.M = 10000000000\n", "'ensemble.M', 'time.K'"),
     ("uniqueness", "time.K = 10000000000\n", "'time.K'"),
+    ("integrator", "unitary.K = 10000000000\n",
+     "'unitary.K', 'grid.dim', 'grid.N'"),
+    ("garding", "time.K = 10000000000\n", "'time.K', 'grid.dim', "
+                                           "'grid.N_list'"),
     ("bounds", "grid.N_list = 32,1073741824\n", "'grid.N_list'"),
-    ("cz", "cases = 1x32,3x4096\n", "'cases', 'draws'"),
-    ("carleman", "draws = 1000000000\n", "'grid.N', 'draws'"),
+    ("cz", "cases = 1x32,3x4096\n", "'ensemble.M', 'time.K', 'cases'"),
+    ("carleman", "grid.N = 1048576\n", "'ensemble.M', 'time.K', "
+                                       "'grid.dim', 'grid.N'"),
     ("verify-symbol", "symbol = xi\ngrid.N = 1" + "0" * 400 + "\n",
-     "'grid.N'"),
-], ids=["integrator-M", "uniqueness-K", "bounds-N-list", "cz-cases",
-        "carleman-draws", "verify-symbol-N-400-digits"])
+     "'grid.dim', 'grid.N'"),
+], ids=["integrator-M", "uniqueness-K", "integrator-unitary-K", "garding-K",
+        "bounds-N-list", "cz-cases", "carleman-N", "verify-symbol-N-400-digits"])
 def test_arrays_past_the_budget_exit_1_before_numpy_loads(tmp_path, command,
                                                           cfg_text, keys):
     # each is far past the budget; the key table rejects it before any array
@@ -688,6 +693,24 @@ def test_arrays_past_the_budget_exit_1_before_numpy_loads(tmp_path, command,
     line, = res.stderr.strip().splitlines()
     assert line.startswith("config error: config keys ") and keys in line
     assert "past the budget of 2^30" in line
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("integrator", {"grid.dim": "2"}),
+    ("integrator", {"grid.dim": "3"}),
+    ("integrator", {"ensemble.M": "100000"}),
+    ("carleman", {"grid.dim": "2"}),
+    ("carleman", {"draws": "1000000000"}),
+    ("cz", {"cases": "1x32,1x64,2x16,2x32", "draws": "1000000000"}),
+    ("uniqueness", {"grid.dim": "2"}),
+    ("verify-symbol", {"symbol": "xi", "grid.dim": "2", "grid.N": "256"}),
+], ids=["integrator-2d", "integrator-3d", "integrator-M-1e5", "carleman-2d",
+        "carleman-draws-1e9", "cz-draws-1e9", "uniqueness-2d",
+        "verify-symbol-2d-N-256"])
+def test_configs_within_the_budget_are_accepted(command, cfg):
+    # resolved, never run: each holds under 300 MB at one time, however
+    # many draws it makes one after another
+    assert resolve_config(command, cfg)
 
 
 @pytest.mark.parametrize("command, cfg_text", [

@@ -232,16 +232,6 @@ def test_ellipticity_scaling_invariance():
     assert abs(r2.C_K - 5.0 * r1.C_K) < 1e-9 * r2.C_K + 1e-12
 
 
-@pytest.mark.parametrize("dim, N", [(1, 8), (1, 64), (1, 256), (2, 8),
-                                    (2, 32), (2, 128), (3, 8), (3, 16)])
-def test_estimate_samples_counts_the_sampled_pairs(dim, N):
-    from spdo.symbols import _sample_freqs, _sample_points, estimate_samples
-
-    grid = Grid(dim, N)
-    assert estimate_samples(grid) == \
-        len(_sample_points(grid)) * len(_sample_freqs(grid))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 11])
 def test_median_is_np_median(n):
     from spdo.symbols import _median
