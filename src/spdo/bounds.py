@@ -251,16 +251,21 @@ def garding_check(a: Symbol, delta_star: float, eps: float, r: float,
     """
     ell = a.order
     nodes = ensemble.timegrid.nodes()
-    # hypothesis scan on the largest grid
+    # hypothesis scan on the largest grid, one (path, time) sample at a time
     gmax = max(grids, key=lambda g: g.N)
     xis = gmax.freqs().reshape(-1, gmax.dim)
     mags = np.sqrt(np.sum(xis**2, axis=-1))
     sel = mags > 0
+    scale = mags[sel] ** ell
     xpts = gmax.points().reshape(-1, gmax.dim)[:: max(1, gmax.N // 16)]
-    tidx = ensemble.timegrid.node_indices(5)
-    vals = a(nodes[tidx][:, None, None], ensemble.paths[:4, tidx, None, None],
-             xpts[:, None, :], xis[None, sel, :]).real  # (path, t, x, xi)
-    worst = float((vals / mags[sel] ** ell).min())
+    worst = math.inf
+    for p in range(min(4, ensemble.M)):
+        for j in ensemble.timegrid.node_indices(5):
+            vals = a(nodes[j], ensemble.paths[p, j], xpts[:, None, :],
+                     xis[None, sel, :]).real  # (x, xi)
+            # np.minimum, not min: a NaN ratio propagates
+            worst = np.minimum(worst, (vals / scale).min())
+    worst = float(worst)
     if worst < delta_star - eps - 1e-9:
         raise HypothesisError(
             f"Re a / |xi|^l dips to {worst:.6g} < delta* - eps = "

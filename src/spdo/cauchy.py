@@ -1,6 +1,6 @@
 """Uniqueness pipeline for stochastic PDE Cauchy problems: companion-system
-reduction, characteristic roots and hypothesis checks, stochastic system
-integration, Carleman-inequality evaluation, and the uniqueness-decay
+reduction, its characteristic roots (which set the CFL bound), stochastic
+system integration, Carleman-inequality evaluation, and the uniqueness-decay
 experiment.
 
 The order-m scalar equation with principal coefficients a_alpha is encoded
@@ -10,7 +10,6 @@ superdiagonal |xi| and bottom row a_k(t,w,x,xi) |xi|^{k+1-m}.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,14 +23,10 @@ from .symbols import Symbol
 __all__ = [
     "EquationSpec",
     "CompanionSymbol",
-    "RootField",
-    "HypothesisReport",
     "CarlemanReport",
     "DecayReport",
     "StabilityError",
-    "sphere_directions",
     "characteristic_roots",
-    "check_hypotheses",
     "integrate_spde_system",
     "pinned_semimartingale",
     "smooth_time_cutoff",
@@ -138,177 +133,11 @@ class CompanionSymbol:
         return out
 
 
-# ---------------------------------------------------------------------------
-# characteristic roots and hypotheses
-
-
-def sphere_directions(dim: int, count: int = 16) -> np.ndarray:
-    """Deterministic unit-sphere sample directions, shape (S, dim)."""
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        ang = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    # Fibonacci sphere
-    k = np.arange(count)
-    phi = np.arccos(1.0 - 2.0 * (k + 0.5) / count)
-    theta = np.pi * (1.0 + math.sqrt(5.0)) * k
-    return np.stack([np.sin(phi) * np.cos(theta),
-                     np.sin(phi) * np.sin(theta), np.cos(phi)], axis=-1)
-
-
-@dataclass
-class RootField:
-    """Continued characteristic roots on the sampled (t, path, x, |xi|=1) set."""
-
-    roots: np.ndarray  # (S, m), continuation-matched along the sample order
-    residuals: np.ndarray  # (S, m)
-    samples: list  # [(t, w, x, xi_dir)]
-    coeff_scale: float
-    spec: EquationSpec
-
-    @property
-    def m(self) -> int:
-        return self.spec.m
-
-    def cluster_radius(self) -> float:
-        scale = max(1.0, float(np.abs(self.roots).max()))
-        return 10.0 * math.sqrt(np.finfo(float).eps) * scale
-
-
-def _poly_coeffs(spec: EquationSpec, t, w, x, xi):
-    """Monic coefficients of p_m(lambda) = lambda^m - sum a_k lambda^k."""
-    c = np.zeros(spec.m + 1, dtype=np.complex128)
-    c[0] = 1.0
-    for k in range(spec.m):
-        c[spec.m - k] = -complex(spec.a_k(k, t, w, np.asarray(x, float)[None, :],
-                                          np.asarray(xi, float)[None, :])[0])
-    return c
-
-
-def _match_roots(prev: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """lam reordered so that lam[i] continues prev[i]: the permutation of
-    least total distance over all m! of them, the first in
-    itertools.permutations order among equal totals."""
-    cost = np.abs(lam[None, :] - prev[:, None])
-    rows = np.arange(len(lam))
-    best = min(itertools.permutations(rows),
-               key=lambda p: cost[rows, list(p)].sum())
-    return lam[list(best)]
-
-
-def characteristic_roots(spec: EquationSpec, grid: Grid,
-                         ensemble: BrownianEnsemble | None = None) -> RootField:
-    """Roots of p_m via companion-matrix eigenvalues on the sphere grid,
-    matched across samples by minimal-distance continuation.  The samples
-    are 4 lattice points, the sphere_directions of the dimension and, with
-    an ensemble, 3 times (start, middle, end) on each of the first 2 paths.
-    The matching enumerates m! permutations, so m is capped at 6."""
-    if spec.m > 6:
-        raise ValueError(f"root continuation enumerates m! permutations; "
-                         f"order m = {spec.m} exceeds 6")
-    directions = sphere_directions(spec.dim)
-    xs = grid.points().reshape(-1, grid.dim)
-    xs = xs[:: max(1, len(xs) // 4)][:4]
-    if ensemble is None:
-        tws = [(0.0, 0.0)]
-    else:
-        nodes = ensemble.timegrid.nodes()
-        tidx = ensemble.timegrid.node_indices(3)
-        tws = [(nodes[j], ensemble.paths[p, j])
-               for p in range(min(2, ensemble.M)) for j in tidx]
-
-    samples, roots, residuals = [], [], []
-    prev = None
-    scale = 1.0
-    for (t, w) in tws:
-        for x in xs:
-            for d in directions:
-                c = _poly_coeffs(spec, t, w, x, d)
-                scale = max(scale, float(np.abs(c).max()))
-                lam = np.roots(c)
-                if len(lam) < spec.m:
-                    lam = np.concatenate([lam, np.zeros(spec.m - len(lam))])
-                if prev is not None:
-                    lam = _match_roots(prev, lam)
-                prev = lam
-                res = np.abs(np.polyval(c, lam))
-                samples.append((float(t), float(w), tuple(x), tuple(d)))
-                roots.append(lam)
-                residuals.append(res)
-    return RootField(np.array(roots), np.array(residuals), samples, scale, spec)
-
-
-@dataclass
-class HypothesisReport:
-    h1: bool  # real roots simple; complex multiplicity <= 2
-    h1p: bool  # all roots simple
-    h2: bool  # |Im| of complex roots bounded below by 1e-8 (vacuous if none)
-    h2_eps: float
-    h3: bool  # real/complex classification constant along continuation
-    h4: bool  # complex-root multiplicity pattern constant
-    witnesses: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"H1": self.h1, "H1'": self.h1p, "H2": self.h2,
-                "H2_eps": self.h2_eps, "H3": self.h3, "H4": self.h4,
-                "witnesses": {k: str(v) for k, v in self.witnesses.items()}}
-
-
-def _multiplicities(lams: np.ndarray, radius: float) -> list:
-    """Cluster one sample's roots; returns list of (representative, count)."""
-    used = np.zeros(len(lams), bool)
-    out = []
-    for i in range(len(lams)):
-        if used[i]:
-            continue
-        close = np.abs(lams - lams[i]) <= radius
-        close &= ~used
-        used |= close
-        out.append((lams[i], int(close.sum())))
-    return out
-
-
-def check_hypotheses(rf: RootField) -> HypothesisReport:
-    radius = rf.cluster_radius()
-    h1 = h1p = h3 = h4 = True
-    wit = {}
-    complex_eps = math.inf
-    pattern0 = None
-    class0 = None
-    for s, lams in enumerate(rf.roots):
-        clusters = _multiplicities(lams, radius)
-        mults = sorted(c for _, c in clusters)
-        for rep, cnt in clusters:
-            real = abs(rep.imag) <= radius
-            if cnt > 1:
-                h1p = False
-                wit.setdefault("h1p", rf.samples[s])
-                if real:
-                    h1 = False
-                    wit.setdefault("h1", rf.samples[s])
-                elif cnt > 2:
-                    h1 = False
-                    wit.setdefault("h1", rf.samples[s])
-            if not real:
-                complex_eps = min(complex_eps, abs(rep.imag))
-        cpattern = sorted(c for rep, c in clusters if abs(rep.imag) > radius)
-        if pattern0 is None:
-            pattern0 = cpattern
-        elif cpattern != pattern0:
-            h4 = False
-            wit.setdefault("h4", rf.samples[s])
-        cls = tuple(np.abs(lams.imag) <= radius)
-        if class0 is None:
-            class0 = cls
-        elif cls != class0:
-            h3 = False
-            wit.setdefault("h3", rf.samples[s])
-    if math.isinf(complex_eps):
-        h2, h2_eps = True, math.inf  # vacuous: no complex roots
-    else:
-        h2, h2_eps = complex_eps >= 1e-8, complex_eps
-    return HypothesisReport(h1, h1p, h2, h2_eps, h3, h4, wit)
+def characteristic_roots(mats: np.ndarray) -> np.ndarray:
+    """The roots of p_m(lambda) = lambda^m - sum_k a_k lambda^k, the
+    characteristic polynomial of (..., m, m) companion matrices: their
+    eigenvalues, of shape (..., m)."""
+    return np.linalg.eigvals(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +220,7 @@ def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
     def _cayley(t, w):
         # (..., nfreq, m, m) pair; w of shape (M, 1) gives one per path
         mats = A(t, w, x0, xis)
-        cfl = dt * float(np.abs(np.linalg.eigvals(mats)).max())
+        cfl = dt * float(np.abs(characteristic_roots(mats)).max())
         if cfl > 0.5 + 1e-12:
             raise StabilityError(
                 f"dt max|sigma(A)| = {cfl:.3g} > 0.5 at t = {t:.6g}; refine "
@@ -663,10 +492,6 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, r: float, grid: Grid,
     """
     tg = ensemble.timegrid
     T = tg.T
-    rf = characteristic_roots(spec, grid, ensemble)
-    hyp = check_hypotheses(rf)
-    if not (hyp.h1p or (hyp.h1 and hyp.h4)):
-        raise RuntimeError(f"root hypotheses fail: {hyp.to_dict()}")
     A = CompanionSymbol(spec)
     m = spec.m
     rng = np.random.default_rng(seed)

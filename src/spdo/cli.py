@@ -242,6 +242,11 @@ def _held_arrays(command, v):
     elif command in ("bounds", "garding"):
         arrays.append((16 * K1 * n, ("time.K",) + grid,
                        "one path's field at every time node"))
+        if command == "garding":
+            stride = max(1, max(N for _, N in shapes) // 16)
+            arrays.append((16 * -(-n // stride) * n, grid,
+                           "one (path, time) sample's hypothesis scan of "
+                           "every (N // 16)-th point by N^n frequencies"))
     elif command == "integrator":
         arrays += [(16 * M * n, ("ensemble.M",) + grid, "the spectral state"),
                    (16 * K1 * n, ("time.K",) + grid, "the noise source"),

@@ -1,4 +1,4 @@
-"""Companion reduction, root hypotheses, integration, and the Carleman
+"""Companion reduction, characteristic roots, integration, and the Carleman
 machinery."""
 
 import math
@@ -14,11 +14,9 @@ from spdo.cauchy import (
     StabilityError,
     carleman_report,
     characteristic_roots,
-    check_hypotheses,
     integrate_spde_system,
     pinned_semimartingale,
     smooth_time_cutoff,
-    sphere_directions,
     uniqueness_experiment,
 )
 from spdo.grid import Field, Grid, TimeGrid
@@ -78,118 +76,46 @@ def test_invalid_principal_index():
 
 # -- characteristic roots ----------------------------------------------------
 
-def test_wave_roots():
-    rf = characteristic_roots(make_equation("wave", 1), G)
-    for s, lams in enumerate(rf.roots):
-        got = np.sort(lams.real)
-        assert np.abs(np.sort(lams.imag)).max() < 1e-10
-        assert np.abs(got - np.array([-1.0, 1.0])).max() < 1e-10
+def _root_distance(got, want):
+    """The largest distance from a root in got to the nearest in want, and
+    back: 0 when the (..., m) root sets agree."""
+    d = np.abs(got[..., :, None] - want[..., None, :])
+    return max(d.min(axis=-1).max(), d.min(axis=-2).max())
 
 
-def test_schrodinger_roots():
-    rf = characteristic_roots(make_equation("schrodinger", 1), G)
-    for lams in rf.roots:
-        assert np.abs(np.sort(lams.imag) - np.array([-1.0, 1.0])).max() < 1e-10
-        assert np.abs(lams.real).max() < 1e-10
-
-
-def test_roots_residual_invariant():
-    spec = EquationSpec(m=3, dim=1, principal={
-        (2, (1,)): 0.9, (1, (2,)): 1.1, (0, (3,)): -0.5})
-    rf = characteristic_roots(spec, G)
-    assert rf.residuals.max() <= 1e-9 * (1.0 + rf.coeff_scale)
-
-
-def test_random_cubic_against_independent_solver():
-    # cross-check np.roots-based continuation against numpy's polynomial
-    # companion implementation on the raw coefficient set
-    spec = EquationSpec(m=3, dim=1, principal={
-        (2, (1,)): 1.7, (1, (2,)): -0.3, (0, (3,)): 0.8})
-    rf = characteristic_roots(spec, G)
-    for s, lams in enumerate(rf.roots):
-        t, w, x, d = rf.samples[s]
-        xi = d[0]
-        # monic polynomial lambda^3 - a2 lambda^2 - a1 lambda - a0
-        coeffs = [-0.8 * xi**3, -(-0.3) * xi**2, -1.7 * xi, 1.0]
-        ref = np.polynomial.polynomial.polyroots(coeffs)
-        # distance matching: lexicographic complex sort is unstable for
-        # conjugate pairs with equal real parts
-        for rr in ref:
-            assert np.abs(lams - rr).min() < 1e-9
-        for ll in lams:
-            assert np.abs(ref - ll).min() < 1e-9
-
-
-def test_root_matching_takes_the_least_total_distance():
-    # greedy nearest-neighbour matching in row order gives 0 -> 0.45 and
-    # then 1 -> -1 (total 2.55); pairing 0 -> -1, 1 -> 0.45 costs 1.65
-    prev = np.array([0.0, 1.0, 5j])
-    lam = np.array([0.45, -1.0, 0.1 + 5j])
-    greedy, free = [], list(lam)
-    for p in prev:
-        greedy.append(min(free, key=lambda v: abs(v - p)))
-        free.remove(greedy[-1])
-    got = cauchy._match_roots(prev, lam)
-    assert np.array_equal(got, [-1.0, 0.45, 0.1 + 5j])
-    assert not np.array_equal(got, greedy)
-    assert np.abs(got - prev).sum() < np.abs(np.array(greedy) - prev).sum()
-
-
-def test_root_continuation_caps_the_order():
-    spec = EquationSpec(m=7, dim=1, principal={(0, (7,)): 1.0})
-    with pytest.raises(ValueError, match="exceeds 6"):
-        characteristic_roots(spec, G)
+def _lattice_roots(spec, grid):
+    xis = grid.freqs().reshape(-1, grid.dim)
+    mats = CompanionSymbol(spec)(0.0, 0.0, np.zeros((1, grid.dim)), xis)
+    return xis, characteristic_roots(mats)
 
 
 def test_companion_consistency_eigenvalues_equal_roots():
+    # the registry equations' roots in closed form: +-|xi|, +-i|xi| and xi_1
+    closed = {"wave": lambda xi, mag: np.stack([mag, -mag], -1),
+              "schrodinger": lambda xi, mag: np.stack([1j * mag, -1j * mag],
+                                                      -1),
+              "transport": lambda xi, mag: xi[:, :1]}
+    for dim in (1, 2, 3):
+        grid = Grid(dim, 16)
+        for name, roots in closed.items():
+            xis, got = _lattice_roots(make_equation(name, dim), grid)
+            want = roots(xis, np.sqrt(np.sum(xis**2, axis=-1)))
+            assert got.shape == want.shape
+            assert _root_distance(got, want) <= 1e-13
+
+
+def test_random_cubic_against_independent_solver():
+    # m = 3 reaches the bottom-row scaling a_k |xi|^{k+1-m}, which the
+    # registry's m <= 2 equations never do; numpy's polynomial companion
+    # solver on the raw coefficients is the reference
     spec = EquationSpec(m=3, dim=1, principal={
-        (2, (1,)): 0.4, (1, (2,)): 1.2, (0, (3,)): -0.6})
-    cs = CompanionSymbol(spec)
-    rf = characteristic_roots(spec, G)
-    for s, lams in enumerate(rf.roots):
-        t, w, x, d = rf.samples[s]
-        sig = cs(t, w, np.asarray(x, float)[None, :],
-                 np.asarray(d, float)[None, :])[0]
-        eig = np.sort_complex(np.linalg.eigvals(sig))
-        assert np.abs(eig - np.sort_complex(lams)).max() < 1e-9
-
-
-# -- hypotheses --------------------------------------------------------------
-
-def test_hypotheses_wave():
-    rep = check_hypotheses(characteristic_roots(make_equation("wave", 1), G))
-    assert rep.h1 and rep.h1p and rep.h3
-    assert rep.h2 and math.isinf(rep.h2_eps)  # vacuous: no complex roots
-
-
-def test_hypotheses_schrodinger():
-    rep = check_hypotheses(characteristic_roots(
-        make_equation("schrodinger", 1), G))
-    assert rep.h1p and rep.h2
-    assert abs(rep.h2_eps - 1.0) < 1e-9
-
-
-def test_hypotheses_double_complex_roots():
-    # (lambda^2 + |xi|^2)^2: complex roots of multiplicity two
-    spec = EquationSpec(m=4, dim=1, principal={
-        (2, (2,)): -2.0, (0, (4,)): -1.0})
-    rep = check_hypotheses(characteristic_roots(spec, G))
-    assert rep.h1  # complex multiplicity 2 is allowed
-    assert not rep.h1p
-    assert rep.h4
-
-
-def test_hypothesis_report_serializes():
-    rep = check_hypotheses(characteristic_roots(make_equation("wave", 1), G))
-    d = rep.to_dict()
-    assert d["H1"] is True and "H2_eps" in d
-
-
-def test_sphere_directions():
-    d1 = sphere_directions(1)
-    assert set(map(tuple, d1)) == {(1.0,), (-1.0,)}
-    d2 = sphere_directions(2, 12)
-    assert np.abs(np.linalg.norm(d2, axis=1) - 1.0).max() < 1e-12
+        (2, (1,)): 1.7, (1, (2,)): -0.3, (0, (3,)): 0.8})
+    xis, got = _lattice_roots(spec, G)
+    for xi, lams in zip(xis[:, 0], got):
+        # monic polynomial lambda^3 - a2 lambda^2 - a1 lambda - a0
+        coeffs = [-0.8 * xi**3, -(-0.3) * xi**2, -1.7 * xi, 1.0]
+        ref = np.polynomial.polynomial.polyroots(coeffs)
+        assert _root_distance(lams, ref) <= 1e-9 * max(1.0, abs(xi))
 
 
 # -- integrator --------------------------------------------------------------

@@ -250,6 +250,20 @@ def test_compose_example_prints_expansion(tmp_path, capsys):
     assert "x" in text and "xi" in text
 
 
+def test_compose_fails_one_term_short(tmp_path):
+    # xi^2 after sin(x) is xi^2 sin(x) - 2i xi cos(x) + sin(x); n_terms = 1
+    # stops at |alpha| = 1 and drops the last term, n_terms = 2 keeps it
+    cfg = "b = xi**2\na = sin(x)\ncheck = 1\nn_terms = {}\n"
+    errors = []
+    for n_terms, want in ((1, 2), (2, 0)):
+        code, out = _run(tmp_path, "compose", cfg.format(n_terms), seed=5,
+                         name=f"n{n_terms}")
+        assert code == want
+        errors.append(json.loads(
+            (out / "report.json").read_text())["report"]["relative_error"])
+    assert errors[0] > 1e-3 and errors[1] < 1e-12
+
+
 def test_compose_random_pairs(tmp_path):
     code, out = _run(tmp_path, "compose", "random_pairs = 3\ntrials = 5\n")
     assert code == 0
@@ -674,8 +688,12 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
                                        "'grid.dim', 'grid.N'"),
     ("verify-symbol", "symbol = xi\ngrid.N = 1" + "0" * 400 + "\n",
      "'grid.dim', 'grid.N'"),
+    # the hypothesis scan: 4,096 points by 65,536 frequencies, 4 GiB
+    ("garding", "grid.dim = 2\ngrid.N_list = 128,256\n",
+     "'grid.dim', 'grid.N_list'"),
 ], ids=["integrator-M", "uniqueness-K", "integrator-unitary-K", "garding-K",
-        "bounds-N-list", "cz-cases", "carleman-N", "verify-symbol-N-400-digits"])
+        "bounds-N-list", "cz-cases", "carleman-N", "verify-symbol-N-400-digits",
+        "garding-2d-scan"])
 def test_arrays_past_the_budget_exit_1_before_numpy_loads(tmp_path, command,
                                                           cfg_text, keys):
     # each is far past the budget; the key table rejects it before any array
@@ -704,9 +722,10 @@ def test_arrays_past_the_budget_exit_1_before_numpy_loads(tmp_path, command,
     ("cz", {"cases": "1x32,1x64,2x16,2x32", "draws": "1000000000"}),
     ("uniqueness", {"grid.dim": "2"}),
     ("verify-symbol", {"symbol": "xi", "grid.dim": "2", "grid.N": "256"}),
+    ("garding", {"grid.dim": "2"}),
 ], ids=["integrator-2d", "integrator-3d", "integrator-M-1e5", "carleman-2d",
         "carleman-draws-1e9", "cz-draws-1e9", "uniqueness-2d",
-        "verify-symbol-2d-N-256"])
+        "verify-symbol-2d-N-256", "garding-2d"])
 def test_configs_within_the_budget_are_accepted(command, cfg):
     # resolved, never run: each holds under 300 MB at one time, however
     # many draws it makes one after another

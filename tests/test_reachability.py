@@ -1,10 +1,11 @@
 """Every top-level definition in src/spdo is reached from a CLI command, or
 is named below with the verdict that is meant to reach it; no command loads
 scipy, the commands that do no calculus and name only registry symbols do not
-load sympy, and the CLI's numpy and sympy imports are frozen out of the
-cyclic collector."""
+load sympy, the CLI's numpy and sympy imports are frozen out of the cyclic
+collector, and every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -88,6 +89,23 @@ def unreached_names() -> set:
 
 def test_unreached_code_is_exactly_the_allowlist():
     assert unreached_names() == set(ALLOWED_UNREACHED)
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these by name, and a deleted or renamed
+    # one breaks its traced round; its tables are read as literals, since
+    # importing traced.py needs perfbench's own path
+    tree = ast.parse((PKG.parents[1] / "perfbench" / "traced.py").read_text())
+    tables = {t.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) for t in node.targets
+              if isinstance(t, ast.Name) and t.id in ("FUNCTIONS", "METHODS")}
+    assert tables["FUNCTIONS"] and tables["METHODS"]
+    for mod, name in tables["FUNCTIONS"]:
+        assert callable(getattr(importlib.import_module(f"spdo.{mod}"),
+                                name, None)), f"{mod}.{name}"
+    for mod, cls, meth in tables["METHODS"]:
+        klass = getattr(importlib.import_module(f"spdo.{mod}"), cls, None)
+        assert callable(getattr(klass, meth, None)), f"{mod}.{cls}.{meth}"
 
 
 def _python(code: str) -> list:
