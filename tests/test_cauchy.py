@@ -89,6 +89,29 @@ def _lattice_roots(spec, grid):
     return xis, characteristic_roots(mats)
 
 
+def _unit_sphere_roots(spec):
+    """Roots at the 1-D unit sphere xi = +-1, over a spread of (t, w, x)."""
+    t = np.linspace(0.0, 1.0, 5)[:, None, None]
+    w = np.array([-1.5, 0.0, 2.0])[None, :, None]
+    x = G.points().reshape(-1, 1)[None, None, ::4, None, :]
+    xi = np.array([[1.0], [-1.0]])
+    mats = CompanionSymbol(spec)(t[..., None], w[..., None], x, xi)
+    return characteristic_roots(mats).reshape(-1, spec.m)
+
+
+def test_wave_roots():
+    for lams in _unit_sphere_roots(make_equation("wave", 1)):
+        got = np.sort(lams.real)
+        assert np.abs(np.sort(lams.imag)).max() < 1e-10
+        assert np.abs(got - np.array([-1.0, 1.0])).max() < 1e-10
+
+
+def test_schrodinger_roots():
+    for lams in _unit_sphere_roots(make_equation("schrodinger", 1)):
+        assert np.abs(np.sort(lams.imag) - np.array([-1.0, 1.0])).max() < 1e-10
+        assert np.abs(lams.real).max() < 1e-10
+
+
 def test_companion_consistency_eigenvalues_equal_roots():
     # the registry equations' roots in closed form: +-|xi|, +-i|xi| and xi_1
     closed = {"wave": lambda xi, mag: np.stack([mag, -mag], -1),
