@@ -1,8 +1,9 @@
 """Generated by tools/gen_compiled_symbols.py; do not edit.
 
-COMPILED[name, dim] = (lambdify source of the evaluator, (rank, source) of
-the separation or None, x_independent, tw_independent) of each registry
-symbol, rendered with sympy from registry._SYMBOL_TABLE.
+COMPILED[name, dim] = (source of the evaluator, (rank, source) of the
+separation or None, x_independent, tw_independent) of each registry symbol
+and family, rendered with sympy from registry._SYMBOL_TABLE and
+registry._FAMILY_TABLE (a family's parameters p0, p1, .. left free).
 """
 
 COMPILED = {
@@ -236,5 +237,26 @@ COMPILED = {
         (1,
          'def _lambdifygenerated(t, w, x1, x2, x3, xi1, xi2, xi3):\n'
          '    return [sin(x1)**2 + 1, xi1**2 + xi2**2 + xi3**2 + 1]\n'),
+        False, True),
+    ('trig-order-1', 1): (
+        'def _lambdifygenerated(t, w, x1, xi1):\n'
+        '    return p0 + p1*sin(x1) + p2*cos(x1) + xi1*(p3 + p4*cos(x1))\n',
+        (2,
+         'def _lambdifygenerated(t, w, x1, xi1):\n'
+         '    return [p0 + p1*sin(x1) + p2*cos(x1), p3 + p4*cos(x1), 1, xi1]\n'),
+        False, True),
+    ('trig-order-1', 2): (
+        'def _lambdifygenerated(t, w, x1, x2, xi1, xi2):\n'
+        '    return p0 + p1*sin(x1) + p2*cos(x1) + xi1*(p3 + p4*cos(x1))\n',
+        (2,
+         'def _lambdifygenerated(t, w, x1, x2, xi1, xi2):\n'
+         '    return [p0 + p1*sin(x1) + p2*cos(x1), p3 + p4*cos(x1), 1, xi1]\n'),
+        False, True),
+    ('trig-order-1', 3): (
+        'def _lambdifygenerated(t, w, x1, x2, x3, xi1, xi2, xi3):\n'
+        '    return p0 + p1*sin(x1) + p2*cos(x1) + xi1*(p3 + p4*cos(x1))\n',
+        (2,
+         'def _lambdifygenerated(t, w, x1, x2, x3, xi1, xi2, xi3):\n'
+         '    return [p0 + p1*sin(x1) + p2*cos(x1), p3 + p4*cos(x1), 1, xi1]\n'),
         False, True),
 }

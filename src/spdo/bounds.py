@@ -266,6 +266,9 @@ def garding_check(a: Symbol, delta_star: float, eps: float, r: float,
             # np.minimum, not min: a NaN ratio propagates
             worst = np.minimum(worst, (vals / scale).min())
     worst = float(worst)
+    if not math.isfinite(worst):
+        raise HypothesisError(f"Re a / |xi|^l is {worst} on the grid, not a "
+                              "finite lower bound")
     if worst < delta_star - eps - 1e-9:
         raise HypothesisError(
             f"Re a / |xi|^l dips to {worst:.6g} < delta* - eps = "

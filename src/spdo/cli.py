@@ -254,6 +254,9 @@ def _held_arrays(command, v):
                     "the unitary run")]
     elif command == "verify-symbol":
         dim, N = shapes[0]
+        # the scan holds its values in blocks of about 1 MiB of
+        # frequencies, so this row bounds the scan's work at each sample,
+        # not its memory
         arrays.append((16 * _sites(dim, min(N, 16)) * n, grid,
                        "the ellipticity scan of at least min(N, 16)^n "
                        "points by N^n frequencies"))
@@ -421,18 +424,17 @@ def run_quantize_demo(v, seed):
     grid = _grid(v["grid.dim"], v["grid.N"])
     n_random = v["random_symbols"]
     if n_random > 0:
-        from .symbols import sp, _X, _XI, symbol_from_expr
+        from .registry import family_symbol
 
         # extraction identity on random order-<=1 symbols with periodic
-        # (trig-polynomial) coefficients, swept over every resolved mode
+        # (trig-polynomial) coefficients, p0 + p1 sin x1 + p2 cos x1
+        # + (p3 + p4 cos x1) xi1, swept over every resolved mode
         rng = np.random.default_rng(seed)
         worst = 0.0
         rows = []
         for i in range(n_random):
-            c0 = (rng.normal() + rng.normal() * sp.sin(_X[0])
-                  + rng.normal() * sp.cos(_X[0]))
-            c1 = rng.normal() + rng.normal() * sp.cos(_X[0])
-            a = symbol_from_expr(c0 + c1 * _XI[0], grid.dim, order=1)
+            a = family_symbol("trig-order-1", grid.dim,
+                              [rng.normal() for _ in range(5)])
             errs = _extraction_sweep(a, grid)
             # numpy's max and maximum propagate NaN; Python's max drops it
             e = float(np.max([err for _, err in errs]))

@@ -22,6 +22,7 @@ __all__ = [
     "SYMBOLS",
     "EQUATIONS",
     "make_symbol",
+    "family_symbol",
     "make_equation",
     "parse_symbol_expr",
 ]
@@ -151,12 +152,26 @@ _SYMBOL_TABLE = {
 
 SYMBOLS = {k: v[1] for k, v in _SYMBOL_TABLE.items()}
 
+# name -> (order, parameter count, expr builder over (sympy, x, xi, w, p)):
+# families of symbols whose parameters p0, p1, .. are drawn at run time.
+# They are rendered like the registry symbols, with the parameters left as
+# free names, and make_symbol does not know them.
+_FAMILY_TABLE = {
+    # the random symbols of quantize-demo
+    "trig-order-1": (1.0, 5, lambda sp, x, xi, w, p: p[0]
+                     + p[1] * sp.sin(x[0]) + p[2] * sp.cos(x[0])
+                     + (p[3] + p[4] * sp.cos(x[0])) * xi[0]),
+}
 
-def _expr(name: str, dim: int):
-    """The sympy expression of registry symbol `name` in dimension dim."""
+
+def _expr(name: str, dim: int, params=None):
+    """The sympy expression of registry symbol `name` in dimension dim, or
+    of family `name` at the parameter values params."""
     from .symbols import sp, _W, _X, _XI
 
-    return _SYMBOL_TABLE[name][2](sp, _X, _XI[:dim], _W)
+    if params is None:
+        return _SYMBOL_TABLE[name][2](sp, _X, _XI[:dim], _W)
+    return _FAMILY_TABLE[name][2](sp, _X, _XI[:dim], _W, params)
 
 
 def make_symbol(name: str, dim: int = 1, order: float | None = None) -> Symbol:
@@ -181,6 +196,19 @@ def make_symbol(name: str, dim: int = 1, order: float | None = None) -> Symbol:
         raise RegistryError(
             f"unknown symbol {name!r}; known: {sorted(SYMBOLS)} or an "
             f"expression over (t, w, x, xi): {e}") from None
+
+
+def family_symbol(name: str, dim: int, params) -> Symbol:
+    """The symbol of family `name` at the parameter values params, read off
+    its rendered form in _compiled_symbols with the values bound to the
+    names p0, p1, .. and no sympy; sympy loads when its expression is first
+    read."""
+    from ._compiled_symbols import COMPILED
+
+    return Symbol._precompiled(_FAMILY_TABLE[name][0], dim, "",
+                               partial(_expr, name, dim, params),
+                               COMPILED[name, dim],
+                               {f"p{k}": v for k, v in enumerate(params)})
 
 
 def _wave(dim: int) -> EquationSpec:

@@ -10,9 +10,11 @@ numpy evaluator ``fn(t, w, x, xi)`` is compiled only when the symbol is
 first evaluated: ``x`` and ``xi`` are arrays whose last axis is the spatial
 dimension, and ``t`` and ``w`` may be arrays too (one entry per (path,
 time) node), broadcast against the components of ``x`` and ``xi``.  A
-compile renders the lambdify source (_source) and runs it (_load); a
-registry symbol is read off sources rendered ahead of time
-(Symbol._precompiled), so it needs no sympy until its expression is read.
+compile renders the evaluator's source with sympy's numpy printer, the text
+lambdify would write (_source), and runs it (_load).  A registry symbol,
+or a member of a registry family at drawn parameter values, is read off
+sources rendered ahead of time (Symbol._precompiled), so it needs no sympy
+until its expression is read.
 
 sympy is imported on first use, with the cyclic collector paused, and the
 heap is then frozen (``spdo._import_long_lived``): sympy's lives as long as
@@ -22,7 +24,6 @@ the process, and no later collection or interpreter exit walks it.
 from __future__ import annotations
 
 import builtins
-import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,6 +46,9 @@ __all__ = [
 
 # the most terms Symbol.separated expands a symbol to
 _SEPARATE_TERMS = 1000
+
+# the bytes of complex symbol values ellipticity_check holds at one time
+_SCAN_BYTES = 1 << 20
 
 # sympy and the variables are built on first use, so a command that builds
 # no symbol never imports sympy
@@ -177,16 +181,18 @@ class Symbol(_Evaluable):
         self.name = name
 
     @classmethod
-    def _precompiled(cls, order, dim, name, build, compiled) -> "Symbol":
+    def _precompiled(cls, order, dim, name, build, compiled,
+                     params=None) -> "Symbol":
         """The Symbol of expression build(), read off its rendered form
         compiled = (_source of fn, _separation, x_independent,
-        tw_independent) with no sympy: only reading ``expr`` calls build."""
+        tw_independent) with no sympy, the free names of the sources bound
+        to the values of params: only reading ``expr`` calls build."""
         a = cls.__new__(cls)
         a.order, a.dim, a.integrability, a.name = order, dim, math.inf, name
         a._build = build
         source, separation, a.x_independent, a.tw_independent = compiled
-        a.fn = _load(source, dim)
-        a.separated = _load_separation(separation, dim)
+        a.fn = _load(source, dim, params)
+        a.separated = _load_separation(separation, dim, params)
         return a
 
     @cached_property
@@ -313,23 +319,34 @@ def _expand_bound(e) -> int:
 
 
 def _source(expr, dim, groups) -> str:
-    """The lambdify source of the numpy evaluator of expr, whose arguments
-    are t, w and the first dim variables of each group (a list of
-    expressions gives a function returning the list of their values)."""
-    return inspect.getsource(sp.lambdify(
-        (_T, _W) + tuple(v for g in groups for v in g[:dim]), expr,
-        modules=[np], docstring_limit=-1))
+    """The source text of the numpy evaluator of expr, whose arguments are
+    t, w and the first dim variables of each group (a list of expressions
+    gives a function returning the list of their values): the text
+    lambdify(modules=[numpy]) writes, its body rendered with the printer
+    and the settings lambdify uses.  Free names other than the arguments
+    stay names, bound by _load's params."""
+    from sympy.printing.numpy import NumPyPrinter
+
+    doprint = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
+                            "allow_unknown_functions": True,
+                            "user_functions": {}}).doprint
+    body = ("[" + ", ".join(map(doprint, expr)) + "]"
+            if isinstance(expr, list) else doprint(expr))
+    args = ", ".join(str(v) for v in (_T, _W) + tuple(
+        v for g in groups for v in g[:dim]))
+    return f"def _lambdifygenerated({args}):\n    return {body}\n"
 
 
-def _load(source, dim):
+def _load(source, dim, params=None):
     """numpy evaluator fn(t, w, *arrays) of a _source text, run in the
-    namespace lambdify(modules=[numpy]) runs it in: one array per variable
-    group, components on the last axis; the result takes the broadcast
-    shape of t, w and the components (a list result is the list of the
-    values, each in the shape of the variables it holds)."""
+    namespace lambdify(modules=[numpy]) runs it in, with the names of the
+    dict params bound to its values: one array per variable group,
+    components on the last axis; the result takes the broadcast shape of
+    t, w and the components (a list result is the list of the values, each
+    in the shape of the variables it holds)."""
     scope = {}
-    exec(source, {**np.__dict__, "builtins": builtins, "range": range},
-         scope)
+    exec(source, {**np.__dict__, "builtins": builtins, "range": range,
+                  **(params or {})}, scope)
     (f,) = scope.values()
 
     def fn(t, w, *arrays):
@@ -345,9 +362,9 @@ def _load(source, dim):
     return fn
 
 
-def _load_separation(separation, dim):
+def _load_separation(separation, dim, params=None):
     """(r, fn) of a _separation (r, source), or None."""
-    return separation and (separation[0], _load(separation[1], dim))
+    return separation and (separation[0], _load(separation[1], dim, params))
 
 
 def _xi_degree(expr, dim) -> int | None:
@@ -591,9 +608,14 @@ def ellipticity_check(a: Symbol, grid, ensemble=None) -> EllipticityResult:
     min_ratio = np.full(len(xis), np.inf)
     X = xs[:, None, :]
     XI = xis[None, :, :]
+    # the (points, frequencies) values a block of about _SCAN_BYTES at a
+    # time; the minimum over the points is exact in any blocking
+    step = max(1, _SCAN_BYTES // (16 * len(xs)))
     for tj, wv in samples:
-        vals = np.abs(a(tj, wv, X, XI)) / weight[None, :]
-        min_ratio = np.minimum(min_ratio, vals.min(axis=0))
+        for s in range(0, len(xis), step):
+            b = slice(s, s + step)
+            vals = np.abs(a(tj, wv, X, XI[:, b])) / weight[None, b]
+            min_ratio[b] = np.minimum(min_ratio[b], vals.min(axis=0))
 
     xi_max = grid.max_resolved_freq
     r_big = xi_max / 2.0

@@ -166,6 +166,15 @@ def test_garding_hypothesis_violation():
         garding_check(a, 1.0, 0.1, 0.0, GRIDS, ENS, trials=2)
 
 
+def test_garding_nan_hypothesis_is_a_violation():
+    # sqrt(cos x) is NaN wherever cos x < 0: the ratio min is NaN, which no
+    # comparison with delta* - eps may let through
+    a = symbol_from_expr(_XI[0] ** 2 * (2 + sp.sqrt(sp.cos(_X[0]))), 1,
+                         order=2)
+    with pytest.raises(HypothesisError, match="nan"):
+        garding_check(a, 1.0, 0.1, 0.0, GRIDS, ENS, trials=2)
+
+
 def test_garding_margin_monotone_in_constant_shift():
     # adding c > 0 (order-0 part) never increases the required C
     a = symbol_from_expr(_XI[0] ** 2, 1, order=2)

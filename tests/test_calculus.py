@@ -35,18 +35,20 @@ def _eval(s, x, xi, t=0.0, w=0.0):
 # -- composition -------------------------------------------------------------
 
 def test_compose_compiles_only_the_evaluated_symbol(monkeypatch):
+    import spdo.symbols
     from spdo.registry import make_symbol
 
     b = make_symbol("drift-wave")
     a = make_symbol("garding-stochastic")
+    # a compile is one _source render of an expression
     compiled = []
-    real = sp.lambdify
+    real = spdo.symbols._source
 
     def counted(*args, **kwargs):
         compiled.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sp, "lambdify", counted)
+    monkeypatch.setattr(spdo.symbols, "_source", counted)
     s = compose_symbols(b, a, 3).symbol_sum()
     assert compiled == []
     # sin(x) xi (2 + sin x + sin(w)/10) xi^2 - i sin(x) cos(x) xi^2

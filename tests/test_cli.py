@@ -218,14 +218,14 @@ def test_integrator_lucky_undersampled_draw_fails(tmp_path, capsys):
     assert rep["report"]["ito_isometry"]["rel_error"] < 0.01
 
 
-@pytest.mark.skipif(sys.platform != "linux",
-                    reason="reads ru_maxrss in KiB, as Linux reports it")
-def test_integrator_peak_memory(tmp_path):
-    # the defaults (M = 10^4, K = 200, N = 8) would make a 257 MB
-    # (path, time) solution; the Ito check keeps only the 1.3 MB spectral
-    # state next to the 16 MB (M, K + 1) paths, which are drawn and
-    # differenced without a second (M, K) array, and the process peaks
-    # near 56 MB, about 35 MB of it the imports.
+_LINUX = pytest.mark.skipif(sys.platform != "linux",
+                            reason="reads ru_maxrss in KiB, as Linux "
+                                   "reports it")
+
+
+def _peak_mb(tmp_path, command, cfg_text):
+    """(exit code, peak RSS in MB) of `python -m spdo.cli command` on
+    cfg_text in a fresh process."""
     # Linux keeps a process's peak RSS across exec, so the command is
     # started from a small interpreter, not forked from this large one
     measure = (
@@ -233,13 +233,48 @@ def test_integrator_peak_memory(tmp_path):
         "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
         "_, status, usage = os.wait4(proc.pid, 0)\n"
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    cfg = tmp_path / f"{command}-peak.cfg"
+    cfg.write_text(cfg_text)
     res = subprocess.run(
         [sys.executable, "-c", measure, sys.executable, "-m", "spdo.cli",
-         "integrator", "--out", str(tmp_path / "out")],
+         command, "--config", str(cfg), "--out", str(tmp_path / "out")],
         env=_child_env(), capture_output=True, text=True, timeout=120)
     code, kib = res.stdout.split()
-    assert code == "0", res.stderr
-    assert int(kib) / 1024.0 < 64.0
+    return int(code), int(kib) / 1024.0
+
+
+@_LINUX
+def test_integrator_peak_memory(tmp_path):
+    # the defaults (M = 10^4, K = 200, N = 8) would make a 257 MB
+    # (path, time) solution; the Ito check keeps only the 1.3 MB spectral
+    # state next to the 16 MB (M, K + 1) paths, which are drawn and
+    # differenced without a second (M, K) array, and the process peaks
+    # near 56 MB, about 35 MB of it the imports.
+    code, mb = _peak_mb(tmp_path, "integrator", "")
+    assert code == 0
+    assert mb < 64.0
+
+
+@_LINUX
+def test_verify_symbol_ellipticity_scan_peak_memory(tmp_path):
+    # 2-D N = 128 scans 256 points by 16,384 frequencies (67 MB of complex
+    # values at once before the scan was blocked, a 177 MB peak); blocks of
+    # about 1 MiB keep the peak near 97 MB, most of it the imports and the
+    # derivative-estimate samples
+    code, mb = _peak_mb(tmp_path, "verify-symbol",
+                        "symbol = bessel1\ngrid.dim = 2\ngrid.N = 128\n")
+    assert code == 0
+    assert mb < 110.0
+
+
+def test_garding_nan_hypothesis_exits_1(tmp_path):
+    # NaN wherever cos x < 0: a hypothesis error, not a FAIL on a NaN ratio
+    res = _spawn(tmp_path, "garding", "symbol = xi**2*(2+sqrt(cos(x)))\n"
+                                      "symbol.order = 2\n"
+                                      "grid.N_list = 16,32\n")
+    assert res.returncode == 1, res.stderr
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("hypothesis error: ") and "nan" in line
 
 
 def test_compose_example_prints_expansion(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Every top-level definition in src/spdo is reached from a CLI command, or
 is named below with the verdict that is meant to reach it; no command loads
-scipy, the commands that do no calculus and name only registry symbols do not
-load sympy, the CLI's numpy and sympy imports are frozen out of the cyclic
-collector, and every name the benchmark's tracer wraps exists."""
+scipy, the commands that do no calculus and name only registry symbols or
+registry families do not load sympy, the CLI's numpy and sympy imports are
+frozen out of the cyclic collector, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
 import importlib
@@ -179,6 +180,16 @@ def test_numeric_command_loads_no_sympy(tmp_path, command):
     rc, loaded, _ = _fresh_run(tmp_path, command, NUMERIC[command])
     assert rc in (0, 2)
     assert not loaded
+
+
+@pytest.mark.parametrize("count", [3, 20])
+def test_random_quantize_demo_loads_no_sympy(tmp_path, count):
+    # its random symbols are one precompiled family at drawn parameters
+    rc, loaded, out = _fresh_run(
+        tmp_path, "quantize-demo", f"random_symbols = {count}\ngrid.N = 16\n")
+    assert rc == 0
+    assert not loaded
+    assert f'"random_symbols": {count}' in (out / "report.json").read_text()
 
 
 @pytest.mark.parametrize("command", ["bounds", "carleman", "garding",

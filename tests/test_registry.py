@@ -9,6 +9,7 @@ from spdo.registry import (
     EQUATIONS,
     RegistryError,
     SYMBOLS,
+    family_symbol,
     make_equation,
     make_symbol,
     parse_symbol_expr,
@@ -156,6 +157,63 @@ def test_compiled_symbol_matches_the_sympy_path(name, dim):
         assert _bits(g) == _bits(v)
     assert (got.order, got.name) == (want.order, want.name)
     assert got.expr == want.expr
+
+
+def _drawn_family(dim, seed):
+    """The quantize-demo family at a draw of seed, and the expression built
+    from the same draw as a sympy expression in the order of the draws."""
+    rng = np.random.default_rng(seed)
+    c0 = (rng.normal() + rng.normal() * sp.sin(_X[0])
+          + rng.normal() * sp.cos(_X[0]))
+    c1 = rng.normal() + rng.normal() * sp.cos(_X[0])
+    rng = np.random.default_rng(seed)
+    a = family_symbol("trig-order-1", dim, [rng.normal() for _ in range(5)])
+    return a, c0 + c1 * _XI[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_family_symbol_agrees_with_its_drawn_expression(dim):
+    a, want = _drawn_family(dim, 40 + dim)
+    grid = Grid(dim, 8)
+    x = grid.points().reshape(-1, dim)[:, None, :]
+    xi = grid.freqs().reshape(-1, dim)[None, :, :]
+    f = sp.lambdify((_T, _W) + _X[:dim] + _XI[:dim], want, modules=[np])
+    ref = np.broadcast_to(f(0.0, 0.0, *np.moveaxis(x, -1, 0),
+                            *np.moveaxis(xi, -1, 0)), (len(x), xi.shape[1]))
+    rank, sep = a.separated
+    vals = sep(0.0, 0.0, x, xi)
+    separated = sum(c * g for c, g in zip(vals[:rank], vals[rank:]))
+    scale = np.abs(ref).max()
+    for got in (a(0.0, 0.0, x, xi), separated):
+        assert np.abs(got - ref).max() <= 1e-14 * scale
+    assert (rank, a.x_independent, a.tw_independent) == (2, False, True)
+    assert (a.order, a.dim) == (1.0, dim)
+    # the expression is built on first read, with the same numbers
+    assert a.expr == want
+
+
+def test_family_applies_agree_with_its_drawn_expression():
+    # the dense sum at one node and the separated path over many nodes
+    from spdo.grid import Field, random_band_limited
+    from spdo.quantize import apply_symbol_op
+    from spdo.symbols import symbol_from_expr
+
+    for dim, N in ((1, 32), (2, 16)):
+        a, want = _drawn_family(dim, 7)
+        b = symbol_from_expr(want, dim, order=1)
+        grid = Grid(dim, N)
+        rng = np.random.default_rng(dim)
+        u = Field(grid, np.stack([random_band_limited(grid, rng).values
+                                  for _ in range(3)]))
+        for t in (0.0, np.array([0.0, 0.1, 0.2])):
+            got = apply_symbol_op(a, u, t, 0.5).values
+            ref = apply_symbol_op(b, u, t, 0.5).values
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_family_is_not_a_registry_name():
+    with pytest.raises(RegistryError):
+        make_symbol("trig-order-1")
 
 
 def test_compiled_symbols_module_is_current():

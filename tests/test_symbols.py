@@ -1,5 +1,6 @@
 """Symbol classes, derivative machinery, estimate and ellipticity checks."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spdo.symbols
 from spdo.grid import Grid
 from spdo.symbols import (
     UndefinedExponentError,
@@ -80,20 +82,21 @@ def test_closed_form_derivative_matches_hand():
     assert np.abs(got.ravel() - np.array([12.0, 18.0])).max() < 1e-12
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=sp):
     calls = []
-    real = getattr(sp, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sp, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_symbol_from_expr_compiles_on_first_call(monkeypatch):
-    compiled = _count_calls(monkeypatch, "lambdify")
+    # a compile is one _source render of the expression
+    compiled = _count_calls(monkeypatch, "_source", spdo.symbols)
     polys = _count_calls(monkeypatch, "Poly")
     a = symbol_from_expr(sp.sin(_X[0]) * _XI[0] ** 2, 1, order=2)
     b = (3 * a + a * a).derivative((1,), (1,)).conjugate()
@@ -230,6 +233,89 @@ def test_ellipticity_scaling_invariance():
     r2 = ellipticity_check(symbol_from_expr(5 * (1 + _XI[0] ** 2), 1, order=2), G)
     assert r1.elliptic and r2.elliptic
     assert abs(r2.C_K - 5.0 * r1.C_K) < 1e-9 * r2.C_K + 1e-12
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 32), Grid(2, 16)],
+                         ids=["1d", "2d"])
+def test_ellipticity_scan_is_the_same_in_any_blocking(monkeypatch, grid):
+    # the scan takes the minimum over the points a block of frequencies at
+    # a time: one frequency per block, 7 (a short last block), the default
+    # and all at once give the same result, whichever frequency holds the
+    # minimum
+    from spdo.stochastic import sample_brownian
+    from spdo.grid import TimeGrid
+    import spdo.symbols
+
+    ens = sample_brownian(6, TimeGrid(0.5, 16), seed=4)
+    npts = min(grid.N, 16) ** grid.dim
+    for c in (0.0, 0.3, -1.1, 2.5):
+        a = symbol_from_expr((1 + sum(v ** 2 for v in _XI[:grid.dim]))
+                             * (2 + sp.sin(_X[0] + c * _XI[0])
+                                + sp.sin(_W) / 10), grid.dim, order=2)
+        got = set()
+        for block in (1, 7, None, grid.N ** grid.dim):
+            if block is not None:
+                monkeypatch.setattr(spdo.symbols, "_SCAN_BYTES",
+                                    16 * npts * block)
+            res = ellipticity_check(a, grid, ens)
+            got.add((res.elliptic, res.C_K, res.R_K))
+        assert len(got) == 1
+
+
+def _lambdify_source(expr, dim, groups):
+    return inspect.getsource(sp.lambdify(
+        (_T, _W) + tuple(v for g in groups for v in g[:dim]), expr,
+        modules=[np], docstring_limit=-1))
+
+
+def test_source_is_the_text_lambdify_writes(monkeypatch):
+    # every expression _source renders on a corpus of registry symbols in
+    # dims 1-3 and their separation lists, a parametrix with its psi5
+    # Piecewise cutoff, a complex compose sum, an amplitude and Abs, sqrt,
+    # exp, float and rational coefficients
+    import spdo.symbols
+    from spdo.calculus import compose_symbols, parametrix
+    from spdo.registry import _FAMILY_TABLE, _SYMBOL_TABLE, _expr
+
+    renders = []
+    real = spdo.symbols._source
+
+    def recorded(expr, dim, groups):
+        renders.append((expr, dim, groups, real(expr, dim, groups)))
+        return renders[-1][-1]
+
+    monkeypatch.setattr(spdo.symbols, "_source", recorded)
+    symbols = []
+    for dim in (1, 2, 3):
+        for name, (order, _, _) in _SYMBOL_TABLE.items():
+            symbols.append(symbol_from_expr(_expr(name, dim), dim,
+                                            order=order))
+        for name, (order, count, _) in _FAMILY_TABLE.items():
+            for params in (sp.symbols(f"p0:{count}"),
+                           np.random.default_rng(dim).normal(size=count)
+                           .tolist()):
+                symbols.append(symbol_from_expr(_expr(name, dim, params),
+                                                dim, order=order))
+    demo = symbols[10]
+    assert demo.expr == _expr("parametrix-demo", 1)
+    symbols += [s for _, s in parametrix(demo, 2, Grid(1, 32)).terms]
+    symbols.append(compose_symbols(
+        symbol_from_expr(sp.sin(_X[0]) * _XI[0] ** 2 + sp.I * _XI[0], 1,
+                         order=2),
+        symbol_from_expr(sp.exp(sp.cos(_X[0]) + _W) * _XI[0] + 0.25, 1,
+                         order=1), 3).symbol_sum())
+    symbols.append(symbol_from_expr(
+        sp.Abs(sp.sin(_X[0])) * sp.sqrt(1 + _XI[0] ** 2 + _XI[1] ** 2)
+        + sp.exp(-_T) * sp.Rational(3, 7) - 1e-300 * _XI[1], 2, order=1))
+    for a in symbols:
+        a.fn
+        a.separated
+    amp = amplitude_from_expr(sp.cos(_W) * _Y[0] * _XI[0] + _X[0] / 3, 1,
+                              order=1)
+    amp.fn
+    assert len(renders) > len(symbols) + 1  # with the separations
+    for expr, dim, groups, text in renders:
+        assert text == _lambdify_source(expr, dim, groups), expr
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 11])
