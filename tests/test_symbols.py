@@ -244,7 +244,6 @@ def test_ellipticity_scan_is_the_same_in_any_blocking(monkeypatch, grid):
     # minimum
     from spdo.stochastic import sample_brownian
     from spdo.grid import TimeGrid
-    import spdo.symbols
 
     ens = sample_brownian(6, TimeGrid(0.5, 16), seed=4)
     npts = min(grid.N, 16) ** grid.dim
@@ -273,7 +272,6 @@ def test_source_is_the_text_lambdify_writes(monkeypatch):
     # dims 1-3 and their separation lists, a parametrix with its psi5
     # Piecewise cutoff, a complex compose sum, an amplitude and Abs, sqrt,
     # exp, float and rational coefficients
-    import spdo.symbols
     from spdo.calculus import compose_symbols, parametrix
     from spdo.registry import _FAMILY_TABLE, _SYMBOL_TABLE, _expr
 
@@ -296,8 +294,7 @@ def test_source_is_the_text_lambdify_writes(monkeypatch):
                            .tolist()):
                 symbols.append(symbol_from_expr(_expr(name, dim, params),
                                                 dim, order=order))
-    demo = symbols[10]
-    assert demo.expr == _expr("parametrix-demo", 1)
+    demo = symbol_from_expr(_expr("parametrix-demo", 1), 1, order=2)
     symbols += [s for _, s in parametrix(demo, 2, Grid(1, 32)).terms]
     symbols.append(compose_symbols(
         symbol_from_expr(sp.sin(_X[0]) * _XI[0] ** 2 + sp.I * _XI[0], 1,
