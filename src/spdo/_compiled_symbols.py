@@ -259,4 +259,25 @@ COMPILED = {
          'def _lambdifygenerated(t, w, x1, x2, x3, xi1, xi2, xi3):\n'
          '    return [p0 + p1*sin(x1) + p2*cos(x1), p3 + p4*cos(x1), 1, xi1]\n'),
         False, True),
+    ('trig-poly-3', 1): (
+        'def _lambdifygenerated(t, w, x1, xi1):\n'
+        '    return p0 + p1*sin(x1) + p10*xi1**3*sin(x1) + p11*xi1**3*cos(x1) + p2*cos(x1) + p3*xi1 + p4*xi1*sin(x1) + p5*xi1*cos(x1) + p6*xi1**2 + p7*xi1**2*sin(x1) + p8*xi1**2*cos(x1) + p9*xi1**3\n',
+        (4,
+         'def _lambdifygenerated(t, w, x1, xi1):\n'
+         '    return [p0 + p1*sin(x1) + p2*cos(x1), p3 + p4*sin(x1) + p5*cos(x1), p6 + p7*sin(x1) + p8*cos(x1), p10*sin(x1) + p11*cos(x1) + p9, 1, xi1, xi1**2, xi1**3]\n'),
+        False, True),
+    ('trig-poly-3', 2): (
+        'def _lambdifygenerated(t, w, x1, x2, xi1, xi2):\n'
+        '    return p0 + p1*sin(x1) + p10*xi1**3*sin(x1) + p11*xi1**3*cos(x1) + p2*cos(x1) + p3*xi1 + p4*xi1*sin(x1) + p5*xi1*cos(x1) + p6*xi1**2 + p7*xi1**2*sin(x1) + p8*xi1**2*cos(x1) + p9*xi1**3\n',
+        (4,
+         'def _lambdifygenerated(t, w, x1, x2, xi1, xi2):\n'
+         '    return [p0 + p1*sin(x1) + p2*cos(x1), p3 + p4*sin(x1) + p5*cos(x1), p6 + p7*sin(x1) + p8*cos(x1), p10*sin(x1) + p11*cos(x1) + p9, 1, xi1, xi1**2, xi1**3]\n'),
+        False, True),
+    ('trig-poly-3', 3): (
+        'def _lambdifygenerated(t, w, x1, x2, x3, xi1, xi2, xi3):\n'
+        '    return p0 + p1*sin(x1) + p10*xi1**3*sin(x1) + p11*xi1**3*cos(x1) + p2*cos(x1) + p3*xi1 + p4*xi1*sin(x1) + p5*xi1*cos(x1) + p6*xi1**2 + p7*xi1**2*sin(x1) + p8*xi1**2*cos(x1) + p9*xi1**3\n',
+        (4,
+         'def _lambdifygenerated(t, w, x1, x2, x3, xi1, xi2, xi3):\n'
+         '    return [p0 + p1*sin(x1) + p2*cos(x1), p3 + p4*sin(x1) + p5*cos(x1), p6 + p7*sin(x1) + p8*cos(x1), p10*sin(x1) + p11*cos(x1) + p9, 1, xi1, xi1**2, xi1**3]\n'),
+        False, True),
 }

@@ -36,9 +36,11 @@ class EllipticityError(ValueError):
 
 @dataclass
 class AsymptoticSeries:
-    """Ordered finite list of (order, Symbol) with strictly decreasing orders."""
+    """Ordered finite list of (order, Symbol) with strictly decreasing
+    orders, of symbols in dim variables."""
 
     terms: list  # [(order_j, Symbol)]
+    dim: int
 
     def __post_init__(self):
         orders = [o for o, _ in self.terms]
@@ -53,7 +55,7 @@ class AsymptoticSeries:
         """Plain finite sum of the terms (no cutoffs); exact for truncated
         expansions of differential operators."""
         if not self.terms:
-            return symbol_from_expr(0, 1, order=0)
+            return symbol_from_expr(0, self.dim, order=0)
         total = self.terms[0][1]
         for _, s in self.terms[1:]:
             total = total + s
@@ -101,7 +103,7 @@ def _expansion(term, only_lead, lead, n_terms, integrability, dim):
         s.order = lead - j
         s.integrability = integrability
         out.append((lead - j, s))
-    return AsymptoticSeries(out)
+    return AsymptoticSeries(out, dim)
 
 
 def _is_zero(s, summands) -> bool:
@@ -213,7 +215,7 @@ def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries
         terms.append((-a.order - j,
                       symbol_from_expr(highpass * q, dim, order=-a.order - j,
                                        integrability=math.inf)))
-    return AsymptoticSeries(terms)
+    return AsymptoticSeries(terms, dim)
 
 
 def series_apply(series: AsymptoticSeries, u, t: float = 0.0, w=0.0):

@@ -454,13 +454,13 @@ def run_quantize_demo(v, seed):
     return report, passed, {"extraction": (("mode", "rel_error"), errs)}
 
 
-def _compose_error(b, a, grid, rng, trials, n_terms):
+def _compose_error(b, a, comp, grid, rng, trials):
+    """Worst relative L2 distance of comp, the composed symbol, from b
+    applied after a, over `trials` random fields."""
     import numpy as np
-    from .calculus import compose_symbols
     from .quantize import apply_symbol_op
     from .grid import Field, l2_norm, random_band_limited
 
-    comp = compose_symbols(b, a, n_terms).symbol_sum()
     # the trial fields, drawn in turn, applied as one batch at one node
     u = Field(grid, np.stack([random_band_limited(grid, rng).values
                               for _ in range(trials)]))
@@ -471,23 +471,78 @@ def _compose_error(b, a, grid, rng, trials, n_terms):
     return float(np.max(err / np.maximum(l2_norm(direct), 1e-30)))
 
 
-def _random_poly_symbol(rng, dim):
-    """xi-polynomial of degree <= 3 with trigonometric (periodic)
-    x-coefficients."""
-    import numpy as np
-    from .symbols import sp, _X, _XI, symbol_from_expr
+# the family of the random pairs (registry._FAMILY_TABLE)
+_PAIR_FAMILY = "trig-poly-3"
 
-    expr = sp.S.Zero
+
+def _random_poly_draw(rng):
+    """(parameters p of a member of family trig-poly-3, its degree deg):
+    for each d <= deg < 4, a coefficient in [-2, 2] to three decimals at
+    p[3 d + kind], kind drawn from 0, 1, 2 (1, sin x1, cos x1); the
+    constant 1 when every coefficient is 0."""
+    import numpy as np
+
+    p = [0.0] * 12
     deg = int(rng.integers(0, 4))
     for d in range(deg + 1):
         c = float(np.round(rng.uniform(-2, 2), 3))
-        kind = int(rng.integers(0, 3))
-        coeff = c if kind == 0 else c * sp.sin(_X[0]) if kind == 1 \
-            else c * sp.cos(_X[0])
-        expr = expr + coeff * _XI[0] ** d
-    if expr == 0:
-        expr = sp.S.One
-    return symbol_from_expr(expr, dim, order=float(deg)), deg
+        p[3 * d + int(rng.integers(0, 3))] = c
+    if not any(p):
+        p[0] = 1.0
+    return p, deg
+
+
+def _composed_family(dim, bd):
+    """The composition of b after a, two members of trig-poly-3 with
+    parameters b0..b11 and a0..a11, expanded in sympy to n_terms = bd
+    (exact for b of degree <= bd): its expression and its rendered form
+    for Symbol._precompiled, the separation not rendered."""
+    from .calculus import compose_symbols
+    from .registry import _expr
+    from .symbols import _source, sp, symbol_from_expr
+
+    b, a = (symbol_from_expr(_expr(_PAIR_FAMILY, dim, sp.symbols(f"{v}0:12")),
+                             dim, order=3) for v in "ba")
+    comp = compose_symbols(b, a, bd).symbol_sum()
+    return comp.expr, (_source(comp.expr, dim, comp._vars), ...,
+                       comp.x_independent, comp.tw_independent)
+
+
+def _pair_symbols(dim, b_draw, a_draw, composed):
+    """b, a and the composition of b after a for two draws of
+    _random_poly_draw, all read off rendered forms with the draws bound:
+    the family's for b and a, and for the composition the family's
+    composition at b's degree, which composed (a dict) holds by degree."""
+    from functools import partial
+
+    from .registry import family_symbol
+    from .symbols import Symbol, sp
+
+    (bp, bd), (ap, _) = b_draw, a_draw
+    b = family_symbol(_PAIR_FAMILY, dim, bp)
+    a = family_symbol(_PAIR_FAMILY, dim, ap)
+    if bd not in composed:
+        composed[bd] = _composed_family(dim, bd)
+    expr, compiled = composed[bd]
+    values = {**{f"b{k}": v for k, v in enumerate(bp)},
+              **{f"a{k}": v for k, v in enumerate(ap)}}
+    # its expression, built when first read, holds the drawn numbers
+    subs = {sp.Symbol(k): sp.Float(v) for k, v in values.items()}
+    return b, a, Symbol._precompiled(b.order + a.order, dim, "",
+                                     partial(expr.xreplace, subs), compiled,
+                                     values)
+
+
+def _compose_pairs(grid, rng, pairs, trials):
+    """Rows (pair, relative error) of the oracle sweep: for each of `pairs`
+    random pairs, drawn in turn with their trial fields, the composition
+    against b applied after a (_compose_error)."""
+    composed, rows = {}, []
+    for i in range(pairs):
+        b, a, comp = _pair_symbols(grid.dim, _random_poly_draw(rng),
+                                   _random_poly_draw(rng), composed)
+        rows.append((i, _compose_error(b, a, comp, grid, rng, trials)))
+    return rows
 
 
 def run_compose(v, seed):
@@ -498,16 +553,9 @@ def run_compose(v, seed):
     rng = np.random.default_rng(seed)
     tol, trials, pairs = v["tol"], v["trials"], v["random_pairs"]
     if pairs > 0:
-        # oracle sweep: expansion truncated at the full polynomial degree is
-        # exact, so it must reproduce direct operator composition
-        worst = 0.0
-        rows = []
-        for i in range(pairs):
-            b, bd = _random_poly_symbol(rng, grid.dim)
-            a, _ = _random_poly_symbol(rng, grid.dim)
-            err = _compose_error(b, a, grid, rng, trials, n_terms=bd)
-            worst = float(np.maximum(worst, err))
-            rows.append((i, err))
+        rows = _compose_pairs(grid, rng, pairs, trials)
+        # numpy's max propagates NaN
+        worst = float(np.max([err for _, err in rows]))
         passed = worst <= tol
         report = {"random_pairs": pairs, "worst_relative_error": worst,
                   "tol": tol, "passed": passed}
@@ -520,7 +568,7 @@ def run_compose(v, seed):
     print(text)
     report = {"expansion": text, "n_terms": n_terms, "passed": True}
     if v["check"]:
-        worst = _compose_error(b, a, grid, rng, trials, n_terms)
+        worst = _compose_error(b, a, series.symbol_sum(), grid, rng, trials)
         report["relative_error"] = worst
         report["tol"] = tol
         report["passed"] = worst <= tol

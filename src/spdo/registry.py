@@ -161,6 +161,11 @@ _FAMILY_TABLE = {
     "trig-order-1": (1.0, 5, lambda sp, x, xi, w, p: p[0]
                      + p[1] * sp.sin(x[0]) + p[2] * sp.cos(x[0])
                      + (p[3] + p[4] * sp.cos(x[0])) * xi[0]),
+    # the random pairs of compose: p[3 d + kind] times
+    # (1, sin x1, cos x1)[kind] xi1^d, d <= 3
+    "trig-poly-3": (3.0, 12, lambda sp, x, xi, w, p: sum(
+        p[3 * d + kind] * f * xi[0] ** d for d in range(4)
+        for kind, f in enumerate((1, sp.sin(x[0]), sp.cos(x[0]))))),
 }
 
 

@@ -11,10 +11,10 @@ first evaluated: ``x`` and ``xi`` are arrays whose last axis is the spatial
 dimension, and ``t`` and ``w`` may be arrays too (one entry per (path,
 time) node), broadcast against the components of ``x`` and ``xi``.  A
 compile renders the evaluator's source with sympy's numpy printer, the text
-lambdify would write (_source), and runs it (_load).  A registry symbol,
-or a member of a registry family at drawn parameter values, is read off
-sources rendered ahead of time (Symbol._precompiled), so it needs no sympy
-until its expression is read.
+lambdify would write (_source), and runs it (_load), compiling each
+distinct text once.  A registry symbol, or a member of a registry family at
+drawn parameter values, is read off sources rendered ahead of time
+(Symbol._precompiled), so it needs no sympy until its expression is read.
 
 sympy is imported on first use, with the cyclic collector paused, and the
 heap is then frozen (``spdo._import_long_lived``): sympy's lives as long as
@@ -27,7 +27,7 @@ import builtins
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -186,13 +186,16 @@ class Symbol(_Evaluable):
         """The Symbol of expression build(), read off its rendered form
         compiled = (_source of fn, _separation, x_independent,
         tw_independent) with no sympy, the free names of the sources bound
-        to the values of params: only reading ``expr`` calls build."""
+        to the values of params: only reading ``expr`` calls build.  A
+        separation given as ``...`` is not rendered: ``separated`` is then
+        read off ``expr`` when first asked for."""
         a = cls.__new__(cls)
         a.order, a.dim, a.integrability, a.name = order, dim, math.inf, name
         a._build = build
         source, separation, a.x_independent, a.tw_independent = compiled
         a.fn = _load(source, dim, params)
-        a.separated = _load_separation(separation, dim, params)
+        if separation is not ...:
+            a.separated = _load_separation(separation, dim, params)
         return a
 
     @cached_property
@@ -345,8 +348,8 @@ def _load(source, dim, params=None):
     t, w and the components (a list result is the list of the values, each
     in the shape of the variables it holds)."""
     scope = {}
-    exec(source, {**np.__dict__, "builtins": builtins, "range": range,
-                  **(params or {})}, scope)
+    exec(_compile(source), {**np.__dict__, "builtins": builtins,
+                            "range": range, **(params or {})}, scope)
     (f,) = scope.values()
 
     def fn(t, w, *arrays):
@@ -360,6 +363,12 @@ def _load(source, dim, params=None):
         return np.broadcast_to(out, target) if out.shape != target else out
 
     return fn
+
+
+@cache
+def _compile(source):
+    """The code object of a _source text, compiled once per text."""
+    return compile(source, "<string>", "exec")
 
 
 def _load_separation(separation, dim, params=None):

@@ -256,6 +256,6 @@ def test_series_apply_of_a_batch():
     for f in range(3):
         assert np.array_equal(got[f],
                               series_apply(ser, Field(G, u.values[f])).values)
-    zero = series_apply(AsymptoticSeries([]), u).values
+    zero = series_apply(AsymptoticSeries([], 1), u).values
     assert zero.shape == u.values.shape and zero.dtype == np.complex128
     assert not zero.any()

@@ -306,6 +306,146 @@ def test_compose_random_pairs(tmp_path):
     assert rep["report"]["worst_relative_error"] <= 1e-9
 
 
+@pytest.mark.parametrize("dim,N", [(1, 256), (2, 128)])
+def test_compose_random_pairs_above_the_dense_cap(tmp_path, dim, N):
+    # the composed symbols separate, from their bound expressions
+    code, out = _run(tmp_path, "compose", f"random_pairs = 4\ntrials = 2\n"
+                     f"grid.dim = {dim}\ngrid.N = {N}\n", seed=5)
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["report"]["worst_relative_error"] <= 1e-9
+
+
+def test_compose_of_zero_in_2d(tmp_path):
+    # b = 0 composes to the empty series, whose sum is the 2-D zero symbol
+    code, out = _run(tmp_path, "compose", "b = 0\nb.order = 0\n"
+                     "a = sin(x1)*xi1\ngrid.dim = 2\ngrid.N = 16\n"
+                     "check = 1\n")
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())["report"]
+    assert rep["passed"] is True and rep["relative_error"] == 0.0
+
+
+class _Draws:
+    """A generator stand-in: integers and uniform return the given values
+    in turn."""
+
+    def __init__(self, integers, uniforms):
+        self._i, self._u = iter(integers), iter(uniforms)
+
+    def integers(self, lo, hi):
+        return next(self._i)
+
+    def uniform(self, lo, hi):
+        return next(self._u)
+
+
+def test_random_poly_draw_places_each_coefficient():
+    from spdo.cli import _random_poly_draw
+
+    # deg 2: c_0 cos x1, c_1 sin x1 xi1, c_2 xi1^2
+    p, deg = _random_poly_draw(_Draws([2, 2, 1, 0], [0.5, -1.2344, 1.9996]))
+    assert deg == 2
+    assert p == [0.0, 0.0, 0.5, 0.0, -1.234, 0.0, 2.0] + [0.0] * 5
+    # every coefficient rounds to 0: the constant 1
+    p, deg = _random_poly_draw(_Draws([1, 1, 2], [0.0004, -0.0002]))
+    assert (p, deg) == ([1.0] + [0.0] * 11, 1)
+
+
+def _pair_draws():
+    """(b draw, a draw) pairs of trig-poly-3: random ones at every degree of
+    b, an all-zero draw (the constant 1) and x-independent draws."""
+    import numpy as np
+    from spdo.cli import _random_poly_draw
+
+    rng = np.random.default_rng(11)
+    draws = [_random_poly_draw(rng) for _ in range(40)]
+    pairs = [(b, a) for b, a in zip(draws[::2], draws[1::2])]
+    pairs = [next(p for p in pairs if p[0][1] == d) for d in range(4)]
+    one = ([1.0] + [0.0] * 11, 2)
+    x_free = ([0.7, 0, 0, -1.3, 0, 0, 0, 0, 0, 0.25, 0, 0], 3)
+    return pairs + [(one, pairs[0][1]), (x_free, one),
+                    (pairs[2][0], x_free), (x_free, x_free)]
+
+
+def _close(got, want):
+    import numpy as np
+
+    return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bound_pair_symbols_agree_with_their_expressions(dim):
+    # b, a and their composition, bound to each draw, against the
+    # evaluators of their expressions; the composition also against the
+    # composition of those expressions, as the sweep made it before
+    import numpy as np
+    from spdo.calculus import compose_symbols
+    from spdo.cli import _pair_symbols
+    from spdo.grid import Grid
+    from spdo.symbols import symbol_from_expr
+
+    grid = Grid(dim, 8)
+    x = grid.points().reshape(-1, dim)[:, None, :]
+    xi = grid.freqs().reshape(-1, dim)[None, :, :]
+    composed = {}
+    for b_draw, a_draw in _pair_draws():
+        b, a, comp = _pair_symbols(dim, b_draw, a_draw, composed)
+        ref = [symbol_from_expr(s.expr, dim, order=s.order)
+               for s in (b, a, comp)]
+        ref.append(compose_symbols(ref[0], ref[1],
+                                   b_draw[1]).symbol_sum())
+        for got, want in zip((b, a, comp, comp), ref):
+            assert _close(got(0.0, 0.0, x, xi), want(0.0, 0.0, x, xi))
+        rank, sep = comp.separated
+        vals = sep(0.0, 0.0, x, xi)
+        assert _close(sum(c * g for c, g in zip(vals[:rank], vals[rank:])),
+                      ref[2](0.0, 0.0, x, xi))
+    assert sorted(composed) == [0, 1, 2, 3]
+
+
+def test_sweep_composes_once_per_degree_of_b(monkeypatch):
+    # _source renders and sympy.diff calls, counted as
+    # test_compose_compiles_only_the_evaluated_symbol counts renders, come
+    # from the compositions of the family at the drawn degrees of b alone
+    import numpy as np
+    import sympy
+    import spdo.cli
+    import spdo.symbols
+    from spdo.grid import Grid
+
+    calls = {"render": 0, "diff": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spdo.symbols, "_source",
+                        counted("render", spdo.symbols._source))
+    monkeypatch.setattr(sympy, "diff", counted("diff", sympy.diff))
+    real = spdo.cli._composed_family
+    per_degree = {}
+    for d in range(4):
+        calls.update(render=0, diff=0)
+        real(1, d)
+        per_degree[d] = dict(calls)
+    assert all(c["render"] == 1 for c in per_degree.values())
+    degrees = []
+    monkeypatch.setattr(spdo.cli, "_composed_family",
+                        lambda dim, bd: degrees.append(bd) or real(dim, bd))
+    for pairs in (3, 30):
+        calls.update(render=0, diff=0)
+        degrees.clear()
+        spdo.cli._compose_pairs(Grid(1, 64), np.random.default_rng(5),
+                                pairs, 2)
+        assert len(degrees) == len(set(degrees))
+        assert calls == {k: sum(per_degree[d][k] for d in degrees)
+                         for k in calls}
+    assert sorted(degrees) == [0, 1, 2, 3]
+
+
 def test_cz_subcommand(tmp_path):
     code, out = _run(tmp_path, "cz", "grid.N = 32\nensemble.M = 3\ntime.K = 8\n")
     assert code == 0

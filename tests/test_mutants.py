@@ -1,0 +1,42 @@
+"""Kernel mutants: each row breaks one kernel with monkeypatch and runs an
+acceptance invocation at a small config in-process through cli.main; the
+verdict that covers the kernel must FAIL it (exit 2)."""
+
+import json
+
+import pytest
+
+import spdo.calculus
+from spdo.cli import main
+
+
+def _flipped_weights(real):
+    # 1 / (alpha! (-i)^{|alpha|}): the conjugate of each weight
+    def weights(j, dim):
+        for wgt, alpha in real(j, dim):
+            yield wgt.conjugate(), alpha
+    return weights
+
+
+# (row, module, attribute, the mutant of the real kernel, command, config,
+# seed, report key of the error and the least error it must reach)
+MUTANTS = [
+    ("sign of i^-|alpha| flipped", spdo.calculus, "_weighted_alphas",
+     _flipped_weights, "compose",
+     "random_pairs = 30\ntrials = 20\ngrid.N = 64\n", 5,
+     "worst_relative_error", 0.5),
+]
+
+
+@pytest.mark.parametrize("row", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_mutant_fails_its_verdict(tmp_path, monkeypatch, row):
+    _, module, name, mutant, command, cfg_text, seed, key, least = row
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "run"
+    code = main([command, "--config", str(cfg), "--seed", str(seed),
+                 "--out", str(out)])
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["passed"] is False and report[key] >= least

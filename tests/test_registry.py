@@ -212,8 +212,9 @@ def test_family_applies_agree_with_its_drawn_expression():
 
 
 def test_family_is_not_a_registry_name():
-    with pytest.raises(RegistryError):
-        make_symbol("trig-order-1")
+    for name in ("trig-order-1", "trig-poly-3"):
+        with pytest.raises(RegistryError):
+            make_symbol(name)
 
 
 def test_compiled_symbols_module_is_current():

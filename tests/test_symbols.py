@@ -315,6 +315,29 @@ def test_source_is_the_text_lambdify_writes(monkeypatch):
         assert text == _lambdify_source(expr, dim, groups), expr
 
 
+def test_loads_of_one_source_keep_their_own_values():
+    # the source is compiled once; each load binds its own parameter values
+    # and evaluates bit for bit as a load compiled afresh
+    from spdo._compiled_symbols import COMPILED
+    from spdo.symbols import _compile, _load
+
+    source = COMPILED["trig-poly-3", 1][0]
+    rng = np.random.default_rng(3)
+    draws = [dict(zip((f"p{k}" for k in range(12)),
+                      rng.normal(size=12).tolist())) for _ in range(2)]
+    x = G.points()[:, None, :]
+    xi = G.freqs()[None, :, :]
+    _compile.cache_clear()
+    fns = [_load(source, 1, p) for p in draws]
+    assert (_compile.cache_info().misses, _compile.cache_info().hits) == (1, 1)
+    vals = [f(0.0, 0.0, x, xi) for f in fns]
+    assert not np.array_equal(vals[0], vals[1])
+    for p, v in zip(draws, vals):
+        _compile.cache_clear()
+        fresh = _load(source, 1, p)(0.0, 0.0, x, xi)
+        assert v.tobytes() == fresh.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 11])
 def test_median_is_np_median(n):
     from spdo.symbols import _median
