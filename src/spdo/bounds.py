@@ -9,7 +9,7 @@ a supremum over an infinite-dimensional ball, and the reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,16 +46,10 @@ class BoundReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "operator_id": self.operator_id,
-            "source": self.source,
-            "target": self.target,
-            "constants": {str(k): v for k, v in sorted(self.constants.items())},
-            "stability_factor": self.stability_factor,
-            "passed": self.passed,
-            "note": self.note,
-            "extra": self.extra,
-        }
+        # str keys, which json.dumps(sort_keys=True) orders as text ("128"
+        # before "32"), as reports always have
+        return {**asdict(self),
+                "constants": {str(k): v for k, v in self.constants.items()}}
 
 
 def _report(op_id, source, target, constants, factor, extra=None,

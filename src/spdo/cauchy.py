@@ -305,20 +305,6 @@ class CarlemanReport:
     discretization_gap: float
     passed: bool
 
-    LABELS_LHS = ("E th2 |z|^2", "(1/mu) E th2 |mu(t-T)z - B1 z|^2")
-    LABELS_RHS = ("(4/mu) Re pairing", "-(2/mu) Im skew pairing",
-                  "-2 E (t-T) th2 |dz|^2", "-(2/mu) Re (dz, B1 dz)")
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu, "T": self.T,
-            "lhs_terms": dict(zip(self.LABELS_LHS, self.lhs_terms)),
-            "rhs_terms": dict(zip(self.LABELS_RHS, self.rhs_terms)),
-            "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin,
-            "discretization_gap": self.discretization_gap,
-            "passed": self.passed,
-        }
-
 
 def _carleman_moments(z: Field, A1, B1, ensemble: BrownianEnsemble):
     """terms(mu) -> (lhs1, lhs2, [rhs1..rhs4], gap) for one z field.  Each
@@ -401,14 +387,6 @@ def _check_inputs(B1, ensemble, z: Field):
         raise HypothesisError("B1 must be zero or elliptic")
 
 
-def _verdict(mu, T, lhs_terms, rhs_terms, gap):
-    lhs = float(sum(lhs_terms))
-    rhs = float(sum(rhs_terms))
-    margin = rhs - lhs
-    return CarlemanReport(mu, T, lhs_terms, rhs_terms, lhs, rhs, margin, gap,
-                          margin >= -1e-9 * abs(rhs))
-
-
 def carleman_report(z: Field, A1: Symbol | None, B1: Symbol | None, mu_list,
                     ensemble: BrownianEnsemble) -> list[CarlemanReport]:
     """Itemized evaluation, one report per mu in mu_list, of the weighted
@@ -428,9 +406,11 @@ def carleman_report(z: Field, A1: Symbol | None, B1: Symbol | None, mu_list,
     terms = _carleman_moments(z, A1, B1, ensemble)
     reports = []
     for mu in mu_list:
-        lhs1, lhs2, rhs, gap = terms(mu)
-        reports.append(_verdict(mu, ensemble.timegrid.T, [lhs1, lhs2], rhs,
-                                gap))
+        lhs1, lhs2, rhs_terms, gap = terms(mu)
+        lhs, rhs = float(sum([lhs1, lhs2])), float(sum(rhs_terms))
+        reports.append(CarlemanReport(
+            mu, ensemble.timegrid.T, [lhs1, lhs2], rhs_terms, lhs, rhs,
+            rhs - lhs, gap, rhs - lhs >= -1e-9 * abs(rhs)))
     return reports
 
 
@@ -449,19 +429,6 @@ class DecayReport:
     passed: bool
     log_quotient: list = field(default_factory=list)
     quotient_slope: float = 0.0  # must be <= 0 for the uniqueness mechanism
-
-    def to_dict(self) -> dict:
-        return {
-            "mu_list": list(self.mu_list),
-            "log_bound": list(self.log_bound),
-            "slope": self.slope,
-            "target_slope": self.target_slope,
-            "direct_energy": self.direct_energy,
-            "eq7_constants": list(self.eq7_constants),
-            "log_quotient": list(self.log_quotient),
-            "quotient_slope": self.quotient_slope,
-            "passed": self.passed,
-        }
 
 
 def _time_plateau(tg: TimeGrid, lo: float, hi: float, ramp: float) -> np.ndarray:

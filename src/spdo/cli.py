@@ -176,7 +176,9 @@ _KEYS = {
         "grid.dim": (_INT, 1, _NO_CASES), "grid.N": (_INT, 32, _NO_CASES),
         "draws": (_COUNT, lambda v: 25 if v["cases"] else 1),
         "p": (_number(float, least=1.0, infinite=True), 2.0),
-        "level.r": (_FLOAT, 0.0, ("draws = 1 and no cases", _cz_single)),
+        # 0: the automatic level, 4x the mean site density
+        "level.r": (_number(float, least=0.0), 0.0,
+                    ("draws = 1 and no cases", _cz_single)),
         "time.T": (_FLOAT, 0.5),
         "time.K": (_INT, lambda v: 64 if _cz_single(v) else 8),
         "ensemble.M": (_INT, lambda v: 8 if _cz_single(v) else 3)},
@@ -347,7 +349,8 @@ def _symbol(v, key, dim):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (report dict, passed, {csv name: (header, rows)})
+# subcommands: each returns (report dict, {csv name: (header, rows)}), and
+# report["passed"] is the verdict
 
 
 # verify-symbol differentiates and compiles the symbol once per multi-index
@@ -383,19 +386,18 @@ def run_verify_symbol(v, seed):
     a = _symbol(v, "symbol", grid.dim)
     est = check_symbol_estimate(a, alpha_max, beta_max, grid, ensemble=ens)
     ell = ellipticity_check(a, grid, ens)
-    passed = not any(e.violation for e in est.entries)
     report = {
         "symbol": a.name or "<expr>",
         "order": a.order,
         "estimate": est.to_dict(),
         "ellipticity": {"elliptic": ell.elliptic, "C_K": ell.C_K,
                         "R_K": ell.R_K},
-        "passed": passed,
+        "passed": est.passed,
     }
     rows = [(f"{e.alpha}", f"{e.beta}", float(e.max_ratio), float(e.slope),
              bool(e.violation)) for e in est.entries]
-    return report, passed, {"estimate": (("alpha", "beta", "max_ratio",
-                                         "slope", "violation"), rows)}
+    return report, {"estimate": (("alpha", "beta", "max_ratio", "slope",
+                                  "violation"), rows)}
 
 
 def _extraction_sweep(a, grid):
@@ -440,18 +442,15 @@ def run_quantize_demo(v, seed):
             e = float(np.max([err for _, err in errs]))
             worst = float(np.maximum(worst, e))
             rows.append((i, e))
-        passed = worst <= v["tol"]
         report = {"random_symbols": n_random, "max_extraction_error": worst,
-                  "modes_per_symbol": grid.N - 2, "passed": passed}
-        return report, passed, {"extraction": (("symbol", "max_rel_error"),
-                                               rows)}
+                  "modes_per_symbol": grid.N - 2, "passed": worst <= v["tol"]}
+        return report, {"extraction": (("symbol", "max_rel_error"), rows)}
     a = _symbol(v, "symbol", grid.dim)
     errs = _extraction_sweep(a, grid)
     worst = float(np.max([e for _, e in errs]))
-    passed = worst <= 1e-8
     report = {"symbol": a.name or "<expr>", "max_extraction_error": worst,
-              "modes_checked": len(errs), "passed": passed}
-    return report, passed, {"extraction": (("mode", "rel_error"), errs)}
+              "modes_checked": len(errs), "passed": worst <= 1e-8}
+    return report, {"extraction": (("mode", "rel_error"), errs)}
 
 
 def _compose_error(b, a, comp, grid, rng, trials):
@@ -556,10 +555,9 @@ def run_compose(v, seed):
         rows = _compose_pairs(grid, rng, pairs, trials)
         # numpy's max propagates NaN
         worst = float(np.max([err for _, err in rows]))
-        passed = worst <= tol
         report = {"random_pairs": pairs, "worst_relative_error": worst,
-                  "tol": tol, "passed": passed}
-        return report, passed, {"compose": (("pair", "rel_error"), rows)}
+                  "tol": tol, "passed": worst <= tol}
+        return report, {"compose": (("pair", "rel_error"), rows)}
     b = _symbol(v, "b", grid.dim)
     a = _symbol(v, "a", grid.dim)
     n_terms = v["n_terms"]
@@ -572,7 +570,7 @@ def run_compose(v, seed):
         report["relative_error"] = worst
         report["tol"] = tol
         report["passed"] = worst <= tol
-    return report, report["passed"], {}
+    return report, {}
 
 
 def run_parametrix(v, seed):
@@ -591,7 +589,7 @@ def run_parametrix(v, seed):
     a = _symbol(v, "symbol", grid.dim)
     # every mode in one batch, at one (t, w) node
     e = plane_wave(grid, [(k,) + (0,) * (grid.dim - 1) for k in modes])
-    rows, all_pass = [], True
+    rows = []
     for n in v["n_terms"]:
         series = parametrix(a, n, grid)
         aqe = apply_symbol_op(a, series_apply(series, e))
@@ -601,14 +599,13 @@ def run_parametrix(v, seed):
                                  np.log(resid), 1)[0])
         target = -(n + 1)
         ok = abs(slope - target) <= 0.2 * abs(target)
-        all_pass &= ok
         rows.append((n, slope, float(target), ok) + tuple(resid))
     report = {"symbol": a.name or "<expr>", "modes": modes,
               "slopes": {str(r[0]): r[1] for r in rows},
-              "passed": all_pass}
+              "passed": all(r[3] for r in rows)}
     hdr = ("n_terms", "slope", "target", "ok") + tuple(
         f"resid_k{k}" for k in modes)
-    return report, all_pass, {"parametrix": (hdr, rows)}
+    return report, {"parametrix": (hdr, rows)}
 
 
 def run_bounds(v, seed):
@@ -617,7 +614,6 @@ def run_bounds(v, seed):
 
     grids = [_grid(v["grid.dim"], N) for N in v["grid.N_list"]]
     ens = _ensemble(v, seed)
-    all_pass = True
     per = {}
     rows = []
     for name in v["symbol"]:
@@ -625,11 +621,11 @@ def run_bounds(v, seed):
         rep = l2_boundedness_check(a, v["q"], grids, ens, trials=v["trials"],
                                    seed=seed)
         per[name] = rep.to_dict()
-        all_pass &= rep.passed
         for n, c in sorted(rep.constants.items()):
             rows.append((name, int(n), float(c)))
-    report = {"symbols": per, "passed": all_pass}
-    return report, all_pass, {"bounds": (("symbol", "N", "constant"), rows)}
+    report = {"symbols": per,
+              "passed": all(rep["passed"] for rep in per.values())}
+    return report, {"bounds": (("symbol", "N", "constant"), rows)}
 
 
 def run_cz(v, seed):
@@ -645,18 +641,17 @@ def run_cz(v, seed):
     rng = np.random.default_rng(seed)
     u = random_adapted_field(grid, ens, rng)
     r, p = v["level.r"], v["p"]
-    if r <= 0:
+    if r == 0:
         r = 4.0 * float(np.mean(lpf_norm_values(u.values,
                                                 ens.timegrid.nodes(), p)))
     dec = _checked("level.r", cz_decompose, u, ens, r, p)
     checks = _cz_property_checks(u, ens, dec)
-    passed = all(checks.values())
     report = {"level": dec.level, "n_bad_cubes": len(dec.bad),
               "cube_measure": dec.cube_measure(), "u_l1_lpf": dec.u_l1_lpf,
-              "properties": checks, "passed": passed}
+              "properties": checks, "passed": all(checks.values())}
     rows = [(i, ",".join(map(str, c.origin)), c.size)
             for i, (c, _) in enumerate(dec.bad)]
-    return report, passed, {"cubes": (("index", "origin", "size"), rows)}
+    return report, {"cubes": (("index", "origin", "size"), rows)}
 
 
 def _run_cz_sweep(v, seed):
@@ -701,13 +696,13 @@ def _run_cz_sweep(v, seed):
                          "pass" if all(checks.values()) else "fail",
                          len(dec.bad)))
     props = agg or {}
-    passed = bool(props) and all(props.values()) \
-        and checked >= int(np.ceil(0.9 * total))
+    # total >= 1, so the coverage floor fails a sweep that checked nothing
     report = {"cases": [f"{d}x{N}" for d, N in cases], "draws_per_case": draws,
-              "total_draws": total, "checked": checked,
-              "properties": props, "passed": passed}
+              "total_draws": total, "checked": checked, "properties": props,
+              "passed": all(props.values())
+              and checked >= int(np.ceil(0.9 * total))}
     hdr = ("dim", "N", "draw", "level", "verdict", "n_bad_cubes")
-    return report, passed, {"cz_sweep": (hdr, rows)}
+    return report, {"cz_sweep": (hdr, rows)}
 
 
 def _cz_property_checks(u, ens, dec):
@@ -765,7 +760,6 @@ def run_garding(v, seed):
     ens = _ensemble(v, seed)
     rep = garding_check(a, *consts, grids, ens, trials=v["trials"], seed=seed)
     report = rep.to_dict()
-    passed = rep.passed
     if v["exact_check"]:
         # analytic control case: Re(|xi|^2) >= (1 - eps)|xi|^2 holds with
         # C <= 1 exactly, so the measured constants must not exceed 1
@@ -775,14 +769,13 @@ def run_garding(v, seed):
                              ens, trials=v["exact_trials"], seed=seed)
         # the control is judged on C <= 1 alone (NaN fails the comparison):
         # its stability ratio divides by the 1e-12 floor when a grid gives 0
-        exact_ok = all(c <= 1.0 + 1e-9 for c in rep2.constants.values())
         report["exact_constants"] = {str(n): float(c) for n, c in
-                                     sorted(rep2.constants.items())}
-        report["exact_passed"] = exact_ok
-        passed = passed and exact_ok
-        report["passed"] = passed
+                                     rep2.constants.items()}
+        report["exact_passed"] = all(c <= 1.0 + 1e-9
+                                     for c in rep2.constants.values())
+        report["passed"] = rep.passed and report["exact_passed"]
     rows = [(int(n), float(c)) for n, c in sorted(rep.constants.items())]
-    return report, passed, {"garding": (("N", "constant"), rows)}
+    return report, {"garding": (("N", "constant"), rows)}
 
 
 # ln of the largest float64: the Carleman weight e^{mu T^2} overflows past it
@@ -816,7 +809,6 @@ def run_carleman(v, seed):
     rows = []
     n_pass = 0
     n_robust = 0
-    n_mu = len(mu_list)
     for d in range(draws):
         z = pinned_semimartingale(grid, ens, rng)
         # mu_list, then the doubled values of the robustness sweep
@@ -829,17 +821,15 @@ def run_carleman(v, seed):
         for mu, rep in zip(mu_list, reps):
             rows.append((d, float(mu), rep.lhs, rep.rhs, rep.margin,
                          rep.discretization_gap, rep.passed))
-        ok = all(rep.passed for rep in reps[:n_mu])
+        ok = all(rep.passed for rep in reps[:len(mu_list)])
         n_pass += ok
-        n_robust += ok and all(rep.passed for rep in reps[n_mu:])
-    pass_rate = n_pass / draws
+        n_robust += ok and all(rep.passed for rep in reps[len(mu_list):])
     robust_rate = n_robust / draws
-    passed = pass_rate == 1.0 and robust_rate >= 0.95
     report = {"T": T, "mu_list": mu_list, "draws": draws,
-              "pass_rate": pass_rate, "robust_rate_2mu": robust_rate,
-              "passed": passed}
+              "pass_rate": n_pass / draws, "robust_rate_2mu": robust_rate,
+              "passed": n_pass == draws and robust_rate >= 0.95}
     hdr = ("draw", "mu", "lhs", "rhs", "margin", "gap", "pass")
-    return report, passed, {"carleman": (hdr, rows)}
+    return report, {"carleman": (hdr, rows)}
 
 
 def _ito_final(F, grid, ens):
@@ -886,18 +876,20 @@ def run_integrator(v, seed):
 
     # 3 relative standard deviations of the estimate, 3 sqrt(2/M), must fit
     iso_tol = v["iso_tol"]
-    passed = iso_err <= iso_tol and 3.0 * np.sqrt(2.0 / M) <= iso_tol \
-        and drift <= v["drift_tol"]
     report = {"ito_isometry": {"M": M, "measured": got, "target": target,
                                "rel_error": iso_err},
               "unitary": {"K": v["unitary.K"], "norm_drift": drift},
-              "passed": passed}
+              "passed": iso_err <= iso_tol
+              and 3.0 * np.sqrt(2.0 / M) <= iso_tol
+              and drift <= v["drift_tol"]}
     rows = [("ito_isometry_rel_error", iso_err),
             ("unitary_norm_drift", drift)]
-    return report, passed, {"integrator": (("check", "value"), rows)}
+    return report, {"integrator": (("check", "value"), rows)}
 
 
 def run_uniqueness(v, seed):
+    from dataclasses import asdict
+
     from .cauchy import uniqueness_experiment
     from .registry import make_equation
 
@@ -908,10 +900,8 @@ def run_uniqueness(v, seed):
     spec = make_equation(v["equation"], dim=grid.dim)
     rep = _checked("time.T, time.K", uniqueness_experiment, spec, mu_list,
                    v["r"], grid, ens, seed=seed)
-    report = rep.to_dict()
     rows = list(zip(mu_list, rep.log_bound, rep.log_quotient))
-    return report, rep.passed, {"decay": (("mu", "log_bound", "log_quotient"),
-                                          rows)}
+    return asdict(rep), {"decay": (("mu", "log_bound", "log_quotient"), rows)}
 
 
 def _json_default(o):
@@ -953,7 +943,7 @@ def main(argv=None) -> int:
             values = resolve_config(args.command,
                                     {**cfg, "seed": str(args.seed)})
         np = _import_long_lived("numpy")
-        report, passed, csvs = _COMMANDS[args.command](values, values["seed"])
+        report, csvs = _COMMANDS[args.command](values, values["seed"])
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -972,8 +962,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     payload = {"command": args.command, "seed": values["seed"],
-               "config": dict(sorted(cfg.items())), "report": report,
-               "passed": bool(passed)}
+               "config": cfg, "report": report, "passed": report["passed"]}
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True,
                             default=_json_default) + "\n")
@@ -993,9 +982,9 @@ def main(argv=None) -> int:
         os.makedirs(datadir, exist_ok=True)
         for name, (hdr, rows) in csvs.items():
             _write_csv(os.path.join(datadir, f"{name}.csv"), hdr, rows)
-    verdict = "PASS" if passed else "FAIL"
+    verdict = "PASS" if report["passed"] else "FAIL"
     print(f"{args.command}: {verdict} (report in {args.out})")
-    return 0 if passed else 2
+    return 0 if report["passed"] else 2
 
 
 if __name__ == "__main__":

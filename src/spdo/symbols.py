@@ -26,7 +26,7 @@ from __future__ import annotations
 import builtins
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -454,21 +454,9 @@ class EstimateReport:
         return not any(e.violation for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "integrability": ("inf" if math.isinf(self.integrability)
-                              else self.integrability),
-            "alpha_max": self.alpha_max,
-            "beta_max": self.beta_max,
-            "passed": self.passed,
-            "note": self.note,
-            "entries": [
-                {"alpha": list(e.alpha), "beta": list(e.beta),
-                 "majorant_lpf": e.majorant_lpf, "max_ratio": e.max_ratio,
-                 "slope": e.slope, "violation": e.violation}
-                for e in self.entries
-            ],
-        }
+        return {**asdict(self), "passed": self.passed,
+                "integrability": ("inf" if math.isinf(self.integrability)
+                                  else self.integrability)}
 
 
 def _sample_points(grid):
@@ -586,7 +574,6 @@ class EllipticityResult:
     elliptic: bool
     C_K: float = 0.0
     R_K: float = 0.0
-    detail: str = ""
 
 
 def _median(vals: np.ndarray) -> float:
@@ -632,8 +619,7 @@ def ellipticity_check(a: Symbol, grid, ensemble=None) -> EllipticityResult:
     plateau = float(min_ratio[outer].min()) if outer.any() else 0.0
     outer_med = _median(min_ratio[outer]) if outer.any() else 0.0
     if plateau <= max(1e-8, 1e-3 * outer_med):
-        return EllipticityResult(False, detail="normalized modulus collapses on "
-                                               "a resolved ray")
+        return EllipticityResult(False)
 
     candidates = [0.0]
     r = 1.0

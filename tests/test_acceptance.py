@@ -219,13 +219,13 @@ def test_criterion_8_uniqueness_decay():
 def test_criterion_9_integrator_sanity():
     # as `spdo integrator` runs it: Ito isometry E|Y(T)|^2 = sigma^2 T at
     # M = 10^4 (sigma = 2, T = 0.5), unitary norm drift over K = 1000 steps
-    report, passed, _ = run_integrator(resolve_config(
+    report, _ = run_integrator(resolve_config(
         "integrator", {"ensemble.M": "10000", "time.K": "200",
                        "grid.N": "8"}), 1)
     iso_err = report["ito_isometry"]["rel_error"]
     drift = report["unitary"]["norm_drift"]
     ok = iso_err <= 0.05 and drift <= 1e-6
-    assert passed == ok
+    assert report["passed"] == ok
     _verdict(9, ok, f"integrator sanity: Ito isometry error {iso_err:.2%} "
              f"(tol 5%), unitary norm drift {drift:.2e} (tol 1e-6)")
 

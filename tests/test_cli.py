@@ -611,6 +611,29 @@ def test_acceptance_config_leaves_no_key_unread(tmp_path, command):
     assert set(cfg) <= set(values)
 
 
+# the acceptance configs, a default verify-symbol and a FAIL input: (id,
+# command, config, exit code).  integrator's 64 paths FAIL: 3 sqrt(2/M)
+# passes iso_tol
+_VERDICT_RUNS = [(c, c, text, 2 if c == "integrator" else 0)
+                 for c, text in sorted(ACCEPTANCE_CONFIGS.items())] + [
+    ("verify-symbol", "verify-symbol", "symbol = xi\n", 0),
+    ("compose-one-term-short", "compose",
+     "b = xi**2\na = sin(x)\ncheck = 1\nn_terms = 1\n", 2)]
+
+
+@pytest.mark.parametrize("command, cfg_text, want",
+                         [r[1:] for r in _VERDICT_RUNS],
+                         ids=[r[0] for r in _VERDICT_RUNS])
+def test_exit_code_follows_report_passed(tmp_path, command, cfg_text, want):
+    # report["passed"] is the verdict's one carrier: the top-level passed
+    # of report.json is a copy of it, and the exit code follows it
+    code, out = _run(tmp_path, command, cfg_text, seed=5)
+    rep = json.loads((out / "report.json").read_text())
+    assert type(rep["passed"]) is bool
+    assert rep["passed"] is rep["report"]["passed"]
+    assert code == (0 if rep["passed"] else 2) == want
+
+
 # keys that a base config alone leaves unread: the values that choose
 # their mode, and the required keys
 _BASE = {"verify-symbol": {"symbol": "xi"}, "compose": {"b": "xi", "a": "x"}}
@@ -767,6 +790,7 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("cz", "p = -1\n"),
     ("bounds", "q = 0.5\n"),
     ("cz", "level.r = 0.001\n"),
+    ("cz", "level.r = -1\n"),
     ("uniqueness", "r = nan\n"),
     ("parametrix", "modes = 8,-16\n"),
     ("integrator", "time.T = inf\n"),
@@ -822,7 +846,8 @@ def test_verify_symbol_pole_fails(tmp_path):
         "verify-symbol-alpha-max-negative", "carleman-draws-0",
         "integrator-sigma-0", "verify-symbol-caps-200",
         "verify-symbol-caps-past-729", "garding-r-nan", "cz-p-below-1",
-        "bounds-q-below-1", "cz-level-too-low", "uniqueness-r-nan",
+        "bounds-q-below-1", "cz-level-too-low", "cz-level-r-negative",
+        "uniqueness-r-nan",
         "parametrix-mode-negative", "integrator-T-inf", "integrator-sigma-inf",
         "garding-eps-inf", "garding-delta-star-minus-inf", "compose-tol-inf",
         "verify-symbol-order-inf", "uniqueness-r-inf", "uniqueness-r-negative",

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import spdo.calculus
+import spdo.quantize
 from spdo.cli import main
 
 
@@ -18,6 +19,13 @@ def _flipped_weights(real):
     return weights
 
 
+def _unweighted_fft(real):
+    # the spectra without the (L/N)^n cell weight
+    def fft_forward(grid, values):
+        return real(grid, values) / grid.cell_volume
+    return fft_forward
+
+
 # (row, module, attribute, the mutant of the real kernel, command, config,
 # seed, report key of the error and the least error it must reach)
 MUTANTS = [
@@ -25,6 +33,10 @@ MUTANTS = [
      _flipped_weights, "compose",
      "random_pairs = 30\ntrials = 20\ngrid.N = 64\n", 5,
      "worst_relative_error", 0.5),
+    # quantize imports the name, so spdo.grid alone would miss its applies
+    ("(L/N)^n weight dropped in fft_forward", spdo.quantize, "fft_forward",
+     _unweighted_fft, "quantize-demo", "random_symbols = 20\ngrid.N = 64\n",
+     5, "max_extraction_error", 1.0),
 ]
 
 
