@@ -23,6 +23,7 @@ from .symbols import Symbol
 __all__ = [
     "EquationSpec",
     "CompanionSymbol",
+    "PinnedSemimartingale",
     "CarlemanReport",
     "DecayReport",
     "StabilityError",
@@ -254,16 +255,21 @@ def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
 # Carleman machinery
 
 
+# bytes of one (path, node) work array per block of time nodes in
+# _carleman_moments (at least one node): a block holds about ten of them
+_NODE_BLOCK_BYTES = 1 << 18
+
+
 def _apply_nodes(sym: Symbol | None, vals: np.ndarray, grid: Grid,
-                 ensemble: BrownianEnsemble) -> np.ndarray:
+                 ensemble: BrownianEnsemble, j0: int = 0) -> np.ndarray:
     """sym applied at every (path, time) node of vals, (M, k) + grid.shape,
-    over the first k nodes of the ensemble; zero when sym is None."""
+    over the ensemble's nodes j0, ..., j0 + k - 1; zero when sym is None."""
     if sym is None:
         return np.zeros_like(vals)
     k = vals.shape[1]
     return apply_symbol_op(sym, Field(grid, vals),
-                           ensemble.timegrid.nodes()[:k],
-                           ensemble.paths[:, :k]).values
+                           ensemble.timegrid.nodes()[j0:j0 + k],
+                           ensemble.paths[:, j0:j0 + k]).values
 
 
 def smooth_time_cutoff(tg: TimeGrid) -> np.ndarray:
@@ -275,22 +281,44 @@ def smooth_time_cutoff(tg: TimeGrid) -> np.ndarray:
     return 1.0 - _smoothstep((t - 2.0 * T / 3.0) / (T / 3.0))
 
 
+@dataclass(frozen=True)
+class PinnedSemimartingale:
+    """z(t) = sin^2(pi t / T) sum_k (a_k + b_k W(t)) e^{i k.x} over an
+    ensemble, with spectral amplitudes a and b of grid.shape: a closed form
+    in (t_j, W_j), so any block of time nodes is built alone."""
+
+    grid: Grid
+    ensemble: BrownianEnsemble
+    a: np.ndarray
+    b: np.ndarray
+
+    def at(self, j0: int, j1: int) -> np.ndarray:
+        """The values at nodes j0, ..., j1 - 1: (M, j1 - j0) + grid.shape."""
+        tg = self.ensemble.timegrid
+        lattice = (1,) * self.grid.dim
+        s = np.sin(np.pi * tg.nodes()[j0:j1] / tg.T) ** 2
+        paths = self.ensemble.paths[:, j0:j1]
+        Wt = paths.reshape(paths.shape + lattice)
+        spec = (self.a + self.b * Wt) * s.reshape((1, -1) + lattice)
+        return fft_inverse(self.grid, spec)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The values at every node: (M, K+1) + grid.shape."""
+        return self.at(0, self.ensemble.timegrid.K + 1)
+
+
 def pinned_semimartingale(grid: Grid, ensemble: BrownianEnsemble,
-                          rng: np.random.Generator) -> Field:
+                          rng: np.random.Generator) -> PinnedSemimartingale:
     """Adapted band-limited semimartingale pinned to zero at t = 0 and T:
-    z(t) = sin^2(pi t / T) sum_{|k_a| <= N/4} (a_k + b_k W(t)) e^{i k.x}."""
-    tg = ensemble.timegrid
-    nodes = tg.nodes()
-    s = np.sin(np.pi * nodes / tg.T) ** 2
+    z(t) = sin^2(pi t / T) sum_{|k_a| <= N/4} (a_k + b_k W(t)) e^{i k.x},
+    with a_k and b_k drawn from rng."""
     mask = grid.band_mask(grid.N // 4)
     a_amp = (rng.standard_normal(grid.shape)
              + 1j * rng.standard_normal(grid.shape)) * mask
     b_amp = (rng.standard_normal(grid.shape)
              + 1j * rng.standard_normal(grid.shape)) * mask * 0.5
-    lattice = (1,) * grid.dim
-    Wt = ensemble.paths.reshape(ensemble.paths.shape + lattice)
-    spec = (a_amp + b_amp * Wt) * s.reshape((1, -1) + lattice)
-    return Field(grid, fft_inverse(grid, spec))
+    return PinnedSemimartingale(grid, ensemble, a_amp, b_amp)
 
 
 @dataclass
@@ -306,43 +334,89 @@ class CarlemanReport:
     passed: bool
 
 
-def _carleman_moments(z: Field, A1, B1, ensemble: BrownianEnsemble):
+def _carleman_moments(z, A1, B1, ensemble: BrownianEnsemble):
     """terms(mu) -> (lhs1, lhs2, [rhs1..rhs4], gap) for one z field.  Each
     term is sum_j e^{mu(t_j-T)^2} times a Laurent polynomial in mu whose
     coefficients are path means of spatial moments per node, computed here
     once: (1/mu)|mu(t-T)z - B1z|^2 = mu(t-T)^2|z|^2 - 2(t-T)Re(z, B1z)
-    + |B1z|^2/mu, and so on."""
+    + |B1z|^2/mu, and so on.
+
+    Node j needs z and B1 z at nodes j and j + 1 only, so the moments are
+    taken over blocks of time nodes, about _NODE_BLOCK_BYTES of (path, node)
+    values each.  z is read a block at a time (a PinnedSemimartingale builds
+    each block alone), and z and B1 z at a block's last node are carried
+    into the next block as its first.  Each (path, node) moment is kept and
+    the path means are taken once over all nodes, so they do not depend on
+    the blocks.  HypothesisError: z is not pinned, z(0) = z(T) = 0."""
+    from .bounds import HypothesisError
+
     grid, tg = z.grid, ensemble.timegrid
     nodes, T, dt, K = tg.nodes(), tg.T, tg.dt, tg.K
     sp_axes = tuple(range(2, 2 + grid.dim))
-
-    def _ip(u, v):
-        # path mean of the spatial inner product (u, v), per node
-        return np.mean(np.sum(u * np.conj(v), axis=sp_axes),
-                       axis=0) * grid.cell_volume
-
-    Bz = _apply_nodes(B1, z.values, grid, ensemble)
-    dz = np.diff(z.values, axis=1)  # (M, K) + shape
-    zL, BzL = z.values[:, :K], Bz[:, :K]
-    drift = dz / 1j - _apply_nodes(A1, zL, grid, ensemble) * dt - 1j * BzL * dt
-    # the LHS moments run over all K + 1 nodes
-    zz, BB = _ip(z.values, z.values).real, _ip(Bz, Bz).real
-    zB = _ip(z.values, Bz).real
-    # the drift pairings with i z and i B1 z: Re(u, iv) = Im(u, v)
-    P, Q = _ip(drift, zL).imag, _ip(drift, BzL).imag
-    # the midpoint re-evaluation of the leading pairing differs from it by
-    # the pairings with the increments dz and d(B1 z)
-    Pd, Qd = _ip(drift, dz).imag, _ip(drift, np.diff(Bz, axis=1)).imag
-    dzdz = _ip(dz, dz).real
-    dzBdz = _ip(dz, _apply_nodes(B1, dz, grid, ensemble)).real
-    S = None
+    step = max(1, _NODE_BLOCK_BYTES // (16 * ensemble.M * grid.N ** grid.dim))
+    at = z.at if isinstance(z, PinnedSemimartingale) \
+        else lambda j0, j1: z.values[:, j0:j1]
+    B1s = None
     if B1 is not None and not B1.x_independent:
         # skew part (B1 - B1*) z; a real multiplier symbol is self-adjoint,
         # so this only triggers on the x-dependent slow path
         from .calculus import adjoint_symbol
 
         B1s = adjoint_symbol(B1, 2).symbol_sum()
-        S = _ip(drift, BzL - _apply_nodes(B1s, zL, grid, ensemble)).imag
+    sums = {}  # moment -> its (M, nodes) spatial inner products per block
+
+    def _add(name, u, v):
+        sums.setdefault(name, []).append(np.sum(u * np.conj(v), axis=sp_axes))
+
+    peaks, ends = [], []
+    carried = None  # z and B1 z at the last block's last node
+    for j0 in range(0, K, step):
+        # the block's nodes j0, ..., j1 and the steps from j0, ..., j1 - 1
+        j1 = min(j0 + step, K)
+        lo = j0 if carried is None else j0 + 1
+        zb = at(lo, j1 + 1)
+        Bzb = _apply_nodes(B1, zb, grid, ensemble, lo)
+        if carried is None:
+            ends.append(np.abs(zb[:, 0]).max())
+        else:
+            zb = np.concatenate([carried[0], zb], axis=1)
+            Bzb = np.concatenate([carried[1], Bzb], axis=1)
+        peaks.append(np.abs(zb).max())
+        carried = zb[:, -1:], Bzb[:, -1:]
+        zL, BzL = zb[:, :-1], Bzb[:, :-1]
+        dz = np.diff(zb, axis=1)
+        drift = dz / 1j - _apply_nodes(A1, zL, grid, ensemble, j0) * dt \
+            - 1j * BzL * dt
+        # the LHS moments run over all K + 1 nodes: the last block adds K
+        zs, Bzs = (zb, Bzb) if j1 == K else (zL, BzL)
+        _add("zz", zs, zs)
+        _add("BB", Bzs, Bzs)
+        _add("zB", zs, Bzs)
+        # the drift pairings with i z and i B1 z: Re(u, iv) = Im(u, v)
+        _add("P", drift, zL)
+        _add("Q", drift, BzL)
+        # the midpoint re-evaluation of the leading pairing differs from it
+        # by the pairings with the increments dz and d(B1 z)
+        _add("Pd", drift, dz)
+        _add("Qd", drift, np.diff(Bzb, axis=1))
+        _add("dzdz", dz, dz)
+        _add("dzBdz", dz, _apply_nodes(B1, dz, grid, ensemble, j0))
+        if B1s is not None:
+            _add("S", drift, BzL - _apply_nodes(B1s, zL, grid, ensemble, j0))
+    ends.append(np.abs(carried[0]).max())
+
+    # np.max keeps a NaN, and a NaN field is a FAIL, not a hypothesis error
+    peak, end = float(np.max(peaks)), float(np.max(ends))
+    if peak > 0 and end > 1e-10 * peak:
+        raise HypothesisError(f"z(0) = z(T) = 0 violated: endpoint "
+                              f"magnitude {end:.3e} vs peak {peak:.3e}")
+    # path means of the spatial inner products (u, v), per node
+    mom = {name: np.mean(np.concatenate(parts, axis=1), axis=0)
+           * grid.cell_volume for name, parts in sums.items()}
+    zz, BB, zB = mom["zz"].real, mom["BB"].real, mom["zB"].real
+    P, Q, Pd, Qd = (mom[name].imag for name in ("P", "Q", "Pd", "Qd"))
+    dzdz, dzBdz = mom["dzdz"].real, mom["dzBdz"].real
+    S = mom["S"].imag if "S" in mom else None
     tau = nodes - T
     tauL = tau[:K]
     finite = all(np.isfinite(m).all() for m in
@@ -371,23 +445,8 @@ def _carleman_moments(z: Field, A1, B1, ensemble: BrownianEnsemble):
     return terms
 
 
-def _check_inputs(B1, ensemble, z: Field):
-    """z is pinned, and B1 is zero or elliptic."""
-    from .bounds import HypothesisError
-    from .symbols import ellipticity_check
-
-    peak = float(np.abs(z.values).max())
-    ends = max(float(np.abs(z.values[:, 0]).max()),
-               float(np.abs(z.values[:, -1]).max()))
-    if peak > 0 and ends > 1e-10 * peak:
-        raise HypothesisError(f"z(0) = z(T) = 0 violated: endpoint "
-                              f"magnitude {ends:.3e} vs peak {peak:.3e}")
-    if B1 is not None and not ellipticity_check(B1, z.grid,
-                                                ensemble).elliptic:
-        raise HypothesisError("B1 must be zero or elliptic")
-
-
-def carleman_report(z: Field, A1: Symbol | None, B1: Symbol | None, mu_list,
+def carleman_report(z: Field | PinnedSemimartingale, A1: Symbol | None,
+                    B1: Symbol | None, mu_list,
                     ensemble: BrownianEnsemble) -> list[CarlemanReport]:
     """Itemized evaluation, one report per mu in mu_list, of the weighted
     inequality
@@ -399,11 +458,19 @@ def carleman_report(z: Field, A1: Symbol | None, B1: Symbol | None, mu_list,
 
     with th = e^{mu(t-T)^2/2}, increments in the Ito (left-endpoint) form,
     for z with leading (path, time) axes over ensemble, whose time grid
-    gives T.  The field is checked and its moments computed once for every
-    mu.  OverflowError: a weighted sum of finite moments passes float64.
+    gives T: a held Field, or a PinnedSemimartingale built a block of nodes
+    at a time.  The field is checked and its moments computed once for
+    every mu.  HypothesisError: z is not pinned, or B1 is neither zero nor
+    elliptic.  OverflowError: a weighted sum of finite moments passes
+    float64.
     """
-    _check_inputs(B1, ensemble, z)
+    from .bounds import HypothesisError
+    from .symbols import ellipticity_check
+
     terms = _carleman_moments(z, A1, B1, ensemble)
+    if B1 is not None and not ellipticity_check(B1, z.grid,
+                                                ensemble).elliptic:
+        raise HypothesisError("B1 must be zero or elliptic")
     reports = []
     for mu in mu_list:
         lhs1, lhs2, rhs_terms, gap = terms(mu)
@@ -438,6 +505,23 @@ def _time_plateau(tg: TimeGrid, lo: float, hi: float, ramp: float) -> np.ndarray
     up = _smoothstep((t - lo) / ramp)
     down = 1.0 - _smoothstep((t - (hi - ramp)) / ramp)
     return up * down
+
+
+def _ball_energies(A: CompanionSymbol, f, grid: Grid,
+                   ensemble: BrownianEnsemble, weight: np.ndarray):
+    """sum_x weight |u|^2 dx per (path, node), (M, K+1), of the first
+    component u (the Lambda^{m-1}(zeta u) slot) of integrate_spde_system(A,
+    f, None, grid, ensemble), from zero data: each step is reduced as the
+    scheme yields it, and no (path, time) solution is held."""
+    M = ensemble.M
+    en = np.zeros((M, ensemble.timegrid.K + 1))
+    y0 = np.zeros((M, A.m) + grid.shape, np.complex128)
+    sp_axes = tuple(range(1, 1 + grid.dim))
+    for j, yhat in enumerate(_spectral_steps(A, f, None, grid, ensemble, y0)):
+        u = _from_spectrum(yhat[..., :1], grid)[:, 0]
+        en[:, j + 1] = np.sum(weight * np.abs(u) ** 2, axis=sp_axes) \
+            * grid.cell_volume
+    return en
 
 
 def uniqueness_experiment(spec: EquationSpec, mu_list, r: float, grid: Grid,
@@ -476,9 +560,6 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, r: float, grid: Grid,
     f = np.zeros((tg.K + 1, m) + grid.shape, np.complex128)
     f[:, m - 1] = window.reshape((-1,) + (1,) * grid.dim) * profile[None]
 
-    Y = integrate_spde_system(A, f, None, grid, ensemble)
-    u = Y.values[:, :, 0]  # Lambda^{m-1}(zeta u) slot; energy proxy
-
     nodes = tg.nodes()
     half = nodes <= T / 2.0 + 1e-12
     # local energy over B_r around the torus center, via a smooth radial
@@ -490,9 +571,7 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, r: float, grid: Grid,
     ball_w = smooth_chi(dist / (2.0 * max(r, grid.dx)))
     if not (ball_w > 0).any():
         raise ValueError(f"ball radius r = {r} contains no lattice sites")
-    sp_axes = tuple(range(2, 2 + grid.dim))
-    en = np.sum(ball_w * np.abs(u) ** 2, axis=sp_axes) \
-        * grid.cell_volume  # (M, K+1)
+    en = _ball_energies(A, f, grid, ensemble, ball_w)  # (M, K+1)
     direct = float(np.mean(np.trapezoid(en[:, half], nodes[half], axis=1)))
 
     zeta = smooth_time_cutoff(tg)

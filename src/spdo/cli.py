@@ -210,9 +210,13 @@ _KEYS = {
 
 
 # the most bytes the arrays that a command with an ensemble holds at one
-# time may take, as _held_arrays counts them.  The defaults of integrator,
-# the largest in use, hold 16 MB of paths and a 1.3 MB spectral state
+# time may take, as _held_arrays counts them.  The defaults of integrator
+# hold a 2 MB draw slice and the 1.3 MB Y(T), those of garding a 67 MB scan
 _MAX_HELD_BYTES = 1 << 30
+# the slice and block sizes that stochastic._DRAW_BYTES and
+# cauchy._NODE_BLOCK_BYTES set, copied: those modules load numpy, and the
+# budget is checked before numpy loads
+_DRAW_BYTES, _NODE_BLOCK_BYTES = 1 << 20, 1 << 18
 
 
 def _sites(dim, N):
@@ -224,7 +228,8 @@ def _sites(dim, N):
 def _held_arrays(command, v):
     """(bytes, size keys, what) of each array that command holds together
     with the others, as the values v size it; an array of one draw, one
-    path slice or one step counts once."""
+    path slice, one draw slice, one block of time nodes or one step counts
+    once."""
     if "ensemble.M" not in v:
         return []
     grid = tuple(k for k in ("grid.dim", "grid.N", "grid.N_list", "cases")
@@ -234,13 +239,27 @@ def _held_arrays(command, v):
     n = max(_sites(dim, N) for dim, N in shapes)  # of the largest grid
     M, K1 = v["ensemble.M"], v["time.K"] + 1
     path_time = ("ensemble.M", "time.K") + grid
-    arrays = [(8 * M * K1, ("ensemble.M", "time.K"), "the Brownian paths")]
-    if command in ("cz", "carleman"):
+    paths = (8 * M * K1, ("ensemble.M", "time.K"), "the Brownian paths")
+    arrays = [] if command == "integrator" else [paths]
+    if command == "cz":
         arrays.append((16 * M * K1 * n, path_time,
                        "one draw's field at every (path, time) node"))
+    elif command == "carleman":
+        # a block of nodes plus the node carried into the next
+        block = min(max(1, _NODE_BLOCK_BYTES // max(1, 16 * M * n)), K1 - 1)
+        arrays += [(160 * M * (block + 1) * n, path_time, "ten work arrays "
+                    "of one block of time nodes"),
+                   (160 * M * K1, ("ensemble.M", "time.K"),
+                    "ten spatial moments at every (path, time) node")]
     elif command == "uniqueness":
-        arrays.append((32 * M * K1 * n, path_time, "the two-component "
-                       "solution at every (path, time) node"))
+        # two components (the registry's m <= 2): the state, the right
+        # side and the values of one step; the source and its spectra
+        arrays += [(96 * M * n, ("ensemble.M",) + grid,
+                    "one step's two-component state"),
+                   (64 * K1 * n, ("time.K",) + grid,
+                    "the two-component source and its spectra"),
+                   (8 * M * K1, ("ensemble.M", "time.K"),
+                    "the ball energy at every (path, time) node")]
     elif command in ("bounds", "garding"):
         arrays.append((16 * K1 * n, ("time.K",) + grid,
                        "one path's field at every time node"))
@@ -250,8 +269,14 @@ def _held_arrays(command, v):
                            "one (path, time) sample's hypothesis scan of "
                            "every (N // 16)-th point by N^n frequencies"))
     elif command == "integrator":
-        arrays += [(16 * M * n, ("ensemble.M",) + grid, "the spectral state"),
-                   (16 * K1 * n, ("time.K",) + grid, "the noise source"),
+        rows = min(M, max(1, _DRAW_BYTES // (8 * max(1, K1 - 1))))
+        arrays += [(16 * rows * K1, ("ensemble.M", "time.K"),
+                    "one draw slice's paths and increments"),
+                   (32 * rows * n, ("ensemble.M", "time.K") + grid,
+                    "one draw slice's spectral state and right side"),
+                   (16 * M * n, ("ensemble.M",) + grid, "Y(T) of every path"),
+                   (32 * K1 * n, ("time.K",) + grid,
+                    "the noise source and its spectra"),
                    (16 * (v["unitary.K"] + 1) * n, ("unitary.K",) + grid,
                     "the unitary run")]
     elif command == "verify-symbol":
@@ -333,13 +358,17 @@ def _grid(dim, N):
     return _checked(f"grid {dim}x{N}", Grid, dim, N)
 
 
-def _ensemble(v, seed):
+def _timegrid(v):
     from .grid import TimeGrid
+
+    return _checked("time.T, time.K", TimeGrid, v["time.T"], v["time.K"])
+
+
+def _ensemble(v, seed):
     from .stochastic import sample_brownian
 
-    tg = _checked("time.T, time.K", TimeGrid, v["time.T"], v["time.K"])
-    return _checked("ensemble.M", sample_brownian, v["ensemble.M"], tg,
-                    seed=seed)
+    return _checked("ensemble.M", sample_brownian, v["ensemble.M"],
+                    _timegrid(v), seed=seed)
 
 
 def _symbol(v, key, dim):
@@ -849,18 +878,23 @@ def run_integrator(v, seed):
     import numpy as np
     from .cauchy import CompanionSymbol, EquationSpec, integrate_spde_system
     from .grid import TimeGrid
-    from .stochastic import sample_brownian
+    from .stochastic import brownian_slices, sample_brownian
 
     g = _grid(v["grid.dim"], v["grid.N"])
     sigma = v["sigma"]
     if sigma == 0:
         raise ConfigError("config key 'sigma': 0 makes the Ito target 0")
-    ens = _ensemble(v, seed)
-    tg, M = ens.timegrid, ens.M
+    tg, M = _timegrid(v), v["ensemble.M"]
+    # the paths are drawn and stepped one slice at a time; only Y(T) is kept
+    slices = _checked("ensemble.M", brownian_slices, M, tg, seed)
     tg2 = _checked("unitary.K", TimeGrid, tg.T, v["unitary.K"])
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = sigma
-    final = _ito_final(F, g, ens)
+    final = np.empty((M,) + g.shape, np.complex128)
+    s = 0
+    for part in slices:
+        final[s:s + part.M] = _ito_final(F, g, part)
+        s += part.M
     got = float((np.abs(final) ** 2).reshape(M, -1)[:, 0].mean())
     target = sigma**2 * tg.T
     iso_err = abs(got - target) / target

@@ -19,13 +19,15 @@ from .grid import TimeGrid
 # reduce over the paths run one slice at a time, so peak memory is flat in
 # the ensemble size (quantize._CHUNK_BYTES bounds the applies inside a slice)
 _SLICE_BYTES = 16 << 20
-# bytes of normal draws per slice of rows in sample_brownian: the path array
-# is then the only (M, K)-sized array it makes
+# bytes of normal draws per slice of rows in brownian_slices: a command
+# that steps its paths slice by slice holds one slice, and sample_brownian
+# makes no (M, K)-sized array but its paths
 _DRAW_BYTES = 1 << 20
 
 __all__ = [
     "BrownianEnsemble",
     "sample_brownian",
+    "brownian_slices",
     "path_slices",
     "lpf_norm_values",
     "adaptedness_audit",
@@ -59,25 +61,41 @@ class BrownianEnsemble:
 
 
 def sample_brownian(M: int, tg: TimeGrid, seed: int = 0) -> BrownianEnsemble:
-    """M paths with W(0) = 0 and independent N(0, dt) increments.
+    """M paths with W(0) = 0 and independent N(0, dt) increments: the
+    slices of brownian_slices(M, tg, seed), written into one array."""
+    parts = brownian_slices(M, tg, seed)
+    paths = np.empty((M, tg.K + 1))
+    s = 0
+    for part in parts:
+        paths[s:s + part.M] = part.paths
+        s += part.M
+    return BrownianEnsemble(paths, int(seed), tg)
 
-    The increments are drawn from one Generator in consecutive slices of
-    rows, about _DRAW_BYTES each, and each slice is scaled in place and
-    summed into its rows of the paths.  Row-major draws in slices take the
-    stream as one (M, K) draw does, so the paths are bit-equal to
-    cumsum(standard_normal((M, K)) * sqrt(dt), axis=1) after a zero column.
+
+def brownian_slices(M: int, tg: TimeGrid, seed: int = 0):
+    """The paths of sample_brownian(M, tg, seed) as BrownianEnsembles over
+    consecutive slices of rows, each drawn when it is reached: about
+    _DRAW_BYTES of increments and as many of paths.
+
+    The increments come from one Generator, a slice of rows at a time, and
+    each slice is scaled in place and summed into its paths.  Row-major
+    draws in slices take the stream as one (M, K) draw does, so the paths
+    are bit-equal to cumsum(standard_normal((M, K)) * sqrt(dt), axis=1)
+    after a zero column.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     rng = np.random.default_rng(seed)
-    scale = math.sqrt(tg.dt)
-    paths = np.zeros((M, tg.K + 1))
     rows = max(1, _DRAW_BYTES // (8 * tg.K))
-    for s in range(0, M, rows):
-        inc = rng.standard_normal((min(rows, M - s), tg.K))
-        inc *= scale
-        np.cumsum(inc, axis=1, out=paths[s:s + rows, 1:])
-    return BrownianEnsemble(paths, int(seed), tg)
+
+    def draw(n):
+        paths = np.zeros((n, tg.K + 1))
+        inc = rng.standard_normal((n, tg.K))
+        inc *= math.sqrt(tg.dt)
+        np.cumsum(inc, axis=1, out=paths[:, 1:])
+        return BrownianEnsemble(paths, int(seed), tg)
+
+    return (draw(min(rows, M - s)) for s in range(0, M, rows))
 
 
 def path_slices(ensemble: BrownianEnsemble, path_bytes: int):

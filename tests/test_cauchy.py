@@ -360,7 +360,8 @@ def test_carleman_weighted_sum_overflow_raises():
 
 def test_carleman_nan_field_fails_without_overflow_error():
     # non-finite moments are a FAIL of the field, not an overflow
-    z = pinned_semimartingale(G, ENS_C, np.random.default_rng(5))
+    z = Field(G, pinned_semimartingale(G, ENS_C,
+                                       np.random.default_rng(5)).values)
     z.values[0, 5, 3] = np.nan
     reps = carleman_report(z, None, B1, [50.0, 400.0], ENS_C)
     assert [rep.passed for rep in reps] == [False, False]
@@ -464,6 +465,85 @@ def test_carleman_moments_match_per_mu_terms(case):
             assert abs(got - want) <= 1e-12 * abs(want), (mu, got, want)
 
 
+@pytest.mark.parametrize("case", ["held", "closed-form", "A1-set",
+                                  "B1-x-dependent"])
+def test_carleman_moments_do_not_depend_on_the_blocks(monkeypatch, case):
+    # one block of all 64 steps, blocks of 1 and 2 nodes, and uneven blocks
+    # of 7 (the last of 1): the same terms, a held Field read through the
+    # block loop as a closed form built block by block.  Bit for bit with a
+    # multiplier B1; an x-dependent B1 is applied in chunks of the block's
+    # nodes, which moves its terms at rounding level
+    A1, b1 = None, B1
+    if case == "A1-set":
+        A1 = symbol_from_expr(sp.Rational(1, 2) * _XI[0] + _W, 1, order=1)
+    if case == "B1-x-dependent":
+        b1 = symbol_from_expr((2 + sp.sin(_X[0])) * sp.sqrt(1 + _XI[0] ** 2),
+                              1, order=1)
+    z = pinned_semimartingale(G, ENS_C, np.random.default_rng(3))
+    if case != "closed-form":
+        z = Field(G, z.values)
+    mus = [50.0, 100.0, 200.0, 400.0]
+    node_bytes = 16 * ENS_C.M * G.N
+    runs = []
+    for nodes in (TG_C.K, 1, 2, 7):
+        monkeypatch.setattr(cauchy, "_NODE_BLOCK_BYTES", nodes * node_bytes)
+        runs.append(carleman_report(z, A1, b1, mus, ENS_C))
+    if case != "B1-x-dependent":
+        assert all(list(map(asdict, run)) == list(map(asdict, runs[0]))
+                   for run in runs[1:])
+    for run in runs[1:]:
+        for got, ref in zip(run, runs[0]):
+            scale = max(abs(ref.lhs), abs(ref.rhs))
+            assert got.passed == ref.passed
+            for a, b in zip(got.lhs_terms + got.rhs_terms,
+                            ref.lhs_terms + ref.rhs_terms):
+                assert abs(a - b) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "closed-form"])
+def test_carleman_known_answer_draw(monkeypatch, held):
+    # z = phi(t) e^{ikx} on every path, phi = sin^2(pi t/T), with A1 unset
+    # and the multiplier B1 = bessel1, b = B1(k) = sqrt(1 + k^2): each
+    # spatial moment is L times a scalar sequence in phi_j and b, so each
+    # term is a scalar sum over the time grid.  With delta_j = phi_{j+1} -
+    # phi_j, tau = t - T and w = e^{mu tau^2}:
+    #   lhs1 = L int w phi^2,  lhs2 = (L/mu) int w phi^2 (mu tau - b)^2,
+    #   rhs1 = -4L sum w phi (delta + b phi dt)(tau - b/mu),  rhs2 = 0,
+    #   rhs3 = -2L sum w tau delta^2,  rhs4 = -(2/mu) L b sum w delta^2
+    grid, tg, k = Grid(1, 64), TimeGrid(0.5, 64), 3
+    ens = sample_brownian(16, tg, seed=5)
+    # blocks of 10 nodes: their edges fall inside the run
+    monkeypatch.setattr(cauchy, "_NODE_BLOCK_BYTES", 10 * 16 * 16 * 64)
+    phi = np.sin(np.pi * tg.nodes() / tg.T) ** 2
+    mode = np.exp(1j * k * grid.points()[..., 0])
+    if held:
+        z = Field(grid, np.broadcast_to(phi[:, None] * mode,
+                                        (ens.M, tg.K + 1, grid.N)).copy())
+    else:
+        a = cauchy.fft_forward(grid, mode)
+        z = cauchy.PinnedSemimartingale(grid, ens, a, np.zeros_like(a))
+    L, b, dt = grid.L, math.sqrt(1.0 + k * k), tg.dt
+    tau = tg.nodes() - tg.T
+    delta = np.diff(phi)
+    phiL, tauL = phi[:-1], tau[:-1]
+    mus = [50.0, 100.0, 200.0]
+    reps = carleman_report(z, None, make_symbol("bessel1", dim=1), mus, ens)
+    for mu, rep in zip(mus, reps):
+        w = np.exp(mu * tau ** 2)
+        wL = w[:-1]
+        want = [L * np.trapezoid(w * phi ** 2, tg.nodes()),
+                L / mu * np.trapezoid(w * phi ** 2 * (mu * tau - b) ** 2,
+                                      tg.nodes()),
+                -4.0 * L * np.sum(wL * phiL * (delta + b * phiL * dt)
+                                  * (tauL - b / mu)),
+                -2.0 * L * np.sum(wL * tauL * delta ** 2),
+                -2.0 / mu * L * b * np.sum(wL * delta ** 2)]
+        got = rep.lhs_terms + [rep.rhs_terms[0]] + rep.rhs_terms[2:]
+        assert rep.rhs_terms[1] == 0.0
+        for g, x in zip(got, want):
+            assert abs(g - x) <= 1e-12 * abs(x), (mu, g, x)
+
+
 def test_carleman_report_terms_itemized():
     rng = np.random.default_rng(7)
     z = pinned_semimartingale(G, ENS_C, rng)
@@ -512,6 +592,26 @@ def test_pinned_semimartingale_contract():
     assert np.abs(z.values[:, -1]).max() < 1e-12
 
 
+@pytest.mark.parametrize("equation, dim, N", [("wave", 1, 32),
+                                              ("schrodinger", 1, 32),
+                                              ("wave", 2, 16),
+                                              ("schrodinger", 2, 16)])
+def test_ball_energies_equal_those_of_the_held_solution(equation, dim, N):
+    # each step reduced as the scheme yields it: bit for bit the energies
+    # of integrate_spde_system's whole (path, time) solution
+    g = Grid(dim, N)
+    tg = TimeGrid(0.5, 64)
+    ens = sample_brownian(6, tg, seed=4)
+    A = CompanionSymbol(make_equation(equation, dim))
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((tg.K + 1, A.m) + g.shape) + 0j
+    weight = rng.uniform(0.0, 1.0, g.shape)
+    u = integrate_spde_system(A, f, None, g, ens).values[:, :, 0]
+    held = np.sum(weight * np.abs(u) ** 2, axis=tuple(range(2, 2 + dim))) \
+        * g.cell_volume
+    assert np.array_equal(cauchy._ball_energies(A, f, g, ens, weight), held)
+
+
 def test_uniqueness_zero_forcing():
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(4, tg, seed=1)
@@ -550,13 +650,15 @@ def test_uniqueness_fails_on_garbage_solver(monkeypatch):
             1.5, G, ens)
     assert uniqueness_experiment(*args).passed
 
-    def garbage(A, f, F, grid, ensemble, *rest, **kw):
+    def garbage(A, f, F, grid, ensemble, y0):
+        # the spectral states of every step, (M, nfreq, m)
         rng = np.random.default_rng(0)
-        shape = (ensemble.M, ensemble.timegrid.K + 1, A.m) + grid.shape
-        return Field(grid, 1e6 * (rng.standard_normal(shape)
-                                  + 1j * rng.standard_normal(shape)))
+        shape = (ensemble.M, grid.N ** grid.dim, A.m)
+        for _ in range(ensemble.timegrid.K):
+            yield 1e6 * (rng.standard_normal(shape)
+                         + 1j * rng.standard_normal(shape))
 
-    monkeypatch.setattr(cauchy, "integrate_spde_system", garbage)
+    monkeypatch.setattr(cauchy, "_spectral_steps", garbage)
     rep = uniqueness_experiment(*args)
     assert rep.direct_energy > 1e6
     assert not rep.passed

@@ -246,13 +246,69 @@ def _peak_mb(tmp_path, command, cfg_text):
 @_LINUX
 def test_integrator_peak_memory(tmp_path):
     # the defaults (M = 10^4, K = 200, N = 8) would make a 257 MB
-    # (path, time) solution; the Ito check keeps only the 1.3 MB spectral
-    # state next to the 16 MB (M, K + 1) paths, which are drawn and
-    # differenced without a second (M, K) array, and the process peaks
-    # near 56 MB, about 35 MB of it the imports.
+    # (path, time) solution and 16 MB of (M, K + 1) paths; the Ito check
+    # draws and steps one slice of about 650 paths at a time and keeps only
+    # Y(T), 1.3 MB, so the process peaks near 41 MB (56 MB with the paths
+    # held), about 35 MB of it the imports
     code, mb = _peak_mb(tmp_path, "integrator", "")
     assert code == 0
-    assert mb < 64.0
+    assert mb < 48.0
+
+
+@_LINUX
+def test_carleman_2d_peak_memory(tmp_path):
+    # 2-D defaults (N = 64, M = 16, K = 64): a draw's (path, time) field is
+    # 68 MB, and the moments once held about eight such arrays (a 424 MB
+    # peak); blocks of one node peak near 53 MB
+    code, mb = _peak_mb(tmp_path, "carleman", "grid.dim = 2\ndraws = 1\n")
+    assert code == 0
+    assert mb < 100.0
+
+
+@_LINUX
+def test_uniqueness_2d_peak_memory(tmp_path):
+    # 2-D defaults (N = 32, M = 64, K = 128): the two-component (path,
+    # time) solution is 137 MB (a 429 MB peak with its |u|^2 temporaries);
+    # reduced as each step is made, the run peaks near 55 MB
+    code, mb = _peak_mb(tmp_path, "uniqueness", "grid.dim = 2\n")
+    assert code == 0
+    assert mb < 100.0
+
+
+def test_budget_copies_the_slice_and_block_sizes():
+    # the budget is checked before numpy loads, so it keeps its own copies
+    from spdo import cauchy, cli, stochastic
+
+    assert cli._DRAW_BYTES == stochastic._DRAW_BYTES
+    assert cli._NODE_BLOCK_BYTES == cauchy._NODE_BLOCK_BYTES
+
+
+def test_carleman_fails_a_single_high_mode_at_the_last_step(tmp_path,
+                                                            monkeypatch):
+    # pinned, but all of z sits on e^{31ix} at node K - 1 on every path:
+    # the jump back to 0 at T costs more than the weighted LHS earns (seed
+    # 5, first draw: lhs 1.02, 0.55, 0.31 against rhs -27.4, -13.7, -6.85
+    # at mu = 50, 100, 200), so every draw fails at the defaults
+    import numpy as np
+
+    from spdo import cauchy
+    from spdo.grid import Field
+
+    def last_step_mode(grid, ensemble, rng):
+        K = ensemble.timegrid.K
+        vals = np.zeros((ensemble.M, K + 1) + grid.shape, np.complex128)
+        vals[:, K - 1] = np.exp(31j * grid.points()[..., 0])
+        return Field(grid, vals)
+
+    monkeypatch.setattr(cauchy, "pinned_semimartingale", last_step_mode)
+    code, out = _run(tmp_path, "carleman", seed=5)
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["pass_rate"] == 0.0 and report["passed"] is False
+    lines = (out / "data" / "carleman.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 150
+    assert all(float(r[2]) > 0.0 > float(r[3]) for r in rows)
 
 
 @_LINUX
@@ -876,7 +932,8 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
 
 
 @pytest.mark.parametrize("command, cfg_text, keys", [
-    ("integrator", "ensemble.M = 10000000000\n", "'ensemble.M', 'time.K'"),
+    ("integrator", "ensemble.M = 10000000000\n",
+     "'ensemble.M', 'grid.dim', 'grid.N'"),
     ("uniqueness", "time.K = 10000000000\n", "'time.K'"),
     ("integrator", "unitary.K = 10000000000\n",
      "'unitary.K', 'grid.dim', 'grid.N'"),

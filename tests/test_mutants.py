@@ -7,6 +7,7 @@ import json
 import pytest
 
 import spdo.calculus
+import spdo.grid
 import spdo.quantize
 from spdo.cli import main
 
@@ -26,6 +27,25 @@ def _unweighted_fft(real):
     return fft_forward
 
 
+def _conjugated_phase(real):
+    # exp(-i x.xi): the dense path's phase sign flipped
+    def phase_matrix(self):
+        return real(self).conj()
+    return phase_matrix
+
+
+def _last_term_dropped(real):
+    # the separated sum without its last term, c_{r-1} g_{r-1}: its c zeroed
+    def apply(a, grid, uhat, t, w, values=None):
+        if values is None:
+            values = spdo.quantize._node_values(a, grid, t, w)
+        rank = a.separated[0]
+        values = list(values)
+        values[rank - 1] = 0.0 * values[rank - 1]
+        return real(a, grid, uhat, t, w, values)
+    return apply
+
+
 # (row, module, attribute, the mutant of the real kernel, command, config,
 # seed, report key of the error and the least error it must reach)
 MUTANTS = [
@@ -37,6 +57,14 @@ MUTANTS = [
     ("(L/N)^n weight dropped in fft_forward", spdo.quantize, "fft_forward",
      _unweighted_fft, "quantize-demo", "random_symbols = 20\ngrid.N = 64\n",
      5, "max_extraction_error", 1.0),
+    ("dense phase sign flipped in Grid.phase_matrix", spdo.grid.Grid,
+     "phase_matrix", _conjugated_phase, "quantize-demo",
+     "random_symbols = 20\ngrid.N = 64\n", 5, "max_extraction_error", 1.0),
+    # above the dense cap (N = 128 in 1-D) the pairs take the separated path
+    ("last term of a separated sum dropped", spdo.quantize,
+     "_apply_separated", _last_term_dropped, "compose",
+     "random_pairs = 30\ntrials = 20\ngrid.N = 256\n", 5,
+     "worst_relative_error", 1.0),
 ]
 
 

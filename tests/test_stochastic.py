@@ -11,6 +11,7 @@ from spdo import stochastic
 from spdo.grid import TimeGrid
 from spdo.stochastic import (
     adaptedness_audit,
+    brownian_slices,
     lpf_norm_values,
     path_slices,
     sample_brownian,
@@ -48,11 +49,25 @@ def _one_shot_brownian(M, tg, seed):
 @pytest.mark.parametrize("M, K", [(1, 64), (7, 64), (10, 2), (1, 2),
                                   (250, 7)])
 def test_sliced_draws_equal_one_draw(monkeypatch, M, K):
-    # 3 rows of 64 steps per slice: 7 paths make slices of 3, 3 and 1
+    # 3 rows of 64 steps per slice: 7 paths make slices of 3, 3 and 1; the
+    # draw slices are the rows that sample_brownian writes
     monkeypatch.setattr(stochastic, "_DRAW_BYTES", 3 * 8 * 64)
     tg = TimeGrid(0.7, K)
     ens = sample_brownian(M, tg, seed=11)
     assert np.array_equal(ens.paths, _one_shot_brownian(M, tg, 11))
+    parts = list(brownian_slices(M, tg, seed=11))
+    rows = 3 * 64 // K
+    assert [p.M for p in parts] == [min(rows, M - s)
+                                    for s in range(0, M, rows)]
+    assert all(p.seed == 11 and p.timegrid == tg for p in parts)
+    assert np.array_equal(np.concatenate([p.paths for p in parts]),
+                          ens.paths)
+
+
+def test_draw_slices_reject_no_paths_before_drawing():
+    # the check is made at the call, not at the first slice
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        brownian_slices(0, TG, seed=1)
 
 
 def test_default_slices_equal_one_draw():
