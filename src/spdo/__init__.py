@@ -6,6 +6,16 @@ import sys
 
 __version__ = "0.1.0"
 
+# Block sizes that cli's memory budget reads before numpy loads, so they
+# live here, in a module that loads no numpy.
+# bytes of normal draws per slice of rows in stochastic.brownian_slices: a
+# command that steps its paths slice by slice holds one slice, and
+# sample_brownian makes no (M, K)-sized array but its paths
+_DRAW_BYTES = 1 << 20
+# bytes of one (path, node) work array per block of time nodes in
+# cauchy._carleman_moments (at least one node): a block holds about ten
+_NODE_BLOCK_BYTES = 1 << 18
+
 
 def _import_long_lived(name):
     """Import `name` with the cyclic collector paused, then gc.freeze()."""

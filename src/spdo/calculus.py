@@ -175,7 +175,7 @@ def psi5_expr(dim: int, scale: float = 1.0):
 # parametrix
 
 
-def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries:
+def parametrix(a: Symbol, n_terms: int, grid) -> AsymptoticSeries:
     """Truncated left parametrix series for an elliptic symbol.
 
     q0 = highpass / a above the low-frequency cutoff at radius max(R_K, 1),
@@ -185,7 +185,7 @@ def parametrix(a: Symbol, n_terms: int, grid, ensemble=None) -> AsymptoticSeries
     """
     from .symbols import sp, _X, _XI, ellipticity_check
 
-    ellipticity = ellipticity_check(a, grid, ensemble)
+    ellipticity = ellipticity_check(a, grid, None)
     if not ellipticity.elliptic:
         raise EllipticityError("symbol failed the ellipticity check")
     R0 = max(ellipticity.R_K, 1.0)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _NODE_BLOCK_BYTES
 from .grid import Field, Grid, TimeGrid, fft_forward, fft_inverse
 from .quantize import apply_symbol_op
 from .stochastic import BrownianEnsemble
@@ -22,7 +23,6 @@ from .symbols import Symbol
 
 __all__ = [
     "EquationSpec",
-    "CompanionSymbol",
     "PinnedSemimartingale",
     "CarlemanReport",
     "DecayReport",
@@ -42,12 +42,13 @@ class StabilityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# equation spec and companion symbol
+# equation spec and its companion matrices
 
 
 @dataclass
 class EquationSpec:
-    """Order-m equation data.
+    """Order-m equation data, and the m x m order-1 homogeneous matrix
+    symbol of its companion system, evaluated by calling the spec.
 
     principal maps (k, alpha) -> coefficient (complex constant or order-0
     Symbol in x), entering a_k(t,w,x,xi) = sum_{|alpha| = m-k} a_alpha xi^alpha.
@@ -68,6 +69,17 @@ class EquationSpec:
                 raise ValueError(f"principal index (k={k}, alpha={alpha}) "
                                  "violates |alpha| = m - k")
 
+    @property
+    def x_independent(self) -> bool:
+        return not any(isinstance(c, Symbol) and not c.x_independent
+                       for c in self.principal.values())
+
+    @property
+    def tw_independent(self) -> bool:
+        """Constants and expressions free of t and w."""
+        return all(not isinstance(c, Symbol) or c.tw_independent
+                   for c in self.principal.values())
+
     def a_k(self, k: int, t, w, x, xi) -> np.ndarray:
         """a_k(t,w,x,xi) = sum_{|alpha|=m-k} a_alpha(t,w,x) xi^alpha, of the
         broadcast shape of t, w and the components of x and xi."""
@@ -87,36 +99,11 @@ class EquationSpec:
             out = out + cval * mono
         return out
 
-
-@dataclass
-class CompanionSymbol:
-    """m x m order-1 homogeneous matrix symbol of the companion system."""
-
-    spec: EquationSpec
-
-    @property
-    def m(self) -> int:
-        return self.spec.m
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    @property
-    def x_independent(self) -> bool:
-        return not any(isinstance(c, Symbol) and not c.x_independent
-                       for c in self.spec.principal.values())
-
-    @property
-    def tw_independent(self) -> bool:
-        """Constants and expressions free of t and w."""
-        return all(not isinstance(c, Symbol) or c.tw_independent
-                   for c in self.spec.principal.values())
-
     def __call__(self, t, w, x, xi) -> np.ndarray:
-        """Values, shape broadcast(t, w, x, xi) + (m, m), with x and xi
-        counted without their last axis; entries at xi = 0 are 0 (the origin
-        patch of the homogeneous extension)."""
+        """The companion matrices, superdiagonal |xi| and bottom row
+        a_k |xi|^{k+1-m}: shape broadcast(t, w, x, xi) + (m, m), with x and
+        xi counted without their last axis; entries at xi = 0 are 0 (the
+        origin patch of the homogeneous extension)."""
         x = np.asarray(x, float)
         xi = np.asarray(xi, float)
         mag = np.sqrt(np.sum(xi**2, axis=-1))
@@ -128,7 +115,7 @@ class CompanionSymbol:
             out[..., i, i + 1] = mag
         safe = np.where(mag > 0, mag, 1.0)
         for k in range(m):
-            ak = self.spec.a_k(k, t, w, x, xi)
+            ak = self.a_k(k, t, w, x, xi)
             val = ak * safe ** (k + 1 - m)
             out[..., m - 1, k] = np.where(mag > 0, val, 0.0)
         return out
@@ -145,56 +132,28 @@ def characteristic_roots(mats: np.ndarray) -> np.ndarray:
 # system integration
 
 
-def integrate_spde_system(A: CompanionSymbol | None, f, F, grid: Grid,
-                          ensemble: BrownianEnsemble, initial=None) -> Field:
+def integrate_spde_system(A: EquationSpec | None, f, F, grid: Grid,
+                          ensemble: BrownianEnsemble, y0: np.ndarray):
     """Midpoint semi-implicit Euler-Maruyama for (1/i) dY = A Y dt + f dt
     + F dw, spectral in space:
 
-        (I - i dt/2 A) Y_{j+1} = (I + i dt/2 A) Y_j + i f dt + i F dW_j .
+        (I - i dt/2 A) Y_{j+1} = (I + i dt/2 A) Y_j + i f dt + i F dW_j ,
 
-    The time grid is the ensemble's, and the solution is a Field with
-    (path, time, component) axes.  f and F are either None or arrays
-    (K+1, m) + grid.shape (deterministic sources) or (M, K+1, m) +
-    grid.shape; initial broadcasts to (M, m) + grid.shape.  The component
-    count m is A.m, or with A = None the component axis of f, F or
-    initial.  Only x-independent A is supported on the implicit path (the
+    with A the companion matrices of an EquationSpec, or None for A = 0.
+    Returns an iterator over the spectral states, each (M, nfreq, m), after
+    steps 1, ..., K of the ensemble's time grid from Y_0 = y0, (M, m) +
+    grid.shape; _from_spectrum takes a state back to values.  f and F are
+    either None or arrays (K+1, m) + grid.shape (deterministic sources) or
+    (M, K+1, m) + grid.shape.  Only x-independent A is supported (the
     symbol acts per frequency).  The Cayley pair (I + i dt/2 A,
-    (I - i dt/2 A)^{-1}) is built once when A is free of (t, w), else once
-    per step at (t_j + dt/2, W(t_j)) for all paths; the CFL bound
+    (I - i dt/2 A)^{-1}) is built in this call when A is free of (t, w),
+    else once per step at (t_j + dt/2, W(t_j)) for all paths; the CFL bound
     dt max|sigma(A)| <= 0.5 is checked on the matrices of every pair,
     before it is applied.
     """
-    if A is not None:
-        m = A.m
-        if not A.x_independent:
-            raise NotImplementedError(
-                "implicit integration requires an x-independent system symbol")
-    else:
-        given = [np.shape(v) for v in (f, F, initial) if v is not None]
-        if not given:
-            raise ValueError("with A = None, f, F or initial must give the "
-                             "component count m")
-        m = given[0][-1 - grid.dim]
-
-    Y = np.zeros((ensemble.M, ensemble.timegrid.K + 1, m) + grid.shape,
-                 dtype=np.complex128)
-    if initial is not None:
-        Y[:, 0] = initial
-    for j, yhat in enumerate(_spectral_steps(A, f, F, grid, ensemble, Y[:, 0])):
-        Y[:, j + 1] = _from_spectrum(yhat, grid)
-    return Field(grid, Y)
-
-
-def _from_spectrum(yhat: np.ndarray, grid: Grid) -> np.ndarray:
-    """(M, nfreq, m) spectral state -> (M, m) + grid.shape values."""
-    back = np.swapaxes(yhat, -1, -2).reshape(yhat.shape[::2] + grid.shape)
-    return fft_inverse(grid, back)
-
-
-def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
-                    ensemble: BrownianEnsemble, y0: np.ndarray):
-    """The spectral states, each (M, nfreq, m), of integrate_spde_system's
-    scheme from y0, (M, m) + grid.shape, after steps 1, ..., K."""
+    if A is not None and not A.x_independent:
+        raise NotImplementedError(
+            "implicit integration requires an x-independent system symbol")
     tg = ensemble.timegrid
     m = y0.shape[1]
     nodes = tg.nodes()
@@ -233,31 +192,34 @@ def _spectral_steps(A: CompanionSymbol | None, f, F, grid: Grid,
         return np.einsum("...kab,...kb->...ka", mats, v)
 
     moving = A is not None and not A.tw_independent
-    pair = None if A is None or moving else _cayley(0.0, 0.0)
-    yhat = _hat(y0)  # (M, nfreq, m)
     f_hat = None if f is None else _source_hats(f)
     F_hat = None if F is None else _source_hats(F)
-    for j in range(tg.K):
-        if moving:
-            pair = _cayley(nodes[j] + dt / 2.0, ensemble.paths[:, j, None])
-        rhs = yhat if pair is None else _act(pair[0], yhat)
-        if f is not None:
-            rhs = rhs + 1j * dt * f_hat(j)
-        if F is not None:
-            # the increment of step j, as np.diff would subtract it
-            dW = ensemble.paths[:, j + 1] - ensemble.paths[:, j]
-            rhs = rhs + 1j * dW[:, None, None] * F_hat(j)
-        yhat = rhs if pair is None else _act(pair[1], rhs)
-        yield yhat
+
+    def steps(yhat, pair):
+        for j in range(tg.K):
+            if moving:
+                pair = _cayley(nodes[j] + dt / 2.0, ensemble.paths[:, j, None])
+            rhs = yhat if pair is None else _act(pair[0], yhat)
+            if f is not None:
+                rhs = rhs + 1j * dt * f_hat(j)
+            if F is not None:
+                # the increment of step j, as np.diff would subtract it
+                dW = ensemble.paths[:, j + 1] - ensemble.paths[:, j]
+                rhs = rhs + 1j * dW[:, None, None] * F_hat(j)
+            yhat = rhs if pair is None else _act(pair[1], rhs)
+            yield yhat
+
+    return steps(_hat(y0), None if A is None or moving else _cayley(0.0, 0.0))
+
+
+def _from_spectrum(yhat: np.ndarray, grid: Grid) -> np.ndarray:
+    """(M, nfreq, m) spectral state -> (M, m) + grid.shape values."""
+    back = np.swapaxes(yhat, -1, -2).reshape(yhat.shape[::2] + grid.shape)
+    return fft_inverse(grid, back)
 
 
 # ---------------------------------------------------------------------------
 # Carleman machinery
-
-
-# bytes of one (path, node) work array per block of time nodes in
-# _carleman_moments (at least one node): a block holds about ten of them
-_NODE_BLOCK_BYTES = 1 << 18
 
 
 def _apply_nodes(sym: Symbol | None, vals: np.ndarray, grid: Grid,
@@ -507,23 +469,6 @@ def _time_plateau(tg: TimeGrid, lo: float, hi: float, ramp: float) -> np.ndarray
     return up * down
 
 
-def _ball_energies(A: CompanionSymbol, f, grid: Grid,
-                   ensemble: BrownianEnsemble, weight: np.ndarray):
-    """sum_x weight |u|^2 dx per (path, node), (M, K+1), of the first
-    component u (the Lambda^{m-1}(zeta u) slot) of integrate_spde_system(A,
-    f, None, grid, ensemble), from zero data: each step is reduced as the
-    scheme yields it, and no (path, time) solution is held."""
-    M = ensemble.M
-    en = np.zeros((M, ensemble.timegrid.K + 1))
-    y0 = np.zeros((M, A.m) + grid.shape, np.complex128)
-    sp_axes = tuple(range(1, 1 + grid.dim))
-    for j, yhat in enumerate(_spectral_steps(A, f, None, grid, ensemble, y0)):
-        u = _from_spectrum(yhat[..., :1], grid)[:, 0]
-        en[:, j + 1] = np.sum(weight * np.abs(u) ** 2, axis=sp_axes) \
-            * grid.cell_volume
-    return en
-
-
 def uniqueness_experiment(spec: EquationSpec, mu_list, r: float, grid: Grid,
                           ensemble: BrownianEnsemble,
                           forcing_amplitude: float = 1.0,
@@ -543,7 +488,6 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, r: float, grid: Grid,
     """
     tg = ensemble.timegrid
     T = tg.T
-    A = CompanionSymbol(spec)
     m = spec.m
     rng = np.random.default_rng(seed)
     # spatial profile: fixed band-limited bump
@@ -571,7 +515,17 @@ def uniqueness_experiment(spec: EquationSpec, mu_list, r: float, grid: Grid,
     ball_w = smooth_chi(dist / (2.0 * max(r, grid.dx)))
     if not (ball_w > 0).any():
         raise ValueError(f"ball radius r = {r} contains no lattice sites")
-    en = _ball_energies(A, f, grid, ensemble, ball_w)  # (M, K+1)
+    # sum_x ball_w |u|^2 dx per (path, node) of the first component u (the
+    # Lambda^{m-1}(zeta u) slot), from zero data: each state is reduced as
+    # the scheme yields it, and no (path, time) solution is held
+    en = np.zeros((ensemble.M, tg.K + 1))
+    y0 = np.zeros((ensemble.M, m) + grid.shape, np.complex128)
+    sp_axes = tuple(range(1, 1 + grid.dim))
+    for j, yhat in enumerate(integrate_spde_system(spec, f, None, grid,
+                                                   ensemble, y0)):
+        u = _from_spectrum(yhat[..., :1], grid)[:, 0]
+        en[:, j + 1] = np.sum(ball_w * np.abs(u) ** 2, axis=sp_axes) \
+            * grid.cell_volume
     direct = float(np.mean(np.trapezoid(en[:, half], nodes[half], axis=1)))
 
     zeta = smooth_time_cutoff(tg)

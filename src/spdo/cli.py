@@ -28,7 +28,8 @@ import math
 import os
 import sys
 
-from . import __version__, _import_long_lived
+from . import (_DRAW_BYTES, _NODE_BLOCK_BYTES, __version__,
+               _import_long_lived)
 
 
 class ConfigError(ValueError):
@@ -213,10 +214,6 @@ _KEYS = {
 # time may take, as _held_arrays counts them.  The defaults of integrator
 # hold a 2 MB draw slice and the 1.3 MB Y(T), those of garding a 67 MB scan
 _MAX_HELD_BYTES = 1 << 30
-# the slice and block sizes that stochastic._DRAW_BYTES and
-# cauchy._NODE_BLOCK_BYTES set, copied: those modules load numpy, and the
-# budget is checked before numpy loads
-_DRAW_BYTES, _NODE_BLOCK_BYTES = 1 << 20, 1 << 18
 
 
 def _sites(dim, N):
@@ -865,10 +862,10 @@ def _ito_final(F, grid, ens):
     """Y(T), shape (M,) + grid.shape, of the scalar (1/i) dY = F dw from
     Y(0) = 0; only the last spectral state is transformed back."""
     import numpy as np
-    from .cauchy import _from_spectrum, _spectral_steps
+    from .cauchy import _from_spectrum, integrate_spde_system
 
     y0 = np.zeros((ens.M, 1) + grid.shape, np.complex128)
-    for last in _spectral_steps(None, None, F, grid, ens, y0):
+    for last in integrate_spde_system(None, None, F, grid, ens, y0):
         pass
     return _from_spectrum(last, grid)[:, 0]
 
@@ -876,7 +873,7 @@ def _ito_final(F, grid, ens):
 def run_integrator(v, seed):
     """Integrator sanity: Ito isometry at large M, unitary norm drift."""
     import numpy as np
-    from .cauchy import CompanionSymbol, EquationSpec, integrate_spde_system
+    from .cauchy import EquationSpec, _from_spectrum, integrate_spde_system
     from .grid import TimeGrid
     from .stochastic import brownian_slices, sample_brownian
 
@@ -900,13 +897,16 @@ def run_integrator(v, seed):
     iso_err = abs(got - target) / target
 
     ens2 = sample_brownian(1, tg2, seed=seed)
-    cs = CompanionSymbol(
-        EquationSpec(m=1, dim=g.dim, principal={(0, (1,) + (0,) * (g.dim - 1)):
-                                                1.0}))
-    init = np.ones((1, 1) + g.shape, np.complex128)
-    Y2 = _checked("time.T, unitary.K", integrate_spde_system, cs, None, None,
-                  g, ens2, initial=init)
-    drift = float(np.abs(np.abs(Y2.values[0, :, 0]) - 1.0).max())
+    spec = EquationSpec(m=1, dim=g.dim,
+                        principal={(0, (1,) + (0,) * (g.dim - 1)): 1.0})
+    y0 = np.ones((1, 1) + g.shape, np.complex128)
+    # the frozen Cayley pair and its CFL check are built in this call
+    steps = _checked("time.T, unitary.K", integrate_spde_system, spec, None,
+                     None, g, ens2, y0)
+    # np.max keeps a NaN state, which Python's max would drop
+    drift = float(np.max(
+        [np.abs(np.abs(y0) - 1.0).max()]
+        + [np.abs(np.abs(_from_spectrum(y, g)) - 1.0).max() for y in steps]))
 
     # 3 relative standard deviations of the estimate, 3 sqrt(2/M), must fit
     iso_tol = v["iso_tol"]
@@ -949,6 +949,14 @@ _COMMANDS = {name: globals()["run_" + name.replace("-", "_")]
              for name in _KEYS}
 
 
+def _thread_count(text):
+    # argparse turns the error into exit 1, before any work
+    try:
+        return _number(int, least=0)(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(
         prog="spdo",
@@ -958,7 +966,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the seed config key (default 1234)")
     p.add_argument("--out", default="spdo-out", help="output directory")
-    p.add_argument("--threads", type=int, default=0,
+    p.add_argument("--threads", type=_thread_count, default=0,
                    help="cap worker threads (0 = library default)")
     try:
         args = p.parse_args(argv)

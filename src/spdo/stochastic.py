@@ -13,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _DRAW_BYTES
 from .grid import TimeGrid
 
 # bytes of (path, time) work arrays per slice of paths: commands that only
 # reduce over the paths run one slice at a time, so peak memory is flat in
 # the ensemble size (quantize._CHUNK_BYTES bounds the applies inside a slice)
 _SLICE_BYTES = 16 << 20
-# bytes of normal draws per slice of rows in brownian_slices: a command
-# that steps its paths slice by slice holds one slice, and sample_brownian
-# makes no (M, K)-sized array but its paths
-_DRAW_BYTES = 1 << 20
 
 __all__ = [
     "BrownianEnsemble",

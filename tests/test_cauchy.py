@@ -10,9 +10,9 @@ import sympy as sp
 
 from spdo import cauchy
 from spdo.cauchy import (
-    CompanionSymbol,
     EquationSpec,
     StabilityError,
+    _from_spectrum,
     carleman_report,
     characteristic_roots,
     integrate_spde_system,
@@ -28,21 +28,30 @@ from spdo.symbols import symbol_from_expr, _T, _W, _X, _XI
 G = Grid(1, 32)
 
 
-# -- companion symbol --------------------------------------------------------
+def _held(A, f, F, grid, ens, initial):
+    """integrate_spde_system's solution from Y(0) = initial, which
+    broadcasts to (M, m) + grid.shape, back in values at every node:
+    (M, K+1, m) + grid.shape."""
+    m = np.shape(initial)[-1 - grid.dim]
+    y0 = np.broadcast_to(initial, (ens.M, m) + grid.shape) + 0j
+    states = [_from_spectrum(y, grid)
+              for y in integrate_spde_system(A, f, F, grid, ens, y0)]
+    return np.stack([y0] + states, axis=1)
+
+
+# -- companion matrices ------------------------------------------------------
 
 def test_companion_m1_degenerate():
     spec = EquationSpec(m=1, dim=1, principal={(0, (1,)): 1.0})
-    cs = CompanionSymbol(spec)
-    sig = cs(0.0, 0.0, np.zeros((1, 1)), np.array([[3.0]]))[0]
+    sig = spec(0.0, 0.0, np.zeros((1, 1)), np.array([[3.0]]))[0]
     assert sig.shape == (1, 1)
     assert abs(sig[0, 0] - 3.0) < 1e-12
 
 
 def test_companion_wave_matrix():
     spec = make_equation("wave", 1)
-    cs = CompanionSymbol(spec)
     xi = np.array([[2.0]])
-    sig = cs(0.0, 0.0, np.zeros((1, 1)), xi)[0]
+    sig = spec(0.0, 0.0, np.zeros((1, 1)), xi)[0]
     expect = np.array([[0.0, 2.0], [2.0, 0.0]])
     assert np.abs(sig - expect).max() < 1e-12
 
@@ -51,10 +60,9 @@ def test_companion_structure_m3_random_points():
     rng = np.random.default_rng(0)
     spec = EquationSpec(m=3, dim=1, principal={
         (2, (1,)): 1.3, (1, (2,)): -0.7, (0, (3,)): 0.4})
-    cs = CompanionSymbol(spec)
     for _ in range(100):
         xi = rng.uniform(0.5, 8.0) * rng.choice([-1.0, 1.0])
-        sig = cs(0.0, 0.0, np.zeros((1, 1)), np.array([[xi]]))[0]
+        sig = spec(0.0, 0.0, np.zeros((1, 1)), np.array([[xi]]))[0]
         mag = abs(xi)
         # superdiagonal |xi|, bottom row a_k |xi|^{k+1-m}
         assert abs(sig[0, 1] - mag) < 1e-12 and abs(sig[1, 2] - mag) < 1e-12
@@ -65,8 +73,8 @@ def test_companion_structure_m3_random_points():
 
 
 def test_companion_origin_patched():
-    cs = CompanionSymbol(make_equation("wave", 1))
-    sig = cs(0.0, 0.0, np.zeros((1, 1)), np.zeros((1, 1)))[0]
+    sig = make_equation("wave", 1)(0.0, 0.0, np.zeros((1, 1)),
+                                   np.zeros((1, 1)))[0]
     assert np.abs(sig).max() == 0.0
 
 
@@ -86,7 +94,7 @@ def _root_distance(got, want):
 
 def _lattice_roots(spec, grid):
     xis = grid.freqs().reshape(-1, grid.dim)
-    mats = CompanionSymbol(spec)(0.0, 0.0, np.zeros((1, grid.dim)), xis)
+    mats = spec(0.0, 0.0, np.zeros((1, grid.dim)), xis)
     return xis, characteristic_roots(mats)
 
 
@@ -96,7 +104,7 @@ def _unit_sphere_roots(spec):
     w = np.array([-1.5, 0.0, 2.0])[None, :, None]
     x = G.points().reshape(-1, 1)[None, None, ::4, None, :]
     xi = np.array([[1.0], [-1.0]])
-    mats = CompanionSymbol(spec)(t[..., None], w[..., None], x, xi)
+    mats = spec(t[..., None], w[..., None], x, xi)
     return characteristic_roots(mats).reshape(-1, spec.m)
 
 
@@ -147,19 +155,18 @@ def test_random_cubic_against_independent_solver():
 def test_integrator_zero_sources_zero_solution():
     tg = TimeGrid(0.5, 32)
     ens = sample_brownian(4, tg, seed=0)
-    cs = CompanionSymbol(make_equation("wave", 1))
-    Y = integrate_spde_system(cs, None, None, G, ens)
-    assert np.abs(Y.values).max() < 1e-14
+    Y = _held(make_equation("wave", 1), None, None, G, ens,
+              np.zeros((2,) + G.shape))
+    assert np.abs(Y).max() < 1e-14
 
 
 def test_integrator_unitary_scalar():
     tg = TimeGrid(0.5, 1000)
     ens = sample_brownian(1, tg, seed=0)
     spec = EquationSpec(m=1, dim=1, principal={(0, (1,)): 1.0})
-    cs = CompanionSymbol(spec)
     init = np.ones((1, 1) + G.shape, np.complex128)
-    Y = integrate_spde_system(cs, None, None, G, ens, initial=init)
-    norms = np.abs(Y.values[0, :, 0, G.N // 2])
+    Y = _held(spec, None, None, G, ens, init)
+    norms = np.abs(Y[0, :, 0, G.N // 2])
     assert np.abs(norms - 1.0).max() <= 1e-6
 
 
@@ -170,9 +177,11 @@ def test_integrator_ito_isometry():
     sigma = 2.0
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = sigma
-    Y = integrate_spde_system(None, None, F, g, ens)
+    y0 = np.zeros((ens.M, 1) + g.shape, np.complex128)
+    for last in integrate_spde_system(None, None, F, g, ens, y0):
+        pass
     # E|Y(T)|^2 = sigma^2 T per site
-    site = np.abs(Y.values[:, -1, 0, 0]) ** 2
+    site = np.abs(_from_spectrum(last, g)[:, 0, 0]) ** 2
     got = float(site.mean())
     assert abs(got - sigma**2 * tg.T) <= 0.05 * sigma**2 * tg.T
 
@@ -180,20 +189,21 @@ def test_integrator_ito_isometry():
 def test_integrator_stability_error():
     tg = TimeGrid(0.5, 4)  # dt max|sigma| far beyond 0.5
     ens = sample_brownian(2, tg, seed=0)
-    cs = CompanionSymbol(make_equation("wave", 1))
+    y0 = np.zeros((2, 2, 64), np.complex128)
+    # the frozen pair is built, and its CFL bound checked, in the call
     with pytest.raises(StabilityError):
-        integrate_spde_system(cs, None, None, Grid(1, 64), ens)
+        integrate_spde_system(make_equation("wave", 1), None, None,
+                              Grid(1, 64), ens, y0)
 
 
 def test_integrator_cfl_checked_along_the_paths():
     # dt max|sigma(A)| = 0.125 at w = 0, but 1 + 100 w^2 grows along the paths
     coeff = symbol_from_expr(1 + 100 * _W**2, 1, order=0)
-    cs = CompanionSymbol(
-        EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
+    spec = EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff})
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(4, tg, seed=0)
     with pytest.raises(StabilityError):
-        integrate_spde_system(cs, None, None, Grid(1, 32), ens)
+        _held(spec, None, None, Grid(1, 32), ens, np.zeros((1, 32)))
 
 
 def test_integrator_reads_m_off_its_inputs():
@@ -201,18 +211,16 @@ def test_integrator_reads_m_off_its_inputs():
     ens = sample_brownian(2, tg, seed=0)
     x = G.points()[..., 0]
     y0 = np.stack([np.cos(x), np.sin(x)]).astype(np.complex128)
-    Y = integrate_spde_system(None, None, None, G, ens, initial=y0)
-    assert Y.values.shape[2] == 2
-    assert np.abs(Y.values - y0).max() <= 1e-14
-    with pytest.raises(ValueError):
-        integrate_spde_system(None, None, None, G, ens)
+    Y = _held(None, None, None, G, ens, y0)
+    assert Y.shape[2] == 2
+    assert np.abs(Y - y0).max() <= 1e-14
 
 
-def _path_loop_reference(cs, f, F, tg, ens, y0):
+def _path_loop_reference(spec, f, F, tg, ens, y0):
     """The midpoint scheme on the 1-D grid G, written out per path and step:
     (I - i dt/2 A) y' = (I + i dt/2 A) y + i f dt + i F dW, per frequency,
     with A at (t_j + dt/2, W_p(t_j))."""
-    dt, m = tg.dt, cs.m
+    dt, m = tg.dt, spec.m
     xis = G.freqs().reshape(-1, 1)
     eye = np.eye(m)
     dW = np.diff(ens.paths, axis=1)
@@ -221,7 +229,7 @@ def _path_loop_reference(cs, f, F, tg, ens, y0):
         out[p, 0] = y0
         yhat = np.fft.fft(y0, axis=-1).T  # (N, m)
         for j in range(tg.K):
-            half = 0.5j * dt * cs(tg.nodes()[j] + dt / 2.0, ens.paths[p, j],
+            half = 0.5j * dt * spec(tg.nodes()[j] + dt / 2.0, ens.paths[p, j],
                                   np.zeros((1, 1)), xis)
             rhs = np.einsum("kab,kb->ka", eye + half, yhat) \
                 + 1j * dt * np.fft.fft(f[j], axis=-1).T \
@@ -234,9 +242,8 @@ def _path_loop_reference(cs, f, F, tg, ens, y0):
 def test_integrator_tw_dependent_matches_path_loop():
     # wave speed^2 1 + sin(W)/2 + t: the Cayley pair differs per path and step
     coeff = symbol_from_expr(1 + sp.sin(_W) / 2 + _T, 1, order=0)
-    cs = CompanionSymbol(
-        EquationSpec(m=2, dim=1, principal={(0, (2,)): coeff}))
-    assert not cs.tw_independent
+    spec = EquationSpec(m=2, dim=1, principal={(0, (2,)): coeff})
+    assert not spec.tw_independent
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(3, tg, seed=6)
     x = G.points()[..., 0]
@@ -245,8 +252,8 @@ def test_integrator_tw_dependent_matches_path_loop():
     F = np.zeros_like(f)
     F[:, 1] = 0.3 * np.sin(2.0 * x)
     y0 = np.stack([np.cos(x), np.sin(3.0 * x)]).astype(np.complex128)
-    got = integrate_spde_system(cs, f, F, G, ens, initial=y0).values
-    ref = _path_loop_reference(cs, f, F, tg, ens, y0)
+    got = _held(spec, f, F, G, ens, y0)
+    ref = _path_loop_reference(spec, f, F, tg, ens, y0)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -257,17 +264,14 @@ def test_integrator_w_coefficient_is_not_frozen():
     y0 = np.cos(G.points()[..., 0])[None].astype(np.complex128)
     runs = []
     for coeff in (1.0, symbol_from_expr(1 + _W * (_W - 1), 1, order=0)):
-        cs = CompanionSymbol(
-            EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
-        runs.append(integrate_spde_system(cs, None, None, G, ens,
-                                          initial=y0).values)
+        spec = EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff})
+        runs.append(_held(spec, None, None, G, ens, y0))
     assert np.abs(runs[1] - runs[0]).max() > 1e-3
 
 
 def test_companion_tw_independent_read_off_coefficients():
     def spec(coeff):
-        return CompanionSymbol(
-            EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff}))
+        return EquationSpec(m=1, dim=1, principal={(0, (1,)): coeff})
 
     assert spec(2.0).tw_independent
     assert spec(symbol_from_expr(2 + sp.sin(_X[0]), 1, order=0)).tw_independent
@@ -285,9 +289,9 @@ def test_integrator_weak_order_in_dt():
         ens = sample_brownian(1, tg, seed=0)
         f = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
         f[:, 0] = np.cos(3.0 * tg.nodes()).reshape(-1, 1)
-        Y = integrate_spde_system(None, f, None, g, ens)
+        Y = _held(None, f, None, g, ens, np.zeros((1, 1) + g.shape))
         exact = 1j * math.sin(3.0 * tg.T) / 3.0
-        errs.append(abs(Y.values[0, -1, 0, 0] - exact))
+        errs.append(abs(Y[0, -1, 0, 0] - exact))
     slope = np.polyfit(np.log(Ks), np.log(errs), 1)[0]
     assert abs(slope + 1.0) <= 0.30
 
@@ -596,20 +600,42 @@ def test_pinned_semimartingale_contract():
                                               ("schrodinger", 1, 32),
                                               ("wave", 2, 16),
                                               ("schrodinger", 2, 16)])
-def test_ball_energies_equal_those_of_the_held_solution(equation, dim, N):
-    # each step reduced as the scheme yields it: bit for bit the energies
-    # of integrate_spde_system's whole (path, time) solution
+def test_ball_energies_equal_those_of_the_held_solution(equation, dim, N,
+                                                       monkeypatch):
+    # uniqueness_experiment reduces each state as the scheme yields it: its
+    # Eq (7) constants are bit for bit those of the whole (path, time)
+    # solution of the same scheme
+    from spdo.quantize import smooth_chi
+
     g = Grid(dim, N)
     tg = TimeGrid(0.5, 64)
     ens = sample_brownian(6, tg, seed=4)
-    A = CompanionSymbol(make_equation(equation, dim))
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal((tg.K + 1, A.m) + g.shape) + 0j
-    weight = rng.uniform(0.0, 1.0, g.shape)
-    u = integrate_spde_system(A, f, None, g, ens).values[:, :, 0]
-    held = np.sum(weight * np.abs(u) ** 2, axis=tuple(range(2, 2 + dim))) \
+    calls = []
+    real = cauchy.integrate_spde_system
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cauchy, "integrate_spde_system", spy)
+    mu_list, r = [50.0, 100.0], 1.5
+    rep = uniqueness_experiment(make_equation(equation, dim), mu_list, r, g,
+                                ens)
+    (A, f, F, _, _, y0), = calls
+    u = _held(A, f, F, g, ens, y0)[:, :, 0]
+    dist = g.torus_distance(g.points(), np.full(dim, g.L / 2.0))
+    weight = smooth_chi(dist / (2.0 * max(r, g.dx)))
+    en = np.sum(weight * np.abs(u) ** 2, axis=tuple(range(2, 2 + dim))) \
         * g.cell_volume
-    assert np.array_equal(cauchy._ball_energies(A, f, g, ens, weight), held)
+    nodes, T = tg.nodes(), tg.T
+    zeta2 = smooth_time_cutoff(tg) ** 2
+    src_l2 = np.sum(np.abs(f) ** 2, axis=tuple(range(1, f.ndim))) \
+        * g.cell_volume
+    for mu, const in zip(mu_list, rep.eq7_constants):
+        th2 = np.exp(mu * (nodes - T) ** 2)
+        rhs = (T + 1.0 / mu) * float(np.trapezoid(th2 * src_l2, nodes))
+        lhs = float(np.mean(np.trapezoid(th2 * (zeta2 * en), nodes, axis=1)))
+        assert const > 0.0 and const == lhs / rhs
 
 
 def test_uniqueness_zero_forcing():
@@ -658,7 +684,7 @@ def test_uniqueness_fails_on_garbage_solver(monkeypatch):
             yield 1e6 * (rng.standard_normal(shape)
                          + 1j * rng.standard_normal(shape))
 
-    monkeypatch.setattr(cauchy, "_spectral_steps", garbage)
+    monkeypatch.setattr(cauchy, "integrate_spde_system", garbage)
     rep = uniqueness_experiment(*args)
     assert rep.direct_energy > 1e6
     assert not rep.passed
@@ -685,8 +711,8 @@ def test_ito_final_matches_whole_trajectory(dim):
     rng = np.random.default_rng(0)
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = rng.standard_normal((tg.K + 1,) + g.shape)
-    whole = integrate_spde_system(None, None, F, g, ens).values[:, -1, 0]
-    assert np.array_equal(_ito_final(F, g, ens), whole)
+    whole = _held(None, None, F, g, ens, np.zeros((1, 1) + g.shape))
+    assert np.array_equal(_ito_final(F, g, ens), whole[:, -1, 0])
 
 
 def test_deterministic_source_matches_its_per_path_copy():
@@ -700,9 +726,9 @@ def test_deterministic_source_matches_its_per_path_copy():
     rng = np.random.default_rng(1)
     src = rng.standard_normal((tg.K + 1, 1) + g.shape) + 0j
     per_path = np.broadcast_to(src, (ens.M,) + src.shape)
+    y0 = np.zeros((1, 1) + g.shape)
     for f, F in ((src, None), (None, src)):
         fp = None if f is None else per_path
         Fp = None if F is None else per_path
-        assert np.array_equal(
-            integrate_spde_system(None, f, F, g, ens).values,
-            integrate_spde_system(None, fp, Fp, g, ens).values)
+        assert np.array_equal(_held(None, f, F, g, ens, y0),
+                              _held(None, fp, Fp, g, ens, y0))

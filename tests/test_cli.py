@@ -185,6 +185,15 @@ def test_threads_flag_sizes_blas_pool(tmp_path):
     assert threads.split() == ["Threads:", "1"]
 
 
+@pytest.mark.parametrize("threads", ["-1", "-3"])
+def test_negative_threads_exit_1(tmp_path, capsys, threads):
+    # rejected while the arguments are parsed, before any work or output
+    out = tmp_path / "out"
+    assert main(["cz", "--threads", threads, "--out", str(out)]) == 1
+    assert "argument --threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integrator_subcommand(tmp_path):
     # M = 7200 is the least ensemble whose 3 sqrt(2/M) fits in 5%
     code, out = _run(tmp_path, "integrator",
@@ -194,6 +203,33 @@ def test_integrator_subcommand(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["report"]["ito_isometry"]["rel_error"] <= 0.05
     assert rep["report"]["unitary"]["norm_drift"] <= 1e-6
+
+
+def test_integrator_fails_a_nan_unitary_state(tmp_path, monkeypatch):
+    # one NaN step of the unitary run makes the drift NaN and FAILs the
+    # verdict; Python's max would drop the NaN and PASS it
+    import numpy as np
+
+    import spdo.cauchy
+
+    real = spdo.cauchy.integrate_spde_system
+
+    def nan_step(A, f, F, grid, ensemble, y0):
+        steps = real(A, f, F, grid, ensemble, y0)
+        if A is None:  # the Ito run
+            return steps
+        return (np.full_like(y, np.nan) if j == 3 else y
+                for j, y in enumerate(steps))
+
+    monkeypatch.setattr(spdo.cauchy, "integrate_spde_system", nan_step)
+    code, out = _run(tmp_path, "integrator",
+                     "ensemble.M = 7200\ntime.K = 100\nunitary.K = 200\n"
+                     "drift_tol = 1e-6\n", seed=1)
+    assert code == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    assert rep["report"]["ito_isometry"]["rel_error"] <= 0.05
+    assert math.isnan(rep["report"]["unitary"]["norm_drift"])
 
 
 def test_integrator_undersampled_fails(tmp_path, capsys):
@@ -273,14 +309,6 @@ def test_uniqueness_2d_peak_memory(tmp_path):
     code, mb = _peak_mb(tmp_path, "uniqueness", "grid.dim = 2\n")
     assert code == 0
     assert mb < 100.0
-
-
-def test_budget_copies_the_slice_and_block_sizes():
-    # the budget is checked before numpy loads, so it keeps its own copies
-    from spdo import cauchy, cli, stochastic
-
-    assert cli._DRAW_BYTES == stochastic._DRAW_BYTES
-    assert cli._NODE_BLOCK_BYTES == cauchy._NODE_BLOCK_BYTES
 
 
 def test_carleman_fails_a_single_high_mode_at_the_last_step(tmp_path,

@@ -2,7 +2,9 @@
 acceptance invocation at a small config in-process through cli.main; the
 verdict that covers the kernel must FAIL it (exit 2)."""
 
+import functools
 import json
+import operator
 
 import pytest
 
@@ -46,8 +48,17 @@ def _last_term_dropped(real):
     return apply
 
 
+def _corrections_dropped(real):
+    # no weights for |alpha| >= 2: the parametrix recursion skips those terms
+    def weights(j, dim):
+        if j < 2:
+            yield from real(j, dim)
+    return weights
+
+
 # (row, module, attribute, the mutant of the real kernel, command, config,
-# seed, report key of the error and the least error it must reach)
+# seed, report key of the error, with "." into a nested key, and the least
+# error it must reach)
 MUTANTS = [
     ("sign of i^-|alpha| flipped", spdo.calculus, "_weighted_alphas",
      _flipped_weights, "compose",
@@ -65,6 +76,11 @@ MUTANTS = [
      "_apply_separated", _last_term_dropped, "compose",
      "random_pairs = 30\ntrials = 20\ngrid.N = 256\n", 5,
      "worst_relative_error", 1.0),
+    # the n = 3 residual slope passes in -4 +- 20%: the mutant's reaches
+    # above -3.2 (-1.95 at seed 5)
+    ("parametrix |alpha| >= 2 corrections dropped", spdo.calculus,
+     "_weighted_alphas", _corrections_dropped, "parametrix", "", 5,
+     "slopes.3", -3.2),
 ]
 
 
@@ -79,4 +95,5 @@ def test_mutant_fails_its_verdict(tmp_path, monkeypatch, row):
                  "--out", str(out)])
     assert code == 2
     report = json.loads((out / "report.json").read_text())["report"]
-    assert report["passed"] is False and report[key] >= least
+    error = functools.reduce(operator.getitem, key.split("."), report)
+    assert report["passed"] is False and error >= least
