@@ -8,12 +8,13 @@ __version__ = "0.1.0"
 
 # Block sizes that cli's memory budget reads before numpy loads, so they
 # live here, in a module that loads no numpy.
-# bytes of normal draws per slice of rows in stochastic.brownian_slices: a
-# command that steps its paths slice by slice holds one slice, and
-# sample_brownian makes no (M, K)-sized array but its paths
-_DRAW_BYTES = 1 << 20
+# bytes of one work array of every streamed loop (draw and path slices in
+# stochastic, chunks of nodes in quantize, blocks of frequencies in the
+# symbol scans): a loop holds one block at a time
+_BLOCK_BYTES = 1 << 20
 # bytes of one (path, node) work array per block of time nodes in
-# cauchy._carleman_moments (at least one node): a block holds about ten
+# cauchy._carleman_moments (at least one node): a block holds about ten,
+# and at _BLOCK_BYTES the perfbench carleman config peaked 5.8 MB higher
 _NODE_BLOCK_BYTES = 1 << 18
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .grid import Field, Grid, fft_forward, fft_inverse, l2_norm, sobolev_norm
 from .quantize import apply_symbol_ensemble
 from .stochastic import BrownianEnsemble, lpf_norm_values, path_slices
-from .symbols import Symbol
+from .symbols import Symbol, _node_samples, _scan_blocks
 
 __all__ = [
     "BoundReport",
@@ -245,7 +245,8 @@ def garding_check(a: Symbol, delta_star: float, eps: float, r: float,
     """
     ell = a.order
     nodes = ensemble.timegrid.nodes()
-    # hypothesis scan on the largest grid, one (path, time) sample at a time
+    # hypothesis scan on the largest grid: every (N // 16)-th lattice point
+    # by every frequency xi != 0
     gmax = max(grids, key=lambda g: g.N)
     xis = gmax.freqs().reshape(-1, gmax.dim)
     mags = np.sqrt(np.sum(xis**2, axis=-1))
@@ -253,12 +254,10 @@ def garding_check(a: Symbol, delta_star: float, eps: float, r: float,
     scale = mags[sel] ** ell
     xpts = gmax.points().reshape(-1, gmax.dim)[:: max(1, gmax.N // 16)]
     worst = math.inf
-    for p in range(min(4, ensemble.M)):
-        for j in ensemble.timegrid.node_indices(5):
-            vals = a(nodes[j], ensemble.paths[p, j], xpts[:, None, :],
-                     xis[None, sel, :]).real  # (x, xi)
-            # np.minimum, not min: a NaN ratio propagates
-            worst = np.minimum(worst, (vals / scale).min())
+    for b, vals in _scan_blocks(a, _node_samples(ensemble, 5), xpts,
+                                xis[sel]):
+        # np.minimum, not min: a NaN ratio propagates
+        worst = np.minimum(worst, (vals.real / scale[b]).min())
     worst = float(worst)
     if not math.isfinite(worst):
         raise HypothesisError(f"Re a / |xi|^l is {worst} on the grid, not a "

@@ -28,7 +28,7 @@ import math
 import os
 import sys
 
-from . import (_DRAW_BYTES, _NODE_BLOCK_BYTES, __version__,
+from . import (_BLOCK_BYTES, _NODE_BLOCK_BYTES, __version__,
                _import_long_lived)
 
 
@@ -212,7 +212,7 @@ _KEYS = {
 
 # the most bytes the arrays that a command with an ensemble holds at one
 # time may take, as _held_arrays counts them.  The defaults of integrator
-# hold a 2 MB draw slice and the 1.3 MB Y(T), those of garding a 67 MB scan
+# hold a 2 MB draw slice and the 1.3 MB Y(T)
 _MAX_HELD_BYTES = 1 << 30
 
 
@@ -261,12 +261,15 @@ def _held_arrays(command, v):
         arrays.append((16 * K1 * n, ("time.K",) + grid,
                        "one path's field at every time node"))
         if command == "garding":
+            # the scan holds its values in blocks of about 1 MiB of
+            # frequencies, so this row bounds the scan's work at each
+            # sample, not its memory
             stride = max(1, max(N for _, N in shapes) // 16)
             arrays.append((16 * -(-n // stride) * n, grid,
                            "one (path, time) sample's hypothesis scan of "
                            "every (N // 16)-th point by N^n frequencies"))
     elif command == "integrator":
-        rows = min(M, max(1, _DRAW_BYTES // (8 * max(1, K1 - 1))))
+        rows = min(M, max(1, _BLOCK_BYTES // (8 * max(1, K1 - 1))))
         arrays += [(16 * rows * K1, ("ensemble.M", "time.K"),
                     "one draw slice's paths and increments"),
                    (32 * rows * n, ("ensemble.M", "time.K") + grid,
@@ -738,8 +741,8 @@ def _cz_property_checks(u, ens, dec):
 
     grid = u.grid
     recon = dec.good.values.copy()
-    for _, wk in dec.bad:
-        recon = recon + wk.values
+    for c, wk in dec.bad:
+        recon[(..., *c.slices())] += wk
     checks = {"reconstruction": bool(np.abs(recon - u.values).max() <= 1e-12
                                      * max(1.0, np.abs(u.values).max()))}
     covered = np.zeros(grid.shape, bool)
@@ -753,10 +756,9 @@ def _cz_property_checks(u, ens, dec):
     checks["measure_bound"] = bool(
         dec.level * dec.cube_measure() <= dec.u_l1_lpf * (1 + 1e-12))
     zero_mean = True
-    for c, wk in dec.bad:
-        sl = (slice(None), slice(None)) + c.slices()
+    for _, wk in dec.bad:
         axes = tuple(range(2, 2 + grid.dim))
-        m = np.abs(wk.values[sl].mean(axis=axes)).max()
+        m = np.abs(wk.mean(axis=axes)).max()
         zero_mean &= bool(m <= 1e-12 * max(1.0, np.abs(u.values).max()))
     checks["zero_mean"] = zero_mean
     dens = lpf_norm_values(dec.good.values, ens.timegrid.nodes(),

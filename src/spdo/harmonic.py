@@ -58,7 +58,7 @@ class DyadicCube:
 @dataclass
 class CZDecomposition:
     good: Field  # v
-    bad: list  # [(DyadicCube, Field w_k)]
+    bad: list  # [(DyadicCube, w_k on the cube: (path, time) + (size,) * n)]
     level: float
     exponent: float
     u_l1_lpf: float  # |u|_{L^1(R^n; L^p_F)}
@@ -75,7 +75,8 @@ def cz_decompose(u: Field, ensemble: BrownianEnsemble, r: float,
 
     Guarantees, by construction: disjoint half-open dyadic cubes;
     r sum|I_k| <= |u|_{L^1(L^p_F)}; each w_k has zero spatial mean per
-    (t, path); |v(., ., x)|_{L^p_F} <= 2^n r; v = u off the cubes.
+    (t, path); |v(., ., x)|_{L^p_F} <= 2^n r; v = u off the cubes.  Each
+    w_k is zero off its cube and is held as its values on the cube.
     """
     if r <= 0:
         raise ValueError("level r must be positive")
@@ -114,9 +115,7 @@ def cz_decompose(u: Field, ensemble: BrownianEnsemble, r: float,
         sl = (slice(None), slice(None)) + cube.slices()
         axes = tuple(range(2, 2 + grid.dim))
         mean = u.values[sl].mean(axis=axes, keepdims=True)
-        w = np.zeros_like(u.values)
-        w[sl] = u.values[sl] - mean
+        bad.append((cube, u.values[sl] - mean))
         v[sl] = np.broadcast_to(mean, u.values[sl].shape)
-        bad.append((cube, Field(grid, w)))
     good = Field(grid, v)
     return CZDecomposition(good, bad, float(r), p, total)

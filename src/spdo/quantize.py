@@ -26,6 +26,7 @@ from functools import partial
 
 import numpy as np
 
+from . import _BLOCK_BYTES
 from .grid import Field, Grid, fft_forward, fft_inverse
 from .symbols import Amplitude, Symbol
 
@@ -41,9 +42,6 @@ __all__ = [
 
 # dense-sum size caps per dimension; correctness first at desk scale
 _N_CAP = {1: 128, 2: 64, 3: 32}
-# work-array budget of one chunk of (path, time) nodes: as fast as larger
-# chunks, and it keeps peak memory flat in the ensemble size
-_CHUNK_BYTES = 1 << 20
 
 
 class RegularizationWarning(UserWarning):
@@ -73,7 +71,7 @@ def apply_symbol_op(a: Symbol, u: Field, t=0.0, w=0.0) -> Field:
     broadcast against those axes.  An x-dependent symbol takes the separated
     path when it separates and there is more than one node or N is above
     the cap of the dense sum; otherwise the dense sum.  The fields are
-    processed in chunks whose work arrays hold about _CHUNK_BYTES (at least
+    processed in chunks whose work arrays hold about _BLOCK_BYTES (at least
     one field, and at least one lattice row of the dense sum, per chunk).
     """
     grid = u.grid
@@ -107,7 +105,7 @@ def apply_symbol_op(a: Symbol, u: Field, t=0.0, w=0.0) -> Field:
         node = (t[0].item(), w[0].item()) if one_node else (0.0, 0.0)
         apply_chunk = partial(apply_chunk,
                               values=_node_values(a, grid, *node))
-    step = max(1, _CHUNK_BYTES // field_bytes if field_bytes
+    step = max(1, _BLOCK_BYTES // field_bytes if field_bytes
                else len(fields))
     out = np.empty_like(fields)
     for s in range(0, len(fields), step):
@@ -162,7 +160,7 @@ def _apply_dense(a, grid, uhat, t, w):
     phase = grid.phase_matrix()
     uhat = uhat.reshape(len(uhat), -1, 1)
     out = np.empty((len(uhat), len(xs)), dtype=np.complex128)
-    rows = max(1, _CHUNK_BYTES // (16 * len(t) * len(xis)))
+    rows = max(1, _BLOCK_BYTES // (16 * len(t) * len(xis)))
     for r in range(0, len(xs), rows):
         x = slice(r, r + rows)
         vals = a(t[:, None, None], w[:, None, None], xs[x, None, :],

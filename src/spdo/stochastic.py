@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _DRAW_BYTES
+from . import _BLOCK_BYTES
 from .grid import TimeGrid
-
-# bytes of (path, time) work arrays per slice of paths: commands that only
-# reduce over the paths run one slice at a time, so peak memory is flat in
-# the ensemble size (quantize._CHUNK_BYTES bounds the applies inside a slice)
-_SLICE_BYTES = 16 << 20
 
 __all__ = [
     "BrownianEnsemble",
@@ -72,7 +67,7 @@ def sample_brownian(M: int, tg: TimeGrid, seed: int = 0) -> BrownianEnsemble:
 def brownian_slices(M: int, tg: TimeGrid, seed: int = 0):
     """The paths of sample_brownian(M, tg, seed) as BrownianEnsembles over
     consecutive slices of rows, each drawn when it is reached: about
-    _DRAW_BYTES of increments and as many of paths.
+    _BLOCK_BYTES of increments and as many of paths.
 
     The increments come from one Generator, a slice of rows at a time, and
     each slice is scaled in place and summed into its paths.  Row-major
@@ -83,7 +78,7 @@ def brownian_slices(M: int, tg: TimeGrid, seed: int = 0):
     if M < 1:
         raise ValueError("M must be >= 1")
     rng = np.random.default_rng(seed)
-    rows = max(1, _DRAW_BYTES // (8 * tg.K))
+    rows = max(1, _BLOCK_BYTES // (8 * tg.K))
 
     def draw(n):
         paths = np.zeros((n, tg.K + 1))
@@ -97,9 +92,10 @@ def brownian_slices(M: int, tg: TimeGrid, seed: int = 0):
 
 def path_slices(ensemble: BrownianEnsemble, path_bytes: int):
     """Sub-ensembles over consecutive rows of ensemble.paths, with its seed
-    and time grid, each of about _SLICE_BYTES for path_bytes bytes of work
-    per path (at least one path per slice)."""
-    step = max(1, _SLICE_BYTES // path_bytes)
+    and time grid, each of about _BLOCK_BYTES for path_bytes bytes of work
+    per path (at least one path per slice): a command that only reduces
+    over the paths runs one slice at a time."""
+    step = max(1, _BLOCK_BYTES // path_bytes)
     for s in range(0, ensemble.M, step):
         yield BrownianEnsemble(ensemble.paths[s:s + step], ensemble.seed,
                                ensemble.timegrid)

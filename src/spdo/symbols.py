@@ -31,6 +31,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from . import _BLOCK_BYTES
+
 __all__ = [
     "Symbol",
     "Amplitude",
@@ -46,9 +48,6 @@ __all__ = [
 
 # the most terms Symbol.separated expands a symbol to
 _SEPARATE_TERMS = 1000
-
-# the bytes of complex symbol values ellipticity_check holds at one time
-_SCAN_BYTES = 1 << 20
 
 # sympy and the variables are built on first use, so a command that builds
 # no symbol never imports sympy
@@ -473,11 +472,30 @@ def _sample_freqs(grid, max_per_axis=64):
     return fr[sl].reshape(-1, grid.dim)
 
 
-def _time_path_samples(ensemble):
-    tg = ensemble.timegrid
-    tidx = tg.node_indices(min(9, tg.K + 1))
-    pidx = np.arange(min(4, ensemble.M))
-    return tidx, pidx
+def _node_samples(ensemble, times):
+    """The (t, w) nodes a symbol scan samples, as their times (T,) and path
+    values (P, T): the first 4 paths at `times` time nodes spread over the
+    grid, or t = w = 0 alone without an ensemble."""
+    if ensemble is None:
+        return np.zeros(1), np.zeros((1, 1))
+    tidx = ensemble.timegrid.node_indices(times)
+    return ensemble.timegrid.nodes()[tidx], ensemble.paths[:4, tidx]
+
+
+def _scan_blocks(a, samples, xs, xis):
+    """(b, a(t, w, x, xi)) for each (t, w) node of samples in turn, path by
+    path, and each block b of the frequencies xis: a slice of them whose
+    (points, frequencies) values take about _BLOCK_BYTES.  A minimum over
+    the blocks is exact in any blocking."""
+    nodes, wvals = samples
+    X = xs[:, None, :]
+    XI = xis[None, :, :]
+    step = max(1, _BLOCK_BYTES // (16 * len(xs)))
+    for row in wvals:
+        for tj, wv in zip(nodes, row):
+            for s in range(0, len(xis), step):
+                b = slice(s, s + step)
+                yield b, a(tj, wv, X, XI[:, b])
 
 
 def _slope_loglog(mags, vals):
@@ -518,15 +536,7 @@ def check_symbol_estimate(a: Symbol, alpha_max: int, beta_max: int, grid,
     xs = _sample_points(grid)
     xis = _sample_freqs(grid)
     mags = np.sqrt(np.sum(xis**2, axis=-1))
-    if ensemble is None:
-        tidx = np.array([0])
-        pidx = np.array([0])
-        nodes = np.array([0.0])
-        wvals = np.zeros((1, 1))
-    else:
-        tidx, pidx = _time_path_samples(ensemble)
-        nodes = ensemble.timegrid.nodes()[tidx]
-        wvals = ensemble.paths[np.ix_(pidx, tidx)]
+    nodes, wvals = _node_samples(ensemble, 9)
 
     entries = []
     X = xs[:, None, :]  # (nx, 1, dim)
@@ -542,11 +552,11 @@ def check_symbol_estimate(a: Symbol, alpha_max: int, beta_max: int, grid,
             # free of the (1+|xi|)-vs-|xi| saturation transient that would
             # mimic residual growth on a finite band
             weight2 = (1.0 + mags**2) ** ((a.order - sum(alpha)) / 2.0)
-            maj = np.zeros((len(pidx), len(tidx)))
+            maj = np.zeros(wvals.shape)
             growth_by_xi = np.zeros(len(xis))
-            for i, _ in enumerate(pidx):
+            for i, row in enumerate(wvals):
                 for j, tj in enumerate(nodes):
-                    vals = np.abs(d(tj, wvals[i, j], X, XI))  # (nx, nxi)
+                    vals = np.abs(d(tj, row[j], X, XI))  # (nx, nxi)
                     maj[i, j] = (vals / weight[None, :]).max()
                     growth_by_xi = np.maximum(growth_by_xi,
                                               (vals / weight2[None, :]).max(axis=0))
@@ -593,25 +603,11 @@ def ellipticity_check(a: Symbol, grid, ensemble=None) -> EllipticityResult:
     xs = _sample_points(grid)
     xis = _sample_freqs(grid, max_per_axis=grid.N)
     mags = np.sqrt(np.sum(xis**2, axis=-1))
-    if ensemble is None:
-        samples = [(0.0, 0.0)]
-    else:
-        tidx, pidx = _time_path_samples(ensemble)
-        nodes = ensemble.timegrid.nodes()
-        samples = [(nodes[j], ensemble.paths[i, j]) for i in pidx for j in tidx]
-
     weight = (1.0 + mags) ** a.order
     min_ratio = np.full(len(xis), np.inf)
-    X = xs[:, None, :]
-    XI = xis[None, :, :]
-    # the (points, frequencies) values a block of about _SCAN_BYTES at a
-    # time; the minimum over the points is exact in any blocking
-    step = max(1, _SCAN_BYTES // (16 * len(xs)))
-    for tj, wv in samples:
-        for s in range(0, len(xis), step):
-            b = slice(s, s + step)
-            vals = np.abs(a(tj, wv, X, XI[:, b])) / weight[None, b]
-            min_ratio[b] = np.minimum(min_ratio[b], vals.min(axis=0))
+    for b, vals in _scan_blocks(a, _node_samples(ensemble, 9), xs, xis):
+        min_ratio[b] = np.minimum(min_ratio[b],
+                                  (np.abs(vals) / weight[b]).min(axis=0))
 
     xi_max = grid.max_resolved_freq
     r_big = xi_max / 2.0

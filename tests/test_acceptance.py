@@ -89,8 +89,8 @@ def _cz_properties_hold(u, ens, dec, grid):
     r = dec.level
     cell = grid.cell_volume
     total = dec.good.values.copy()
-    for _, w in dec.bad:
-        total = total + w.values
+    for c, w in dec.bad:
+        total[(..., *c.slices())] += w
     if np.abs(total - u.values).max() >= 1e-12:
         return False
     mask = np.zeros(grid.shape, dtype=int)
@@ -102,8 +102,8 @@ def _cz_properties_hold(u, ens, dec, grid):
         return False
     axes = tuple(range(2, 2 + n))
     for _, w in dec.bad:
-        means = np.abs(w.values.sum(axis=axes)) * cell
-        l1 = np.abs(w.values).sum(axis=axes) * cell
+        means = np.abs(w.sum(axis=axes)) * cell
+        l1 = np.abs(w).sum(axis=axes) * cell
         if np.any(means > 1e-12 * np.maximum(l1, 1e-30)):
             return False
     dens = lpf_norm_values(dec.good.values, ens.timegrid.nodes(),

@@ -237,10 +237,10 @@ def test_path_slices_give_the_same_constants(monkeypatch, dim, Ns, per_slice):
                           0.0, grids, ens, trials=2, seed=3)
         return l2.constants, g.constants
 
-    monkeypatch.setattr(stochastic, "_SLICE_BYTES", 1 << 40)
+    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 1 << 40)
     whole = constants()
     path_bytes = 16 * 9 * max(Ns) ** dim
-    monkeypatch.setattr(stochastic, "_SLICE_BYTES", per_slice * path_bytes)
+    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", per_slice * path_bytes)
     sizes = [p.M for p in stochastic.path_slices(ens, path_bytes)]
     assert sizes[0] == per_slice and sizes[-1] == 64 % per_slice
     assert constants() == whole

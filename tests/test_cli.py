@@ -302,6 +302,28 @@ def test_carleman_2d_peak_memory(tmp_path):
 
 
 @_LINUX
+def test_garding_2d_peak_memory(tmp_path):
+    # 2-D defaults (N_list 32, 64): the hypothesis scan of 1,024 points by
+    # 4,095 frequencies is 67 MB at one (path, time) sample (a 196 MB
+    # peak); in blocks of about 1 MiB of frequencies the run peaks near
+    # 58 MB
+    code, mb = _peak_mb(tmp_path, "garding", "grid.dim = 2\ntrials = 1\n")
+    assert code == 0
+    assert mb < 100.0
+
+
+@_LINUX
+def test_bounds_2d_peak_memory(tmp_path):
+    # 2-D defaults (N_list 32, 64, M = 8, K = 64): a path's field at every
+    # time node is 4.3 MB at N = 64, and path slices of 16 MiB (three
+    # paths) peaked near 86 MB; slices of about 1 MiB, one path each, peak
+    # near 56 MB
+    code, mb = _peak_mb(tmp_path, "bounds", "grid.dim = 2\ntrials = 1\n")
+    assert code == 0
+    assert mb < 70.0
+
+
+@_LINUX
 def test_uniqueness_2d_peak_memory(tmp_path):
     # 2-D defaults (N = 32, M = 64, K = 128): the two-component (path,
     # time) solution is 137 MB (a 429 MB peak with its |u|^2 temporaries);

@@ -165,6 +165,23 @@ def test_only_grid_calls_numpy_fft():
     assert users == {"grid.py"}
 
 
+def test_one_block_size():
+    # every streamed loop reads spdo._BLOCK_BYTES; a Carleman block of about
+    # ten work arrays has its own, and the budget its ceiling
+    pkg = pathlib.Path(spdo.__file__).parent
+    names = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            names |= {(path.name, t.id) for t in targets
+                      if isinstance(t, ast.Name) and t.id.endswith("_BYTES")}
+    assert names == {("__init__.py", "_BLOCK_BYTES"),
+                     ("__init__.py", "_NODE_BLOCK_BYTES"),
+                     ("cli.py", "_MAX_HELD_BYTES")}
+
+
 def test_one_field_type_and_one_time_grid_source():
     # a field is (grid, values), and its time grid is its ensemble's: no
     # function takes an ensemble with a second copy of the time grid, and

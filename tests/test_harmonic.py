@@ -24,10 +24,10 @@ def _check_all_properties(u, ens, dec, grid):
     n = grid.dim
     r = dec.level
     cell = grid.cell_volume
-    # 1: reconstruction u = v + sum w_k
+    # 1: reconstruction u = v + sum w_k, each w_k held on its cube
     total = dec.good.values.copy()
-    for _, w in dec.bad:
-        total = total + w.values
+    for c, w in dec.bad:
+        total[(..., *c.slices())] += w
     assert np.abs(total - u.values).max() < 1e-12
 
     # 2: cubes disjoint
@@ -42,8 +42,8 @@ def _check_all_properties(u, ens, dec, grid):
     # 4: each w_k has zero spatial mean per (path, time)
     for _, w in dec.bad:
         axes = tuple(range(2, 2 + n))
-        means = np.abs(w.values.sum(axis=axes)) * cell
-        l1 = np.abs(w.values).sum(axis=axes) * cell
+        means = np.abs(w.sum(axis=axes)) * cell
+        l1 = np.abs(w).sum(axis=axes) * cell
         assert np.all(means <= 1e-12 * np.maximum(l1, 1e-30))
 
     # 5: good part density bounded by 2^n r
@@ -100,6 +100,22 @@ def test_cz_properties_random_draws():
         _check_all_properties(u, ens, dec, g)
 
 
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 16), (3, 8)])
+def test_cz_bad_parts_are_held_on_their_cubes(n, N):
+    g = Grid(n, N)
+    ens = sample_brownian(3, TimeGrid(0.5, 8), seed=n)
+    u = _random_field(g, ens, N)
+    u.values *= np.exp(1.5 * np.random.default_rng(n).standard_normal(g.shape))
+    avg = float(lpf_norm_values(u.values, ens.timegrid.nodes(), 2.0).mean())
+    dec = cz_decompose(u, ens, 2.0 * avg)
+    assert len(dec.bad) >= 2
+    total = dec.good.values.copy()
+    for c, w in dec.bad:
+        assert w.shape == (3, 9) + (c.size,) * n
+        total[(..., *c.slices())] += w
+    assert np.abs(total - u.values).max() <= 1e-12
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6),
        st.floats(min_value=2.0, max_value=8.0))
@@ -114,8 +130,8 @@ def test_cz_zero_mean_property(seed, factor):
         return
     cell = g.cell_volume
     for _, w in dec.bad:
-        means = np.abs(w.values.sum(axis=2)) * cell
-        l1 = np.abs(w.values).sum(axis=2) * cell
+        means = np.abs(w.sum(axis=2)) * cell
+        l1 = np.abs(w).sum(axis=2) * cell
         assert np.all(means <= 1e-12 * np.maximum(l1, 1e-30))
 
 

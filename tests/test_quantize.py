@@ -174,7 +174,7 @@ def test_batched_core_matches_per_node_loop(monkeypatch, name, dim, N,
         name != "dense-w" and name != "dense-t")
     grid = Grid(dim, N)
     if nodes_per_chunk is not None:
-        monkeypatch.setattr(quantize, "_CHUNK_BYTES",
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES",
                             int(nodes_per_chunk * _node_bytes(a, grid)))
     ens, u = _batch(grid)
     got = apply_symbol_ensemble(a, u, ens).values
@@ -200,7 +200,7 @@ def test_separated_path_matches_per_node_loop(monkeypatch, dim, N,
     assert a.separated[0] == dim + 2
     grid = Grid(dim, N)
     if nodes_per_chunk is not None:  # chunks of 3, 3, 3 and 1 nodes
-        monkeypatch.setattr(quantize, "_CHUNK_BYTES",
+        monkeypatch.setattr(quantize, "_BLOCK_BYTES",
                             nodes_per_chunk * _node_bytes(a, grid))
     ens, u = _batch(grid, seed=6)
     got = apply_symbol_ensemble(a, u, ens).values
@@ -218,7 +218,7 @@ def test_separated_terms_free_of_t_and_w_are_evaluated_once(monkeypatch):
     calls = []
     a.__dict__["separated"] = (rank, lambda *args: calls.append(1) or fn(*args))
     grid = Grid(2, 16)
-    monkeypatch.setattr(quantize, "_CHUNK_BYTES", 3 * _node_bytes(a, grid))
+    monkeypatch.setattr(quantize, "_BLOCK_BYTES", 3 * _node_bytes(a, grid))
     ens, u = _batch(grid, seed=7)
     once = apply_symbol_ensemble(a, u, ens).values
     assert len(calls) == 1
@@ -246,7 +246,7 @@ def test_one_node_values_are_evaluated_once(monkeypatch, name, N):
         rank, fn = a.separated
         a.__dict__["separated"] = (rank, lambda *args: calls.append(1)
                                    or fn(*args))
-    monkeypatch.setattr(quantize, "_CHUNK_BYTES", 3 * _node_bytes(a, grid))
+    monkeypatch.setattr(quantize, "_BLOCK_BYTES", 3 * _node_bytes(a, grid))
     got = apply_symbol_op(a, u, 0.25, 0.7).values
     assert len(calls) == 1
     assert np.array_equal(got.reshape(-1, N), np.stack(alone))

@@ -27,7 +27,7 @@ def test_paths_start_at_zero():
 
 def test_path_slices_cover_the_paths_in_order(monkeypatch):
     ens = sample_brownian(5, TG, seed=3)
-    monkeypatch.setattr(stochastic, "_SLICE_BYTES", 2500)
+    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 2500)
     assert [p.M for p in path_slices(ens, 1000)] == [2, 2, 1]
     # a path past the budget still makes a slice
     parts = list(path_slices(ens, 3000))
@@ -51,7 +51,7 @@ def _one_shot_brownian(M, tg, seed):
 def test_sliced_draws_equal_one_draw(monkeypatch, M, K):
     # 3 rows of 64 steps per slice: 7 paths make slices of 3, 3 and 1; the
     # draw slices are the rows that sample_brownian writes
-    monkeypatch.setattr(stochastic, "_DRAW_BYTES", 3 * 8 * 64)
+    monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 3 * 8 * 64)
     tg = TimeGrid(0.7, K)
     ens = sample_brownian(M, tg, seed=11)
     assert np.array_equal(ens.paths, _one_shot_brownian(M, tg, 11))

@@ -254,11 +254,42 @@ def test_ellipticity_scan_is_the_same_in_any_blocking(monkeypatch, grid):
         got = set()
         for block in (1, 7, None, grid.N ** grid.dim):
             if block is not None:
-                monkeypatch.setattr(spdo.symbols, "_SCAN_BYTES",
+                monkeypatch.setattr(spdo.symbols, "_BLOCK_BYTES",
                                     16 * npts * block)
             res = ellipticity_check(a, grid, ens)
             got.add((res.elliptic, res.C_K, res.R_K))
         assert len(got) == 1
+
+
+def test_garding_scan_is_the_same_in_any_blocking(monkeypatch):
+    # the Garding hypothesis takes the same blocked scan: one frequency per
+    # block, 7, the default and the whole lattice give the same bits, and a
+    # NaN at the frequency (3, 2), in a middle block of the first two,
+    # still fails the hypothesis
+    from spdo.bounds import HypothesisError, garding_check
+    from spdo.grid import TimeGrid
+    from spdo.registry import make_symbol
+    from spdo.stochastic import sample_brownian
+
+    grids = [Grid(2, 16)]
+    ens = sample_brownian(6, TimeGrid(0.5, 16), seed=4)
+    a = make_symbol("garding-stochastic", 2)
+    # s log s is NaN at s = 0 and >= 0 at every other lattice frequency
+    s = (_XI[0] - 3) ** 2 + (_XI[1] - 2) ** 2
+    nan_at = symbol_from_expr(2 * (_XI[0] ** 2 + _XI[1] ** 2) + s * sp.log(s),
+                              2, order=2)
+    npts = 16 ** 2  # every point of the lattice at N = 16
+    ratios = set()
+    for block in (1, 7, None, 16 ** 2):
+        if block is not None:
+            monkeypatch.setattr(spdo.symbols, "_BLOCK_BYTES",
+                                16 * npts * block)
+        rep = garding_check(a, 1.0, 0.1, 0.0, grids, ens, trials=1)
+        ratios.add(rep.extra["hyp_min_ratio"])
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(HypothesisError, match="nan"):
+            garding_check(nan_at, 1.0, 0.1, 0.0, grids, ens, trials=1)
+    assert len(ratios) == 1
 
 
 def _lambdify_source(expr, dim, groups):
