@@ -308,8 +308,10 @@ def _carleman_moments(z, A1, B1, ensemble: BrownianEnsemble):
     values each.  z is read a block at a time (a PinnedSemimartingale builds
     each block alone), and z and B1 z at a block's last node are carried
     into the next block as its first.  Each (path, node) moment is kept and
-    the path means are taken once over all nodes, so they do not depend on
-    the blocks.  HypothesisError: z is not pinned, z(0) = z(T) = 0."""
+    the path means are taken once over all nodes.  The config fixes the
+    blocking, which moves the terms at rounding level (2.5e-16 relative
+    with a multiplier B1).  HypothesisError: z is not pinned, z(0) =
+    z(T) = 0."""
     from .bounds import HypothesisError
 
     grid, tg = z.grid, ensemble.timegrid

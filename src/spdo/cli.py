@@ -210,9 +210,9 @@ _KEYS = {
 }
 
 
-# the most bytes the arrays that a command with an ensemble holds at one
-# time may take, as _held_arrays counts them.  The defaults of integrator
-# hold a 2 MB draw slice and the 1.3 MB Y(T)
+# the most bytes the arrays that a command holds at one time may take, as
+# _held_arrays counts them.  The defaults of integrator hold a 2 MB draw
+# slice and the 1.3 MB Y(T)
 _MAX_HELD_BYTES = 1 << 30
 
 
@@ -227,13 +227,28 @@ def _held_arrays(command, v):
     with the others, as the values v size it; an array of one draw, one
     path slice, one draw slice, one block of time nodes or one step counts
     once."""
-    if "ensemble.M" not in v:
-        return []
     grid = tuple(k for k in ("grid.dim", "grid.N", "grid.N_list", "cases")
                  if k in v)
     shapes = v.get("cases") or [
         (v["grid.dim"], N) for N in v.get("grid.N_list", (v.get("grid.N"),))]
     n = max(_sites(dim, N) for dim, N in shapes)  # of the largest grid
+    dim, N = shapes[0]
+    # the ellipticity scan holds its values in blocks of about 1 MiB of
+    # frequencies, so this row bounds the scan's work at each sample, not
+    # its memory
+    scan = (16 * _sites(dim, min(N, 16)) * n, grid, "the ellipticity scan "
+            "of at least min(N, 16)^n points by N^n frequencies")
+    if command == "quantize-demo":
+        return [(64 * (N - 1) * n, grid, "the N - 1 plane waves of the "
+                 "extraction sweep and three arrays of their size")]
+    if command == "compose":
+        # a named pair with check = 0 is expanded, and applied to no field
+        fields = v["random_pairs"] or v["check"]
+        return [(80 * v["trials"] * n * bool(fields), ("trials",) + grid,
+                 "the trial fields, their three images and the difference")]
+    if command == "parametrix":
+        return [(64 * len(v["modes"]) * n, ("modes",) + grid, "the plane "
+                 "waves of the modes and three arrays of their size"), scan]
     M, K1 = v["ensemble.M"], v["time.K"] + 1
     path_time = ("ensemble.M", "time.K") + grid
     paths = (8 * M * K1, ("ensemble.M", "time.K"), "the Brownian paths")
@@ -261,9 +276,7 @@ def _held_arrays(command, v):
         arrays.append((16 * K1 * n, ("time.K",) + grid,
                        "one path's field at every time node"))
         if command == "garding":
-            # the scan holds its values in blocks of about 1 MiB of
-            # frequencies, so this row bounds the scan's work at each
-            # sample, not its memory
+            # as scan's row, this bounds the work at each sample
             stride = max(1, max(N for _, N in shapes) // 16)
             arrays.append((16 * -(-n // stride) * n, grid,
                            "one (path, time) sample's hypothesis scan of "
@@ -280,13 +293,7 @@ def _held_arrays(command, v):
                    (16 * (v["unitary.K"] + 1) * n, ("unitary.K",) + grid,
                     "the unitary run")]
     elif command == "verify-symbol":
-        dim, N = shapes[0]
-        # the scan holds its values in blocks of about 1 MiB of
-        # frequencies, so this row bounds the scan's work at each sample,
-        # not its memory
-        arrays.append((16 * _sites(dim, min(N, 16)) * n, grid,
-                       "the ellipticity scan of at least min(N, 16)^n "
-                       "points by N^n frequencies"))
+        arrays.append(scan)
     return arrays
 
 
@@ -994,10 +1001,15 @@ def main(argv=None) -> int:
     except Exception as e:
         from .bounds import HypothesisError
         from .calculus import EllipticityError
+        from .quantize import CapError
         from .registry import RegistryError
 
         if isinstance(e, RegistryError):
             print(f"config error: {e}", file=sys.stderr)
+            return 1
+        if isinstance(e, CapError):
+            key = "grid.N_list" if "grid.N_list" in values else "grid.N"
+            print(f"config error: config key {key!r}: {e}", file=sys.stderr)
             return 1
         if isinstance(e, (HypothesisError, EllipticityError)):
             print(f"hypothesis error: {e}", file=sys.stderr)

@@ -48,6 +48,11 @@ class RegularizationWarning(UserWarning):
     """Amplitude cutoff refinement did not converge to tolerance."""
 
 
+class CapError(ValueError):
+    """The exact sum, which a symbol that does not separate takes, is past
+    its cap on N."""
+
+
 def _flat_points(grid: Grid) -> np.ndarray:
     return grid.points().reshape(-1, grid.dim)
 
@@ -58,7 +63,7 @@ def _flat_freqs(grid: Grid) -> np.ndarray:
 
 def _check_cap(grid: Grid) -> None:
     if grid.N > _N_CAP[grid.dim]:
-        raise ValueError(
+        raise CapError(
             f"exact x-dependent quantization capped at N={_N_CAP[grid.dim]} "
             f"for dim {grid.dim}")
 

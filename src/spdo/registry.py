@@ -105,14 +105,9 @@ def parse_symbol_expr(text: str, dim: int, order: float | None = None,
         raise RegistryError(
             f"expression uses symbols {sorted(map(str, used))} outside "
             f"dimension {dim}")
-    if order is None:
-        order = _default_order(expr, dim)
+    if order is None:  # the degree of a xi-polynomial, else 0
+        order = float(_xi_degree(expr, dim) or 0)
     return symbol_from_expr(expr, dim, order=order, name=name)
-
-
-def _default_order(expr, dim: int) -> float:
-    """The degree of a xi-polynomial, else 0."""
-    return float(_xi_degree(expr, dim) or 0)
 
 
 def _abs2(xi):
@@ -216,24 +211,11 @@ def family_symbol(name: str, dim: int, params) -> Symbol:
                                {f"p{k}": v for k, v in enumerate(params)})
 
 
-def _wave(dim: int) -> EquationSpec:
-    # roots +-|xi|: lambda^2 = |xi|^2
-    principal = {}
-    for a in range(dim):
-        alpha = [0] * dim
-        alpha[a] = 2
-        principal[(0, tuple(alpha))] = 1.0
-    return EquationSpec(m=2, dim=dim, principal=principal, name="wave")
-
-
-def _schrodinger(dim: int) -> EquationSpec:
-    # roots +-i|xi|: lambda^2 = -|xi|^2
-    principal = {}
-    for a in range(dim):
-        alpha = [0] * dim
-        alpha[a] = 2
-        principal[(0, tuple(alpha))] = -1.0
-    return EquationSpec(m=2, dim=dim, principal=principal, name="schrodinger")
+def _order_2(sign: float, name: str, dim: int) -> EquationSpec:
+    # lambda^2 = sign |xi|^2: roots +-|xi| (sign +1) or +-i|xi| (sign -1)
+    principal = {(0, tuple(2 * (b == a) for b in range(dim))): sign
+                 for a in range(dim)}
+    return EquationSpec(m=2, dim=dim, principal=principal, name=name)
 
 
 def _transport(dim: int) -> EquationSpec:
@@ -242,18 +224,20 @@ def _transport(dim: int) -> EquationSpec:
                         name="transport")
 
 
-EQUATIONS = {
-    "wave": "order-2 spec with real simple roots +-|xi|",
-    "schrodinger": "order-2 spec with imaginary roots +-i|xi|",
-    "transport": "order-1 spec with root xi1",
+# name -> (description, builder of the spec in dimension dim)
+_EQUATION_TABLE = {
+    "wave": ("order-2 spec with real simple roots +-|xi|",
+             partial(_order_2, 1.0, "wave")),
+    "schrodinger": ("order-2 spec with imaginary roots +-i|xi|",
+                    partial(_order_2, -1.0, "schrodinger")),
+    "transport": ("order-1 spec with root xi1", _transport),
 }
 
-_EQUATION_TABLE = {"wave": _wave, "schrodinger": _schrodinger,
-                   "transport": _transport}
+EQUATIONS = {k: v[0] for k, v in _EQUATION_TABLE.items()}
 
 
 def make_equation(name: str, dim: int = 1) -> EquationSpec:
     if name not in _EQUATION_TABLE:
         raise RegistryError(
             f"unknown equation {name!r}; known: {sorted(EQUATIONS)}")
-    return _EQUATION_TABLE[name](dim)
+    return _EQUATION_TABLE[name][1](dim)

@@ -128,44 +128,12 @@ class _Evaluable:
         """Derivative of multi-index orders[i] in array argument i."""
         if not any(map(any, orders)):
             return self
-        return type(self)(order, self._derivative_pair(orders)[1], self.dim,
-                          self.integrability)
-
-    @cached_property
-    def _derivatives(self) -> dict:
-        """(raw, tidy) expressions of the derivatives taken so far, by
-        orders; not objects, whose order a caller may set."""
-        e = self.expr  # reading it loads sympy and the variables
-        return {tuple((0,) * self.dim for _ in self._vars): (e, e)}
-
-    def _derivative_pair(self, orders):
-        """(raw, tidy) expressions of the derivative of orders.  With v the
-        variable taken last (xi first, then x (and y), each in axis order),
-        k its order and e the derivative before v, tidy is sympy's
-        diff(e, v, k), built on the cached order below: raw is raw of order
-        k - 1 (or e) differentiated once in v, and tidy is raw, or at k >= 2
-        factor_terms(signsimp(raw)) as diff tidies it.  diff takes the k
-        derivatives of a product at once (Leibniz rule), so a product e is
-        differentiated whole."""
-        pair = self._derivatives.get(orders)
-        if pair is None:
-            last = len(orders) - 1
-            i = next(i for i in tuple(range(last))[::-1] + (last,)
-                     if any(orders[i]))
-            a = max(a for a, k in enumerate(orders[i]) if k)
-            v, k = self._vars[i][a], orders[i][a]
-            less, before = list(orders), list(orders)
-            less[i] = orders[i][:a] + (k - 1,) + orders[i][a + 1:]
-            before[i] = orders[i][:a] + (0,) + orders[i][a + 1:]
-            e = self._derivative_pair(tuple(before))[1]
-            if e.is_Mul:
-                raw = tidy = sp.diff(e, v, k)
-            else:
-                raw = sp.diff(self._derivative_pair(tuple(less))[0]
-                              if k > 1 else e, v)
-                tidy = sp.factor_terms(sp.signsimp(raw)) if k > 1 else raw
-            pair = self._derivatives[orders] = (raw, tidy)
-        return pair
+        last = len(orders) - 1
+        e = self.expr
+        for i in (last,) + tuple(range(last)):  # xi first, then x (and y)
+            for v, k in zip(self._vars[i], orders[i]):
+                e = sp.diff(e, v, k)
+        return type(self)(order, e, self.dim, self.integrability)
 
 
 class Symbol(_Evaluable):

@@ -941,6 +941,24 @@ def test_verify_symbol_pole_fails(tmp_path):
     ("verify-symbol", "symbol = sin(x1)*xi1**2\nsymbol.order = 2\n"
                       "grid.dim = 3\n"),
     ("cz", "grid.dim = 1000000000\n"),
+    # a non-separable x-dependent symbol above the cap of the exact sum
+    ("compose", "b = sqrt(1+sin(x)*xi**2)\nb.order = 1\na = x\n"
+                "a.order = 0\ncheck = 1\ngrid.N = 256\n"),
+    ("quantize-demo", "symbol = sqrt(1+sin(x)*xi**2)\nsymbol.order = 1\n"
+                      "grid.N = 256\n"),
+    ("parametrix", "symbol = 2+sin(x)+xi**2+sqrt(1+(2+sin(x))*xi**2)\n"
+                   "symbol.order = 2\ngrid.N = 256\n"),
+    ("carleman", "B1 = sqrt(1+(2+sin(x))*xi**2)\nB1.order = 1\n"
+                 "grid.N = 256\n"),
+    ("garding", "symbol = sqrt(1+(2+sin(x))*xi**2)\nsymbol.order = 1\n"
+                "grid.N_list = 128,256\n"),
+    ("bounds", "symbol = sqrt(1+(2+sin(x))*xi**2)\n"
+               "grid.N_list = 128,256\n"),
+    # past the size budget of a command without an ensemble
+    ("quantize-demo", "grid.N = 1099511627776\n"),
+    ("compose", "b = bessel1\na = xi\ncheck = 1\n"
+                "grid.N = 1099511627776\n"),
+    ("parametrix", "grid.N = 1099511627776\n"),
 ], ids=["garding-hypothesis", "order-not-a-number", "grid-N-0",
         "ensemble-M-0", "huge-power", "power-tower", "carleman-B1-not-elliptic",
         "empty-parens", "carleman-mu-empty", "carleman-mu-zero",
@@ -971,7 +989,9 @@ def test_verify_symbol_pole_fails(tmp_path):
         "carleman-weight-T-1.332", "garding-registry-symbol-dim-4",
         "uniqueness-weight-T-2", "uniqueness-weight-past-bound",
         "verify-symbol-3d-N-16", "verify-symbol-3d-default",
-        "cz-dim-huge"])
+        "cz-dim-huge", "compose-cap", "quantize-demo-cap", "parametrix-cap",
+        "carleman-cap", "garding-cap", "bounds-cap", "quantize-demo-N-huge",
+        "compose-N-huge", "parametrix-N-huge"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
     res = _spawn(tmp_path, command, cfg_text)
@@ -979,6 +999,21 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     assert res.returncode == 1, res.stderr
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+@pytest.mark.parametrize("command, cfg_text, key", [
+    ("quantize-demo", "symbol = sqrt(1+sin(x)*xi**2)\nsymbol.order = 1\n"
+                      "grid.N = 256\n", "grid.N"),
+    ("bounds", "symbol = sqrt(1+(2+sin(x))*xi**2)\ngrid.N_list = 128,256\n",
+     "grid.N_list"),
+], ids=["grid-N", "grid-N-list"])
+def test_the_cap_of_the_exact_sum_names_the_grid_key(tmp_path, capsys,
+                                                     command, cfg_text, key):
+    code, _ = _run(tmp_path, command, cfg_text)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: config key {key!r}: exact x-dependent quantization "
+        "capped at N=128 for dim 1\n")
 
 
 @pytest.mark.parametrize("command, cfg_text, keys", [
@@ -998,12 +1033,20 @@ def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     # the hypothesis scan: 4,096 points by 65,536 frequencies, 4 GiB
     ("garding", "grid.dim = 2\ngrid.N_list = 128,256\n",
      "'grid.dim', 'grid.N_list'"),
+    # 8,191 plane waves of 8,192 sites and three arrays of their size
+    ("quantize-demo", "grid.N = 8192\n", "'grid.dim', 'grid.N'"),
+    ("compose", "b = bessel1\na = xi\ncheck = 1\ntrials = 20\n"
+                "grid.N = 1048576\n", "'trials', 'grid.dim', 'grid.N'"),
+    # at the default three modes this N is within the budget
+    ("parametrix", "grid.N = 2097152\nmodes = 8,16,32,64,128,256\n",
+     "'modes', 'grid.dim', 'grid.N'"),
 ], ids=["integrator-M", "uniqueness-K", "integrator-unitary-K", "garding-K",
         "bounds-N-list", "cz-cases", "carleman-N", "verify-symbol-N-400-digits",
-        "garding-2d-scan"])
+        "garding-2d-scan", "quantize-demo-N", "compose-trials-N",
+        "parametrix-N"])
 def test_arrays_past_the_budget_exit_1_before_numpy_loads(tmp_path, command,
                                                           cfg_text, keys):
-    # each is far past the budget; the key table rejects it before any array
+    # each is past the budget; the key table rejects it before any array
     cfg = tmp_path / "big.cfg"
     cfg.write_text(cfg_text)
     child = ("import sys\n"
