@@ -8,10 +8,14 @@ __version__ = "0.1.0"
 
 # Block sizes that cli's memory budget reads before numpy loads, so they
 # live here, in a module that loads no numpy.
-# bytes of one work array of every streamed loop (draw and path slices in
-# stochastic, chunks of nodes in quantize, blocks of frequencies in the
-# symbol scans): a loop holds one block at a time
+# bytes of the work of one step of every streamed loop (a draw slice's
+# increments in stochastic, a path slice's whole working set in bounds,
+# chunks of nodes in quantize, blocks of frequencies in the symbol scans): a
+# loop holds one block at a time
 _BLOCK_BYTES = 1 << 20
+# (path, time, site) arrays that a trial path slice of bounds holds at once:
+# the field, its image and the temporaries of the synthesis and the tables
+_PATH_SLICE_ARRAYS = 4
 # bytes of one (path, node) work array per block of time nodes in
 # cauchy._carleman_moments (at least one node): a block holds about ten,
 # and at _BLOCK_BYTES the perfbench carleman config peaked 5.8 MB higher

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import _PATH_SLICE_ARRAYS
 from .grid import Field, Grid, fft_forward, fft_inverse, l2_norm, sobolev_norm
 from .quantize import apply_symbol_ensemble
 from .stochastic import BrownianEnsemble, lpf_norm_values, path_slices
@@ -107,7 +108,9 @@ def _trial_constants(a: Symbol, grids, ensemble: BrownianEnsemble,
     constants = {}
     for grid in grids:
         rng = np.random.default_rng(seed)
-        path_bytes = 16 * (ensemble.timegrid.K + 1) * grid.N**grid.dim
+        # a path's whole working set, complex at every (time, site)
+        path_bytes = (_PATH_SLICE_ARRAYS * 16 * (ensemble.timegrid.K + 1)
+                      * grid.N**grid.dim)
         best = 0.0
         for _ in range(trials):
             amp, phase = _adapted_modes(grid, rng)

@@ -189,7 +189,11 @@ def integrate_spde_system(A: EquationSpec | None, f, F, grid: Grid,
         return eye + half, np.linalg.inv(eye - half)
 
     def _act(mats, v):
-        return np.einsum("...kab,...kb->...ka", mats, v)
+        # sum_b mats[..., k, a, b] v[..., k, b], one product per component
+        out = mats[..., 0] * v[..., 0, None]
+        for b in range(1, m):
+            out = out + mats[..., b] * v[..., b, None]
+        return out
 
     moving = A is not None and not A.tw_independent
     f_hat = None if f is None else _source_hats(f)

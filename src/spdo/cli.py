@@ -28,8 +28,8 @@ import math
 import os
 import sys
 
-from . import (_BLOCK_BYTES, _NODE_BLOCK_BYTES, __version__,
-               _import_long_lived)
+from . import (_BLOCK_BYTES, _NODE_BLOCK_BYTES, _PATH_SLICE_ARRAYS,
+               __version__, _import_long_lived)
 
 
 class ConfigError(ValueError):
@@ -273,8 +273,9 @@ def _held_arrays(command, v):
                    (8 * M * K1, ("ensemble.M", "time.K"),
                     "the ball energy at every (path, time) node")]
     elif command in ("bounds", "garding"):
-        arrays.append((16 * K1 * n, ("time.K",) + grid,
-                       "one path's field at every time node"))
+        arrays.append((_PATH_SLICE_ARRAYS * 16 * K1 * n, ("time.K",) + grid,
+                       "one path's field, its image and their temporaries "
+                       "at every time node"))
         if command == "garding":
             # as scan's row, this bounds the work at each sample
             stride = max(1, max(N for _, N in shapes) // 16)

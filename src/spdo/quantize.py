@@ -40,8 +40,9 @@ __all__ = [
     "smooth_chi",
 ]
 
-# dense-sum size caps per dimension; correctness first at desk scale
-_N_CAP = {1: 128, 2: 64, 3: 32}
+# dense-sum size caps per dimension; correctness first at desk scale.  The
+# phase matrix is (N^n)^2 complex: 256 MiB at the caps of 2-D and 3-D
+_N_CAP = {1: 128, 2: 64, 3: 16}
 
 
 class RegularizationWarning(UserWarning):

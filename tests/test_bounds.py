@@ -224,7 +224,7 @@ def test_path_slices_give_the_same_constants(monkeypatch, dim, Ns, per_slice):
     # twice or four times that on the smaller) against one slice, bit for
     # bit: mod-x takes the separated path with its terms evaluated once,
     # garding-stochastic with its terms evaluated per node
-    from spdo import stochastic
+    from spdo import _PATH_SLICE_ARRAYS, stochastic
     from spdo.registry import make_symbol
 
     grids = [Grid(dim, N) for N in Ns]
@@ -239,7 +239,8 @@ def test_path_slices_give_the_same_constants(monkeypatch, dim, Ns, per_slice):
 
     monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 1 << 40)
     whole = constants()
-    path_bytes = 16 * 9 * max(Ns) ** dim
+    # the working set of a path, as _trial_constants counts it
+    path_bytes = _PATH_SLICE_ARRAYS * 16 * 9 * max(Ns) ** dim
     monkeypatch.setattr(stochastic, "_BLOCK_BYTES", per_slice * path_bytes)
     sizes = [p.M for p in stochastic.path_slices(ens, path_bytes)]
     assert sizes[0] == per_slice and sizes[-1] == 64 % per_slice

@@ -324,6 +324,27 @@ def test_bounds_2d_peak_memory(tmp_path):
 
 
 @_LINUX
+def test_garding_peak_memory(tmp_path):
+    # the perfbench ensemble config: path slices that counted one field per
+    # path held about four times _BLOCK_BYTES (a peak near 42 MB); counting
+    # the field, its image and their temporaries, the run peaks near 38 MB
+    code, mb = _peak_mb(tmp_path, "garding", "trials = 5\nensemble.M = 16\n"
+                        "exact_check = 1\nexact_trials = 2\n")
+    assert code == 0
+    assert mb < 40.0
+
+
+@_LINUX
+def test_bounds_peak_memory(tmp_path):
+    # the perfbench ensemble config, as for garding: near 42 MB with slices
+    # of one field per path, near 38 MB with the whole working set counted
+    code, mb = _peak_mb(tmp_path, "bounds", "grid.N_list = 32,64,128\n"
+                        "ensemble.M = 16\ntrials = 1\n")
+    assert code == 0
+    assert mb < 40.0
+
+
+@_LINUX
 def test_uniqueness_2d_peak_memory(tmp_path):
     # 2-D defaults (N = 32, M = 64, K = 128): the two-component (path,
     # time) solution is 137 MB (a 429 MB peak with its |u|^2 temporaries);
@@ -954,6 +975,9 @@ def test_verify_symbol_pole_fails(tmp_path):
                 "grid.N_list = 128,256\n"),
     ("bounds", "symbol = sqrt(1+(2+sin(x))*xi**2)\n"
                "grid.N_list = 128,256\n"),
+    # in 3-D at N = 32 the phase matrix of the exact sum would be 16 GiB
+    ("quantize-demo", "symbol = sqrt(1+(2+sin(x1))*(xi1**2+xi2**2+xi3**2))\n"
+                      "symbol.order = 1\ngrid.dim = 3\ngrid.N = 32\n"),
     # past the size budget of a command without an ensemble
     ("quantize-demo", "grid.N = 1099511627776\n"),
     ("compose", "b = bessel1\na = xi\ncheck = 1\n"
@@ -990,7 +1014,8 @@ def test_verify_symbol_pole_fails(tmp_path):
         "uniqueness-weight-T-2", "uniqueness-weight-past-bound",
         "verify-symbol-3d-N-16", "verify-symbol-3d-default",
         "cz-dim-huge", "compose-cap", "quantize-demo-cap", "parametrix-cap",
-        "carleman-cap", "garding-cap", "bounds-cap", "quantize-demo-N-huge",
+        "carleman-cap", "garding-cap", "bounds-cap", "quantize-demo-3d-cap",
+        "quantize-demo-N-huge",
         "compose-N-huge", "parametrix-N-huge"])
 def test_bad_input_exits_1_with_one_line(tmp_path, command, cfg_text):
     start = time.monotonic()
@@ -1061,6 +1086,13 @@ def test_arrays_past_the_budget_exit_1_before_numpy_loads(tmp_path, command,
     line, = res.stderr.strip().splitlines()
     assert line.startswith("config error: config keys ") and keys in line
     assert "past the budget of 2^30" in line
+
+
+def test_bounds_budget_charges_the_slice_working_set():
+    # 2-D N = 512, K = 64: one path's field is 272.6 MB, and its slice holds
+    # four such arrays, past 2^30 bytes
+    with pytest.raises(ConfigError, match="'grid.N_list'"):
+        resolve_config("bounds", {"grid.dim": "2", "grid.N_list": "256,512"})
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -19,7 +19,7 @@ import spdo
 PKG = pathlib.Path(spdo.__file__).parent
 
 # unreached on purpose: paper results with an oracle, kept until a verdict
-# of an existing command checks them (ROADMAP item 4, "wire")
+# of an existing command checks them (ROADMAP item 5, "wire")
 ALLOWED_UNREACHED = {
     "symbols.Amplitude": "amplitude apply vs reduced symbol, quantize-demo",
     "symbols.amplitude_from_expr": "amplitude apply vs reduced symbol, quantize-demo",

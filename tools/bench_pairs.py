@@ -14,9 +14,11 @@ holds a result is not repeated, so an interrupted recording resumes.
 
 Each output file holds, per workload: the median and quartiles of every
 end-to-end metric over the runs, the median over runs of each
-`verdict_s.<command>`, and the `# environment` line. The comparison printed
-at the end counts, per metric, the pairs the change wins (ties count for
-neither side) against the parent's interquartile range.
+`verdict_s.<command>` and of each invocation's peak RSS, `rss_mb.<command>`
+(the largest `rss` of its per-round `#` lines in a run), and the
+`# environment` line. The comparison printed at the end counts, per metric,
+the pairs the change wins (ties count for neither side) against the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -46,37 +48,42 @@ def _run(checkout: str, workload: str, seed: int, log: str) -> None:
 
 
 def _parse(log: str) -> dict | None:
-    """The result, verdict times and environment of one run.py log."""
+    """The result, verdict times, invocation peaks and environment of one
+    run.py log."""
     lines = open(log).read().splitlines()
     if not lines or not lines[-1].startswith("{"):
         return None
     result = json.loads(lines[-1])
-    verdict = {}
+    verdict, rss = {}, {}
     env = None
     for line in lines:
         m = re.match(r"# verdict_s\.(\S+) ([0-9.]+) s", line)
         if m:
             verdict[m.group(1)] = float(m.group(2))
+        m = re.match(r"#\s+(\S+)\s+seed .* rss\s+([0-9.]+) MB", line)
+        if m:
+            rss[m.group(1)] = max(rss.get(m.group(1), 0.0),
+                                  float(m.group(2)))
         if line.startswith("# environment "):
             env = json.loads(line[len("# environment "):])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     units = {k: v["unit"] for k, v in result["metrics"].items()}
     return {"metrics": metrics, "units": units, "verdict_s": verdict,
-            "environment": env, "correct": result["correct"]}
+            "rss_mb": rss, "environment": env, "correct": result["correct"]}
 
 
 def _summary(runs: list) -> dict:
     out = {"runs": len(runs), "correct": all(r["correct"] for r in runs),
            "environment": runs[0]["environment"], "metrics": {},
-           "verdict_s": {}}
+           "verdict_s": {}, "rss_mb": {}}
     for name, unit in runs[0]["units"].items():
         vals = [r["metrics"][name] for r in runs]
         q1, med, q3 = np.percentile(vals, [25, 50, 75])
         out["metrics"][name] = {"unit": unit, "median": med, "q1": q1,
                                 "q3": q3, "values": vals}
-    for cmd in runs[0]["verdict_s"]:
-        out["verdict_s"][cmd] = float(np.median(
-            [r["verdict_s"][cmd] for r in runs]))
+    for key in ("verdict_s", "rss_mb"):
+        for cmd in runs[0][key]:
+            out[key][cmd] = float(np.median([r[key][cmd] for r in runs]))
     return out
 
 
