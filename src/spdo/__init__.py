@@ -18,8 +18,12 @@ _BLOCK_BYTES = 1 << 20
 _PATH_SLICE_ARRAYS = 4
 # bytes of one (path, node) work array per block of time nodes in
 # cauchy._carleman_moments (at least one node): a block holds about ten,
-# and at _BLOCK_BYTES the perfbench carleman config peaked 5.8 MB higher
-_NODE_BLOCK_BYTES = 1 << 18
+# and at 256 KiB the perfbench carleman config peaked 2.1 MB higher, at
+# _BLOCK_BYTES 7.8 MB higher
+_NODE_BLOCK_BYTES = 1 << 16
+# the largest N per dimension of the exact O(N^{2n}) sum of quantize, whose
+# (N^n)^2 complex phase matrix is then at most 256 MiB
+_N_CAP = {1: 128, 2: 64, 3: 16}
 
 
 def _import_long_lived(name):

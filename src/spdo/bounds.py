@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _PATH_SLICE_ARRAYS
-from .grid import Field, Grid, fft_forward, fft_inverse, l2_norm, sobolev_norm
+from .grid import (Field, Grid, band_limited_spectrum, fft_forward,
+                   fft_inverse, l2_norm, sobolev_norm)
 from .quantize import apply_symbol_ensemble
 from .stochastic import BrownianEnsemble, lpf_norm_values, path_slices
 from .symbols import Symbol, _node_samples, _scan_blocks
@@ -74,11 +75,8 @@ def _report(op_id, source, target, constants, factor, extra=None,
 def _adapted_modes(grid: Grid, rng: np.random.Generator):
     """The mode coefficients c_k (|k_a| <= N/4) and phases of a random
     adapted field, drawn from rng."""
-    mask = grid.band_mask(grid.N // 4)
-    amp = (rng.standard_normal(grid.shape)
-           + 1j * rng.standard_normal(grid.shape)) * mask
-    phase = rng.uniform(0, 2 * np.pi, grid.shape)
-    return amp, phase
+    return (band_limited_spectrum(grid, rng),
+            rng.uniform(0, 2 * np.pi, grid.shape))
 
 
 def _adapted_field(grid: Grid, ensemble: BrownianEnsemble, amp,
@@ -118,6 +116,7 @@ def _trial_constants(a: Symbol, grids, ensemble: BrownianEnsemble,
             for part in path_slices(ensemble, path_bytes):
                 u = _adapted_field(grid, part, amp, phase)
                 parts.append(tables(u, apply_symbol_ensemble(a, u, part)))
+                del u  # before the next slice's field is built
             num, den = reduce(*(np.concatenate(t) for t in zip(*parts)))
             if den > 0 or np.isnan(den):
                 best = float(np.maximum(best, num / den))

@@ -183,13 +183,14 @@ def parametrix(a: Symbol, n_terms: int, grid) -> AsymptoticSeries:
     next order of the composition expansion q # a, so the residual of the
     n-term construction has order -(n+1) on the high band.
     """
-    from .symbols import sp, _X, _XI, ellipticity_check
+    from .symbols import sp, ellipticity_check
 
     ellipticity = ellipticity_check(a, grid, None)
     if not ellipticity.elliptic:
         raise EllipticityError("symbol failed the ellipticity check")
     R0 = max(ellipticity.R_K, 1.0)
     dim = a.dim
+    zero = (0,) * dim
     # recursion on the raw 1/a terms; the low-frequency cutoff is attached
     # once at the end (its support lies below the elliptic band, so the
     # cancellation above |xi| = 2 R0 is untouched)
@@ -199,11 +200,10 @@ def parametrix(a: Symbol, n_terms: int, grid) -> AsymptoticSeries:
         acc = sp.S.Zero
         for i, qi in enumerate(raw):
             j = step - i  # |alpha| so that i + |alpha| == step
+            q = Symbol(-a.order - i, qi, dim)
             for wgt, alpha in _weighted_alphas(j, dim):
-                dq, da = qi, a.expr
-                for ax, k in enumerate(alpha):
-                    dq = sp.diff(dq, _XI[ax], k)
-                    da = sp.diff(da, _X[ax], k)
+                dq = q.derivative(alpha, zero).expr
+                da = a.derivative(zero, alpha).expr
                 acc = acc + wgt * dq * da
         nxt = sp.together(-(1 / a.expr) * acc)
         raw.append(nxt)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _NODE_BLOCK_BYTES
-from .grid import Field, Grid, TimeGrid, fft_forward, fft_inverse
+from .grid import (Field, Grid, TimeGrid, band_limited_spectrum, fft_forward,
+                   fft_inverse)
 from .quantize import apply_symbol_op
 from .stochastic import BrownianEnsemble
 from .symbols import Symbol
@@ -279,11 +280,8 @@ def pinned_semimartingale(grid: Grid, ensemble: BrownianEnsemble,
     """Adapted band-limited semimartingale pinned to zero at t = 0 and T:
     z(t) = sin^2(pi t / T) sum_{|k_a| <= N/4} (a_k + b_k W(t)) e^{i k.x},
     with a_k and b_k drawn from rng."""
-    mask = grid.band_mask(grid.N // 4)
-    a_amp = (rng.standard_normal(grid.shape)
-             + 1j * rng.standard_normal(grid.shape)) * mask
-    b_amp = (rng.standard_normal(grid.shape)
-             + 1j * rng.standard_normal(grid.shape)) * mask * 0.5
+    a_amp = band_limited_spectrum(grid, rng)
+    b_amp = band_limited_spectrum(grid, rng) * 0.5
     return PinnedSemimartingale(grid, ensemble, a_amp, b_amp)
 
 
@@ -312,10 +310,10 @@ def _carleman_moments(z, A1, B1, ensemble: BrownianEnsemble):
     values each.  z is read a block at a time (a PinnedSemimartingale builds
     each block alone), and z and B1 z at a block's last node are carried
     into the next block as its first.  Each (path, node) moment is kept and
-    the path means are taken once over all nodes.  The config fixes the
-    blocking, which moves the terms at rounding level (2.5e-16 relative
-    with a multiplier B1).  HypothesisError: z is not pinned, z(0) =
-    z(T) = 0."""
+    the path means are taken once over all nodes.  With a multiplier B1
+    the terms are the same bits for any blocking; an x-dependent B1 moves
+    them at rounding level, and the config fixes the blocking.
+    HypothesisError: z is not pinned, z(0) = z(T) = 0."""
     from .bounds import HypothesisError
 
     grid, tg = z.grid, ensemble.timegrid

@@ -28,7 +28,7 @@ import math
 import os
 import sys
 
-from . import (_BLOCK_BYTES, _NODE_BLOCK_BYTES, _PATH_SLICE_ARRAYS,
+from . import (_BLOCK_BYTES, _N_CAP, _NODE_BLOCK_BYTES, _PATH_SLICE_ARRAYS,
                __version__, _import_long_lived)
 
 
@@ -212,7 +212,7 @@ _KEYS = {
 
 # the most bytes the arrays that a command holds at one time may take, as
 # _held_arrays counts them.  The defaults of integrator hold a 2 MB draw
-# slice and the 1.3 MB Y(T)
+# slice and the 160 kB Y(T) at one site
 _MAX_HELD_BYTES = 1 << 30
 
 
@@ -238,17 +238,22 @@ def _held_arrays(command, v):
     # its memory
     scan = (16 * _sites(dim, min(N, 16)) * n, grid, "the ellipticity scan "
             "of at least min(N, 16)^n points by N^n frequencies")
+    # the exact sum of a symbol that does not separate caches this matrix
+    phase = [(16 * n * n, grid, "the (N^n)^2 phase matrix of the exact sum")
+             ] if N <= _N_CAP.get(dim, 0) else []
     if command == "quantize-demo":
         return [(64 * (N - 1) * n, grid, "the N - 1 plane waves of the "
-                 "extraction sweep and three arrays of their size")]
+                 "extraction sweep and three arrays of their size")] + phase
     if command == "compose":
         # a named pair with check = 0 is expanded, and applied to no field
         fields = v["random_pairs"] or v["check"]
         return [(80 * v["trials"] * n * bool(fields), ("trials",) + grid,
-                 "the trial fields, their three images and the difference")]
+                 "the trial fields, their three images and the difference")
+                ] + phase
     if command == "parametrix":
         return [(64 * len(v["modes"]) * n, ("modes",) + grid, "the plane "
-                 "waves of the modes and three arrays of their size"), scan]
+                 "waves of the modes and three arrays of their size"),
+                scan] + phase
     M, K1 = v["ensemble.M"], v["time.K"] + 1
     path_time = ("ensemble.M", "time.K") + grid
     paths = (8 * M * K1, ("ensemble.M", "time.K"), "the Brownian paths")
@@ -288,7 +293,8 @@ def _held_arrays(command, v):
                     "one draw slice's paths and increments"),
                    (32 * rows * n, ("ensemble.M", "time.K") + grid,
                     "one draw slice's spectral state and right side"),
-                   (16 * M * n, ("ensemble.M",) + grid, "Y(T) of every path"),
+                   (16 * M, ("ensemble.M",), "Y(T) of every path at one "
+                    "site"),
                    (32 * K1 * n, ("time.K",) + grid,
                     "the noise source and its spectra"),
                    (16 * (v["unitary.K"] + 1) * n, ("unitary.K",) + grid,
@@ -869,15 +875,16 @@ def run_carleman(v, seed):
 
 
 def _ito_final(F, grid, ens):
-    """Y(T), shape (M,) + grid.shape, of the scalar (1/i) dY = F dw from
-    Y(0) = 0; only the last spectral state is transformed back."""
+    """Y(T) at the first lattice site, shape (M,), of the scalar
+    (1/i) dY = F dw from Y(0) = 0; only the last spectral state is
+    transformed back."""
     import numpy as np
     from .cauchy import _from_spectrum, integrate_spde_system
 
     y0 = np.zeros((ens.M, 1) + grid.shape, np.complex128)
     for last in integrate_spde_system(None, None, F, grid, ens, y0):
         pass
-    return _from_spectrum(last, grid)[:, 0]
+    return _from_spectrum(last, grid).reshape(ens.M, -1)[:, 0]
 
 
 def run_integrator(v, seed):
@@ -892,17 +899,19 @@ def run_integrator(v, seed):
     if sigma == 0:
         raise ConfigError("config key 'sigma': 0 makes the Ito target 0")
     tg, M = _timegrid(v), v["ensemble.M"]
-    # the paths are drawn and stepped one slice at a time; only Y(T) is kept
+    # the paths are drawn and stepped one slice at a time; only Y(T) at the
+    # site the isometry reads is kept
     slices = _checked("ensemble.M", brownian_slices, M, tg, seed)
     tg2 = _checked("unitary.K", TimeGrid, tg.T, v["unitary.K"])
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = sigma
-    final = np.empty((M,) + g.shape, np.complex128)
+    final = np.empty(M, np.complex128)
     s = 0
     for part in slices:
         final[s:s + part.M] = _ito_final(F, g, part)
         s += part.M
-    got = float((np.abs(final) ** 2).reshape(M, -1)[:, 0].mean())
+        del part  # before the next slice is drawn
+    got = float((np.abs(final) ** 2).mean())
     target = sigma**2 * tg.T
     iso_err = abs(got - target) / target
 

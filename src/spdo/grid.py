@@ -24,6 +24,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _BLOCK_BYTES
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -98,11 +100,18 @@ class Grid:
 
     def phase_matrix(self) -> np.ndarray:
         """exp(i x.xi) over flattened (points, freqs), shape (N^n, N^n);
-        read-only."""
+        read-only.  Filled in blocks of rows of about _BLOCK_BYTES, so its
+        build makes no temporaries of its size.  The blocks are a power of
+        two of rows, 16 at the 2-D and 3-D dense caps, and give the bits of
+        the whole product (BLAS can round a block of odd rows otherwise)."""
         def build():
             xs = self.points().reshape(-1, self.dim)
             xis = self.freqs().reshape(-1, self.dim)
-            return np.exp(1j * (xs @ xis.T))
+            out = np.empty((len(xs), len(xis)), np.complex128)
+            rows = max(1, _BLOCK_BYTES // (16 * len(xis)))
+            for r in range(0, len(xs), rows):
+                np.exp(1j * (xs[r:r + rows] @ xis.T), out=out[r:r + rows])
+            return out
 
         return self._cached("phase", build)
 
@@ -217,11 +226,14 @@ def plane_wave(grid: Grid, k) -> Field:
     return Field(grid, np.exp(1j * phase))
 
 
+def band_limited_spectrum(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+    """iid complex Gaussian amplitudes on the modes |k_a| <= N/4 and 0 on
+    the others, drawn from rng: the real parts, then the imaginary parts."""
+    amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return amp * grid.band_mask(grid.N // 4)
+
+
 def random_band_limited(grid: Grid, rng: np.random.Generator) -> Field:
     """Random field with iid complex Gaussian amplitudes on the modes
     |k_a| <= N/4."""
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    mask = grid.band_mask(grid.N // 4)
-    amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    spec[mask] = amp[mask]
-    return Field(grid, fft_inverse(grid, spec))
+    return Field(grid, fft_inverse(grid, band_limited_spectrum(grid, rng)))

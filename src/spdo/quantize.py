@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from . import _BLOCK_BYTES
+from . import _BLOCK_BYTES, _N_CAP
 from .grid import Field, Grid, fft_forward, fft_inverse
 from .symbols import Amplitude, Symbol
 
@@ -39,11 +39,6 @@ __all__ = [
     "extract_symbol",
     "smooth_chi",
 ]
-
-# dense-sum size caps per dimension; correctness first at desk scale.  The
-# phase matrix is (N^n)^2 complex: 256 MiB at the caps of 2-D and 3-D
-_N_CAP = {1: 128, 2: 64, 3: 16}
-
 
 class RegularizationWarning(UserWarning):
     """Amplitude cutoff refinement did not converge to tolerance."""

@@ -701,8 +701,9 @@ def test_uniqueness_report_serialization():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_ito_final_matches_whole_trajectory(dim):
-    # the Ito check transforms only the last spectral state back: the same
-    # Y(T), bit for bit, as the last node of the whole trajectory
+    # the Ito check transforms only the last spectral state back and keeps
+    # its first site: the same Y(T) there, bit for bit, as the last node of
+    # the whole trajectory
     from spdo.cli import _ito_final
 
     g = Grid(dim, 8)
@@ -712,7 +713,8 @@ def test_ito_final_matches_whole_trajectory(dim):
     F = np.zeros((tg.K + 1, 1) + g.shape, np.complex128)
     F[:, 0] = rng.standard_normal((tg.K + 1,) + g.shape)
     whole = _held(None, None, F, g, ens, np.zeros((1, 1) + g.shape))
-    assert np.array_equal(_ito_final(F, g, ens), whole[:, -1, 0])
+    site = whole[:, -1, 0].reshape(ens.M, -1)[:, 0]
+    assert np.array_equal(_ito_final(F, g, ens), site)
 
 
 def test_deterministic_source_matches_its_per_path_copy():

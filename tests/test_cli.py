@@ -259,36 +259,68 @@ _LINUX = pytest.mark.skipif(sys.platform != "linux",
                                    "reports it")
 
 
-def _peak_mb(tmp_path, command, cfg_text):
-    """(exit code, peak RSS in MB) of `python -m spdo.cli command` on
-    cfg_text in a fresh process."""
-    # Linux keeps a process's peak RSS across exec, so the command is
+def _max_rss(args):
+    """(exit code, peak RSS in MB) of `python args` in a fresh process."""
+    # Linux keeps a process's peak RSS across exec, so the process is
     # started from a small interpreter, not forked from this large one
     measure = (
         "import os, subprocess, sys\n"
         "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
         "_, status, usage = os.wait4(proc.pid, 0)\n"
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
-    cfg = tmp_path / f"{command}-peak.cfg"
-    cfg.write_text(cfg_text)
-    res = subprocess.run(
-        [sys.executable, "-c", measure, sys.executable, "-m", "spdo.cli",
-         command, "--config", str(cfg), "--out", str(tmp_path / "out")],
-        env=_child_env(), capture_output=True, text=True, timeout=120)
+    res = subprocess.run([sys.executable, "-c", measure, sys.executable]
+                         + args, env=_child_env(), capture_output=True,
+                         text=True, timeout=120)
     code, kib = res.stdout.split()
     return int(code), int(kib) / 1024.0
+
+
+def _peak_mb(tmp_path, command, cfg_text):
+    """(exit code, peak RSS in MB) of `python -m spdo.cli command` on
+    cfg_text in a fresh process."""
+    cfg = tmp_path / f"{command}-peak.cfg"
+    cfg.write_text(cfg_text)
+    return _max_rss(["-m", "spdo.cli", command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+
+
+def _import_floor_mb(*modules):
+    """Peak RSS in MB of a fresh process that only loads numpy as main
+    does, numpy.random and the spdo modules named: a command's import
+    floor on this host, which its peak is bounded above."""
+    code, mb = _max_rss(["-c", "from spdo import _import_long_lived\n"
+                         "_import_long_lived('numpy').random.default_rng(0)\n"
+                         + "".join(f"import spdo.{m}\n" for m in modules)])
+    assert code == 0
+    return mb
 
 
 @_LINUX
 def test_integrator_peak_memory(tmp_path):
     # the defaults (M = 10^4, K = 200, N = 8) would make a 257 MB
     # (path, time) solution and 16 MB of (M, K + 1) paths; the Ito check
-    # draws and steps one slice of about 650 paths at a time and keeps only
-    # Y(T), 1.3 MB, so the process peaks near 41 MB (56 MB with the paths
-    # held), about 35 MB of it the imports
+    # draws and steps one slice of about 650 paths at a time, drops each
+    # before the next is drawn, and keeps Y(T) only at the site the
+    # isometry reads, 160 kB.  The process peaks about 1.5 MB above its
+    # import floor, where the Y(T) of every site (1.3 MB) and two slices
+    # alive at a draw made it 3.3-3.7 MB
+    floor = _import_floor_mb("cli", "cauchy")
     code, mb = _peak_mb(tmp_path, "integrator", "")
     assert code == 0
-    assert mb < 48.0
+    assert mb - floor < 2.5
+
+
+@_LINUX
+def test_carleman_peak_memory(tmp_path):
+    # the perfbench evolution config (N = 64, M = 16, K = 64, 10 draws):
+    # blocks of time nodes of 64 KiB per work array (four nodes) peak about
+    # 0.6 MB above the import floor, where 256 KiB blocks (16 nodes) peaked
+    # 2.7-2.9 MB above it
+    floor = _import_floor_mb("cli", "cauchy", "bounds", "registry",
+                             "_compiled_symbols")
+    code, mb = _peak_mb(tmp_path, "carleman", "draws = 10\n")
+    assert code == 0
+    assert mb - floor < 1.7
 
 
 @_LINUX
@@ -342,6 +374,17 @@ def test_bounds_peak_memory(tmp_path):
                         "ensemble.M = 16\ntrials = 1\n")
     assert code == 0
     assert mb < 40.0
+
+
+@_LINUX
+def test_quantize_demo_2d_dense_peak_memory(tmp_path):
+    # mod-x at 2-D N = 64 takes the exact sum over a 4096^2 phase matrix,
+    # 268 MB; built at once, its temporaries made the run peak near 554 MB,
+    # and filled in row blocks it peaks near 307 MB
+    code, mb = _peak_mb(tmp_path, "quantize-demo",
+                        "symbol = mod-x\ngrid.dim = 2\ngrid.N = 64\n")
+    assert code == 0
+    assert mb < 400.0
 
 
 @_LINUX
@@ -1042,8 +1085,8 @@ def test_the_cap_of_the_exact_sum_names_the_grid_key(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, cfg_text, keys", [
-    ("integrator", "ensemble.M = 10000000000\n",
-     "'ensemble.M', 'grid.dim', 'grid.N'"),
+    # Y(T) is kept at one site, so its row names ensemble.M alone
+    ("integrator", "ensemble.M = 10000000000\n", "keys 'ensemble.M': "),
     ("uniqueness", "time.K = 10000000000\n", "'time.K'"),
     ("integrator", "unitary.K = 10000000000\n",
      "'unitary.K', 'grid.dim', 'grid.N'"),
@@ -1086,6 +1129,20 @@ def test_arrays_past_the_budget_exit_1_before_numpy_loads(tmp_path, command,
     line, = res.stderr.strip().splitlines()
     assert line.startswith("config error: config keys ") and keys in line
     assert "past the budget of 2^30" in line
+
+
+def test_dense_commands_charge_the_phase_matrix():
+    # inside the dense cap the exact sum caches the (N^n)^2 complex phase
+    # matrix, 268 MB at 2-D N = 64; past the cap no sum is exact
+    from spdo.cli import _held_arrays
+
+    phase = "the (N^n)^2 phase matrix of the exact sum"
+    for command, cfg in (("quantize-demo", {}), ("parametrix", {}),
+                         ("compose", {"random_pairs": "1"})):
+        for N, charged in (("64", [16 * 4096**2]), ("128", [])):
+            v = resolve_config(command, {"grid.dim": "2", "grid.N": N, **cfg})
+            rows = _held_arrays(command, v)
+            assert [b for b, _, what in rows if what == phase] == charged
 
 
 def test_bounds_budget_charges_the_slice_working_set():

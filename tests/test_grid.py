@@ -101,6 +101,16 @@ def test_lattice_arrays_cached_read_only():
     assert g == Grid(2, 8) and hash(g) == hash(Grid(2, 8))
 
 
+@pytest.mark.parametrize("dim, N", [(1, 16), (2, 8), (3, 8)])
+def test_phase_matrix_blocks_give_the_whole_product(monkeypatch, dim, N):
+    # the matrix is filled 16 rows at a time, as at the 2-D and 3-D dense
+    # caps: the same bits as the whole product at once
+    g = Grid(dim, N)
+    xs, xis = g.points().reshape(-1, dim), g.freqs().reshape(-1, dim)
+    monkeypatch.setattr(spdo.grid, "_BLOCK_BYTES", 16 * 16 * len(xis))
+    assert np.array_equal(g.phase_matrix(), np.exp(1j * (xs @ xis.T)))
+
+
 def test_norms_reduce_over_trailing_grid_axes():
     g = Grid(2, 8)
     rng = np.random.default_rng(2)

@@ -1,7 +1,9 @@
 """Symbol classes, derivative machinery, estimate and ellipticity checks."""
 
+import ast
 import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -134,6 +136,23 @@ def test_derivative_is_the_diff_chain():
                               1, order=1)
     chain = sp.diff(sp.diff(amp.expr, _XI[0], 2), _Y[0], 2)
     assert amp.derivative((2,), (2,)).expr == chain
+
+
+def test_only_symbols_calls_sympy_diff():
+    # every symbol derivative is Symbol.derivative's diff chain: no other
+    # module takes sympy's diff, as sp.diff, sympy.diff or an imported diff
+    pkg = pathlib.Path(spdo.__file__).parent
+    callers = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "diff"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("sp", "sympy")) or (
+                    isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("sympy")
+                    and any(a.name == "diff" for a in node.names)):
+                callers.add(path.name)
+    assert callers == {"symbols.py"}
 
 
 def test_symbol_algebra_orders():
